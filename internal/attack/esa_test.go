@@ -68,7 +68,10 @@ func TestESAShufflingDoesNotStopReconstruction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	protected := sh.Shuffle(grads[0], []byte("round-1"), 0)
+	protected, err := sh.Shuffle(grads[0], []byte("round-1"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	obs := &Observation{Scenario: ScenarioFullShuffle, Observed: protected}
 	res, err := DLG(o, obs, victims[0], 0, DLGConfig{Iterations: 200, LR: 0.3})
 	if err != nil {

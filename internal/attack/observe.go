@@ -106,7 +106,9 @@ func observe(grad tensor.Vector, sc Scenario, seed, roundID []byte) (*Observatio
 		if err != nil {
 			return nil, nil, err
 		}
-		frag = sh.Shuffle(frag, roundID, 0)
+		if frag, err = sh.Shuffle(frag, roundID, 0); err != nil {
+			return nil, nil, err
+		}
 		// The mapper does not reveal the permutation: the index list
 		// still describes the *unshuffled* fragment order, so a
 		// known-mapper adversary aligns shuffled values to the wrong

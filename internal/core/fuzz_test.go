@@ -26,8 +26,8 @@ func FuzzShuffleRoundTrip(f *testing.F) {
 			v[i] = float64(fill) + float64(i)*0.5
 		}
 		for partition := 0; partition < 3; partition++ {
-			sh := s.Shuffle(v, roundID, partition)
-			back := s.Unshuffle(sh, roundID, partition)
+			sh := mustShuffle(t, s, v, roundID, partition)
+			back := mustUnshuffle(t, s, sh, roundID, partition)
 			for i := range v {
 				if back[i] != v[i] {
 					t.Fatalf("round trip failed at %d (partition %d)", i, partition)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 
 	"deta/internal/parallel"
@@ -18,29 +19,42 @@ import (
 type Shuffler struct {
 	permKey []byte
 
-	// Permutation cache: deriving a permutation costs a full keyed-stream
-	// Fisher–Yates pass, and a party needs the identical permutation twice
-	// per round (Transform on upload, InverseTransform on download).
-	// Cached perms are shared read-only slices — holders must never write
-	// through them. The map is bounded: at capacity it is cleared
-	// wholesale, which is correct because rounds advance monotonically and
-	// stale entries would never be hit again.
-	mu    sync.Mutex
-	cache map[permCacheKey][]int
+	// Permutation cache: a party needs the identical permutation twice per
+	// round (Transform on upload, InverseTransform on download), and a
+	// download of round r can still be in flight when round r+1 is
+	// transformed, so the permutations of the two most recently seen round
+	// IDs are kept and nothing older: round IDs are fresh every round, so
+	// an older entry would never be hit again, only pinned. Cached
+	// permutations are shared read-only slices — holders must never write
+	// through them — which is also why an evicted one is left to the
+	// collector and not recycled: a slow holder may still be reading it.
+	mu     sync.Mutex
+	rounds [2]roundPerms // most recently seen round first
 }
 
-// permCacheKey includes the fragment length so a caller shuffling a
-// different-sized vector under the same (round, partition) can never be
-// served a mismatched permutation.
-type permCacheKey struct {
-	round     string
+// roundPerms holds one round's derived permutations, at most one per
+// (partition, length) pair: K entries for a K-aggregator job.
+type roundPerms struct {
+	round string
+	perms []cachedPerm
+}
+
+// cachedPerm is keyed by the fragment length as well as the partition, so
+// a caller shuffling a different-sized vector under the same (round,
+// partition) can never be served a mismatched permutation.
+type cachedPerm struct {
 	partition int
-	n         int
+	perm      []uint32
 }
 
-// permCacheCap bounds the cache; K partitions × a few in-flight rounds
-// fits comfortably.
-const permCacheCap = 64
+func (r *roundPerms) find(partition, n int) []uint32 {
+	for _, c := range r.perms {
+		if c.partition == partition && len(c.perm) == n {
+			return c.perm
+		}
+	}
+	return nil
+}
 
 // NewShuffler wraps the shared permutation key dispatched by the key
 // broker.
@@ -48,56 +62,80 @@ func NewShuffler(permKey []byte) (*Shuffler, error) {
 	if len(permKey) < 16 {
 		return nil, fmt.Errorf("core: permutation key of %d bytes is below the 16-byte minimum", len(permKey))
 	}
-	return &Shuffler{
-		permKey: append([]byte(nil), permKey...),
-		cache:   make(map[permCacheKey][]int, permCacheCap),
-	}, nil
+	return &Shuffler{permKey: append([]byte(nil), permKey...)}, nil
+}
+
+// lookup returns the cached permutation and the cache slot of roundID, or
+// nil and -1 where there is none. s.mu must be held.
+func (s *Shuffler) lookup(roundID []byte, partition, n int) ([]uint32, int) {
+	for i := range s.rounds {
+		if r := &s.rounds[i]; r.round == string(roundID) {
+			return r.find(partition, n), i
+		}
+	}
+	return nil, -1
 }
 
 // perm derives the round- and partition-specific permutation of length n,
 // serving repeats from the cache. The returned slice is shared: callers
 // must treat it as read-only.
-func (s *Shuffler) perm(roundID []byte, partition, n int) []int {
-	key := permCacheKey{round: string(roundID), partition: partition, n: n}
+func (s *Shuffler) perm(roundID []byte, partition, n int) ([]uint32, error) {
 	s.mu.Lock()
-	if p, ok := s.cache[key]; ok {
-		s.mu.Unlock()
-		return p
-	}
+	p, _ := s.lookup(roundID, partition, n)
 	s.mu.Unlock()
+	if p != nil || n == 0 { // an empty fragment has nothing to permute
+		return p, nil
+	}
 	// Derive outside the lock; a concurrent duplicate derivation is
 	// harmless (both produce the identical permutation) and cheaper than
 	// serializing every partition's derivation behind one mutex.
-	seed := rng.DeriveSeed(s.permKey, roundID, []byte(fmt.Sprintf("partition-%d", partition)))
-	p := rng.NewStream(seed, "param-shuffle").Perm(n)
-	s.mu.Lock()
-	if len(s.cache) >= permCacheCap {
-		clear(s.cache)
+	var ctx [32]byte
+	partitionCtx := strconv.AppendInt(append(ctx[:0], "partition-"...), int64(partition), 10)
+	seed := rng.DeriveSeed(s.permKey, []byte("param-shuffle"), roundID, partitionCtx)
+	p, err := rng.KeyedPerm(seed, n, nil)
+	if err != nil {
+		return nil, fmt.Errorf("core: deriving the round permutation: %w", err)
 	}
-	s.cache[key] = p
-	s.mu.Unlock()
-	return p
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	cached, slot := s.lookup(roundID, partition, n)
+	if cached != nil {
+		return cached, nil
+	}
+	if slot < 0 {
+		s.rounds[1] = s.rounds[0]
+		s.rounds[0] = roundPerms{round: string(roundID)}
+		slot = 0
+	}
+	s.rounds[slot].perms = append(s.rounds[slot].perms, cachedPerm{partition: partition, perm: p})
+	return p, nil
 }
 
 // Shuffle permutes a fragment for upload: out[i] = frag[perm[i]].
-func (s *Shuffler) Shuffle(frag tensor.Vector, roundID []byte, partition int) tensor.Vector {
-	p := s.perm(roundID, partition, len(frag))
+func (s *Shuffler) Shuffle(frag tensor.Vector, roundID []byte, partition int) (tensor.Vector, error) {
+	p, err := s.perm(roundID, partition, len(frag))
+	if err != nil {
+		return nil, err
+	}
 	out := make(tensor.Vector, len(frag))
 	for i, src := range p {
 		out[i] = frag[src]
 	}
-	return out
+	return out, nil
 }
 
 // Unshuffle restores a downloaded (aggregated) fragment to its original
 // order, inverting Shuffle for the same round and partition.
-func (s *Shuffler) Unshuffle(frag tensor.Vector, roundID []byte, partition int) tensor.Vector {
-	p := s.perm(roundID, partition, len(frag))
+func (s *Shuffler) Unshuffle(frag tensor.Vector, roundID []byte, partition int) (tensor.Vector, error) {
+	p, err := s.perm(roundID, partition, len(frag))
+	if err != nil {
+		return nil, err
+	}
 	out := make(tensor.Vector, len(frag))
 	for i, src := range p {
 		out[src] = frag[i]
 	}
-	return out
+	return out, nil
 }
 
 // Transform is the full party-side Trans() of Figure 1: partition the local
@@ -132,18 +170,31 @@ func Transform(m *Mapper, s *Shuffler, update tensor.Vector, roundID []byte, shu
 	//
 	//lint:ignore allocfree one slice-header array per call; the fragment payloads come from the pool
 	out := make([]tensor.Vector, len(m.parts))
-	parallel.For(len(m.parts), 1, func(lo, hi int) {
+	err := parallel.ForErr(len(m.parts), 1, func(lo, hi int) error {
 		for j := lo; j < hi; j++ {
 			idxs := m.parts[j]
 			//lint:ignore allocfree permutation derivation is cached per (round, partition)
-			p := s.perm(roundID, j, len(idxs))
+			p, err := s.perm(roundID, j, len(idxs))
+			if err != nil {
+				return err
+			}
 			frag := tensor.GetVector(len(idxs))
 			for i, src := range p {
 				frag[i] = update[idxs[src]]
 			}
 			out[j] = frag
 		}
+		return nil
 	})
+	if err != nil {
+		// Fragments built before the failure go back to the pool.
+		for _, frag := range out {
+			if frag != nil {
+				tensor.PutVector(frag)
+			}
+		}
+		return nil, err
+	}
 	return out, nil
 }
 
@@ -178,15 +229,22 @@ func InverseTransform(m *Mapper, s *Shuffler, frags []tensor.Vector, roundID []b
 	}
 	//lint:ignore allocfree the merged model is the result and outlives any pool window
 	out := make(tensor.Vector, m.n)
-	parallel.For(len(m.parts), 1, func(lo, hi int) {
+	err := parallel.ForErr(len(m.parts), 1, func(lo, hi int) error {
 		for j := lo; j < hi; j++ {
 			idxs := m.parts[j]
 			//lint:ignore allocfree permutation derivation is cached per (round, partition)
-			p := s.perm(roundID, j, len(idxs))
+			p, err := s.perm(roundID, j, len(idxs))
+			if err != nil {
+				return err
+			}
 			for i, v := range frags[j] {
 				out[idxs[p[i]]] = v
 			}
 		}
+		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	return out, nil
 }

@@ -16,6 +16,24 @@ func testShuffler(t testing.TB) *Shuffler {
 	return s
 }
 
+func mustShuffle(t testing.TB, s *Shuffler, v tensor.Vector, roundID []byte, partition int) tensor.Vector {
+	t.Helper()
+	out, err := s.Shuffle(v, roundID, partition)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func mustUnshuffle(t testing.TB, s *Shuffler, v tensor.Vector, roundID []byte, partition int) tensor.Vector {
+	t.Helper()
+	out, err := s.Unshuffle(v, roundID, partition)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestNewShufflerKeyLength(t *testing.T) {
 	if _, err := NewShuffler([]byte("short")); err == nil {
 		t.Fatal("short key accepted")
@@ -34,8 +52,8 @@ func TestShuffleInverseProperty(t *testing.T) {
 		for i := range v {
 			v[i] = st.NormFloat64()
 		}
-		sh := s.Shuffle(v, roundID, int(part%5))
-		back := s.Unshuffle(sh, roundID, int(part%5))
+		sh := mustShuffle(t, s, v, roundID, int(part%5))
+		back := mustUnshuffle(t, s, sh, roundID, int(part%5))
 		for i := range v {
 			if back[i] != v[i] {
 				return false
@@ -54,8 +72,8 @@ func TestShuffleChangesAcrossRounds(t *testing.T) {
 	for i := range v {
 		v[i] = float64(i)
 	}
-	r1 := s.Shuffle(v, []byte("round-1"), 0)
-	r2 := s.Shuffle(v, []byte("round-2"), 0)
+	r1 := mustShuffle(t, s, v, []byte("round-1"), 0)
+	r2 := mustShuffle(t, s, v, []byte("round-2"), 0)
 	diff := 0
 	for i := range r1 {
 		if r1[i] != r2[i] {
@@ -73,8 +91,8 @@ func TestShuffleDiffersAcrossPartitions(t *testing.T) {
 	for i := range v {
 		v[i] = float64(i)
 	}
-	p0 := s.Shuffle(v, []byte("r"), 0)
-	p1 := s.Shuffle(v, []byte("r"), 1)
+	p0 := mustShuffle(t, s, v, []byte("r"), 0)
+	p1 := mustShuffle(t, s, v, []byte("r"), 1)
 	same := true
 	for i := range p0 {
 		if p0[i] != p1[i] {
@@ -97,8 +115,8 @@ func TestShuffleIsKeyed(t *testing.T) {
 	for i := range v {
 		v[i] = float64(i)
 	}
-	sa := a.Shuffle(v, []byte("r"), 0)
-	sb := b.Shuffle(v, []byte("r"), 0)
+	sa := mustShuffle(t, a, v, []byte("r"), 0)
+	sb := mustShuffle(t, b, v, []byte("r"), 0)
 	same := true
 	for i := range sa {
 		if sa[i] != sb[i] {
@@ -110,7 +128,7 @@ func TestShuffleIsKeyed(t *testing.T) {
 		t.Fatal("different keys produced identical shuffles")
 	}
 	// An adversary with the wrong key cannot unshuffle.
-	wrong := b.Unshuffle(sa, []byte("r"), 0)
+	wrong := mustUnshuffle(t, b, sa, []byte("r"), 0)
 	recovered := true
 	for i := range v {
 		if wrong[i] != v[i] {
@@ -132,8 +150,8 @@ func TestShuffleSameForAllParties(t *testing.T) {
 	for i := range v {
 		v[i] = float64(i) * 1.5
 	}
-	sa := a.Shuffle(v, []byte("r9"), 2)
-	sb := b.Shuffle(v, []byte("r9"), 2)
+	sa := mustShuffle(t, a, v, []byte("r9"), 2)
+	sb := mustShuffle(t, b, v, []byte("r9"), 2)
 	for i := range sa {
 		if sa[i] != sb[i] {
 			t.Fatal("parties with same key+round derived different permutations")

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -12,7 +13,8 @@ import (
 // transform_fused_test.go proves the fused Transform/InverseTransform
 // gather/scatter passes are bit-identical to the unfused composition they
 // replaced (Partition∘Shuffle and Unshuffle∘Merge), including non-finite
-// values, and that the permutation cache is safe under concurrent rounds.
+// values, and that the two-round permutation cache is bounded and safe under
+// concurrent and overlapping rounds.
 
 // unfusedTransform is the reference composition the fused path must match.
 func unfusedTransform(t *testing.T, m *Mapper, s *Shuffler, update tensor.Vector, roundID []byte) []tensor.Vector {
@@ -23,7 +25,7 @@ func unfusedTransform(t *testing.T, m *Mapper, s *Shuffler, update tensor.Vector
 	}
 	out := make([]tensor.Vector, len(frags))
 	for j, frag := range frags {
-		out[j] = s.Shuffle(frag, roundID, j)
+		out[j] = mustShuffle(t, s, frag, roundID, j)
 	}
 	return out
 }
@@ -33,7 +35,7 @@ func unfusedInverse(t *testing.T, m *Mapper, s *Shuffler, frags []tensor.Vector,
 	t.Helper()
 	plain := make([]tensor.Vector, len(frags))
 	for j, frag := range frags {
-		plain[j] = s.Unshuffle(frag, roundID, j)
+		plain[j] = mustUnshuffle(t, s, frag, roundID, j)
 	}
 	merged, err := m.Merge(plain)
 	if err != nil {
@@ -114,10 +116,12 @@ func TestTransformFusedEquivalence(t *testing.T) {
 	}
 }
 
-// TestTransformConcurrentRounds hammers one shuffler from many goroutines
-// across overlapping rounds — the permutation cache's fill, hit, and
-// clear-at-capacity paths all race here. Run under -race; correctness is
-// checked by round-tripping every transform.
+// TestTransformConcurrentRounds hammers one shuffler from 8 goroutines
+// that each walk 24 rounds at their own pace, so at any moment more rounds
+// are live than the cache's two: fills, hits, duplicate derivations of one
+// key and evictions of a round another goroutine is still using all race
+// here. Run under -race -count=10; correctness is checked by
+// round-tripping every transform.
 func TestTransformConcurrentRounds(t *testing.T) {
 	m, err := NewMapper(512, EqualProportions(4), []byte("conc"))
 	if err != nil {
@@ -130,23 +134,20 @@ func TestTransformConcurrentRounds(t *testing.T) {
 		v[i] = st.NormFloat64()
 	}
 	var wg sync.WaitGroup
-	errs := make(chan error, 64)
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for r := 0; r < 24; r++ {
-				// More distinct (round, partition) keys than permCacheCap, so
-				// wholesale clears interleave with hits.
 				roundID := []byte{byte(r)}
 				frags, err := Transform(m, s, v, roundID, true)
 				if err != nil {
-					errs <- err
+					t.Error(err)
 					return
 				}
 				back, err := InverseTransform(m, s, frags, roundID, true)
 				if err != nil {
-					errs <- err
+					t.Error(err)
 					return
 				}
 				for i := range v {
@@ -162,9 +163,132 @@ func TestTransformConcurrentRounds(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	close(errs)
-	for err := range errs {
+	if n := cachedPerms(s); n > 2*4 {
+		t.Errorf("cache holds %d permutations after concurrent rounds, want at most 2 rounds x 4 partitions", n)
+	}
+}
+
+// cachedPerms counts the permutations a shuffler is holding on to.
+func cachedPerms(s *Shuffler) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for _, r := range s.rounds {
+		n += len(r.perms)
+	}
+	return n
+}
+
+// TestShufflerCacheKeepsTwoRounds: round IDs are fresh every round, so the
+// cache must not grow with the number of rounds played — it holds the two
+// most recent rounds' K permutations — and an evicted round is derived
+// again, identically, when asked for.
+func TestShufflerCacheKeepsTwoRounds(t *testing.T) {
+	const k = 3
+	m, err := NewMapper(300, EqualProportions(k), []byte("cache"))
+	if err != nil {
 		t.Fatal(err)
+	}
+	s := testShuffler(t)
+	v := make(tensor.Vector, 300)
+	for i := range v {
+		v[i] = float64(i)
+	}
+	var first []tensor.Vector
+	for r := 0; r < 50; r++ {
+		frags, err := Transform(m, s, v, []byte{'r', byte(r)}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r == 0 {
+			first = frags
+		}
+		if n := cachedPerms(s); n > 2*k {
+			t.Fatalf("after %d fresh rounds the cache holds %d permutations, want at most %d", r+1, n, 2*k)
+		}
+	}
+	// The two newest rounds are served from the cache: same backing array.
+	for _, r := range []int{48, 49} {
+		p1, err := s.perm([]byte{'r', byte(r)}, 0, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p2, err := s.perm([]byte{'r', byte(r)}, 0, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &p1[0] != &p2[0] {
+			t.Errorf("round %d was derived twice", r)
+		}
+	}
+	// Round 0 is long gone; it still inverts what it transformed.
+	back, err := InverseTransform(m, s, first, []byte{'r', 0}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range v {
+		if back[i] != v[i] {
+			t.Fatalf("evicted round no longer round-trips at %d", i)
+		}
+	}
+	if n := cachedPerms(s); n > 2*k {
+		t.Errorf("re-deriving an evicted round left %d permutations cached, want at most %d", n, 2*k)
+	}
+}
+
+// TestTransformOverlappingRounds: the download of round r can arrive after
+// round r+1 was transformed.
+func TestTransformOverlappingRounds(t *testing.T) {
+	m, err := NewMapper(257, EqualProportions(3), []byte("overlap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := testShuffler(t)
+	v := make(tensor.Vector, 257)
+	st := rng.NewStream([]byte("overlap-vals"), "v")
+	for i := range v {
+		v[i] = st.NormFloat64()
+	}
+	r0, r1 := []byte("round-7"), []byte("round-8")
+	f0, err := Transform(m, s, v, r0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(step string, frags []tensor.Vector, roundID []byte) {
+		t.Helper()
+		back, err := InverseTransform(m, s, frags, roundID, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range v {
+			if back[i] != v[i] {
+				t.Fatalf("%s: round trip diverged at %d", step, i)
+			}
+		}
+	}
+	check("inverse(r)", f0, r0)
+	f1, err := Transform(m, s, v, r1, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("inverse(r) after transform(r+1)", f0, r0)
+	check("inverse(r+1)", f1, r1)
+}
+
+// TestPermRefusesOversizedFragment: a fragment too long for 32-bit indices
+// is an error out of perm — which Transform and InverseTransform return as
+// it is — never a panic or a permutation of the truncated length.
+func TestPermRefusesOversizedFragment(t *testing.T) {
+	if strconv.IntSize == 32 {
+		t.Skip("no such length on a 32-bit platform")
+	}
+	tooLong := uint64(math.MaxUint32) + 1
+	s := testShuffler(t)
+	if p, err := s.perm([]byte("r"), 0, int(tooLong)); err == nil || p != nil {
+		t.Fatalf("perm of length %d returned %d indices, error %v", tooLong, len(p), err)
+	}
+	if n := cachedPerms(s); n != 0 {
+		t.Errorf("a refused permutation left %d cache entries", n)
 	}
 }
 

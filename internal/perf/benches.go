@@ -2,6 +2,7 @@ package perf
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"os/exec"
@@ -95,6 +96,38 @@ func coreBenches() []Bench {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := core.Transform(m, s, update, roundID, true); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
+		// The bench above reuses one round ID, so after its first iteration
+		// it times the gather alone. A party sees a fresh round ID every
+		// round and pays the K permutation derivations too; this is that
+		// round, and the gate that keeps derivation off the critical path.
+		{Name: "core/Transform/cold,k3,n16384", F: func(b *testing.B) {
+			m, s, update := coreTransformSetup(b, n)
+			id := make([]byte, 8)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				binary.BigEndian.PutUint64(id, uint64(i))
+				frags, err := core.Transform(m, s, update, id, true)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, frag := range frags {
+					tensor.PutVector(frag)
+				}
+			}
+		}},
+		// The derivation on its own, at a fragment length between the
+		// wal_fsync and bulk_tls workloads' (named for what it measures;
+		// it lives here because there is no rng area).
+		{Name: "core/KeyedPerm/n65536", F: func(b *testing.B) {
+			seed := rng.DeriveSeed([]byte("perf-suite"), []byte("keyed-perm"))
+			dst := make([]uint32, 1<<16)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := rng.KeyedPerm(seed, len(dst), dst); err != nil {
 					b.Fatal(err)
 				}
 			}

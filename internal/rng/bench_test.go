@@ -41,3 +41,14 @@ func BenchmarkNormFloat64(b *testing.B) {
 		s.NormFloat64()
 	}
 }
+
+func BenchmarkKeyedPerm(b *testing.B) {
+	seed := DeriveSeed([]byte("bench"), []byte("keyed-perm"))
+	dst := make([]uint32, 1<<16)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := KeyedPerm(seed, len(dst), dst); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -5,12 +5,32 @@
 //     (permutation key, training-round identifier) pair, because aggregation
 //     only works if all parties shuffle identically (paper §4.2).
 //  2. An adversary without the permutation key must face the full key space:
-//     the stream is a PRF (HMAC-SHA256 in counter mode), so permutations are
-//     unpredictable without the key.
+//     every output is a keyed PRF stream, so permutations are unpredictable
+//     without the key.
 //
-// The package provides the PRF stream, uniform integer sampling via
-// rejection, Fisher-Yates permutation generation, and Gaussian sampling for
-// model initialization and synthetic data.
+// There are two generators, one per job:
+//
+//   - Stream is the general-purpose one: HMAC-SHA256 in counter mode under
+//     an arbitrary-length key and a label, with exact-rejection integers,
+//     Fisher-Yates (Perm, Shuffle) and Gaussians. Everything computed once
+//     per job uses it — the model mapper, dataset splits, ESA, model
+//     initialization, synthetic data — and its output is pinned byte for
+//     byte (kat_test.go), so those never change under a refactor.
+//   - KeyedPerm is the per-round one: it expands a 32-byte DeriveSeed output
+//     into a permutation with AES-256-CTR, because a party derives K fresh
+//     fragment-sized permutations every round and a hash block per 32
+//     bytes of Fisher-Yates input was half of a round's latency.
+//
+// KeyedPerm keeps both properties. The AES key is DeriveSeed(permKey,
+// label, round, partition) — HMAC-SHA256, a PRF of the permutation key — so
+// without the permutation key the AES key is indistinguishable from a
+// uniform one, and AES-CTR under a uniform key used for a single stream is
+// itself a PRF stream (which is why the counter block may start at zero:
+// no AES key is ever used for a second stream). Bounded draws reject
+// exactly the inputs that would bias them, so the permutation is uniform
+// over the stream, and all of it is a function of (seed, n) alone, so every
+// party derives the same one. Its output is pinned too: two versions of a
+// party that expanded a seed differently could not aggregate together.
 package rng
 
 import (
@@ -18,6 +38,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"hash"
 	"math"
 )
 
@@ -25,9 +46,10 @@ import (
 // arbitrary-length secret and a domain-separation label. It is HMAC-SHA256
 // run in counter mode: block i = HMAC(key, label || uint64(i)).
 type Stream struct {
-	key     []byte
+	mac     hash.Hash // HMAC keyed once; Reset per block keeps the key state
 	label   []byte
 	counter uint64
+	ctr     [8]byte // counter scratch; a field so Write's argument does not escape per block
 	buf     [sha256.Size]byte
 	used    int
 
@@ -39,12 +61,11 @@ type Stream struct {
 // NewStream returns a stream keyed by key with the given domain-separation
 // label. Distinct labels produce independent streams under the same key.
 func NewStream(key []byte, label string) *Stream {
-	s := &Stream{
-		key:   append([]byte(nil), key...),
+	return &Stream{
+		mac:   hmac.New(sha256.New, key),
 		label: []byte(label),
 		used:  sha256.Size, // force refill on first use
 	}
-	return s
 }
 
 // DeriveSeed computes a 32-byte subkey from key and the concatenation of
@@ -75,13 +96,11 @@ func Fingerprint(key []byte) string {
 }
 
 func (s *Stream) refill() {
-	mac := hmac.New(sha256.New, s.key)
-	mac.Write(s.label)
-	var ctr [8]byte
-	binary.BigEndian.PutUint64(ctr[:], s.counter)
-	mac.Write(ctr[:])
-	sum := mac.Sum(nil)
-	copy(s.buf[:], sum)
+	s.mac.Reset()
+	s.mac.Write(s.label)
+	binary.BigEndian.PutUint64(s.ctr[:], s.counter)
+	s.mac.Write(s.ctr[:])
+	s.mac.Sum(s.buf[:0])
 	s.counter++
 	s.used = 0
 }
