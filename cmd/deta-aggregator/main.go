@@ -47,7 +47,6 @@ func main() {
 	stateDir := flag.String("state-dir", "", "directory for the durable round journal; a restarted aggregator recovers its rounds from it (empty = in-memory only)")
 	retain := flag.Int("retain", 0, "evict aggregated rounds older than N from memory (0 = keep all; the journal stays the durable copy)")
 	noFsync := flag.Bool("journal-no-fsync", false, "skip the per-record journal fsync (survives process crashes only; benchmarking)")
-	wire := flag.String("wire", "binary", "fragment wire codec for responses: binary (fixed-layout) or gob (legacy rollback); requests are sniffed, both always accepted")
 	roundDeadline := flag.Duration("round-deadline", 0, "abandon a round still below quorum after this long, and cut stragglers at it (0 = wait forever, the legacy behavior)")
 	grace := flag.Duration("grace", 2*time.Second, "post-quorum straggler window: a round with quorum seals after min(-grace, remaining -round-deadline); needs -round-deadline")
 	heartbeat := flag.Duration("heartbeat", 0, "expected party heartbeat interval; parties silent for 3x are suspect, for 8x are evicted from membership (journaled; they rejoin on their next signal). 0 = liveness off")
@@ -55,15 +54,6 @@ func main() {
 
 	log.SetPrefix(fmt.Sprintf("deta-aggregator[%s]: ", *id))
 	log.SetFlags(log.Ltime | log.Lmicroseconds)
-
-	switch *wire {
-	case "binary":
-		transport.SetBinaryWire(true)
-	case "gob":
-		transport.SetBinaryWire(false)
-	default:
-		log.Fatalf("unknown -wire %q (want binary or gob)", *wire)
-	}
 
 	alg, err := parseAlgorithm(*algorithm)
 	if err != nil {
@@ -341,7 +331,7 @@ func pace(ctx context.Context, d time.Duration) bool {
 // lifecycle abandoned is skipped, not re-driven.
 func syncFollower(ctx context.Context, f *core.AggregatorClient, round int) error {
 	for {
-		done, abandoned, err := f.CompleteStatus(ctx, round)
+		done, abandoned, err := f.Complete(ctx, round)
 		if err != nil {
 			return err
 		}

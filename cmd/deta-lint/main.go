@@ -106,12 +106,6 @@ func main() {
 	}
 }
 
-// analyzerAliases maps retired analyzer names to their successors so
-// existing invocations keep working.
-var analyzerAliases = map[string]string{
-	"lockio": "lockregion", // replaced by the CFG-based analyzer
-}
-
 // selectAnalyzers applies -enable/-disable, validating names so a typo in
 // CI fails loudly instead of silently running nothing.
 func selectAnalyzers(all []lint.Analyzer, enable, disable string) ([]lint.Analyzer, error) {
@@ -128,9 +122,6 @@ func selectAnalyzers(all []lint.Analyzer, enable, disable string) ([]lint.Analyz
 			n = strings.TrimSpace(n)
 			if n == "" {
 				continue
-			}
-			if successor, ok := analyzerAliases[n]; ok {
-				n = successor
 			}
 			if _, ok := byName[n]; !ok {
 				return nil, fmt.Errorf("unknown analyzer %q (try -list)", n)

@@ -63,20 +63,10 @@ func main() {
 	aggQuorum := flag.Int("agg-quorum", 0, "minimum aggregators that must answer per round (0 = all); below K degrades, never hangs")
 	keepalive := flag.Duration("keepalive", 0, "aggregator link health-check interval (0 = off)")
 	heartbeat := flag.Duration("heartbeat", 0, "liveness heartbeat interval to every aggregator (match the fleet's -heartbeat; 0 = off)")
-	wire := flag.String("wire", "binary", "fragment wire codec: binary (fixed-layout) or gob (legacy rollback)")
 	flag.Parse()
 
 	log.SetPrefix(fmt.Sprintf("deta-party[%s]: ", *id))
 	log.SetFlags(log.Ltime | log.Lmicroseconds)
-
-	switch *wire {
-	case "binary":
-		transport.SetBinaryWire(true)
-	case "gob":
-		transport.SetBinaryWire(false)
-	default:
-		log.Fatalf("unknown -wire %q (want binary or gob)", *wire)
-	}
 
 	if *index < 0 || *index >= *parties {
 		log.Fatalf("index %d out of range [0,%d)", *index, *parties)

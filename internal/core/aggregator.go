@@ -253,7 +253,7 @@ func (a *AggregatorNode) upload(round int, partyID string, frag tensor.Vector, w
 	// failed append leaves no phantom round to roll back. A brand-new
 	// round needs no duplicate or lifecycle check: its maps are empty and
 	// a round opening right now is by definition in PhaseOpen.
-	if err := a.logFragmentDurable(recUpload2, partyID, round, frag, weight); err != nil {
+	if err := a.logFragmentDurable(recUpload, partyID, round, frag, weight); err != nil {
 		return fmt.Errorf("core: aggregator %s journaling upload: %w", a.ID, err)
 	}
 	if !ok {
@@ -371,7 +371,7 @@ func (a *AggregatorNode) Aggregate(round int) error {
 	// Journal the *result*, not just the trigger: stateful algorithms
 	// (e.g. Paillier fusion) cannot be re-run deterministically on
 	// replay, and parties must be able to re-download after a crash.
-	if err := a.logFragmentDurable(recAggregate2, "", round, fused, 0); err != nil {
+	if err := a.logFragmentDurable(recAggregate, "", round, fused, 0); err != nil {
 		return fmt.Errorf("core: aggregator %s journaling round %d: %w", a.ID, round, err)
 	}
 	a.applyAggregated(round, fused)

@@ -192,7 +192,7 @@ func TestChaosChurnEvictRejoinBitIdentical(t *testing.T) {
 	upload(ps[0], 2)
 	upload(ps[1], 2)
 	p3frags := frags(ps[2], 2)
-	if err := ps[2].fleet.Clients[0].UploadFrag(ctx, 2, ps[2].id, p3frags[0], 0, ps[2].weight); err != nil {
+	if err := ps[2].fleet.Clients[0].Upload(ctx, 2, ps[2].id, p3frags[0], 0, ps[2].weight); err != nil {
 		t.Fatalf("P3 partial upload: %v", err)
 	}
 	// P3 is now silent. The survivors keep heartbeating while the clocks

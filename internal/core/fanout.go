@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -121,7 +120,9 @@ func (f *Fleet) pollBackoff() transport.Backoff {
 // accounting: err is nil when at least required() succeeded, otherwise
 // every failure joined. ok[j] and errs[j] report aggregator j's outcome
 // either way, so callers can refuse to tolerate specific failure classes
-// even under a met quorum.
+// even under a met quorum. The joined error wraps each aggregator's typed
+// verdict: errors.Is(err, ErrRoundAbandoned) on a failed UploadAll or
+// DownloadAll means skip the round, not retry it.
 func (f *Fleet) fanOut(op func(j int, a *AggregatorClient) error) (ok []bool, errs []error, err error) {
 	ok = make([]bool, len(f.Clients))
 	errs = make([]error, len(f.Clients))
@@ -187,34 +188,12 @@ func (f *Fleet) UploadAll(ctx context.Context, round int, partyID string, frags 
 	if len(frags) != len(f.Clients) {
 		return fmt.Errorf("core: %d fragments for %d aggregators", len(frags), len(f.Clients))
 	}
-	_, errs, err := f.fanOut(func(j int, a *AggregatorClient) error {
-		cctx, cancel := f.callCtx(ctx)
-		defer cancel()
-		return a.UploadFrag(cctx, round, partyID, frags[j], j, weight)
-	})
-	return classifyAbandoned(err, errs)
-}
-
-// CompleteAll polls every aggregator's round completeness concurrently and
-// returns how many report complete.
-func (f *Fleet) CompleteAll(ctx context.Context, round int) (int, error) {
-	var mu sync.Mutex
-	complete := 0
 	_, _, err := f.fanOut(func(j int, a *AggregatorClient) error {
 		cctx, cancel := f.callCtx(ctx)
 		defer cancel()
-		done, err := a.Complete(cctx, round)
-		if err != nil {
-			return err
-		}
-		if done {
-			mu.Lock()
-			complete++
-			mu.Unlock()
-		}
-		return nil
+		return a.Upload(cctx, round, partyID, frags[j], j, weight)
 	})
-	return complete, err
+	return err
 }
 
 // DownloadAll fetches every aggregator's fused fragment for the round
@@ -231,7 +210,7 @@ func (f *Fleet) DownloadAll(ctx context.Context, round int, partyID string, fall
 	frags := make([]tensor.Vector, len(f.Clients))
 	backoff := f.pollBackoff()
 	clk := f.clk()
-	ok, errs, err := f.fanOut(func(j int, a *AggregatorClient) error {
+	ok, _, err := f.fanOut(func(j int, a *AggregatorClient) error {
 		for attempt := 0; ; attempt++ {
 			cctx, cancel := f.callCtx(ctx)
 			frag, err := a.Download(cctx, round, partyID)
@@ -240,7 +219,7 @@ func (f *Fleet) DownloadAll(ctx context.Context, round int, partyID string, fall
 				frags[j] = frag
 				return nil
 			}
-			if !isNotAggregated(err) {
+			if !errors.Is(err, ErrNotAggregated) {
 				// Connection failure, per-call timeout, an abandoned
 				// round, or a remote rejection: this aggregator is down
 				// for the round.
@@ -256,7 +235,7 @@ func (f *Fleet) DownloadAll(ctx context.Context, round int, partyID string, fall
 		}
 	})
 	if err != nil {
-		return nil, classifyAbandoned(err, errs)
+		return nil, err
 	}
 	for j := range frags {
 		if !ok[j] {
@@ -309,46 +288,4 @@ func (f *Fleet) HeartbeatAll(ctx context.Context, partyID string) (acked int, re
 	g.Wait()
 	sort.Strings(rejoinedAt)
 	return acked, rejoinedAt
-}
-
-// isNotAggregated matches the aggregator's "round not aggregated yet"
-// rejection across the RPC boundary (remote errors travel as strings).
-func isNotAggregated(err error) bool {
-	if err == nil {
-		return false
-	}
-	if errors.Is(err, ErrNotAggregated) {
-		return true
-	}
-	var re *transport.RemoteError
-	return errors.As(err, &re) && strings.Contains(re.Msg, "not aggregated")
-}
-
-// isAbandoned matches the aggregator's round-abandoned rejection across
-// the RPC boundary.
-func isAbandoned(err error) bool {
-	if err == nil {
-		return false
-	}
-	if errors.Is(err, ErrRoundAbandoned) {
-		return true
-	}
-	var re *transport.RemoteError
-	return errors.As(err, &re) && strings.Contains(re.Msg, "round abandoned")
-}
-
-// classifyAbandoned upgrades a below-quorum fan-out failure to
-// ErrRoundAbandoned when any aggregator rejected the round as abandoned:
-// the party should skip the round (survivors already fused or gave up
-// without it), not burn its round deadline retrying.
-func classifyAbandoned(err error, errs []error) error {
-	if err == nil {
-		return nil
-	}
-	for _, e := range errs {
-		if isAbandoned(e) {
-			return fmt.Errorf("%w: %w", ErrRoundAbandoned, err)
-		}
-	}
-	return err
 }

@@ -63,8 +63,7 @@ func (p RoundPhase) String() string {
 	return fmt.Sprintf("RoundPhase(%d)", int(p))
 }
 
-// Lifecycle errors. ErrRoundAbandoned's message is matched by substring
-// across the RPC boundary (see isAbandoned), like ErrNotAggregated.
+// Lifecycle errors; both cross the RPC boundary as status codes (net.go).
 var (
 	ErrRoundAbandoned = errors.New("core: round abandoned below quorum at deadline")
 	ErrStragglerCut   = errors.New("core: round sealed; straggler upload cut")

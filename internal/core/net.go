@@ -48,8 +48,7 @@ type (
 
 	// CompleteReq polls round completeness.
 	CompleteReq struct{ Round int }
-	// CompleteResp reports it. Abandoned (added with the round lifecycle;
-	// gob keeps old peers compatible) flags a round past its deadline
+	// CompleteResp reports it. Abandoned flags a round past its deadline
 	// below quorum, so pollers skip it instead of waiting forever.
 	CompleteResp struct {
 		Complete  bool
@@ -81,8 +80,8 @@ type (
 )
 
 // The fragment-bearing messages ride transport's fixed-layout binary
-// codec instead of gob: they are the data plane, exchanged by every party
-// on every round. All other messages above (the control plane) stay gob.
+// codec, and only it: they are the data plane, exchanged by every party on
+// every round. All other messages above (the control plane) are gob.
 
 // AppendWire implements transport.WireAppender.
 func (r UploadReq) AppendWire(dst []byte) ([]byte, error) {
@@ -118,23 +117,69 @@ func (r *DownloadResp) DecodeWire(data []byte) error {
 	return nil
 }
 
+// statusCodes is the one table between the aggregator's typed errors and
+// the status code a failed RPC carries (transport.RemoteError.Code): the
+// server stamps the code of the sentinel a handler's error wraps, the
+// client re-wraps the sentinel for the code it receives, so errors.Is holds
+// across the RPC boundary and nothing reads the error text. Index = code; 0
+// is transport's "unclassified". Codes are wire values: append, never
+// renumber.
+var statusCodes = [...]error{
+	1: ErrNotRegistered,
+	2: ErrRoundIncomplete,
+	3: ErrNotAggregated,
+	4: ErrDuplicateUpload,
+	5: ErrStragglerCut,
+	6: ErrRoundAbandoned,
+}
+
+// withStatus stamps a handler's error (nil included) with its status code,
+// if it has one.
+func withStatus(err error) error {
+	for code := 1; code < len(statusCodes); code++ {
+		if errors.Is(err, statusCodes[code]) {
+			return &transport.StatusError{Code: uint8(code), Err: err}
+		}
+	}
+	return err
+}
+
+// fromStatus is withStatus's inverse on the calling side: a remote error
+// with a known code also wraps that code's sentinel. An unknown code (a
+// newer peer) stays a plain RemoteError.
+func fromStatus(err error) error {
+	var re *transport.RemoteError
+	if errors.As(err, &re) && re.Code != 0 && int(re.Code) < len(statusCodes) {
+		return fmt.Errorf("%w (%w)", statusCodes[re.Code], err)
+	}
+	return err
+}
+
+// handle registers one aggregator method with its errors status-stamped.
+func handle[Req, Resp any](srv *transport.Server, method string, h func(Req) (Resp, error)) {
+	transport.HandleTyped(srv, method, func(r Req) (Resp, error) {
+		resp, err := h(r)
+		return resp, withStatus(err)
+	})
+}
+
 // ServeAggregator binds an AggregatorNode's protocol onto an RPC server.
 func ServeAggregator(node *AggregatorNode, srv *transport.Server) {
-	transport.HandleTyped(srv, MethodChallenge, func(r ChallengeReq) (ChallengeResp, error) {
+	handle(srv, MethodChallenge, func(r ChallengeReq) (ChallengeResp, error) {
 		sig, err := node.SignChallenge(r.Nonce)
 		if err != nil {
 			return ChallengeResp{}, err
 		}
 		return ChallengeResp{Sig: sig}, nil
 	})
-	transport.HandleTyped(srv, MethodRegister, func(r RegisterReq) (RegisterResp, error) {
+	handle(srv, MethodRegister, func(r RegisterReq) (RegisterResp, error) {
 		if r.PartyID == "" {
 			return RegisterResp{}, errors.New("empty party ID")
 		}
 		node.Register(r.PartyID)
 		return RegisterResp{OK: true}, nil
 	})
-	transport.HandleTyped(srv, MethodUpload, func(r UploadReq) (UploadResp, error) {
+	handle(srv, MethodUpload, func(r UploadReq) (UploadResp, error) {
 		// The decoded fragment was materialized for this request, so the
 		// node takes ownership instead of paying a defensive clone.
 		if err := node.UploadOwned(r.Round, r.PartyID, tensor.Vector(r.Fragment), r.Weight); err != nil {
@@ -142,24 +187,24 @@ func ServeAggregator(node *AggregatorNode, srv *transport.Server) {
 		}
 		return UploadResp{OK: true}, nil
 	})
-	transport.HandleTyped(srv, MethodComplete, func(r CompleteReq) (CompleteResp, error) {
+	handle(srv, MethodComplete, func(r CompleteReq) (CompleteResp, error) {
 		done, abandoned := node.RoundStatus(r.Round)
 		return CompleteResp{Complete: done, Abandoned: abandoned}, nil
 	})
-	transport.HandleTyped(srv, MethodHeartbeat, func(r HeartbeatReq) (HeartbeatResp, error) {
+	handle(srv, MethodHeartbeat, func(r HeartbeatReq) (HeartbeatResp, error) {
 		rejoined, err := node.Heartbeat(r.PartyID)
 		if err != nil {
 			return HeartbeatResp{}, err
 		}
 		return HeartbeatResp{OK: true, Rejoined: rejoined}, nil
 	})
-	transport.HandleTyped(srv, MethodAggregate, func(r AggregateReq) (AggregateResp, error) {
+	handle(srv, MethodAggregate, func(r AggregateReq) (AggregateResp, error) {
 		if err := node.Aggregate(r.Round); err != nil {
 			return AggregateResp{}, err
 		}
 		return AggregateResp{OK: true}, nil
 	})
-	transport.HandleTyped(srv, MethodDownload, func(r DownloadReq) (DownloadResp, error) {
+	handle(srv, MethodDownload, func(r DownloadReq) (DownloadResp, error) {
 		frag, err := node.Download(r.Round, r.PartyID)
 		if err != nil {
 			return DownloadResp{}, err
@@ -222,7 +267,11 @@ func callAgg[Req, Resp any](ctx context.Context, a *AggregatorClient, method str
 		var zero Resp
 		return zero, err
 	}
-	return transport.CallTypedContext[Req, Resp](ctx, c, method, req)
+	resp, err := transport.CallTypedContext[Req, Resp](ctx, c, method, req)
+	if err != nil { // not fromStatus(nil): its errors.As target would cost the success path an allocation
+		return resp, fromStatus(err)
+	}
+	return resp, nil
 }
 
 // Stats exposes the current connection's transport counters.
@@ -253,16 +302,11 @@ func (a *AggregatorClient) Register(ctx context.Context, partyID string) error {
 	return nil
 }
 
-// Upload sends a transformed fragment. The server side is idempotent for
+// Upload sends a transformed fragment; index is its partition index,
+// carried in the wire header so journals and traces can tell which
+// partition a payload belongs to. The server side is idempotent for
 // identical retries, so re-sending after an ambiguous failure is safe.
-func (a *AggregatorClient) Upload(ctx context.Context, round int, partyID string, frag tensor.Vector, weight float64) error {
-	return a.UploadFrag(ctx, round, partyID, frag, 0, weight)
-}
-
-// UploadFrag is Upload carrying the fragment (partition) index in the
-// wire header — Fleet.UploadAll uses it so journals and traces can tell
-// which partition a payload belongs to.
-func (a *AggregatorClient) UploadFrag(ctx context.Context, round int, partyID string, frag tensor.Vector, index int, weight float64) error {
+func (a *AggregatorClient) Upload(ctx context.Context, round int, partyID string, frag tensor.Vector, index int, weight float64) error {
 	_, err := callAgg[UploadReq, UploadResp](ctx, a, MethodUpload, UploadReq{
 		Round: round, PartyID: partyID, Frag: index, Fragment: frag, Weight: weight,
 	})
@@ -272,16 +316,10 @@ func (a *AggregatorClient) UploadFrag(ctx context.Context, round int, partyID st
 	return nil
 }
 
-// Complete polls whether the round is ready to fuse.
-func (a *AggregatorClient) Complete(ctx context.Context, round int) (bool, error) {
-	done, _, err := a.CompleteStatus(ctx, round)
-	return done, err
-}
-
-// CompleteStatus is Complete plus the round's abandoned flag, so sync
-// loops can skip a round the aggregator gave up on instead of polling it
+// Complete polls whether the round is ready to fuse, or abandoned — so
+// sync loops skip a round the aggregator gave up on instead of polling it
 // until their deadline.
-func (a *AggregatorClient) CompleteStatus(ctx context.Context, round int) (complete, abandoned bool, err error) {
+func (a *AggregatorClient) Complete(ctx context.Context, round int) (complete, abandoned bool, err error) {
 	resp, err := callAgg[CompleteReq, CompleteResp](ctx, a, MethodComplete, CompleteReq{Round: round})
 	if err != nil {
 		return false, false, err

@@ -66,20 +66,20 @@ func TestNetPhaseIIAndRound(t *testing.T) {
 	}
 
 	// One full round over RPC.
-	if err := client.Upload(context.Background(), 1, "P1", tensor.Vector{1, 2, 3}, 1); err != nil {
+	if err := client.Upload(context.Background(), 1, "P1", tensor.Vector{1, 2, 3}, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	done, err := client.Complete(context.Background(), 1)
+	done, _, err := client.Complete(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if done {
 		t.Fatal("round complete with one of two uploads")
 	}
-	if err := client.Upload(context.Background(), 1, "P2", tensor.Vector{3, 4, 5}, 1); err != nil {
+	if err := client.Upload(context.Background(), 1, "P2", tensor.Vector{3, 4, 5}, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	done, err = client.Complete(context.Background(), 1)
+	done, _, err = client.Complete(context.Background(), 1)
 	if err != nil || !done {
 		t.Fatalf("complete = %v, %v", done, err)
 	}
@@ -118,7 +118,7 @@ func TestNetPhaseIIRejectsWrongKey(t *testing.T) {
 func TestNetErrorsPropagate(t *testing.T) {
 	client, _ := startNetAggregator(t)
 	// Unregistered party upload must surface the remote error.
-	if err := client.Upload(context.Background(), 1, "ghost", tensor.Vector{1}, 1); err == nil {
+	if err := client.Upload(context.Background(), 1, "ghost", tensor.Vector{1}, 0, 1); err == nil {
 		t.Fatal("remote rejection not propagated")
 	}
 	if _, err := client.Download(context.Background(), 9, "ghost"); err == nil {
@@ -129,5 +129,40 @@ func TestNetErrorsPropagate(t *testing.T) {
 	}
 	if err := client.Aggregate(context.Background(), 42); err == nil {
 		t.Fatal("aggregate of empty round accepted")
+	}
+}
+
+// TestFragmentMessagesHaveOneEncoding: the fragment-bearing RPC bodies
+// decode from the fixed-layout codec or not at all — a gob body (what a
+// pre-codec peer sent) and a truncated one are errors, with no fallback.
+func TestFragmentMessagesHaveOneEncoding(t *testing.T) {
+	valid, err := transport.Encode(UploadReq{Round: 1, PartyID: "P1", Fragment: []float64{1, 2, 3}, Weight: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gobBody, err := encodeWAL(UploadReq{Round: 1, PartyID: "P1", Fragment: []float64{1, 2, 3}, Weight: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		body    []byte
+		wantErr string
+	}{
+		{"gob body", gobBody, "codec magic"},
+		{"empty", nil, "codec magic"},
+		{"truncated header", valid[:10], "truncated"},
+		{"truncated slab", valid[:len(valid)-3], "disagrees"},
+	} {
+		for _, dst := range []any{new(UploadReq), new(DownloadResp)} {
+			err := transport.Decode(tc.body, dst)
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("%s into %T: err = %v, want one mentioning %q", tc.name, dst, err, tc.wantErr)
+			}
+		}
+	}
+	var up UploadReq
+	if err := transport.Decode(valid, &up); err != nil || up.PartyID != "P1" || len(up.Fragment) != 3 {
+		t.Fatalf("valid body: %+v, %v", up, err)
 	}
 }

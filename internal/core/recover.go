@@ -24,22 +24,21 @@ import (
 	"deta/internal/transport"
 )
 
-// Journal record types (journal.Record.Type).
+// Journal record types (journal.Record.Type). The values are on-disk
+// format: 2 and 3 were the gob-payload fragment records and are never
+// reused — replay rejects them as unknown.
 const (
 	recRegister  uint8 = 1 // a party was admitted
-	recUpload    uint8 = 2 // legacy: accepted fragment, gob walEvent payload
-	recAggregate uint8 = 3 // legacy: fused round, gob walEvent payload
 	recDrop      uint8 = 4 // a round's state was explicitly dropped
 	recQuorum    uint8 = 5 // the party quorum changed
 	recRetention uint8 = 6 // the round-retention bound changed
 	recFetch     uint8 = 7 // advisory: an aggregated fragment was served
 
-	// Fragment-carrying records written since the fixed-layout wire codec:
-	// their payload is a transport fragment encoding, not a gob walEvent,
-	// so the hot upload path journals without gob's reflection cost. The
-	// legacy types above are still replayed, so pre-codec journals recover.
-	recUpload2    uint8 = 8 // an accepted fragment (fsynced before ack)
-	recAggregate2 uint8 = 9 // a fused round; carries the fused vector
+	// Fragment-carrying records: their payload is a transport fragment
+	// encoding, not a gob walEvent, so the hot upload path journals
+	// without gob's reflection cost.
+	recUpload    uint8 = 8 // an accepted fragment (fsynced before ack)
+	recAggregate uint8 = 9 // a fused round; carries the fused vector
 
 	// Party-churn records (lifecycle.go). Suspicion is derived state and
 	// never journaled; only the membership *decisions* are, so a crash
@@ -50,13 +49,11 @@ const (
 )
 
 // walEvent is the single gob-encoded payload shape shared by all record
-// types; unused fields stay at their zero values.
+// types that carry no fragment; unused fields stay at their zero values.
 type walEvent struct {
-	Party  string
-	Round  int
-	Frag   []float64
-	Weight float64
-	N      int
+	Party string
+	Round int
+	N     int
 }
 
 // walRound is one round's state inside a compaction snapshot.
@@ -206,14 +203,14 @@ func (a *AggregatorNode) restoreSnapshot(snap walSnapshot) {
 // applyRecord replays one journal record. Application is idempotent, so
 // records that overlap the snapshot re-apply harmlessly.
 func (a *AggregatorNode) applyRecord(r journal.Record, info *RecoveryInfo) error {
-	if r.Type == recUpload2 || r.Type == recAggregate2 {
+	if r.Type == recUpload || r.Type == recAggregate {
 		var f transport.Fragment
 		if err := transport.DecodeFragment(r.Data, &f); err != nil {
 			return fmt.Errorf("record type %d: %w", r.Type, err)
 		}
 		a.mu.Lock()
 		defer a.mu.Unlock()
-		if r.Type == recUpload2 {
+		if r.Type == recUpload {
 			// An accepted upload implies registration even if the register
 			// record itself was lost — and implies the party is not evicted
 			// (the live path journals recRejoin first; that record is
@@ -242,20 +239,6 @@ func (a *AggregatorNode) applyRecord(r journal.Record, info *RecoveryInfo) error
 	case recRegister:
 		a.parties[ev.Party] = true
 		delete(a.evicted, ev.Party)
-	case recUpload:
-		// An accepted upload implies registration even if the register
-		// record itself was lost.
-		a.parties[ev.Party] = true
-		delete(a.evicted, ev.Party)
-		rs, ok := a.rounds[ev.Round]
-		if !ok {
-			rs = newRoundState()
-			a.rounds[ev.Round] = rs
-		}
-		rs.fragments[ev.Party] = tensor.Vector(ev.Frag)
-		rs.weights[ev.Party] = ev.Weight
-	case recAggregate:
-		a.applyAggregated(ev.Round, tensor.Vector(ev.Frag))
 	case recDrop:
 		delete(a.rounds, ev.Round)
 	case recQuorum:

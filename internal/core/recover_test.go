@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -437,7 +438,7 @@ func TestAggregatorClientRedial(t *testing.T) {
 	}
 	ctx := context.Background()
 	// First call dials lazily.
-	if err := client.Upload(ctx, 1, "P1", tensor.Vector{1}, 1); err != nil {
+	if err := client.Upload(ctx, 1, "P1", tensor.Vector{1}, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	// Kill and restart the aggregator server.
@@ -452,7 +453,7 @@ func TestAggregatorClientRedial(t *testing.T) {
 	// error is discovered, then the redial path must succeed.
 	var err error
 	for attempt := 0; attempt < 3; attempt++ {
-		if err = client.Upload(ctx, 1, "P1", tensor.Vector{1}, 1); err == nil {
+		if err = client.Upload(ctx, 1, "P1", tensor.Vector{1}, 0, 1); err == nil {
 			break
 		}
 	}
@@ -543,5 +544,43 @@ func TestUploadJournalFailureLeavesNoPhantomRound(t *testing.T) {
 	node.mu.Unlock()
 	if stored {
 		t.Fatal("failed journal append left P2's fragment in memory")
+	}
+}
+
+// TestRecoverRejectsRetiredFragmentRecords: record types 2 and 3 carried
+// gob-encoded fragments before the fixed-layout records 8 and 9. They have
+// no replay path; a journal holding one fails recovery naming the type
+// rather than skipping an acknowledged upload.
+func TestRecoverRejectsRetiredFragmentRecords(t *testing.T) {
+	proxy, vendor := testTrust(t)
+	// The payload is what such a record held: a gob struct with the fields
+	// walEvent has kept plus the fragment it no longer has.
+	payload, err := encodeWAL(struct {
+		Party  string
+		Round  int
+		Frag   []float64
+		Weight float64
+	}{"P1", 1, []float64{1, 2}, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, typ := range []uint8{2, 3} {
+		dir := t.TempDir()
+		j, _, err := journal.Open(dir, journal.Options{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Append(typ, payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		id := fmt.Sprintf("agg-retired-%d", typ)
+		_, _, err = RecoverAggregatorNode(id, agg.IterativeAverage{}, provisionCVM(t, proxy, vendor, id), dir, journal.Options{NoSync: true})
+		want := fmt.Sprintf("unknown record type %d", typ)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("recovery over a type-%d record: err = %v, want %q", typ, err, want)
+		}
 	}
 }

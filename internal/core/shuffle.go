@@ -92,7 +92,7 @@ func (s *Shuffler) perm(roundID []byte, partition, n int) ([]uint32, error) {
 	var ctx [32]byte
 	partitionCtx := strconv.AppendInt(append(ctx[:0], "partition-"...), int64(partition), 10)
 	seed := rng.DeriveSeed(s.permKey, []byte("param-shuffle"), roundID, partitionCtx)
-	p, err := rng.KeyedPerm(seed, n, nil)
+	p, err := rng.KeyedPerm(seed, n)
 	if err != nil {
 		return nil, fmt.Errorf("core: deriving the round permutation: %w", err)
 	}

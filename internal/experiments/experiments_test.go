@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -151,20 +152,34 @@ func TestFig3And4Render(t *testing.T) {
 
 func TestFig5aEquivalenceAndOverhead(t *testing.T) {
 	sc := FastScale()
-	lossAcc, latency, err := Fig5a(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lossAcc.Series) != 4 || len(latency.Series) != 2 {
-		t.Fatalf("series counts %d, %d", len(lossAcc.Series), len(latency.Series))
-	}
-	// DeTA and FFL losses must be identical at every round ("no utility
-	// loss").
-	detaLoss, fflLoss := lossAcc.Series[0].Y, lossAcc.Series[1].Y
-	for i := range detaLoss {
-		if diff := detaLoss[i] - fflLoss[i]; diff > 1e-9 || diff < -1e-9 {
-			t.Errorf("round %d: DETA loss %v != FFL loss %v", i+1, detaLoss[i], fflLoss[i])
+	// One run's latency ratio is two sub-second timings of a shared
+	// machine divided by each other (0.60 was seen once in 40 runs under
+	// load), so the band is asserted on the median of five runs; the loss
+	// equality is exact and is asserted on every run.
+	const runs = 5
+	ratios := make([]float64, 0, runs)
+	for run := 0; run < runs; run++ {
+		lossAcc, latency, err := Fig5a(sc)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if len(lossAcc.Series) != 4 || len(latency.Series) != 2 {
+			t.Fatalf("series counts %d, %d", len(lossAcc.Series), len(latency.Series))
+		}
+		// DeTA and FFL losses must be identical at every round ("no utility
+		// loss").
+		detaLoss, fflLoss := lossAcc.Series[0].Y, lossAcc.Series[1].Y
+		for i := range detaLoss {
+			if diff := detaLoss[i] - fflLoss[i]; diff > 1e-9 || diff < -1e-9 {
+				t.Errorf("run %d round %d: DETA loss %v != FFL loss %v", run, i+1, detaLoss[i], fflLoss[i])
+			}
+		}
+		detaLat, fflLat := latency.Series[0].Y, latency.Series[1].Y
+		last := len(detaLat) - 1
+		if detaLat[last] <= 0 || fflLat[last] <= 0 {
+			t.Fatal("missing latency data")
+		}
+		ratios = append(ratios, detaLat[last]/fflLat[last])
 	}
 	// Latency is cumulative and DeTA's overhead is bounded (paper: +0.40x;
 	// we allow a broad band for machine variance). The floor is 0.8, not
@@ -173,14 +188,9 @@ func TestFig5aEquivalenceAndOverhead(t *testing.T) {
 	// transform — a few percent since round permutations come from the
 	// AES-CTR expander — inside timer noise (EXPERIMENTS.md records -0.11x
 	// and -0.01x overheads as noise).
-	detaLat, fflLat := latency.Series[0].Y, latency.Series[1].Y
-	last := len(detaLat) - 1
-	if detaLat[last] <= 0 || fflLat[last] <= 0 {
-		t.Fatal("missing latency data")
-	}
-	ratio := detaLat[last] / fflLat[last]
-	if ratio < 0.8 || ratio > 4.0 {
-		t.Errorf("DETA/FFL latency ratio %v outside plausible band [0.8,4]", ratio)
+	sort.Float64s(ratios)
+	if median := ratios[runs/2]; median < 0.8 || median > 4.0 {
+		t.Errorf("median DETA/FFL latency ratio %v outside plausible band [0.8,4] (runs: %v)", median, ratios)
 	}
 }
 

@@ -130,7 +130,7 @@ func runGeoRound(parties, params int, delay time.Duration) (time.Duration, error
 			return 0, err
 		}
 		for j, h := range handles {
-			if err := h.client.Upload(context.Background(), 1, id, frags[j], 1); err != nil {
+			if err := h.client.Upload(context.Background(), 1, id, frags[j], j, 1); err != nil {
 				return 0, err
 			}
 		}

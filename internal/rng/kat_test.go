@@ -62,7 +62,7 @@ func TestKeyedPermKnownAnswer(t *testing.T) {
 	for i := range seed {
 		seed[i] = byte(i)
 	}
-	p, err := KeyedPerm(seed, 16, nil)
+	p, err := KeyedPerm(seed, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestKeyedPermKnownAnswer(t *testing.T) {
 		t.Errorf("KeyedPerm(16) = %v, want %v", p, want)
 	}
 	// Long enough to leave the first draws' tiny bounds behind.
-	p, err = KeyedPerm(seed, 1000, nil)
+	p, err = KeyedPerm(seed, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}

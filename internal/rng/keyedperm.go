@@ -17,9 +17,8 @@ const permSeedSize = 32
 // result is a function of (seed, n) alone and uniform over the keystream
 // (bounded draws reject instead of reducing, see below). seed must be a
 // DeriveSeed output used for nothing else, because the counter block
-// starts at zero. The permutation is written into dst when it has room
-// for n values and into a new slice otherwise.
-func KeyedPerm(seed []byte, n int, dst []uint32) ([]uint32, error) {
+// starts at zero.
+func KeyedPerm(seed []byte, n int) ([]uint32, error) {
 	if len(seed) != permSeedSize {
 		return nil, fmt.Errorf("rng: permutation seed of %d bytes, want %d", len(seed), permSeedSize)
 	}
@@ -30,18 +29,15 @@ func KeyedPerm(seed []byte, n int, dst []uint32) ([]uint32, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cap(dst) < n {
-		dst = make([]uint32, n)
-	}
-	dst = dst[:n]
-	for i := range dst {
-		dst[i] = uint32(i)
+	p := make([]uint32, n)
+	for i := range p {
+		p[i] = uint32(i)
 	}
 	for i := n - 1; i > 0; i-- {
 		j := ks.below(uint32(i) + 1)
-		dst[i], dst[j] = dst[j], dst[i]
+		p[i], p[j] = p[j], p[i]
 	}
-	return dst, nil
+	return p, nil
 }
 
 // keystream hands out an AES-CTR keystream as 32-bit words, 4 KiB of

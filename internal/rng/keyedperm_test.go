@@ -31,7 +31,7 @@ func TestKeyedPermIsPermutation(t *testing.T) {
 	// 4 096 ends exactly on a keystream refill boundary; 87 382 is the
 	// fragment length of the bulk benchmark workload.
 	for _, n := range []int{0, 1, 2, 17, 4096, 87382} {
-		p, err := KeyedPerm(seed, n, nil)
+		p, err := KeyedPerm(seed, n)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -43,11 +43,11 @@ func TestKeyedPermIsPermutation(t *testing.T) {
 
 func TestKeyedPermDeterministicAndSeedSensitive(t *testing.T) {
 	const n = 1024
-	base, err := KeyedPerm(permSeed("round-1", "partition-0"), n, nil)
+	base, err := KeyedPerm(permSeed("round-1", "partition-0"), n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := KeyedPerm(permSeed("round-1", "partition-0"), n, nil)
+	again, err := KeyedPerm(permSeed("round-1", "partition-0"), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestKeyedPermDeterministicAndSeedSensitive(t *testing.T) {
 		t.Fatal("equal seeds produced different permutations")
 	}
 	for _, ctx := range [][]string{{"round-2", "partition-0"}, {"round-1", "partition-1"}} {
-		other, err := KeyedPerm(permSeed(ctx...), n, nil)
+		other, err := KeyedPerm(permSeed(ctx...), n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,48 +71,20 @@ func TestKeyedPermDeterministicAndSeedSensitive(t *testing.T) {
 	}
 }
 
-// TestKeyedPermReusesDst: a dst with room is filled in place (stale content
-// and all), one without is replaced.
-func TestKeyedPermReusesDst(t *testing.T) {
-	seed := permSeed("dst")
-	want, err := KeyedPerm(seed, 100, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]uint32, 7, 128)
-	for i := range buf {
-		buf[i] = 99
-	}
-	got, err := KeyedPerm(seed, 100, buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &got[0] != &buf[:1][0] || !slices.Equal(got, want) {
-		t.Error("dst with capacity was not filled in place with the same permutation")
-	}
-	got, err = KeyedPerm(seed, 100, make([]uint32, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(got, want) {
-		t.Error("short dst changed the permutation")
-	}
-}
-
 func TestKeyedPermRejectsBadInput(t *testing.T) {
 	good := permSeed("ok")
 	for _, seed := range [][]byte{nil, good[:16], good[:31], append(good[:32:32], 0)} {
-		if p, err := KeyedPerm(seed, 8, nil); err == nil || p != nil {
+		if p, err := KeyedPerm(seed, 8); err == nil || p != nil {
 			t.Errorf("seed of %d bytes accepted", len(seed))
 		}
 	}
-	if p, err := KeyedPerm(good, -1, nil); err == nil || p != nil {
+	if p, err := KeyedPerm(good, -1); err == nil || p != nil {
 		t.Error("negative length accepted")
 	}
 	if strconv.IntSize > 32 {
-		// Refused before dst is touched, so no 16 GiB allocation.
+		// Refused before the slice is made, so no 16 GiB allocation.
 		tooLong := uint64(math.MaxUint32) + 1
-		if p, err := KeyedPerm(good, int(tooLong), nil); err == nil || p != nil {
+		if p, err := KeyedPerm(good, int(tooLong)); err == nil || p != nil {
 			t.Error("length beyond 32-bit indices accepted")
 		}
 	}
@@ -126,10 +98,9 @@ func TestKeyedPermRejectsBadInput(t *testing.T) {
 func TestKeyedPermUniformOverOrders(t *testing.T) {
 	const seeds = 24000
 	counts := make(map[[4]uint32]int)
-	var buf [4]uint32
 	for i := 0; i < seeds; i++ {
 		seed := DeriveSeed([]byte("chi-square"), []byte{byte(i), byte(i >> 8), byte(i >> 16)})
-		p, err := KeyedPerm(seed, 4, buf[:])
+		p, err := KeyedPerm(seed, 4)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -144,8 +144,8 @@ func (c *Client) readLoop() {
 		if !ok {
 			continue // abandoned (deadline) or stale; discard
 		}
-		if resp.Err != "" {
-			p.done <- callResult{err: &RemoteError{Method: p.req.Method, Msg: resp.Err}}
+		if resp.Err != "" || resp.Code != 0 {
+			p.done <- callResult{err: &RemoteError{Method: p.req.Method, Msg: resp.Err, Code: resp.Code}}
 		} else {
 			p.done <- callResult{body: resp.Body}
 		}
@@ -229,8 +229,8 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// CallTypedContext performs a CallContext with gob-encoded request and
-// response values.
+// CallTypedContext performs a CallContext with the request run through
+// Encode and the response through Decode.
 func CallTypedContext[Req, Resp any](ctx context.Context, c *Client, method string, req Req) (Resp, error) {
 	var zero Resp
 	body, err := Encode(req)

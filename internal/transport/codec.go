@@ -22,72 +22,20 @@ package transport
 //	22+n    4     element count uint32
 //	26+n    8*c   float64 slab, IEEE-754 bits little-endian
 //
-// Versioning/compat rules: the magic pair never collides with a gob
-// stream's first bytes, so decoders sniff it and fall back to gob — an
-// old peer's gob body still decodes on a new server, and `-wire gob`
-// rolls a new sender back wholesale. Any layout change bumps the version
-// byte; decoders reject versions they do not know rather than guessing.
-// The element count is validated against the bytes actually present
-// BEFORE any allocation, so a hostile count cannot force a huge alloc.
+// Versioning: this is the only encoding of a fragment. A body that does
+// not open with the magic pair is a decode error, and any layout change
+// bumps the version byte; decoders reject versions they do not know rather
+// than guessing. The element count is validated against the bytes actually
+// present BEFORE any allocation, so a hostile count cannot force a huge
+// alloc.
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"math"
 
 	"deta/internal/tensor"
 )
-
-// Codec turns RPC bodies into bytes and back. The package-level
-// Encode/Decode pick per message type: Binary for data-plane messages
-// that implement WireAppender/WireDecoder, Gob for everything else.
-type Codec interface {
-	Name() string
-	Encode(v any) ([]byte, error)
-	Decode(data []byte, v any) error
-}
-
-// Gob is the schema-evolving control-plane codec (the original wire
-// format for every message).
-var Gob Codec = gobCodec{}
-
-// Binary is the fixed-layout data-plane codec. It only handles messages
-// that opt in via WireAppender/WireDecoder.
-var Binary Codec = binaryCodec{}
-
-type gobCodec struct{}
-
-func (gobCodec) Name() string { return "gob" }
-func (gobCodec) Encode(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-func (gobCodec) Decode(data []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
-}
-
-type binaryCodec struct{}
-
-func (binaryCodec) Name() string { return "binary" }
-func (binaryCodec) Encode(v any) ([]byte, error) {
-	wa, ok := v.(WireAppender)
-	if !ok {
-		return nil, fmt.Errorf("transport: %T has no fixed-layout wire encoding", v)
-	}
-	return wa.AppendWire(nil)
-}
-func (binaryCodec) Decode(data []byte, v any) error {
-	wd, ok := v.(WireDecoder)
-	if !ok {
-		return fmt.Errorf("transport: %T has no fixed-layout wire decoding", v)
-	}
-	return wd.DecodeWire(data)
-}
 
 // WireAppender is implemented by messages with a fixed-layout binary
 // encoding (value receivers, so both values and pointers qualify).
@@ -115,15 +63,6 @@ const (
 	// fragCountLen is the element-count field after the party ID.
 	fragCountLen = 4
 )
-
-// IsWire reports whether data begins with the fragment codec magic —
-// the sniff decoders use to tell a binary body from a legacy gob body.
-// (A gob stream opens with a small message-length uvarint; 0xD7 there
-// would claim an absurd 41-byte length integer, so the pair is
-// unambiguous in practice.)
-func IsWire(data []byte) bool {
-	return len(data) >= 2 && data[0] == fragMagic0 && data[1] == fragMagic1
-}
 
 // Fragment is the data-plane payload: one transformed model fragment
 // plus the routing header carried on the wire.
@@ -194,7 +133,7 @@ func AppendFragment(dst []byte, f *Fragment) ([]byte, error) {
 //
 //perf:hotpath
 func DecodeFragment(data []byte, f *Fragment) error {
-	if !IsWire(data) {
+	if len(data) < 2 || data[0] != fragMagic0 || data[1] != fragMagic1 {
 		return fmt.Errorf("transport: fragment body lacks codec magic")
 	}
 	if len(data) < fragFixedLen+fragCountLen {

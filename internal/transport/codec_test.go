@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"fmt"
 	"math"
 	"math/rand"
@@ -13,10 +14,11 @@ import (
 )
 
 // codec_test.go pins the fragment wire format three ways: a property test
-// proving the binary codec and the legacy gob path produce bit-identical
-// decoded messages (including non-finite floats), a golden byte-layout
-// test that freezes the v1 header so it cannot drift silently, and
-// hostile-input tests proving lying length fields error before allocating.
+// proving the binary codec decodes to the same bits as encoding/gob, the
+// reference (including non-finite floats), a golden byte-layout test that
+// freezes the v1 header so it cannot drift silently, and hostile-input
+// tests proving lying length fields error before allocating and that
+// Decode has no second encoding to fall back to.
 
 // fragMsg mirrors the shape of core.UploadReq without importing core
 // (which would cycle): a wire message whose body is one fragment.
@@ -92,10 +94,10 @@ func bitsEqual(a, b tensor.Vector) bool {
 	return true
 }
 
-// TestFragmentCodecGobEquivalence is the tentpole equivalence property:
-// for the same message, the binary wire path and the legacy gob path must
-// decode to bit-identical results, and each decoder must accept the other
-// encoder's output (mixed-fleet compatibility via the magic sniff).
+// TestFragmentCodecGobEquivalence: for the same message, the wire codec
+// (through Encode/Decode) and encoding/gob used directly as the reference
+// must decode to bit-identical results — NaN payloads, ±Inf and -0.0
+// included.
 func TestFragmentCodecGobEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
@@ -106,23 +108,17 @@ func TestFragmentCodecGobEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: binary encode: %v", trial, err)
 		}
-		if !IsWire(binBody) {
-			t.Fatalf("trial %d: Encode of a WireAppender did not produce codec magic", trial)
-		}
-		gobBody, err := Gob.Encode(&in)
-		if err != nil {
+		var gobBody bytes.Buffer
+		if err := gob.NewEncoder(&gobBody).Encode(&in); err != nil {
 			t.Fatalf("trial %d: gob encode: %v", trial, err)
-		}
-		if IsWire(gobBody) {
-			t.Fatalf("trial %d: gob body collides with codec magic — sniff is ambiguous", trial)
 		}
 
 		var fromBin, fromGob fragMsg
 		if err := Decode(binBody, &fromBin); err != nil {
 			t.Fatalf("trial %d: decode binary body: %v", trial, err)
 		}
-		if err := Decode(gobBody, &fromGob); err != nil {
-			t.Fatalf("trial %d: decode gob body (legacy fallback): %v", trial, err)
+		if err := gob.NewDecoder(&gobBody).Decode(&fromGob); err != nil {
+			t.Fatalf("trial %d: gob reference decode: %v", trial, err)
 		}
 
 		for name, got := range map[string]fragMsg{"binary": fromBin, "gob": fromGob} {
@@ -136,30 +132,6 @@ func TestFragmentCodecGobEquivalence(t *testing.T) {
 			}
 		}
 		tensor.PutVector(fromBin.Values)
-	}
-}
-
-// TestFragmentCodecLegacyWireToggle pins the rollback switch: with
-// SetBinaryWire(false) even a WireAppender encodes as gob, and decoders
-// still accept both encodings.
-func TestFragmentCodecLegacyWireToggle(t *testing.T) {
-	in := fragMsg{Round: 3, Index: 1, PartyID: "p", Weight: 0.5, Values: tensor.Vector{1, 2, 3}}
-
-	SetBinaryWire(false)
-	defer SetBinaryWire(true)
-	body, err := Encode(&in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if IsWire(body) {
-		t.Fatal("SetBinaryWire(false) still produced a binary body")
-	}
-	var out fragMsg
-	if err := Decode(body, &out); err != nil {
-		t.Fatalf("decode of gob-mode body: %v", err)
-	}
-	if !bitsEqual(out.Values, in.Values) {
-		t.Fatal("gob-mode round trip mangled values")
 	}
 }
 
@@ -233,11 +205,17 @@ func hostileBody(t *testing.T, mutate func(b []byte) []byte) []byte {
 }
 
 // TestFragmentDecodeHostile: every malformed body must error with a
-// diagnostic, never panic, and never allocate for a lying count. The huge
-// counts here would be multi-GiB allocations if validation ran after
-// make; the AllocsPerRun bound proves it runs before.
+// diagnostic, never panic, and never allocate for a lying count — through
+// DecodeFragment and through Decode into a WireDecoder alike, which has no
+// other encoding to retry with. The huge counts here would be multi-GiB
+// allocations if validation ran after make; the AllocsPerRun bound proves
+// it runs before.
 func TestFragmentDecodeHostile(t *testing.T) {
 	countOff := fragFixedLen + 2 // after the 2-byte party ID "p1"
+	var gobBody bytes.Buffer
+	if err := gob.NewEncoder(&gobBody).Encode(&fragMsg{Round: 1, PartyID: "p1", Weight: 1, Values: tensor.Vector{1, 2, 3}}); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name    string
 		body    []byte
@@ -245,6 +223,7 @@ func TestFragmentDecodeHostile(t *testing.T) {
 	}{
 		{"empty", nil, "codec magic"},
 		{"bad magic", []byte{0x00, 0x01, 0x02}, "codec magic"},
+		{"gob body", gobBody.Bytes(), "codec magic"},
 		{"truncated header", []byte{0xD7, 0xF5, 0x01}, "truncated"},
 		{"unknown version", hostileBody(t, func(b []byte) []byte { b[2] = 9; return b }), "wire version"},
 		{"unknown dtype", hostileBody(t, func(b []byte) []byte { b[3] = 7; return b }), "dtype"},
@@ -271,6 +250,10 @@ func TestFragmentDecodeHostile(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantErr)
+			}
+			var m fragMsg
+			if derr := Decode(tc.body, &m); derr == nil || derr.Error() != err.Error() {
+				t.Fatalf("Decode into a WireDecoder: err %v, want the codec's %q", derr, err)
 			}
 			allocs := testing.AllocsPerRun(10, func() {
 				var g Fragment

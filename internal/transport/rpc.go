@@ -5,10 +5,11 @@
 // network.
 //
 // Frame format: 4-byte big-endian length, then a gob-encoded envelope.
-// Requests carry a method name and an opaque body; responses carry a body
-// or an error string. Bodies themselves are encoded by a Codec (see
-// codec.go): fixed-layout binary for data-plane fragment messages, gob
-// for the control plane.
+// Requests carry a method name and an opaque body; responses carry a body,
+// or an error string plus a one-byte status code (RemoteError.Code). Bodies
+// have exactly one encoding per message type (Encode/Decode): the
+// fixed-layout codec of codec.go for data-plane fragment messages, gob for
+// the control plane.
 //
 // Concurrency: one Client multiplexes any number of concurrent Calls over
 // its single connection — requests are pipelined by a writer goroutine and
@@ -30,7 +31,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 )
 
 // MaxFrame bounds a single message (guards against corrupt length
@@ -51,6 +51,7 @@ type response struct {
 	ID   uint64
 	Body []byte
 	Err  string
+	Code uint8 // status code of a failed call; 0 = unclassified
 }
 
 // frameBufPool recycles the per-frame encode buffers: a frame is fully
@@ -283,6 +284,10 @@ func (s *Server) serveConn(conn net.Conn) {
 				}()
 				if body, err := h(req.Body); err != nil {
 					resp.Err = err.Error()
+					var se *StatusError
+					if errors.As(err, &se) {
+						resp.Code = se.Code
+					}
 				} else {
 					resp.Body = body
 				}
@@ -307,48 +312,58 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// RemoteError is an error reported by the remote handler.
+// RemoteError is an error reported by the remote handler. Code is the
+// status code the handler attached with a StatusError (0 = none): callers
+// classify a remote failure by Code, never by the text of Msg, which can
+// echo peer-chosen strings.
 type RemoteError struct {
 	Method string
 	Msg    string
+	Code   uint8
 }
 
 func (e *RemoteError) Error() string {
 	return fmt.Sprintf("transport: remote %s: %s", e.Method, e.Msg)
 }
 
-// legacyWire forces the gob codec for messages that would otherwise use
-// the fixed-layout binary encoding (daemon flag -wire gob, for rollback
-// against peers predating the codec). Decoding always sniffs, so a mixed
-// fleet interoperates in both modes.
-var legacyWire atomic.Bool
+// StatusError is how a handler attaches a status code to the error it
+// returns: the server copies Code into the response envelope and the
+// caller finds it in RemoteError.Code. The codes belong to the protocol
+// served (core keeps the aggregator's table); 0 means unclassified.
+type StatusError struct {
+	Code uint8
+	Err  error
+}
 
-// SetBinaryWire enables (default) or disables the fixed-layout binary
-// codec on the encode side. Decoders are unaffected: they accept both
-// encodings by sniffing the codec magic.
-func SetBinaryWire(enabled bool) { legacyWire.Store(!enabled) }
+func (e *StatusError) Error() string { return e.Err.Error() }
+func (e *StatusError) Unwrap() error { return e.Err }
 
-// Encode encodes v for use as a request or response body: fixed-layout
-// binary for data-plane messages implementing WireAppender (unless
-// disabled via SetBinaryWire), gob for everything else.
+// Encode encodes v for use as a request or response body: the fixed-layout
+// codec for data-plane messages implementing WireAppender, gob for
+// everything else (the control plane).
 func Encode(v any) ([]byte, error) {
-	if wa, ok := v.(WireAppender); ok && !legacyWire.Load() {
+	if wa, ok := v.(WireAppender); ok {
 		return wa.AppendWire(nil)
 	}
-	return Gob.Encode(v)
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
-// Decode decodes body into v. Messages implementing WireDecoder accept
-// both encodings: the codec magic selects fixed-layout binary, anything
-// else falls back to gob (legacy peers, -wire gob senders).
+// Decode decodes body into v, by the same rule as Encode: a WireDecoder
+// takes the fixed-layout codec and nothing else — a body without the codec
+// magic is its decode error, not a gob retry.
 func Decode(body []byte, v any) error {
-	if wd, ok := v.(WireDecoder); ok && IsWire(body) {
+	if wd, ok := v.(WireDecoder); ok {
 		return wd.DecodeWire(body)
 	}
-	return Gob.Decode(body, v)
+	return gob.NewDecoder(bytes.NewReader(body)).Decode(v)
 }
 
-// HandleTyped registers a handler taking and returning gob-encoded values.
+// HandleTyped registers a handler whose request is run through Decode and
+// whose response through Encode.
 func HandleTyped[Req, Resp any](s *Server, method string, h func(Req) (Resp, error)) {
 	s.Handle(method, func(body []byte) ([]byte, error) {
 		var req Req

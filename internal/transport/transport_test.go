@@ -23,6 +23,13 @@ func startEchoServer(t *testing.T) (*Server, *MemListener) {
 	HandleTyped(s, "fail", func(r echoReq) (echoResp, error) {
 		return echoResp{}, fmt.Errorf("boom: %s", r.Msg)
 	})
+	HandleTyped(s, "fail-coded", func(r echoReq) (echoResp, error) {
+		se := &StatusError{Code: 7, Err: errors.New(r.Msg)}
+		if r.Msg == "" {
+			return echoResp{}, se
+		}
+		return echoResp{}, fmt.Errorf("handler: %w", se)
+	})
 	ln := NewMemListener()
 	go s.Serve(ln)
 	t.Cleanup(func() { s.Close() })
@@ -77,6 +84,24 @@ func TestRemoteError(t *testing.T) {
 	}
 	if !strings.Contains(re.Msg, "boom: x") {
 		t.Fatalf("remote error message %q", re.Msg)
+	}
+	if re.Code != 0 {
+		t.Fatalf("unstamped error arrived with code %d", re.Code)
+	}
+}
+
+// TestRemoteErrorCarriesStatusCode: a StatusError anywhere in the handler
+// error's chain sets the code the caller sees; an empty message still
+// fails the call.
+func TestRemoteErrorCarriesStatusCode(t *testing.T) {
+	_, ln := startEchoServer(t)
+	c := memClient(t, ln)
+	for _, msg := range []string{"x", ""} {
+		_, err := CallTypedContext[echoReq, echoResp](context.Background(), c, "fail-coded", echoReq{Msg: msg})
+		var re *RemoteError
+		if !errors.As(err, &re) || re.Code != 7 {
+			t.Fatalf("msg %q: err = %v, want RemoteError with code 7", msg, err)
+		}
 	}
 }
 

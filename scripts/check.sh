@@ -21,6 +21,12 @@ go build ./...
 echo "== go test -race ./..."
 go test -race ./...
 
+# bench/ is its own module (BENCHMARK.json's harness), so ./... above does
+# not compile it: build and test it against the working tree's internal/*
+# here, or an API rename breaks the benchmark unseen.
+echo "== bench module (go vet + go test against this tree's internal/*)"
+(cd bench && go vet ./... && go test ./...)
+
 echo "== chaos e2e (fault injection + aggregator kill/restart, -race)"
 go test -race -count=1 -run 'TestChaosRestartBitIdenticalModel' -v ./internal/core
 
