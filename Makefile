@@ -19,8 +19,10 @@ lint-baseline:
 test:
 	go test ./...
 
+# -timeout: internal/experiments alone runs close to go's 10-minute
+# per-package default under the race detector.
 race:
-	go test -race ./...
+	go test -race -timeout 20m ./...
 
 # The chaos end-to-end tests: injected drops/delays/severs (fixed seed
 # 0xDE7A) plus two aggregator kill+restarts mid-round, and the churn

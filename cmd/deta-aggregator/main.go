@@ -12,13 +12,10 @@ package main
 
 import (
 	"context"
-	"crypto/tls"
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"deta/internal/agg"
@@ -28,9 +25,9 @@ import (
 	"deta/internal/transport"
 )
 
-// clk is the process clock. Sleeps, retries, and the liveness ticker all
-// go through this seam (core.SystemClock in production) so tests can
-// substitute core.FakeClock and step the sync loops deterministically.
+// clk is the process clock. The liveness ticker and the initiator sync
+// wait through this seam (core.SystemClock in production) so tests can
+// substitute core.FakeClock and step them deterministically.
 var clk core.Clock = core.SystemClock
 
 func main() {
@@ -135,16 +132,15 @@ func main() {
 	core.ServeAggregator(node, srv)
 
 	if *initiator {
-		followers, err := dialPeers(dialCtx, mat, *peers, *tlsName)
+		followers, err := core.DialAggregators(dialCtx, mat, *peers, *tlsName)
 		if err != nil {
 			log.Fatalf("dialing followers: %v", err)
 		}
-		// Resume sync past rounds the recovered journal already fused —
-		// evicted rounds would otherwise never report Complete and wedge
-		// the initiator at round 1. As with the liveness ticker, the
-		// process context exists to give the sync goroutines an escape
-		// edge (goleak), not because main cancels them today.
-		startInitiatorSync(context.Background(), node, followers, *peerTimeout, node.LastAggregatedRound()+1)
+		// As with the liveness ticker, the process context exists to give
+		// the sync goroutines an escape edge (goleak), not because main
+		// cancels them today.
+		sync := &core.Initiator{Node: node, Followers: followers, PeerTimeout: *peerTimeout, Clock: clk, Logf: log.Printf}
+		go sync.Run(context.Background())
 		log.Printf("acting as initiator with %d followers", len(followers))
 	}
 	cancelDial()
@@ -173,30 +169,6 @@ func parseAlgorithm(name string) (agg.Algorithm, error) {
 		return agg.TrimmedMean{Trim: k}, nil
 	}
 	return nil, fmt.Errorf("unknown algorithm %q (want avg | median | trimmed:<k>)", name)
-}
-
-func dialPeers(ctx context.Context, mat *transport.TLSMaterials, spec, tlsName string) (map[string]*core.AggregatorClient, error) {
-	out := make(map[string]*core.AggregatorClient)
-	if spec == "" {
-		return out, nil
-	}
-	for _, entry := range strings.Split(spec, ",") {
-		id, addr, ok := strings.Cut(strings.TrimSpace(entry), "=")
-		if !ok {
-			return nil, fmt.Errorf("bad peer entry %q (want id=addr)", entry)
-		}
-		c, err := mat.DialTLSBackoff(ctx, addr, tlsName, transport.Backoff{Attempts: transport.UnlimitedAttempts})
-		if err != nil {
-			return nil, fmt.Errorf("dialing follower %s at %s: %w", id, addr, err)
-		}
-		// Redial lets the sync loop reach a follower that crashed and
-		// restarted (it recovers its rounds from its journal and resumes).
-		out[id] = &core.AggregatorClient{ID: id, C: c, Redial: func(ctx context.Context) (net.Conn, error) {
-			d := &tls.Dialer{Config: mat.ClientConfig(tlsName)}
-			return d.DialContext(ctx, "tcp", addr)
-		}}
-	}
-	return out, nil
 }
 
 // livenessTicker drives the liveness reaper: uploads and heartbeats push
@@ -231,120 +203,6 @@ func livenessTicker(ctx context.Context, node *core.AggregatorNode, interval tim
 		}
 		if suspects := node.Suspects(); len(suspects) > 0 {
 			log.Printf("liveness: suspect parties %v", suspects)
-		}
-	}
-}
-
-// startInitiatorSync polls round completeness and fuses the local node as
-// soon as each round has all uploads; every follower then catches up on
-// its own goroutine, so a slow or dead follower never stalls the healthy
-// ones (parties degrade through their own -agg-quorum), while a follower
-// that crashes and restarts is re-driven — not abandoned — until it has
-// fused every round (fusion is idempotent on both sides, and the
-// restarted follower recovers its uploads from its journal). startRound
-// lets a journal-recovered initiator resume past rounds it already fused
-// before the crash. ctx cancellation stops every goroutine started here.
-func startInitiatorSync(ctx context.Context, node *core.AggregatorNode, followers map[string]*core.AggregatorClient, peerTimeout time.Duration, startRound int) {
-	if startRound < 1 {
-		startRound = 1
-	}
-	var latestFused atomic.Int64
-	latestFused.Store(int64(startRound - 1))
-
-	for id, f := range followers {
-		id, f := id, f
-		go func() {
-			next := startRound
-			var failures int
-			for {
-				if int64(next) > latestFused.Load() {
-					if !pace(ctx, 20*time.Millisecond) {
-						return
-					}
-					continue
-				}
-				callCtx, cancel := context.WithTimeout(ctx, peerTimeout)
-				err := syncFollower(callCtx, f, next)
-				cancel()
-				if err != nil {
-					if failures++; failures == 1 || failures%50 == 0 {
-						log.Printf("round %d: follower %s: %v (retrying)", next, id, err)
-					}
-					if !pace(ctx, 200*time.Millisecond) {
-						return
-					}
-					continue
-				}
-				failures = 0
-				next++
-			}
-		}()
-	}
-
-	go func() {
-		round := startRound
-		for {
-			complete, abandoned := node.RoundStatus(round)
-			switch {
-			case abandoned:
-				// Deadline passed below quorum: give up on this round and
-				// let followers (whose own lifecycle reached the same
-				// verdict) and parties (typed ErrRoundAbandoned) skip it.
-				latestFused.Store(int64(round))
-				log.Printf("round %d abandoned below quorum; skipping", round)
-				round++
-				continue
-			case complete:
-				if err := node.Aggregate(round); err != nil {
-					log.Printf("round %d: local aggregate: %v", round, err)
-					if !pace(ctx, 20*time.Millisecond) {
-						return
-					}
-					continue
-				}
-				latestFused.Store(int64(round))
-				log.Printf("round %d fused locally; followers syncing", round)
-				round++
-				continue
-			}
-			if !pace(ctx, 20*time.Millisecond) {
-				return
-			}
-		}
-	}()
-}
-
-// pace sleeps one polling interval through the clock seam, returning
-// false when ctx ends first — the caller's loop must exit then, which is
-// also what makes the sync goroutines structurally stoppable.
-func pace(ctx context.Context, d time.Duration) bool {
-	select {
-	case <-ctx.Done():
-		return false
-	case <-clk.After(d):
-		return true
-	}
-}
-
-// syncFollower waits for the follower to have all uploads, then triggers
-// its fusion; ctx bounds the whole exchange. A round the follower's own
-// lifecycle abandoned is skipped, not re-driven.
-func syncFollower(ctx context.Context, f *core.AggregatorClient, round int) error {
-	for {
-		done, abandoned, err := f.Complete(ctx, round)
-		if err != nil {
-			return err
-		}
-		if abandoned {
-			return nil
-		}
-		if done {
-			return f.Aggregate(ctx, round)
-		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("waiting for follower uploads: %w", ctx.Err())
-		case <-clk.After(20 * time.Millisecond):
 		}
 	}
 }

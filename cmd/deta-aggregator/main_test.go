@@ -29,19 +29,6 @@ func TestParseAlgorithm(t *testing.T) {
 	}
 }
 
-func TestDialPeersEmpty(t *testing.T) {
-	out, err := dialPeers(context.Background(), nil, "", "name")
-	if err != nil || len(out) != 0 {
-		t.Fatalf("empty spec: %v, %v", out, err)
-	}
-}
-
-func TestDialPeersBadEntry(t *testing.T) {
-	if _, err := dialPeers(context.Background(), nil, "no-equals-sign", "name"); err == nil {
-		t.Fatal("malformed peer entry accepted")
-	}
-}
-
 // Regression for a goleak finding: livenessTicker used to range over the
 // ticker channel with no escape edge, so the goroutine could never exit.
 // It must now return promptly when its context is cancelled. The node is

@@ -16,14 +16,10 @@ package main
 
 import (
 	"context"
-	"crypto/tls"
 	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"sort"
-	"strings"
 	"time"
 
 	"deta/internal/attest"
@@ -32,13 +28,12 @@ import (
 	"deta/internal/fl"
 	"deta/internal/nn"
 	"deta/internal/rng"
-	"deta/internal/tensor"
 	"deta/internal/transport"
 )
 
-// clk is the process clock. Everything that sleeps or waits goes through
-// this seam (core.SystemClock in production) so tests can substitute
-// core.FakeClock and drive retries and heartbeats deterministically.
+// clk is the process clock. The fleet's retry waits and the heartbeat loop
+// go through this seam (core.SystemClock in production) so tests can
+// substitute core.FakeClock and drive them deterministically.
 var clk core.Clock = core.SystemClock
 
 func main() {
@@ -85,7 +80,7 @@ func main() {
 
 	// Dial every aggregator (with backoff — peers may still be starting),
 	// in a stable order.
-	clients, order, err := dialAggregators(dialCtx, mat, *aggSpec, *tlsName)
+	clients, err := core.DialAggregators(dialCtx, mat, *aggSpec, *tlsName)
 	cancelDial()
 	if err != nil {
 		log.Fatal(err)
@@ -95,13 +90,15 @@ func main() {
 			a.C.EnableKeepAlive(*keepalive, *callTimeout)
 		}
 	}
-	fleet := &core.Fleet{Clients: clients, Quorum: *aggQuorum, Timeout: *callTimeout}
+	fleet := &core.Fleet{Clients: clients, Quorum: *aggQuorum, Timeout: *callTimeout, Clock: clk}
+	// Every step below is re-driven as a whole until -round-timeout.
+	step := &core.RoundStep{Fleet: fleet, Shuffle: !*noShuffle, Deadline: *roundTimeout, Logf: log.Printf}
 
 	// Phase II: verify every aggregator's token in parallel before
 	// registering. A failed *verification* aborts even under quorum.
 	ctx := context.Background()
 	tokenPubKey := func(aggID string) ([]byte, error) { return ap.TokenPubKey(ctx, aggID) }
-	if err := fleet.VerifyAndRegisterAll(ctx, *id, tokenPubKey, attest.NewNonce, attest.VerifyChallenge); err != nil {
+	if err := step.Join(ctx, *id, tokenPubKey, attest.NewNonce, attest.VerifyChallenge); err != nil {
 		log.Fatalf("refusing to train: %v", err)
 	}
 	log.Printf("verified and registered with %d aggregators", fleet.K())
@@ -128,7 +125,7 @@ func main() {
 	// to confirm the broker issued everyone the same key, without any log
 	// ever containing key bytes (enforced by the keytaint analyzer).
 	log.Printf("permutation key received (fp %s)", rng.Fingerprint(permKey))
-	shuffler, err := core.NewShuffler(permKey)
+	step.Shuffler, err = core.NewShuffler(permKey)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -148,7 +145,7 @@ func main() {
 
 	// Shared mapper: equal proportions across the fleet.
 	model := build()
-	mapper, err := core.NewMapper(model.NumParams(), core.EqualProportions(len(order)), []byte(*mapperSeed))
+	step.Mapper, err = core.NewMapper(model.NumParams(), core.EqualProportions(fleet.K()), []byte(*mapperSeed))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -167,92 +164,23 @@ func main() {
 		if err != nil {
 			log.Fatalf("round %d: local training: %v", round, err)
 		}
-		frags, err := core.Transform(mapper, shuffler, update, roundID, !*noShuffle)
+		// Upload the K fragments, then download the fused ones (the
+		// initiator fuses once enough parties upload). A round the whole
+		// fleet abandoned is skipped, leaving the global model unchanged.
+		fused, err := step.Round(ctx, round, *id, roundID, update, float64(shard.Len()))
+		if errors.Is(err, core.ErrRoundAbandoned) {
+			log.Printf("round %d: abandoned by the fleet; skipping: %v", round, err)
+			continue
+		}
 		if err != nil {
-			log.Fatal(err)
+			log.Fatalf("round %d: %v", round, err)
 		}
-		// Fan the K fragment uploads out concurrently (quorum-tolerant),
-		// re-driving the whole fan-out until the round deadline: uploads
-		// are idempotent server-side, so a crashed-and-restarted
-		// aggregator (journal recovery + Redial) is simply retried into.
-		if err := retryStep(ctx, *roundTimeout, round, "upload", func(ctx context.Context) error {
-			return fleet.UploadAll(ctx, round, *id, frags, float64(shard.Len()))
-		}); err != nil {
-			if errors.Is(err, core.ErrRoundAbandoned) {
-				log.Printf("round %d: abandoned by the fleet; skipping: %v", round, err)
-				for _, frag := range frags {
-					tensor.PutVector(frag)
-				}
-				continue
-			}
-			log.Fatalf("round %d: upload: %v", round, err)
-		}
-		// Download aggregated fragments in parallel (the initiator fuses
-		// once enough parties upload; DownloadAll polls until available).
-		// An aggregator lost this round degrades to the party's own
-		// fragment for its partition; a round the whole fleet abandoned
-		// is skipped, leaving the global model unchanged.
-		var merged []tensor.Vector
-		if err := retryStep(ctx, *roundTimeout, round, "download", func(ctx context.Context) error {
-			var derr error
-			merged, derr = fleet.DownloadAll(ctx, round, *id, frags)
-			return derr
-		}); err != nil {
-			if errors.Is(err, core.ErrRoundAbandoned) {
-				log.Printf("round %d: abandoned by the fleet; skipping: %v", round, err)
-				for _, frag := range frags {
-					tensor.PutVector(frag)
-				}
-				continue
-			}
-			log.Fatalf("round %d: download: %v", round, err)
-		}
-		global, err = core.InverseTransform(mapper, shuffler, merged, roundID, !*noShuffle)
-		if err != nil {
-			log.Fatal(err)
-		}
-		// Hand the round's fragment buffers back to the tensor pool. Only the
-		// upload-side frags go back: merged fragments may alias them (quorum
-		// fallback substitutes the party's own fragment), and pooling one
-		// buffer twice would hand it out twice.
-		for _, frag := range frags {
-			tensor.PutVector(frag)
-		}
+		global = fused
 		log.Printf("round %d done: local train loss %.4f", round, loss)
 	}
 	log.Printf("training complete (%d rounds)", *rounds)
-	for _, aggID := range order {
-		log.Printf("link %s: %s", aggID, fleet.Stats()[aggID])
-	}
-}
-
-// retryStep re-drives one round step (a whole fan-out) with jittered
-// backoff until it succeeds or the round deadline expires. Safe because
-// uploads are idempotent and downloads are reads. A verification failure
-// is never retried — an unverifiable aggregator is an adversary.
-func retryStep(ctx context.Context, timeout time.Duration, round int, what string, op func(ctx context.Context) error) error {
-	rctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	b := transport.Backoff{Initial: 20 * time.Millisecond, Max: time.Second}
-	var last error
-	for i := 0; ; i++ {
-		if last = op(rctx); last == nil {
-			return nil
-		}
-		if errors.Is(last, core.ErrVerificationFailed) {
-			return last
-		}
-		if errors.Is(last, core.ErrRoundAbandoned) {
-			// The fleet gave up on this round below quorum; retrying
-			// cannot resurrect it — the round loop skips it instead.
-			return last
-		}
-		log.Printf("round %d: %s failed (retrying): %v", round, what, last)
-		select {
-		case <-rctx.Done():
-			return fmt.Errorf("%s: %w (last error: %v)", what, rctx.Err(), last)
-		case <-clk.After(b.Delay(i)):
-		}
+	for _, a := range clients {
+		log.Printf("link %s: %s", a.ID, a.Stats())
 	}
 }
 
@@ -285,33 +213,4 @@ func dialAP(ctx context.Context, mat *transport.TLSMaterials, addr, tlsName stri
 		return nil, err
 	}
 	return &core.APClient{C: c}, nil
-}
-
-func dialAggregators(ctx context.Context, mat *transport.TLSMaterials, spec, tlsName string) ([]*core.AggregatorClient, []string, error) {
-	byID := make(map[string]*core.AggregatorClient)
-	var order []string
-	for _, entry := range strings.Split(spec, ",") {
-		id, addr, ok := strings.Cut(strings.TrimSpace(entry), "=")
-		if !ok {
-			return nil, nil, fmt.Errorf("bad aggregator entry %q (want id=addr)", entry)
-		}
-		c, err := mat.DialTLSBackoff(ctx, addr, tlsName, transport.Backoff{Attempts: transport.UnlimitedAttempts})
-		if err != nil {
-			return nil, nil, fmt.Errorf("dialing %s at %s: %w", id, addr, err)
-		}
-		// Redial repairs the link transparently after the aggregator
-		// crashes or restarts; the retry of the interrupted call stays
-		// with the round loop (uploads are idempotent server-side).
-		byID[id] = &core.AggregatorClient{ID: id, C: c, Redial: func(ctx context.Context) (net.Conn, error) {
-			d := &tls.Dialer{Config: mat.ClientConfig(tlsName)}
-			return d.DialContext(ctx, "tcp", addr)
-		}}
-		order = append(order, id)
-	}
-	sort.Strings(order)
-	clients := make([]*core.AggregatorClient, len(order))
-	for j, id := range order {
-		clients[j] = byID[id]
-	}
-	return clients, order, nil
 }

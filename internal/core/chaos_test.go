@@ -43,11 +43,89 @@ type chaosAgg struct {
 	// state, so a restarted process must re-arm them.
 	configure func(*AggregatorNode)
 
-	mu   sync.Mutex
-	gen  int
-	node *AggregatorNode
-	srv  *transport.Server
-	ln   *transport.MemListener
+	// followers, when non-nil, makes this process the initiator: like
+	// deta-aggregator -initiator, every boot runs an Initiator over the
+	// recovered node, and the sync dies with the process.
+	followers []*chaosAgg
+
+	mu            sync.Mutex
+	gen           int
+	node          *AggregatorNode
+	srv           *transport.Server
+	ln            *transport.MemListener
+	stopInitiator func()
+}
+
+// startInitiator runs in on its own goroutine; the returned stop cancels it
+// and waits until every goroutine it started has exited.
+func startInitiator(in *Initiator) (stop func()) {
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		in.Run(ctx)
+	}()
+	return func() {
+		cancel()
+		<-done
+	}
+}
+
+// runParties runs n party processes concurrently and returns the global
+// model they must all have reached, bit for bit.
+func runParties(t *testing.T, n int, runParty func(idx int) (tensor.Vector, error)) tensor.Vector {
+	t.Helper()
+	var wg sync.WaitGroup
+	finals := make([]tensor.Vector, n)
+	errs := make([]error, n)
+	for p := 0; p < n; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			finals[p], errs[p] = runParty(p)
+		}()
+	}
+	wg.Wait()
+	for p := range finals {
+		if errs[p] != nil {
+			t.Fatalf("party %d: %v", p+1, errs[p])
+		}
+		if !fragEqual(finals[p], finals[0]) {
+			t.Fatalf("parties 1 and %d disagree on the global model", p+1)
+		}
+	}
+	return finals[0]
+}
+
+// trainParty is deta-party's round loop: local update, upload half, finish
+// half, every round. between runs after a round's uploads and after after
+// its merge — the chaos script's kill points; either may be nil.
+func trainParty(ctx context.Context, step *RoundStep, party *fl.Party, global tensor.Vector, rounds int,
+	roundID func(round int) ([]byte, error), between, after func(round int) error) (tensor.Vector, error) {
+	for round := 1; round <= rounds; round++ {
+		id, err := roundID(round)
+		if err != nil {
+			return nil, err
+		}
+		update, _, err := party.LocalUpdate(global, round)
+		if err != nil {
+			return nil, err
+		}
+		own, err := step.Upload(ctx, round, party.ID, id, update, float64(party.NumExamples()))
+		if err == nil && between != nil {
+			err = between(round)
+		}
+		if err != nil {
+			return nil, err
+		}
+		if global, err = step.Finish(ctx, round, party.ID, id, own); err == nil && after != nil {
+			err = after(round)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return global, nil
 }
 
 func (c *chaosAgg) start() error {
@@ -76,18 +154,28 @@ func (c *chaosAgg) start() error {
 	ServeAggregator(node, srv)
 	ln := transport.NewMemListener()
 	go srv.Serve(ln)
-	c.node, c.srv, c.ln = node, srv, ln
+	c.node, c.srv, c.ln, c.stopInitiator = node, srv, ln, func() {}
+	if c.followers != nil {
+		in := &Initiator{Node: node, PeerTimeout: 30 * time.Second}
+		for _, f := range c.followers {
+			in.Followers = append(in.Followers, f.client())
+		}
+		c.stopInitiator = startInitiator(in)
+	}
 	return nil
 }
 
-// restart kills the running aggregator (server and journal handle closed,
-// node discarded) and boots a replacement from the journal.
+// restart kills the running aggregator (sync stopped, server and journal
+// handle closed, node discarded) and boots a replacement from the journal.
 func (c *chaosAgg) restart() error {
-	c.mu.Lock()
-	c.srv.Close()
-	c.node.CloseJournal()
-	c.mu.Unlock()
+	c.stop()
 	return c.start()
+}
+
+// client is a handle that follows the process across restarts: every
+// (re)dial reaches whichever server is current.
+func (c *chaosAgg) client() *AggregatorClient {
+	return &AggregatorClient{ID: c.id, Redial: func(context.Context) (net.Conn, error) { return c.dialCurrent() }}
 }
 
 func (c *chaosAgg) getNode() *AggregatorNode {
@@ -106,6 +194,7 @@ func (c *chaosAgg) dialCurrent() (net.Conn, error) {
 func (c *chaosAgg) stop() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.stopInitiator()
 	c.srv.Close()
 	c.node.CloseJournal()
 }
@@ -125,11 +214,16 @@ func runChaosFederation(t *testing.T, faulty bool) tensor.Vector {
 	}
 	proxy := attest.NewProxy(vendor.RAS(), OVMF)
 
+	// agg-1 is the initiator, so it boots last: its followers exist by then
+	// (the daemon's -peers dial backs off until they do).
 	procs := make([]*chaosAgg, chaosAggs)
-	for j := range procs {
+	for j := chaosAggs - 1; j >= 0; j-- {
 		procs[j] = &chaosAgg{
 			id: fmt.Sprintf("agg-%d", j+1), dir: t.TempDir(),
 			proxy: proxy, vendor: vendor,
+		}
+		if j == 0 {
+			procs[0].followers = procs[1:]
 		}
 		if err := procs[j].start(); err != nil {
 			t.Fatal(err)
@@ -145,45 +239,6 @@ func runChaosFederation(t *testing.T, faulty bool) tensor.Vector {
 			c.getNode().Register(fmt.Sprintf("P%d", p+1))
 		}
 	}
-
-	// Initiator sync loop over the *current* nodes: a restarted aggregator
-	// is picked up on the next poll, and Aggregate is idempotent, so a
-	// round interrupted by a restart is simply re-driven.
-	stopSync := make(chan struct{})
-	defer close(stopSync)
-	go func() {
-		round := 1
-		for round <= chaosRounds {
-			select {
-			case <-stopSync:
-				return
-			default:
-			}
-			nodes := make([]*AggregatorNode, chaosAggs)
-			all := true
-			for j, c := range procs {
-				nodes[j] = c.getNode()
-				if !nodes[j].Complete(round) {
-					all = false
-					break
-				}
-			}
-			if all {
-				fusedAll := true
-				for _, n := range nodes {
-					if err := n.Aggregate(round); err != nil {
-						fusedAll = false // e.g. node replaced mid-pass; retry
-						break
-					}
-				}
-				if fusedAll {
-					round++
-					continue
-				}
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}()
 
 	broker, err := attest.NewKeyBroker(32)
 	if err != nil {
@@ -202,148 +257,70 @@ func runChaosFederation(t *testing.T, faulty bool) tensor.Vector {
 		LR: 0.05, Momentum: 0.9, Seed: []byte("chaos-cfg"),
 	}
 
-	// retry re-drives a whole fan-out step until it succeeds or the party
-	// deadline expires — safe because uploads are idempotent and Aggregate/
-	// Download are read-or-no-op on re-delivery.
-	retry := func(ctx context.Context, what string, op func(context.Context) error) error {
-		b := transport.Backoff{Initial: 2 * time.Millisecond, Max: 100 * time.Millisecond}
-		var last error
-		for i := 0; ; i++ {
-			if last = op(ctx); last == nil {
-				return nil
-			}
-			select {
-			case <-ctx.Done():
-				return fmt.Errorf("%s: %w (last error: %v)", what, ctx.Err(), last)
-			case <-time.After(b.Delay(i)):
-			}
-		}
-	}
-
 	runParty := func(idx int) (tensor.Vector, error) {
 		id := fmt.Sprintf("P%d", idx+1)
 		clients := make([]*AggregatorClient, chaosAggs)
 		for j, c := range procs {
-			dial := c.dialCurrent
+			clients[j] = c.client()
 			if faulty {
 				// Deterministic per-(party, aggregator) fault plan; each
 				// redial draws the next per-connection schedule from it.
-				dial = transport.FaultDialer(c.dialCurrent, transport.Faults{
+				dial := transport.FaultDialer(c.dialCurrent, transport.Faults{
 					Seed:      chaosSeed + int64(idx*16+j),
 					DelayProb: 0.2, Delay: time.Millisecond,
 					DropProb: 0.02, SeverProb: 0.02,
 				})
-			}
-			clients[j] = &AggregatorClient{
-				ID:     c.id,
-				Redial: func(context.Context) (net.Conn, error) { return dial() },
+				clients[j].Redial = func(context.Context) (net.Conn, error) { return dial() }
 			}
 		}
 		// A short per-call timeout classifies dropped writes (request sent,
-		// connection silently dead) as failures quickly so retries re-drive
-		// them.
-		fleet := &Fleet{Clients: clients, Timeout: 2 * time.Second}
+		// connection silently dead) as failures quickly so the step's
+		// re-drive — every step, Phase II included — retries them.
+		step := &RoundStep{Fleet: &Fleet{Clients: clients, Timeout: 2 * time.Second}, Shuffle: true, Deadline: time.Minute}
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 		defer cancel()
 
-		if err := retry(ctx, "phase II", func(ctx context.Context) error {
-			return fleet.VerifyAndRegisterAll(ctx, id, proxy.TokenPubKey, attest.NewNonce, attest.VerifyChallenge)
-		}); err != nil {
+		if err := step.Join(ctx, id, proxy.TokenPubKey, attest.NewNonce, attest.VerifyChallenge); err != nil {
 			return nil, err
 		}
 		permKey, err := broker.PermutationKey(id)
 		if err != nil {
 			return nil, err
 		}
-		shuffler, err := NewShuffler(permKey)
-		if err != nil {
+		if step.Shuffler, err = NewShuffler(permKey); err != nil {
 			return nil, err
 		}
-		party := fl.NewParty(id, build, shards[idx], cfg)
-		mapper, err := NewMapper(build().NumParams(), EqualProportions(chaosAggs), []byte("chaos-mapper"))
-		if err != nil {
+		if step.Mapper, err = NewMapper(build().NumParams(), EqualProportions(chaosAggs), []byte("chaos-mapper")); err != nil {
 			return nil, err
 		}
 		net := build()
 		net.Init([]byte("chaos-init"))
-		global := net.Params()
 
-		for round := 1; round <= chaosRounds; round++ {
-			roundID, err := broker.RoundID(round)
-			if err != nil {
-				return nil, err
-			}
-			update, _, err := party.LocalUpdate(global, round)
-			if err != nil {
-				return nil, err
-			}
-			frags, err := Transform(mapper, shuffler, update, roundID, true)
-			if err != nil {
-				return nil, err
-			}
-			if err := retry(ctx, fmt.Sprintf("round %d upload", round), func(ctx context.Context) error {
-				return fleet.UploadAll(ctx, round, id, frags, float64(shards[idx].Len()))
-			}); err != nil {
-				return nil, err
-			}
-			if faulty && idx == 0 && round == 2 {
-				// Kill+restart aggregator 1 mid-round: this party's round-2
-				// fragments are journaled but not yet fused (the other
-				// party may still be uploading). The recovered node must
-				// resume the round from its WAL.
-				if err := procs[0].restart(); err != nil {
-					return nil, fmt.Errorf("restarting agg-1: %w", err)
+		// P1 kills and restarts two aggregators around its round-2 download.
+		// agg-1 — the initiator — goes mid-round: P1's round-2 fragments are
+		// journaled but not yet fused (P2 may still be uploading), so the
+		// recovered node must resume the round from its WAL and its new
+		// Initiator the sync at the first round not yet fused. agg-2 — a
+		// follower — goes after fusion: P2 has yet to download round 2 from
+		// it, so the recovered node must serve the journaled aggregate
+		// bit-identically, and the initiator must re-dial it for round 3.
+		var between, after func(round int) error
+		if faulty && idx == 0 {
+			inRound2 := func(c *chaosAgg) func(int) error {
+				return func(round int) error {
+					if round != 2 {
+						return nil
+					}
+					return c.restart()
 				}
 			}
-			var merged []tensor.Vector
-			if err := retry(ctx, fmt.Sprintf("round %d download", round), func(ctx context.Context) error {
-				dctx, cancel := context.WithTimeout(ctx, 30*time.Second)
-				defer cancel()
-				var derr error
-				merged, derr = fleet.DownloadAll(dctx, round, id, nil)
-				return derr
-			}); err != nil {
-				return nil, err
-			}
-			if faulty && idx == 0 && round == 2 {
-				// Kill+restart aggregator 2 after fusion: the other party
-				// has yet to download round 2 from it, so the recovered
-				// node must serve the journaled aggregated vector
-				// bit-identically.
-				if err := procs[1].restart(); err != nil {
-					return nil, fmt.Errorf("restarting agg-2: %w", err)
-				}
-			}
-			global, err = InverseTransform(mapper, shuffler, merged, roundID, true)
-			if err != nil {
-				return nil, err
-			}
+			between, after = inRound2(procs[0]), inRound2(procs[1])
 		}
-		return global, nil
+		return trainParty(ctx, step, fl.NewParty(id, build, shards[idx], cfg), net.Params(), chaosRounds,
+			broker.RoundID, between, after)
 	}
 
-	var wg sync.WaitGroup
-	finals := make([]tensor.Vector, chaosParties)
-	errs := make([]error, chaosParties)
-	for p := 0; p < chaosParties; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			finals[p], errs[p] = runParty(p)
-		}(p)
-	}
-	wg.Wait()
-	for p, err := range errs {
-		if err != nil {
-			t.Fatalf("party %d (faulty=%v): %v", p+1, faulty, err)
-		}
-	}
-	for i := range finals[0] {
-		if finals[0][i] != finals[1][i] {
-			t.Fatalf("parties disagree on the global model at coordinate %d (faulty=%v)", i, faulty)
-		}
-	}
-	return finals[0]
+	return runParties(t, chaosParties, runParty)
 }
 
 // TestChaosRestartBitIdenticalModel is the acceptance test for the crash-
@@ -351,15 +328,7 @@ func runChaosFederation(t *testing.T, faulty bool) tensor.Vector {
 // and severs plus two aggregator kill+restarts mid-round must complete all
 // rounds and produce a global model bit-identical to a fault-free run.
 func TestChaosRestartBitIdenticalModel(t *testing.T) {
-	clean := runChaosFederation(t, false)
-	chaotic := runChaosFederation(t, true)
-	if len(clean) != len(chaotic) {
-		t.Fatalf("model sizes differ: %d vs %d", len(clean), len(chaotic))
-	}
-	for i := range clean {
-		if clean[i] != chaotic[i] {
-			t.Fatalf("chaos run diverged from fault-free run at coordinate %d: %v vs %v",
-				i, chaotic[i], clean[i])
-		}
+	if !fragEqual(runChaosFederation(t, false), runChaosFederation(t, true)) {
+		t.Fatal("chaos run diverged from the fault-free run")
 	}
 }

@@ -12,7 +12,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"net"
 	"testing"
 	"time"
 
@@ -84,12 +83,12 @@ func TestChaosChurnEvictRejoinBitIdentical(t *testing.T) {
 	defer cancel()
 
 	type churnParty struct {
-		id       string
-		fl       *fl.Party
-		fleet    *Fleet
-		shuffler *Shuffler
-		global   tensor.Vector
-		weight   float64
+		id     string
+		fl     *fl.Party
+		step   *RoundStep
+		global tensor.Vector
+		own    []tensor.Vector // uploaded, not yet merged
+		weight float64
 	}
 	ps := make([]*churnParty, churnParties)
 	for i := range ps {
@@ -97,50 +96,44 @@ func TestChaosChurnEvictRejoinBitIdentical(t *testing.T) {
 		broker.RegisterParty(id)
 		clients := make([]*AggregatorClient, churnAggs)
 		for j, c := range procs {
-			dial := c.dialCurrent
-			clients[j] = &AggregatorClient{
-				ID:     c.id,
-				Redial: func(context.Context) (net.Conn, error) { return dial() },
-			}
+			clients[j] = c.client()
 		}
-		fleet := &Fleet{Clients: clients, Timeout: 5 * time.Second}
-		if err := fleet.VerifyAndRegisterAll(ctx, id, proxy.TokenPubKey, attest.NewNonce, attest.VerifyChallenge); err != nil {
+		// No Deadline: one attempt per step, so the script fails where a
+		// step does instead of re-driving through it.
+		step := &RoundStep{Fleet: &Fleet{Clients: clients, Timeout: 5 * time.Second}, Mapper: mapper, Shuffle: true}
+		if err := step.Join(ctx, id, proxy.TokenPubKey, attest.NewNonce, attest.VerifyChallenge); err != nil {
 			t.Fatal(err)
 		}
 		permKey, err := broker.PermutationKey(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		shuffler, err := NewShuffler(permKey)
-		if err != nil {
+		if step.Shuffler, err = NewShuffler(permKey); err != nil {
 			t.Fatal(err)
 		}
 		netw := build()
 		netw.Init([]byte("churn-init"))
 		ps[i] = &churnParty{
-			id: id, fl: fl.NewParty(id, build, shards[i], cfg),
-			fleet: fleet, shuffler: shuffler,
+			id: id, fl: fl.NewParty(id, build, shards[i], cfg), step: step,
 			global: netw.Params(), weight: float64(shards[i].Len()),
 		}
 	}
 
-	frags := func(p *churnParty, round int) []tensor.Vector {
+	local := func(p *churnParty, round int) (roundID []byte, update tensor.Vector) {
 		roundID, err := broker.RoundID(round)
 		if err != nil {
 			t.Fatal(err)
 		}
-		update, _, err := p.fl.LocalUpdate(p.global, round)
+		update, _, err = p.fl.LocalUpdate(p.global, round)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fr, err := Transform(mapper, p.shuffler, update, roundID, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fr
+		return roundID, update
 	}
 	upload := func(p *churnParty, round int) {
-		if err := p.fleet.UploadAll(ctx, round, p.id, frags(p, round), p.weight); err != nil {
+		roundID, update := local(p, round)
+		var err error
+		if p.own, err = p.step.Upload(ctx, round, p.id, roundID, update, p.weight); err != nil {
 			t.Fatalf("%s upload round %d: %v", p.id, round, err)
 		}
 	}
@@ -156,22 +149,20 @@ func TestChaosChurnEvictRejoinBitIdentical(t *testing.T) {
 			}
 		}
 	}
+	// download merges the round; a party that did not upload it (own nil)
+	// only catches up on the model.
 	download := func(p *churnParty, round int) {
 		roundID, err := broker.RoundID(round)
 		if err != nil {
 			t.Fatal(err)
 		}
-		merged, err := p.fleet.DownloadAll(ctx, round, p.id, nil)
-		if err != nil {
+		if p.global, err = p.step.Finish(ctx, round, p.id, roundID, p.own); err != nil {
 			t.Fatalf("%s download round %d: %v", p.id, round, err)
 		}
-		p.global, err = InverseTransform(mapper, p.shuffler, merged, roundID, true)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p.own = nil
 	}
 	heartbeat := func(p *churnParty) []string {
-		acked, rejoinedAt := p.fleet.HeartbeatAll(ctx, p.id)
+		acked, rejoinedAt := p.step.Fleet.HeartbeatAll(ctx, p.id)
 		if acked != churnAggs {
 			t.Fatalf("%s heartbeat acked by %d/%d aggregators", p.id, acked, churnAggs)
 		}
@@ -191,8 +182,12 @@ func TestChaosChurnEvictRejoinBitIdentical(t *testing.T) {
 	// only, then dies mid-round.
 	upload(ps[0], 2)
 	upload(ps[1], 2)
-	p3frags := frags(ps[2], 2)
-	if err := ps[2].fleet.Clients[0].Upload(ctx, 2, ps[2].id, p3frags[0], 0, ps[2].weight); err != nil {
+	roundID, update := local(ps[2], 2)
+	p3frags, err := Transform(mapper, ps[2].step.Shuffler, update, roundID, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ps[2].step.Fleet.Clients[0].Upload(ctx, 2, ps[2].id, p3frags[0], 0, ps[2].weight); err != nil {
 		t.Fatalf("P3 partial upload: %v", err)
 	}
 	// P3 is now silent. The survivors keep heartbeating while the clocks
@@ -270,15 +265,9 @@ func TestChaosChurnEvictRejoinBitIdentical(t *testing.T) {
 	}
 
 	// Survivors and the rejoined party converge to a bit-identical model.
-	for i := 1; i < churnParties; i++ {
-		if len(ps[i].global) != len(ps[0].global) {
-			t.Fatalf("model sizes differ: %d vs %d", len(ps[i].global), len(ps[0].global))
-		}
-		for k := range ps[0].global {
-			if ps[i].global[k] != ps[0].global[k] {
-				t.Fatalf("P1 and %s diverge at coordinate %d: %v vs %v",
-					ps[i].id, k, ps[0].global[k], ps[i].global[k])
-			}
+	for _, p := range ps[1:] {
+		if !fragEqual(p.global, ps[0].global) {
+			t.Fatalf("P1 and %s diverge", p.id)
 		}
 	}
 }

@@ -25,6 +25,14 @@ func (systemClock) After(d time.Duration) <-chan time.Time { return time.After(d
 // clock is injected.
 var SystemClock Clock = systemClock{}
 
+// orSystem resolves an un-injected (nil) clock to SystemClock.
+func orSystem(c Clock) Clock {
+	if c == nil {
+		return SystemClock
+	}
+	return c
+}
+
 // FakeClock is a deterministic Clock for tests: time moves only when
 // Advance is called (or, with SetAutoAdvance, by a fixed step on every Now
 // read, which makes latency accounting observable without sleeping).

@@ -2,8 +2,12 @@ package core
 
 import (
 	"context"
+	"crypto/tls"
 	"errors"
 	"fmt"
+	"net"
+	"sort"
+	"strings"
 	"sync"
 
 	"deta/internal/attest"
@@ -264,4 +268,33 @@ func (a *APClient) Aggregators(ctx context.Context) ([]string, error) {
 		return nil, err
 	}
 	return resp.IDs, nil
+}
+
+// DialAggregators dials every entry of a comma-separated id=addr list over
+// TLS — with backoff, since peers may still be starting — and returns the
+// clients sorted by ID, the fleet order all parties share. Each client's
+// Redial repairs its link after the aggregator crashes or restarts; the
+// retry of the interrupted call stays with the round loop (uploads and
+// fusion are idempotent server-side). An empty list is no aggregators.
+func DialAggregators(ctx context.Context, mat *transport.TLSMaterials, spec, tlsName string) ([]*AggregatorClient, error) {
+	if spec == "" {
+		return nil, nil
+	}
+	var out []*AggregatorClient
+	for _, entry := range strings.Split(spec, ",") {
+		id, addr, ok := strings.Cut(strings.TrimSpace(entry), "=")
+		if !ok {
+			return nil, fmt.Errorf("core: bad aggregator entry %q (want id=addr)", entry)
+		}
+		c, err := mat.DialTLSBackoff(ctx, addr, tlsName, transport.Backoff{Attempts: transport.UnlimitedAttempts})
+		if err != nil {
+			return nil, fmt.Errorf("core: dialing %s at %s: %w", id, addr, err)
+		}
+		out = append(out, &AggregatorClient{ID: id, C: c, Redial: func(ctx context.Context) (net.Conn, error) {
+			d := &tls.Dialer{Config: mat.ClientConfig(tlsName)}
+			return d.DialContext(ctx, "tcp", addr)
+		}})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out, nil
 }

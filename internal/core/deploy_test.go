@@ -207,3 +207,16 @@ func TestTLSMaterialsSaveLoad(t *testing.T) {
 		t.Fatal("empty dir loaded")
 	}
 }
+
+func TestDialAggregatorsEmpty(t *testing.T) {
+	out, err := DialAggregators(context.Background(), nil, "", "name")
+	if err != nil || len(out) != 0 {
+		t.Fatalf("empty spec: %v, %v", out, err)
+	}
+}
+
+func TestDialAggregatorsBadEntry(t *testing.T) {
+	if _, err := DialAggregators(context.Background(), nil, "no-equals-sign", "name"); err == nil {
+		t.Fatal("malformed entry accepted")
+	}
+}

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -12,7 +11,6 @@ import (
 	"deta/internal/dataset"
 	"deta/internal/fl"
 	"deta/internal/nn"
-	"deta/internal/sev"
 	"deta/internal/tensor"
 	"deta/internal/transport"
 )
@@ -54,18 +52,7 @@ func TestNetworkedTrainingEndToEnd(t *testing.T) {
 	nodes := make([]*AggregatorNode, aggs)
 	for j := 0; j < aggs; j++ {
 		ap := dialAP()
-		key, pub, err := sev.GenerateVCEK()
-		if err != nil {
-			t.Fatal(err)
-		}
-		chain, err := ap.Endorse(context.Background(), fmt.Sprintf("host-%d", j), pub)
-		if err != nil {
-			t.Fatal(err)
-		}
-		platform, err := sev.NewEndorsedPlatform(fmt.Sprintf("host-%d", j), chain, key)
-		if err != nil {
-			t.Fatal(err)
-		}
+		platform := remotePlatform(t, ap, fmt.Sprintf("host-%d", j))
 		cvm, err := platform.LaunchCVM(OVMF)
 		if err != nil {
 			t.Fatal(err)
@@ -87,37 +74,13 @@ func TestNetworkedTrainingEndToEnd(t *testing.T) {
 		aggLns[j] = ln
 	}
 
-	// Initiator sync: node 0 watches completeness and fuses all nodes
-	// (in-process handles; the cmd binary does this over RPC).
-	stopSync := make(chan struct{})
-	defer close(stopSync)
-	go func() {
-		round := 1
-		for {
-			select {
-			case <-stopSync:
-				return
-			default:
-			}
-			allDone := true
-			for _, n := range nodes {
-				if !n.Complete(round) {
-					allDone = false
-					break
-				}
-			}
-			if allDone {
-				for _, n := range nodes {
-					if err := n.Aggregate(round); err != nil {
-						return
-					}
-				}
-				round++
-				continue
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}()
+	// Initiator sync, as deta-aggregator -initiator runs it: agg-1 fuses
+	// itself and drives the other two over RPC.
+	var followers []*AggregatorClient
+	for j := 1; j < aggs; j++ {
+		followers = append(followers, dialClient(t, aggLns[j], nodes[j].ID))
+	}
+	defer startInitiator(&Initiator{Node: nodes[0], Followers: followers, PeerTimeout: 30 * time.Second})()
 
 	// --- Party processes -------------------------------------------------
 	spec := dataset.Spec{Name: "e2e", C: 1, H: 12, W: 12, Classes: 4}
@@ -133,8 +96,8 @@ func TestNetworkedTrainingEndToEnd(t *testing.T) {
 		id := fmt.Sprintf("P%d", idx+1)
 		ap := dialAP()
 		// Dial aggregators, then run the whole Phase II fan-out in
-		// parallel through the Fleet (token-key fetches share the
-		// multiplexed AP connection).
+		// parallel (token-key fetches share the multiplexed AP
+		// connection).
 		clients := make([]*AggregatorClient, aggs)
 		for j, ln := range aggLns {
 			conn, err := ln.Dial()
@@ -143,107 +106,44 @@ func TestNetworkedTrainingEndToEnd(t *testing.T) {
 			}
 			clients[j] = &AggregatorClient{ID: fmt.Sprintf("agg-%d", j+1), C: transport.NewClient(conn)}
 		}
-		fleet := &Fleet{Clients: clients, Timeout: 30 * time.Second}
+		step := &RoundStep{Fleet: &Fleet{Clients: clients, Timeout: 30 * time.Second}, Shuffle: true, Deadline: 30 * time.Second}
 		ctx := context.Background()
-		if err := fleet.VerifyAndRegisterAll(ctx, id, func(aggID string) ([]byte, error) { return ap.TokenPubKey(ctx, aggID) }, attest.NewNonce, attest.VerifyChallenge); err != nil {
+		if err := step.Join(ctx, id, func(aggID string) ([]byte, error) { return ap.TokenPubKey(ctx, aggID) }, attest.NewNonce, attest.VerifyChallenge); err != nil {
 			return nil, err
 		}
-		if err := ap.RegisterParty(context.Background(), id); err != nil {
+		if err := ap.RegisterParty(ctx, id); err != nil {
 			return nil, err
 		}
-		permKey, err := ap.PermKey(context.Background(), id)
+		permKey, err := ap.PermKey(ctx, id)
 		if err != nil {
 			return nil, err
 		}
-		shuffler, err := NewShuffler(permKey)
-		if err != nil {
+		if step.Shuffler, err = NewShuffler(permKey); err != nil {
 			return nil, err
 		}
-		party := fl.NewParty(id, build, shards[idx], cfg)
-		model := build()
-		mapper, err := NewMapper(model.NumParams(), EqualProportions(aggs), []byte("e2e-mapper"))
-		if err != nil {
+		if step.Mapper, err = NewMapper(build().NumParams(), EqualProportions(aggs), []byte("e2e-mapper")); err != nil {
 			return nil, err
 		}
 		net := build()
 		net.Init([]byte("e2e-init"))
-		global := net.Params()
-		for round := 1; round <= rounds; round++ {
-			roundID, err := ap.RoundID(context.Background(), round)
-			if err != nil {
-				return nil, err
-			}
-			update, _, err := party.LocalUpdate(global, round)
-			if err != nil {
-				return nil, err
-			}
-			frags, err := Transform(mapper, shuffler, update, roundID, true)
-			if err != nil {
-				return nil, err
-			}
-			if err := fleet.UploadAll(ctx, round, id, frags, float64(shards[idx].Len())); err != nil {
-				return nil, err
-			}
-			dctx, cancel := context.WithTimeout(ctx, 30*time.Second)
-			merged, err := fleet.DownloadAll(dctx, round, id, nil)
-			cancel()
-			if err != nil {
-				return nil, err
-			}
-			global, err = InverseTransform(mapper, shuffler, merged, roundID, true)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return global, nil
+		return trainParty(ctx, step, fl.NewParty(id, build, shards[idx], cfg), net.Params(), rounds,
+			func(round int) ([]byte, error) { return ap.RoundID(ctx, round) }, nil, nil)
 	}
 
-	// Wait for all registrations before uploads begin: run parties
-	// concurrently but synchronize registration by running Phase II
-	// serially first. Simpler: run both parties concurrently; the quorum
-	// logic requires both registered before Complete fires, but P1 may
-	// upload round 1 before P2 registers, making the node fuse with
-	// parties=1. Guard: pre-register both parties on all nodes.
+	// P1 may upload round 1 before P2 has registered, and a node that knows
+	// one party would fuse without the other: pre-register both everywhere.
 	for j := range nodes {
 		for p := 0; p < parties; p++ {
 			nodes[j].Register(fmt.Sprintf("P%d", p+1))
 		}
 	}
-
-	var wg sync.WaitGroup
-	finals := make([]tensor.Vector, parties)
-	errs := make([]error, parties)
-	for p := 0; p < parties; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			finals[p], errs[p] = runParty(p)
-		}(p)
-	}
-	wg.Wait()
-	for p, err := range errs {
-		if err != nil {
-			t.Fatalf("party %d: %v", p+1, err)
-		}
-	}
-
-	// Both parties computed the same global model.
-	for i := range finals[0] {
-		if finals[0][i] != finals[1][i] {
-			t.Fatalf("parties disagree on the global model at %d", i)
-		}
-	}
+	final := runParties(t, parties, runParty)
 
 	// And it equals the centralized FFL baseline exactly.
 	baselineParties := make([]*fl.Party, parties)
 	for i := range baselineParties {
 		baselineParties[i] = fl.NewParty(fmt.Sprintf("P%d", i+1), build, shards[i], cfg)
 	}
-	ffl := &fl.Session{
-		Cfg: cfg, Algorithm: agg.IterativeAverage{}, Build: build,
-		Parties: baselineParties, InitSeed: []byte("e2e-init"),
-	}
-	// Replay the baseline manually to capture the final params.
 	net := build()
 	net.Init([]byte("e2e-init"))
 	global := net.Params()
@@ -258,15 +158,14 @@ func TestNetworkedTrainingEndToEnd(t *testing.T) {
 			updates[i] = u
 			weights[i] = float64(shards[i].Len())
 		}
-		global, err = ffl.Algorithm.Aggregate(updates, weights)
+		global, err = agg.IterativeAverage{}.Aggregate(updates, weights)
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := range global {
-		if diff := global[i] - finals[0][i]; diff > 1e-12 || diff < -1e-12 {
-			t.Fatalf("networked DeTA differs from centralized baseline at %d: %v vs %v",
-				i, finals[0][i], global[i])
+		if diff := global[i] - final[i]; diff > 1e-12 || diff < -1e-12 {
+			t.Fatalf("networked DeTA differs from centralized baseline at %d: %v vs %v", i, final[i], global[i])
 		}
 	}
 }

@@ -75,12 +75,6 @@ type Fleet struct {
 	Clock Clock
 }
 
-// NewFleet bundles clients with the deployment's Options: AggQuorum and
-// CallTimeout map onto the fleet's degradation knobs.
-func NewFleet(clients []*AggregatorClient, opts Options) *Fleet {
-	return &Fleet{Clients: clients, Quorum: opts.AggQuorum, Timeout: opts.CallTimeout}
-}
-
 // K is the fleet size.
 func (f *Fleet) K() int { return len(f.Clients) }
 
@@ -98,12 +92,7 @@ func (f *Fleet) callCtx(ctx context.Context) (context.Context, context.CancelFun
 	return context.WithCancel(ctx)
 }
 
-func (f *Fleet) clk() Clock {
-	if f.Clock != nil {
-		return f.Clock
-	}
-	return SystemClock
-}
+func (f *Fleet) clk() Clock { return orSystem(f.Clock) }
 
 func (f *Fleet) pollBackoff() transport.Backoff {
 	b := f.Poll

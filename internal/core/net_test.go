@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"deta/internal/agg"
 	"deta/internal/attest"
 	"deta/internal/sev"
 	"deta/internal/tensor"
@@ -16,39 +15,8 @@ import (
 // an in-memory listener, and returns a connected client plus the proxy.
 func startNetAggregator(t *testing.T) (*AggregatorClient, *attest.Proxy) {
 	t.Helper()
-	vendor, err := sev.NewVendor()
-	if err != nil {
-		t.Fatal(err)
-	}
-	platform, err := sev.NewPlatform("net-host", vendor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ap := attest.NewProxy(vendor.RAS(), OVMF)
-	cvm, err := platform.LaunchCVM(OVMF)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ap.Provision("agg-net", platform, cvm); err != nil {
-		t.Fatal(err)
-	}
-	node, err := NewAggregatorNode("agg-net", agg.IterativeAverage{}, cvm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := transport.NewServer()
-	ServeAggregator(node, srv)
-	ln := transport.NewMemListener()
-	go srv.Serve(ln)
-	t.Cleanup(srv.Close)
-
-	conn, err := ln.Dial()
-	if err != nil {
-		t.Fatal(err)
-	}
-	client := &AggregatorClient{ID: "agg-net", C: transport.NewClient(conn)}
-	t.Cleanup(func() { client.C.Close() })
-	return client, ap
+	proxy, vendor := testTrust(t)
+	return serveNode(t, newProvisionedNode(t, proxy, vendor, "agg-net")), proxy
 }
 
 func TestNetPhaseIIAndRound(t *testing.T) {

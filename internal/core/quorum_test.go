@@ -5,35 +5,13 @@ import (
 	"math"
 	"testing"
 
-	"deta/internal/agg"
-	"deta/internal/attest"
-	"deta/internal/sev"
 	"deta/internal/tensor"
 )
 
 func quorumNode(t *testing.T) *AggregatorNode {
 	t.Helper()
-	vendor, err := sev.NewVendor()
-	if err != nil {
-		t.Fatal(err)
-	}
-	platform, err := sev.NewPlatform("h", vendor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ap := attest.NewProxy(vendor.RAS(), OVMF)
-	cvm, err := platform.LaunchCVM(OVMF)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ap.Provision("agg-q", platform, cvm); err != nil {
-		t.Fatal(err)
-	}
-	node, err := NewAggregatorNode("agg-q", agg.IterativeAverage{}, cvm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return node
+	proxy, vendor := testTrust(t)
+	return newProvisionedNode(t, proxy, vendor, "agg-q")
 }
 
 // Partial participation: with a quorum of 2 out of 3 registered parties,

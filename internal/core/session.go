@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"net"
 	"time"
 
 	"deta/internal/agg"
@@ -13,6 +15,7 @@ import (
 	"deta/internal/nn"
 	"deta/internal/sev"
 	"deta/internal/tensor"
+	"deta/internal/transport"
 )
 
 // OVMF is the firmware image all genuine aggregator CVMs boot in this
@@ -39,14 +42,14 @@ type Options struct {
 	// (paper §8.2 contrasts this flexibility with SMC cohort formation).
 	Quorum int
 	// AggQuorum, when positive, is the minimum number of *aggregators* a
-	// networked party's fan-out must reach for a round to proceed; a dead
-	// or stalled aggregator beyond the quorum degrades the round (missing
-	// fragments fall back to the party's own update) instead of hanging
-	// it. 0 requires all K. Consumed by Fleet (NewFleet); in-process
-	// sessions have no failing aggregators.
+	// party's fan-out must reach for a round to proceed; a dead or stalled
+	// aggregator beyond the quorum degrades the round (missing fragments
+	// fall back to the party's own update) instead of hanging it. 0
+	// requires all K. A Session's fleet applies it as Fleet.Quorum, like
+	// deta-party's -agg-quorum.
 	AggQuorum int
-	// CallTimeout bounds each party→aggregator RPC in networked
-	// deployments (0 = no per-call deadline). Consumed by Fleet.
+	// CallTimeout bounds each party→aggregator RPC attempt (0 = no
+	// per-call deadline): Fleet.Timeout, deta-party's -call-timeout.
 	CallTimeout time.Duration
 	// StateDir, when non-empty, gives every aggregator a durable round
 	// journal under StateDir/<agg-id>: each accepted mutation is
@@ -90,9 +93,12 @@ func (o *Options) defaults() {
 	}
 }
 
-// Session is the end-to-end in-process DeTA deployment: SEV-protected
-// aggregator nodes, the attestation proxy, the key broker, and the party
-// fleet. It mirrors fl.Session so experiments can compare the two directly.
+// Session is a whole DeTA deployment in one process: SEV-protected
+// aggregator nodes, the attestation proxy, the key broker, and the parties.
+// It is a driver, not a second implementation: every node is served by
+// ServeAggregator on an in-memory listener and the parties reach them
+// through one Fleet and RoundStep, the path deta-party runs. It mirrors
+// fl.Session so experiments can compare the two directly.
 type Session struct {
 	Cfg      fl.Config
 	Opts     Options
@@ -129,26 +135,26 @@ type Session struct {
 
 	// FinalParams holds the global model parameters after Run completes.
 	FinalParams tensor.Vector
+
+	// The deployed path, built by Setup and torn down by Close.
+	ctx     context.Context // root of every RPC the session makes
+	servers []*transport.Server
+	fleet   *Fleet
+	step    *RoundStep
 }
 
 // Setup performs the full trust bootstrap of Figure 1 steps 1-4:
 //
-//  1. launch one SEV CVM per aggregator and attest each via the AP,
+//  1. launch one SEV CVM per aggregator, attest each via the AP and put it
+//     behind its own RPC server,
 //  2. provision authentication tokens into the CVMs,
 //  3. have every party verify every aggregator (challenge-response) and
 //     register,
 //  4. distribute the permutation key and build the shared model mapper.
 //
-// clk returns the session's time source (SystemClock when none injected).
-func (s *Session) clk() Clock {
-	if s.Clock != nil {
-		return s.Clock
-	}
-	return SystemClock
-}
-
-func (s *Session) Setup() error {
-	start := s.clk().Now()
+// A Session that was set up but not Run must be Closed.
+func (s *Session) Setup() (err error) {
+	start := orSystem(s.Clock).Now()
 	s.Opts.defaults()
 	if err := s.Cfg.Validate(); err != nil {
 		return err
@@ -159,6 +165,13 @@ func (s *Session) Setup() error {
 	if s.NewAlgorithm == nil {
 		return errors.New("core: NewAlgorithm is required")
 	}
+	defer func() {
+		if err != nil {
+			s.Close()
+		}
+	}()
+	//lint:ignore ctxplumb the Session owns both ends of every connection it makes — the K in-memory servers started below — so Close, not a caller's deadline, is what ends its RPCs
+	s.ctx = context.Background()
 
 	// Vendor infrastructure and the party-controlled AP.
 	vendor, err := sev.NewVendor()
@@ -167,8 +180,9 @@ func (s *Session) Setup() error {
 	}
 	s.Proxy = attest.NewProxy(vendor.RAS(), OVMF)
 
-	// Phase I: launch and provision every aggregator.
+	// Phase I: launch, provision and serve every aggregator.
 	s.Nodes = make([]*AggregatorNode, s.Opts.NumAggregators)
+	clients := make([]*AggregatorClient, s.Opts.NumAggregators)
 	for j := 0; j < s.Opts.NumAggregators; j++ {
 		// Each aggregator may run on its own physical platform
 		// (geo-distributed per §4.1).
@@ -203,28 +217,26 @@ func (s *Session) Setup() error {
 		if s.Opts.RoundDeadline > 0 {
 			node.SetLifecycle(s.Opts.RoundDeadline, s.Opts.RoundGrace)
 		}
+		if s.Opts.Quorum > 0 {
+			node.SetQuorum(s.Opts.Quorum)
+		}
 		s.Nodes[j] = node
+
+		srv := transport.NewServer()
+		ServeAggregator(node, srv)
+		ln := transport.NewMemListener()
+		go srv.Serve(ln)
+		s.servers = append(s.servers, srv)
+		// No connection yet: the first call dials, like a redial after a
+		// restart.
+		clients[j] = &AggregatorClient{ID: id, Redial: func(context.Context) (net.Conn, error) { return ln.Dial() }}
 	}
+	s.fleet = &Fleet{Clients: clients, Quorum: s.Opts.AggQuorum, Timeout: s.Opts.CallTimeout, Clock: s.Clock}
 
 	// Phase II: every party verifies every aggregator, then registers.
 	for _, p := range s.Parties {
-		for _, node := range s.Nodes {
-			pub, err := s.Proxy.TokenPubKey(node.ID)
-			if err != nil {
-				return err
-			}
-			nonce, err := attest.NewNonce()
-			if err != nil {
-				return err
-			}
-			sig, err := node.SignChallenge(nonce)
-			if err != nil {
-				return err
-			}
-			if err := attest.VerifyChallenge(pub, nonce, sig); err != nil {
-				return fmt.Errorf("core: party %s rejects %s: %w", p.ID, node.ID, err)
-			}
-			node.Register(p.ID)
+		if err := s.fleet.VerifyAndRegisterAll(s.ctx, p.ID, s.Proxy.TokenPubKey, attest.NewNonce, attest.VerifyChallenge); err != nil {
+			return fmt.Errorf("core: party %s: %w", p.ID, err)
 		}
 	}
 
@@ -245,20 +257,24 @@ func (s *Session) Setup() error {
 		return err
 	}
 
-	if s.Opts.Quorum > 0 {
-		for _, node := range s.Nodes {
-			node.SetQuorum(s.Opts.Quorum)
-		}
-	}
-
 	// Shared model mapper, agreed by all parties before training.
 	model := s.Build()
 	s.Mapper, err = NewMapper(model.NumParams(), s.Opts.Proportions, s.Opts.MapperSeed)
 	if err != nil {
 		return err
 	}
-	s.SetupLatency = s.clk().Now().Sub(start)
+	s.step = &RoundStep{Fleet: s.fleet, Mapper: s.Mapper, Shuffler: s.Shuffler, Shuffle: s.Opts.Shuffle}
+	s.SetupLatency = orSystem(s.Clock).Now().Sub(start)
 	return nil
+}
+
+// Close stops the aggregator servers, and with them every connection and
+// goroutine Setup started. Run calls it; idempotent.
+func (s *Session) Close() {
+	for _, srv := range s.servers {
+		srv.Close()
+	}
+	s.servers = nil
 }
 
 // Run executes training with the DeTA life cycle and returns the history.
@@ -269,6 +285,7 @@ func (s *Session) Run() (*fl.History, error) {
 			return nil, err
 		}
 	}
+	defer s.Close()
 	net := s.Build()
 	net.Init(s.InitSeed)
 	global := net.Params()
@@ -276,15 +293,19 @@ func (s *Session) Run() (*fl.History, error) {
 	hist := &fl.History{System: "DETA"}
 	var cum time.Duration
 	for round := 1; round <= s.Cfg.Rounds; round++ {
-		start := s.clk().Now()
+		start := orSystem(s.Clock).Now()
 		roundID, err := s.Broker.RoundID(round)
 		if err != nil {
 			return nil, err
 		}
 		// Initiator notifies parties to start local training; each party
 		// transforms its update and uploads fragments to all aggregators.
+		// All parties end the round on the same model, so one of them —
+		// the first to take part — downloads it for the session.
 		var trainLoss float64
 		participants := 0
+		var finisher string
+		var own []tensor.Vector
 		for _, p := range s.Parties {
 			if s.Availability != nil && !s.Availability(p.ID, round) {
 				continue // dropped out this round
@@ -295,22 +316,14 @@ func (s *Session) Run() (*fl.History, error) {
 				return nil, err
 			}
 			trainLoss += loss
-			frags, err := Transform(s.Mapper, s.Shuffler, update, roundID, s.Opts.Shuffle)
+			frags, err := s.step.Upload(s.ctx, round, p.ID, roundID, update, float64(p.NumExamples()))
 			if err != nil {
 				return nil, err
 			}
-			// Fan the K fragment uploads out concurrently, as a
-			// networked party would (the aggregators are independent
-			// services).
-			var ug Group
-			for j, node := range s.Nodes {
-				j, node := j, node
-				ug.Go(func() error {
-					return node.Upload(round, p.ID, frags[j], float64(p.NumExamples()))
-				})
-			}
-			if err := ug.Wait(); err != nil {
-				return nil, err
+			if own == nil {
+				finisher, own = p.ID, frags
+			} else {
+				putFragments(frags)
 			}
 		}
 		if participants == 0 {
@@ -318,29 +331,19 @@ func (s *Session) Run() (*fl.History, error) {
 		}
 		trainLoss /= float64(participants)
 
-		// Initiator tells followers to aggregate their fragments. The
-		// aggregators are independent; run them concurrently as the
-		// deployment would.
-		if err := s.aggregateAll(round); err != nil {
+		// The session stands in for the initiator: every upload is in, so
+		// it tells all K aggregators to fuse at once rather than have an
+		// Initiator discover that by polling — a poll interval per round
+		// would be charged to every experiment's latency.
+		if _, _, err := s.fleet.fanOut(func(_ int, a *AggregatorClient) error {
+			ctx, cancel := s.fleet.callCtx(s.ctx)
+			defer cancel()
+			return a.Aggregate(ctx, round)
+		}); err != nil {
 			return nil, err
 		}
 
-		// Parties download the aggregated fragments (in parallel — one
-		// per aggregator), reverse the transformation, and merge.
-		frags := make([]tensor.Vector, len(s.Nodes))
-		var dg Group
-		for j, node := range s.Nodes {
-			j, node := j, node
-			dg.Go(func() error {
-				var derr error
-				frags[j], derr = node.Download(round, s.Parties[0].ID)
-				return derr
-			})
-		}
-		if err := dg.Wait(); err != nil {
-			return nil, err
-		}
-		fused, err := InverseTransform(s.Mapper, s.Shuffler, frags, roundID, s.Opts.Shuffle)
+		fused, err := s.step.Finish(s.ctx, round, finisher, roundID, own)
 		if err != nil {
 			return nil, err
 		}
@@ -351,7 +354,7 @@ func (s *Session) Run() (*fl.History, error) {
 				node.DropRound(round)
 			}
 		}
-		cum += s.clk().Now().Sub(start)
+		cum += orSystem(s.Clock).Now().Sub(start)
 
 		m := fl.RoundMetrics{Round: round, TrainLoss: trainLoss, Cumulative: cum}
 		if s.Test != nil {
@@ -364,17 +367,6 @@ func (s *Session) Run() (*fl.History, error) {
 	}
 	s.FinalParams = global
 	return hist, nil
-}
-
-// aggregateAll runs the initiator/follower synchronization: the initiator
-// (node 0) and the followers aggregate their rounds concurrently.
-func (s *Session) aggregateAll(round int) error {
-	var g Group
-	for _, node := range s.Nodes {
-		node := node
-		g.Go(func() error { return node.Aggregate(round) })
-	}
-	return g.Wait()
 }
 
 func (s *Session) applyUpdate(global, fused tensor.Vector) tensor.Vector {

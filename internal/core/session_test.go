@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"deta/internal/agg"
-	"deta/internal/attest"
 	"deta/internal/dataset"
 	"deta/internal/fl"
 	"deta/internal/nn"
@@ -58,6 +57,7 @@ func TestSetupBootstrapsTrust(t *testing.T) {
 	if err := s.Setup(); err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	if len(s.Nodes) != 3 {
 		t.Fatalf("%d nodes", len(s.Nodes))
 	}
@@ -201,23 +201,8 @@ func TestDeTAFedSGD(t *testing.T) {
 }
 
 func TestAggregatorNodeProtocolErrors(t *testing.T) {
-	vendor, err := sev.NewVendor()
-	if err != nil {
-		t.Fatal(err)
-	}
-	platform, err := sev.NewPlatform("h", vendor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ap := attest.NewProxy(vendor.RAS(), OVMF)
-	cvm, _ := platform.LaunchCVM(OVMF)
-	if _, err := ap.Provision("agg-x", platform, cvm); err != nil {
-		t.Fatal(err)
-	}
-	node, err := NewAggregatorNode("agg-x", agg.IterativeAverage{}, cvm)
-	if err != nil {
-		t.Fatal(err)
-	}
+	proxy, vendor := testTrust(t)
+	node := newProvisionedNode(t, proxy, vendor, "agg-x")
 
 	// Unregistered upload/download.
 	if err := node.Upload(1, "ghost", tensor.Vector{1}, 1); !errors.Is(err, ErrNotRegistered) {
@@ -291,6 +276,7 @@ func TestBreachedAggregatorSeesShuffledFragment(t *testing.T) {
 	if err := s.Setup(); err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	update := make(tensor.Vector, s.Mapper.NumParams())
 	st := rng.NewStream([]byte("upd"), "v")
 	for i := range update {
@@ -353,6 +339,7 @@ func TestSessionThreadsLifecycleIntoNodes(t *testing.T) {
 	if err := s.Setup(); err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	for _, n := range s.Nodes {
 		n.Register("ghost") // only ghost uploads; others never show up
 		if err := n.Upload(1, "ghost", tensor.Vector{1}, 1); err != nil {

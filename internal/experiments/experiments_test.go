@@ -183,11 +183,11 @@ func TestFig5aEquivalenceAndOverhead(t *testing.T) {
 	}
 	// Latency is cumulative and DeTA's overhead is bounded (paper: +0.40x;
 	// we allow a broad band for machine variance). The floor is 0.8, not
-	// 1.0: the paper's overhead is network and SEV time, which the
-	// in-process Session does not pay, so what is left at this scale is the
-	// transform — a few percent since round permutations come from the
-	// AES-CTR expander — inside timer noise (EXPERIMENTS.md records -0.11x
-	// and -0.01x overheads as noise).
+	// 1.0: the paper's overhead is network and SEV time, which a Session
+	// on in-memory listeners does not pay, so what is left at this scale is
+	// the transform and the RPC framing — a few percent of a round —
+	// inside timer noise (EXPERIMENTS.md records negative overheads at fast
+	// scale as noise).
 	sort.Float64s(ratios)
 	if median := ratios[runs/2]; median < 0.8 || median > 4.0 {
 		t.Errorf("median DETA/FFL latency ratio %v outside plausible band [0.8,4] (runs: %v)", median, ratios)

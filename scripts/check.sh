@@ -18,8 +18,10 @@ go run ./cmd/deta-lint -baseline lint-baseline.json ./...
 echo "== go build ./..."
 go build ./...
 
+# -timeout: internal/experiments alone runs close to go's 10-minute
+# per-package default under the race detector.
 echo "== go test -race ./..."
-go test -race ./...
+go test -race -timeout 20m ./...
 
 # bench/ is its own module (BENCHMARK.json's harness), so ./... above does
 # not compile it: build and test it against the working tree's internal/*
