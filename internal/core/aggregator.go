@@ -345,7 +345,8 @@ func (a *AggregatorNode) Aggregate(round int) error {
 	// Aggregate fuses as soon as the quorum *count* is met — it does not
 	// wait out the grace window (Complete/RoundStatus is where grace
 	// gates): the explicit call is the initiator's decision to cut
-	// stragglers now, and the in-process Session drives it directly.
+	// stragglers now, and Session's coordinator sends it as soon as every
+	// upload has been acknowledged.
 	if ok && a.phaseLocked(rs, a.nowLocked()) == PhaseAbandoned {
 		return fmt.Errorf("%w: round %d has %d/%d uploads", ErrRoundAbandoned, round, len(rs.fragments), a.required())
 	}
@@ -386,8 +387,21 @@ func uploadCount(rs *roundState) int {
 	return len(rs.fragments)
 }
 
-// Download returns the aggregated fragment for a round.
+// Download returns the aggregated fragment for a round, cloned so the
+// caller may keep and modify it.
 func (a *AggregatorNode) Download(round int, partyID string) (tensor.Vector, error) {
+	frag, err := a.fused(round, partyID)
+	if err != nil {
+		return nil, err
+	}
+	return frag.Clone(), nil
+}
+
+// fused is Download without the clone, for the RPC handler, which only
+// encodes the vector: the node's own fused vector, read-only. Nothing
+// mutates or pools it after Aggregate installs it (eviction just drops the
+// reference), so it may be read without the lock.
+func (a *AggregatorNode) fused(round int, partyID string) (tensor.Vector, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if !a.parties[partyID] {
@@ -405,7 +419,7 @@ func (a *AggregatorNode) Download(round int, partyID string) (tensor.Vector, err
 	// Advisory fetch-served record (no fsync: its loss is harmless); it
 	// lets operators audit which rounds were actually delivered.
 	a.logEventAdvisory(recFetch, walEvent{Party: partyID, Round: round})
-	return rs.aggregated.Clone(), nil
+	return rs.aggregated, nil
 }
 
 // DropRound frees a completed round's state.

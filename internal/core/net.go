@@ -2,9 +2,12 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"net"
+	"slices"
 	"sync"
 
 	"deta/internal/tensor"
@@ -23,7 +26,8 @@ const (
 	MethodHeartbeat = "deta.Heartbeat"
 )
 
-// Wire messages. Fields are exported for gob.
+// Wire messages. Challenge and Register run once per connection and are
+// gob; every message of the round loop has a fixed layout (below).
 type (
 	// ChallengeReq asks the aggregator to prove token possession.
 	ChallengeReq struct{ Nonce []byte }
@@ -79,9 +83,9 @@ type (
 	DownloadResp struct{ Fragment []float64 }
 )
 
-// The fragment-bearing messages ride transport's fixed-layout binary
-// codec, and only it: they are the data plane, exchanged by every party on
-// every round. All other messages above (the control plane) are gob.
+// The two fragment-bearing messages ride transport's fragment codec; the
+// other eight round-loop messages share the round-control layout further
+// down. Both are the message's only encoding (transport.Encode/Decode).
 
 // AppendWire implements transport.WireAppender.
 func (r UploadReq) AppendWire(dst []byte) ([]byte, error) {
@@ -115,6 +119,136 @@ func (r *DownloadResp) DecodeWire(data []byte) error {
 	}
 	r.Fragment = f.Values
 	return nil
+}
+
+// Round-control body, the one layout of the eight small messages exchanged
+// every round (little-endian, like the fragment codec):
+//
+//	offset  size  field
+//	0       1     flags; each message defines its bits, any other is rejected
+//	1       4     round uint32; 0 in a message that carries none
+//	5       n     party ID, to the end of the body; empty in a message that
+//	              carries none
+//
+// A body is checked against exactly what its message carries, so one in
+// another encoding (gob, a fragment) or with bytes left over is a decode
+// error.
+const ctlFixedLen = 5
+
+// ctlFields says which of the layout's fields a message carries.
+type ctlFields struct {
+	flags byte // mask of the defined flag bits
+	round bool
+	party bool
+}
+
+func appendCtl(dst []byte, flags byte, round int, partyID string) ([]byte, error) {
+	if round < 0 || int64(round) > math.MaxUint32 {
+		return nil, fmt.Errorf("core: round %d outside uint32 range", round)
+	}
+	dst = slices.Grow(dst, ctlFixedLen+len(partyID))
+	dst = append(dst, flags)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(round))
+	return append(dst, partyID...), nil
+}
+
+func decodeCtl(data []byte, has ctlFields) (flags byte, round int, partyID string, err error) {
+	if len(data) < ctlFixedLen {
+		return 0, 0, "", fmt.Errorf("core: round-control body truncated at %d bytes", len(data))
+	}
+	flags = data[0]
+	if unknown := flags &^ has.flags; unknown != 0 {
+		return 0, 0, "", fmt.Errorf("core: round-control body has unknown flag bits %#02x", unknown)
+	}
+	round = int(binary.LittleEndian.Uint32(data[1:ctlFixedLen]))
+	if !has.round && round != 0 {
+		return 0, 0, "", fmt.Errorf("core: round-control body carries round %d where the message has none", round)
+	}
+	if !has.party && len(data) != ctlFixedLen {
+		return 0, 0, "", fmt.Errorf("core: round-control body has %d trailing bytes", len(data)-ctlFixedLen)
+	}
+	return flags, round, string(data[ctlFixedLen:]), nil
+}
+
+// flag returns bit if set, for assembling a flags byte from bools.
+func flag(set bool, bit byte) byte {
+	if set {
+		return bit
+	}
+	return 0
+}
+
+// AppendWire and DecodeWire below implement transport.WireAppender and
+// transport.WireDecoder for the eight round-control messages.
+
+func (r UploadResp) AppendWire(dst []byte) ([]byte, error) {
+	return appendCtl(dst, flag(r.OK, 1), 0, "")
+}
+
+func (r *UploadResp) DecodeWire(data []byte) error {
+	flags, _, _, err := decodeCtl(data, ctlFields{flags: 1})
+	r.OK = flags&1 != 0
+	return err
+}
+
+func (r CompleteReq) AppendWire(dst []byte) ([]byte, error) { return appendCtl(dst, 0, r.Round, "") }
+
+func (r *CompleteReq) DecodeWire(data []byte) (err error) {
+	_, r.Round, _, err = decodeCtl(data, ctlFields{round: true})
+	return err
+}
+
+func (r CompleteResp) AppendWire(dst []byte) ([]byte, error) {
+	return appendCtl(dst, flag(r.Complete, 1)|flag(r.Abandoned, 2), 0, "")
+}
+
+func (r *CompleteResp) DecodeWire(data []byte) error {
+	flags, _, _, err := decodeCtl(data, ctlFields{flags: 1 | 2})
+	r.Complete, r.Abandoned = flags&1 != 0, flags&2 != 0
+	return err
+}
+
+func (r HeartbeatReq) AppendWire(dst []byte) ([]byte, error) { return appendCtl(dst, 0, 0, r.PartyID) }
+
+func (r *HeartbeatReq) DecodeWire(data []byte) (err error) {
+	_, _, r.PartyID, err = decodeCtl(data, ctlFields{party: true})
+	return err
+}
+
+func (r HeartbeatResp) AppendWire(dst []byte) ([]byte, error) {
+	return appendCtl(dst, flag(r.OK, 1)|flag(r.Rejoined, 2), 0, "")
+}
+
+func (r *HeartbeatResp) DecodeWire(data []byte) error {
+	flags, _, _, err := decodeCtl(data, ctlFields{flags: 1 | 2})
+	r.OK, r.Rejoined = flags&1 != 0, flags&2 != 0
+	return err
+}
+
+func (r AggregateReq) AppendWire(dst []byte) ([]byte, error) { return appendCtl(dst, 0, r.Round, "") }
+
+func (r *AggregateReq) DecodeWire(data []byte) (err error) {
+	_, r.Round, _, err = decodeCtl(data, ctlFields{round: true})
+	return err
+}
+
+func (r AggregateResp) AppendWire(dst []byte) ([]byte, error) {
+	return appendCtl(dst, flag(r.OK, 1), 0, "")
+}
+
+func (r *AggregateResp) DecodeWire(data []byte) error {
+	flags, _, _, err := decodeCtl(data, ctlFields{flags: 1})
+	r.OK = flags&1 != 0
+	return err
+}
+
+func (r DownloadReq) AppendWire(dst []byte) ([]byte, error) {
+	return appendCtl(dst, 0, r.Round, r.PartyID)
+}
+
+func (r *DownloadReq) DecodeWire(data []byte) (err error) {
+	_, r.Round, r.PartyID, err = decodeCtl(data, ctlFields{round: true, party: true})
+	return err
 }
 
 // statusCodes is the one table between the aggregator's typed errors and
@@ -205,7 +339,9 @@ func ServeAggregator(node *AggregatorNode, srv *transport.Server) {
 		return AggregateResp{OK: true}, nil
 	})
 	handle(srv, MethodDownload, func(r DownloadReq) (DownloadResp, error) {
-		frag, err := node.Download(r.Round, r.PartyID)
+		// The response is encoded straight from the node's fused vector,
+		// which nothing mutates once Aggregate has installed it.
+		frag, err := node.fused(r.Round, r.PartyID)
 		if err != nil {
 			return DownloadResp{}, err
 		}

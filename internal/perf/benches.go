@@ -387,15 +387,17 @@ func paillierBenches() []Bench {
 type perfEchoReq struct{ Payload []byte }
 type perfEchoResp struct{ Payload []byte }
 
-// perfTransportClient starts an in-memory echo server (no injected
-// latency: these benches track CPU cost of framing + gob, not simulated
-// WAN delay) and returns a connected client.
+// perfTransportClient starts an in-memory server with a typed "echo" and a
+// raw "noop" method (no injected latency: these benches track CPU cost of
+// framing + body codec, not simulated WAN delay) and returns a connected
+// client.
 func perfTransportClient(b *testing.B) *transport.Client {
 	b.Helper()
 	s := transport.NewServer()
 	transport.HandleTyped(s, "echo", func(r perfEchoReq) (perfEchoResp, error) {
 		return perfEchoResp{Payload: r.Payload}, nil
 	})
+	s.Handle("noop", func([]byte) ([]byte, error) { return nil, nil })
 	ln := transport.NewMemListener()
 	go func() { _ = s.Serve(ln) }()
 	conn, err := ln.Dial()
@@ -449,6 +451,17 @@ func transportBenches() []Bench {
 					if err != nil {
 						b.Fatal(err)
 					}
+				}
+			}
+		}},
+		// The frame, the mux hand-offs and the goroutine per request with no
+		// body at all: the floor under every call of a round.
+		{Name: "transport/Call/raw,empty", F: func(b *testing.B) {
+			c := perfTransportClient(b)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.CallContext(context.Background(), "noop", nil); err != nil {
+					b.Fatal(err)
 				}
 			}
 		}},

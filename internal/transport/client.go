@@ -35,12 +35,16 @@ type Client struct {
 }
 
 type pendingCall struct {
-	req  request
-	done chan callResult // buffered; receives exactly one result
+	id     uint64
+	method string
+	body   []byte
+	done   chan callResult // buffered; receives exactly one result
 }
 
+// callResult is a call's outcome: an error, or the response frame, whose
+// buffer the receiver releases.
 type callResult struct {
-	body []byte
+	resp frame
 	err  error
 }
 
@@ -61,35 +65,58 @@ func NewClient(conn net.Conn) *Client {
 // CallContext sends a request and waits until the response arrives, the
 // context ends, or the connection fails. A context timeout abandons the
 // call (a late response is discarded) without poisoning the connection.
+//
+// The caller keeps the returned body, so a body that arrived in a pooled
+// read buffer is copied out exact-size; a buffer grown for an oversized
+// frame is handed over as it is.
 func (c *Client) CallContext(ctx context.Context, method string, body []byte) ([]byte, error) {
-	start := time.Now()
-	c.stats.callStarted()
-	out, err := c.call(ctx, method, body)
-	c.stats.callDone(start, err, errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled))
-	return out, err
+	resp, err := c.roundTrip(ctx, method, body)
+	if err != nil {
+		return nil, err
+	}
+	if cap(resp.buf) != bodySeed {
+		return resp.body, nil
+	}
+	var out []byte
+	if n := len(resp.body); n > 0 {
+		out = make([]byte, n)
+		copy(out, resp.body)
+	}
+	putBody(resp.buf)
+	return out, nil
 }
 
-func (c *Client) call(ctx context.Context, method string, body []byte) ([]byte, error) {
-	p := &pendingCall{done: make(chan callResult, 1)}
+// roundTrip is CallContext without the copy: the response body aliases the
+// read buffer, which the caller hands to putBody when done with it.
+func (c *Client) roundTrip(ctx context.Context, method string, body []byte) (frame, error) {
+	start := time.Now()
+	c.stats.callStarted()
+	resp, err := c.call(ctx, method, body)
+	c.stats.callDone(start, err, errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled))
+	return resp, err
+}
+
+func (c *Client) call(ctx context.Context, method string, body []byte) (frame, error) {
+	p := &pendingCall{method: method, body: body, done: make(chan callResult, 1)}
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
 		c.mu.Unlock()
-		return nil, fmt.Errorf("transport: %s: %w", method, err)
+		return frame{}, fmt.Errorf("transport: %s: %w", method, err)
 	}
 	c.nextID++
-	p.req = request{ID: c.nextID, Method: method, Body: body}
-	c.pending[p.req.ID] = p
+	p.id = c.nextID
+	c.pending[p.id] = p
 	c.mu.Unlock()
 
 	select {
 	case c.writeq <- p:
 	case <-c.dead:
-		c.forget(p.req.ID)
-		return nil, fmt.Errorf("transport: %s: %w", method, c.Err())
+		c.forget(p.id)
+		return frame{}, fmt.Errorf("transport: %s: %w", method, c.Err())
 	case <-ctx.Done():
-		c.forget(p.req.ID)
-		return nil, fmt.Errorf("transport: %s: %w", method, ctx.Err())
+		c.forget(p.id)
+		return frame{}, fmt.Errorf("transport: %s: %w", method, ctx.Err())
 	}
 
 	select {
@@ -97,14 +124,14 @@ func (c *Client) call(ctx context.Context, method string, body []byte) ([]byte, 
 		if r.err != nil {
 			var re *RemoteError
 			if errors.As(r.err, &re) {
-				return nil, r.err
+				return frame{}, r.err
 			}
-			return nil, fmt.Errorf("transport: %s: %w", method, r.err)
+			return frame{}, fmt.Errorf("transport: %s: %w", method, r.err)
 		}
-		return r.body, nil
+		return r.resp, nil
 	case <-ctx.Done():
-		c.forget(p.req.ID)
-		return nil, fmt.Errorf("transport: %s: %w", method, ctx.Err())
+		c.forget(p.id)
+		return frame{}, fmt.Errorf("transport: %s: %w", method, ctx.Err())
 	}
 }
 
@@ -120,7 +147,7 @@ func (c *Client) writeLoop() {
 	for {
 		select {
 		case p := <-c.writeq:
-			if err := writeFrame(c.conn, &p.req); err != nil {
+			if err := writeFrame(c.conn, p.id, kindRequest, 0, p.method, p.body); err != nil {
 				c.fail(fmt.Errorf("send: %w", err))
 				return
 			}
@@ -132,22 +159,27 @@ func (c *Client) writeLoop() {
 
 func (c *Client) readLoop() {
 	for {
-		var resp response
-		if err := readFrame(c.conn, &resp); err != nil {
+		resp, err := readFrame(c.conn)
+		if err == nil && resp.kind != kindResponse {
+			putBody(resp.buf)
+			err = fmt.Errorf("transport: unexpected frame kind %d", resp.kind)
+		}
+		if err != nil {
 			c.fail(fmt.Errorf("recv: %w", err))
 			return
 		}
 		c.mu.Lock()
-		p, ok := c.pending[resp.ID]
-		delete(c.pending, resp.ID)
+		p, ok := c.pending[resp.id]
+		delete(c.pending, resp.id)
 		c.mu.Unlock()
-		if !ok {
-			continue // abandoned (deadline) or stale; discard
-		}
-		if resp.Err != "" || resp.Code != 0 {
-			p.done <- callResult{err: &RemoteError{Method: p.req.Method, Msg: resp.Err, Code: resp.Code}}
-		} else {
-			p.done <- callResult{body: resp.Body}
+		switch {
+		case !ok:
+			putBody(resp.buf) // abandoned (deadline), stale or a replay; discard
+		case len(resp.text) != 0 || resp.code != 0:
+			p.done <- callResult{err: &RemoteError{Method: p.method, Msg: string(resp.text), Code: resp.code}}
+			putBody(resp.buf)
+		default:
+			p.done <- callResult{resp: resp}
 		}
 	}
 }
@@ -229,20 +261,22 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// CallTypedContext performs a CallContext with the request run through
-// Encode and the response through Decode.
+// CallTypedContext performs a call with the request run through Encode and
+// the response through Decode, straight from the read buffer.
 func CallTypedContext[Req, Resp any](ctx context.Context, c *Client, method string, req Req) (Resp, error) {
 	var zero Resp
 	body, err := Encode(req)
 	if err != nil {
 		return zero, err
 	}
-	out, err := c.CallContext(ctx, method, body)
+	out, err := c.roundTrip(ctx, method, body)
 	if err != nil {
 		return zero, err
 	}
 	var resp Resp
-	if err := Decode(out, &resp); err != nil {
+	err = Decode(out.body, &resp)
+	putBody(out.buf)
+	if err != nil {
 		return zero, err
 	}
 	return resp, nil

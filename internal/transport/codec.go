@@ -1,12 +1,12 @@
 package transport
 
-// codec.go: the data-plane wire codec. Control-plane RPC bodies
-// (registration, challenges, round polls) stay gob — they are small,
-// rare, and benefit from gob's schema evolution. Fragment payloads are
-// the opposite: large float64 slabs exchanged on every round by every
-// party, where gob's reflection and per-element varint encoding
-// dominated the upload path. Those travel as a fixed-layout binary
-// message instead, decoded straight into pooled tensor buffers.
+// codec.go: the fragment codec. Fragment payloads are large float64 slabs
+// exchanged on every round by every party, where gob's reflection and
+// per-element varint encoding dominated the upload path; they travel as a
+// fixed-layout binary message, decoded straight into pooled tensor buffers.
+// The small messages of the round loop have a fixed layout of their own
+// (core/net.go); gob is left to the bodies sent once per connection or per
+// deployment (attestation, registration).
 //
 // Fragment wire layout, version 1 (all multi-byte fields little-endian):
 //

@@ -42,8 +42,10 @@ type Faults struct {
 	// framing layer must detect this and fail the connection cleanly.
 	CorruptProb float64
 
-	// DupProb writes the operation's bytes twice — duplicated delivery,
-	// which mid-stream is framing garbage the peer must survive.
+	// DupProb writes the operation's bytes twice — duplicated delivery. A
+	// frame that leaves in one Write arrives as a well-formed replay (see
+	// the package comment for the contract); half a larger frame repeated
+	// is framing garbage the peer must survive.
 	DupProb float64
 }
 

@@ -4,28 +4,45 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"math"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
 
-// FuzzFrameRoundTrip: any request written must read back identically, and
-// arbitrary junk must never panic the frame reader.
+// FuzzFrameRoundTrip: any frame written must read back identically, field
+// for field, and consume exactly the bytes written.
 func FuzzFrameRoundTrip(f *testing.F) {
-	f.Add("method", []byte("body"), uint64(1))
-	f.Add("", []byte{}, uint64(0))
-	f.Add("deta.Upload", []byte{0xFF, 0x00, 0x01}, uint64(1<<40))
-	f.Fuzz(func(t *testing.T, method string, body []byte, id uint64) {
+	f.Add(uint64(1), byte(kindRequest), byte(0), "method", []byte("body"))
+	f.Add(uint64(0), byte(0), byte(0), "", []byte{})
+	f.Add(uint64(1<<40), byte(kindRequest), byte(0), "deta.Upload", []byte{0xFF, 0x00, 0x01})
+	f.Add(uint64(7), byte(kindResponse), byte(6), "round abandoned", []byte(nil))
+	f.Add(uint64(8), byte(kindResponse), byte(0), "", bytes.Repeat([]byte{0xAB}, bodySeed))  // header-then-body path
+	f.Add(uint64(9), byte(0xFF), byte(0xFF), strings.Repeat("t", math.MaxUint16), []byte{1}) // longest text
+	f.Add(uint64(10), byte(kindRequest), byte(0), strings.Repeat("t", math.MaxUint16+1), []byte{})
+	f.Fuzz(func(t *testing.T, id uint64, kind, code byte, text string, body []byte) {
 		var buf bytes.Buffer
-		in := request{ID: id, Method: method, Body: body}
-		if err := writeFrame(&buf, &in); err != nil {
+		err := writeFrame(&buf, id, kind, code, text, body)
+		if len(text) > math.MaxUint16 {
+			if err == nil {
+				t.Fatalf("text of %d bytes written into a uint16 length field", len(text))
+			}
+			return
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
-		var out request
-		if err := readFrame(&buf, &out); err != nil {
+		out, err := readFrame(&buf)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if out.ID != in.ID || out.Method != in.Method || !bytes.Equal(out.Body, in.Body) {
-			t.Fatalf("round trip mismatch: %+v vs %+v", in, out)
+		defer putBody(out.buf)
+		if out.id != id || out.kind != kind || out.code != code || string(out.text) != text || !bytes.Equal(out.body, body) {
+			t.Fatalf("round trip mismatch: wrote (%d, %d, %d, %q, %d-byte body), read %+v", id, kind, code, text, len(body), out)
+		}
+		if buf.Len() != 0 {
+			t.Fatalf("%d bytes of the frame left unread", buf.Len())
 		}
 	})
 }
@@ -38,28 +55,42 @@ func frameWithLength(n uint32, payload []byte) []byte {
 	return append(hdr[:], payload...)
 }
 
-// validFrame gob-encodes a request into a well-formed frame.
-func validFrame(tb testing.TB, req request) []byte {
+// rawFrame returns the wire bytes of one well-formed frame.
+func rawFrame(tb testing.TB, id uint64, kind, code byte, text string, body []byte) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, &req); err != nil {
+	if err := writeFrame(&buf, id, kind, code, text, body); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
+// lyingTextFrame is an honest-length frame whose text length field claims
+// more bytes than the frame holds.
+func lyingTextFrame(tb testing.TB) []byte {
+	raw := rawFrame(tb, 1, kindRequest, 0, "echo", []byte("x"))
+	binary.BigEndian.PutUint16(raw[14:16], 6) // "echo"+"x" is only 5
+	return raw
+}
+
 // FuzzFrameGarbage: arbitrary bytes on the wire must error cleanly. Seeds
-// cover the three malformed-frame families: truncated bodies (header
-// promises more than arrives), oversized length prefixes (beyond
-// MaxFrame), and well-framed garbage gob payloads.
+// cover the malformed-frame families: truncated bodies (header promises
+// more than arrives), oversized length prefixes (beyond MaxFrame), lengths
+// shorter than the fixed header, a text length overrunning its frame, and
+// kind bytes no peer sends.
 func FuzzFrameGarbage(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 1, 42})
+	f.Add([]byte{0, 0, 0, 1, 42})                                   // length shorter than the header
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})                           // oversized length prefix
 	f.Add(frameWithLength(100, []byte("short")))                    // truncated body
 	f.Add(frameWithLength(1<<28+1, nil))                            // just over MaxFrame
-	f.Add(frameWithLength(5, []byte{0x01, 0x02, 0x03, 0x04, 0x05})) // garbage gob, honest length
-	f.Add([]byte{0, 0, 0, 0})                                       // empty body: gob EOF
+	f.Add(frameWithLength(5, []byte{0x01, 0x02, 0x03, 0x04, 0x05})) // honest length, still shorter than the header
+	f.Add([]byte{0, 0, 0, 0})                                       // empty frame
+	f.Add(frameWithLength(frameFixed-1, make([]byte, frameFixed-1)))
+	f.Add(lyingTextFrame(f))
+	f.Add(rawFrame(f, 1, kindResponse, 0, "", []byte("x"))) // wrong kind for a server, right for a client
+	f.Add(rawFrame(f, 1, 0, 0, "echo", nil))                // unknown kind
+	f.Add(rawFrame(f, 1, 0xFF, 0xFF, "echo", nil))
 	// Hostile-but-legal length prefixes: within MaxFrame, so the reader
 	// enters the chunked body path, but the body never arrives. The
 	// chunked allocator must pay at most its 64KiB seed before the read
@@ -68,18 +99,43 @@ func FuzzFrameGarbage(f *testing.F) {
 	f.Add(frameWithLength(1<<27, []byte("tiny")))                  // huge promise, 4 bytes arrive
 	f.Add(frameWithLength(1<<20, bytes.Repeat([]byte{0xAA}, 100))) // 1MiB promise, 100 arrive
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		var req request
-		err := readFrame(bytes.NewReader(raw), &req) // must not panic
-		// A frame that decodes must re-encode; a frame that errors must
-		// not have consumed more than the announced bytes (no runaway
-		// allocation past MaxFrame is observable as an OOM/panic).
-		if err == nil {
-			var buf bytes.Buffer
-			if werr := writeFrame(&buf, &req); werr != nil {
-				t.Fatalf("decoded frame failed to re-encode: %v", werr)
-			}
+		out, err := readFrame(bytes.NewReader(raw)) // must not panic
+		if err != nil {
+			return
+		}
+		defer putBody(out.buf)
+		// The layout is canonical: a frame that parses re-encodes to the
+		// very bytes it was read from.
+		var buf bytes.Buffer
+		if werr := writeFrame(&buf, out.id, out.kind, out.code, string(out.text), out.body); werr != nil {
+			t.Fatalf("parsed frame failed to re-encode: %v", werr)
+		}
+		if !bytes.HasPrefix(raw, buf.Bytes()) {
+			t.Fatalf("parsed frame re-encodes to different bytes")
 		}
 	})
+}
+
+// A length prefix at the limit followed by nothing must cost at most the
+// one pooled 64 KiB seed buffer before the read starves.
+func TestHostilePrefixCostsOneSeedBuffer(t *testing.T) {
+	raw := frameWithLength(MaxFrame, nil)
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 5; i++ { // TotalAlloc is process-wide; the quietest run is the reader's own cost
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := readFrame(bytes.NewReader(raw))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatal("frame with no body behind its prefix was accepted")
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d < least {
+			least = d
+		}
+	}
+	if least > bodySeed+4096 {
+		t.Fatalf("a starved %d-byte prefix allocated %d bytes, want at most one %d-byte buffer", MaxFrame, least, bodySeed)
+	}
 }
 
 // FuzzServerConnGarbage feeds raw fuzzed bytes to a live server connection
@@ -90,11 +146,14 @@ func FuzzServerConnGarbage(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x00})
 	f.Add(frameWithLength(1000, []byte("truncated")))
-	f.Add(frameWithLength(6, []byte("garbage gob")))
 	f.Add(append([]byte(nil), 0, 0, 0, 2, 0xFF, 0xFF))
+	f.Add(lyingTextFrame(f))
+	f.Add(rawFrame(f, 1, kindResponse, 0, "echo", []byte("x"))) // a response sent to a server
+	f.Add(rawFrame(f, 1, 7, 0, "echo", []byte("x")))            // unknown kind
+	f.Add(rawFrame(f, 1, kindRequest, 3, "echo", []byte("x")))  // status code on a request
 	// A valid echo request followed by garbage: the server must answer the
 	// first and then close on the second.
-	valid := validFrame(f, request{ID: 1, Method: "echo", Body: []byte("x")})
+	valid := rawFrame(f, 1, kindRequest, 0, "echo", []byte("x"))
 	f.Add(append(append([]byte(nil), valid...), 0xFF, 0xFF, 0xFF, 0xFF))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		s := NewServer()

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -24,9 +25,10 @@ func TestResponsesRoutedByID(t *testing.T) {
 
 	served := make(chan error, 1)
 	go func() {
-		reqs := make([]request, 2)
+		reqs := make([]frame, 2)
 		for i := range reqs {
-			if err := readFrame(serverConn, &reqs[i]); err != nil {
+			var err error
+			if reqs[i], err = readFrame(serverConn); err != nil {
 				served <- err
 				return
 			}
@@ -34,8 +36,8 @@ func TestResponsesRoutedByID(t *testing.T) {
 		// Answer in reverse arrival order, tagging each body with the
 		// request it answers.
 		for i := len(reqs) - 1; i >= 0; i-- {
-			resp := response{ID: reqs[i].ID, Body: []byte(fmt.Sprintf("resp-for-%s", reqs[i].Body))}
-			if err := writeFrame(serverConn, &resp); err != nil {
+			body := []byte(fmt.Sprintf("resp-for-%s", reqs[i].body))
+			if err := writeFrame(serverConn, reqs[i].id, kindResponse, 0, "", body); err != nil {
 				served <- err
 				return
 			}
@@ -165,6 +167,39 @@ func TestConcurrentCallsOneClient(t *testing.T) {
 	if snap.MaxInFlight < 2 {
 		t.Fatalf("max in-flight %d; expected genuine concurrency", snap.MaxInFlight)
 	}
+}
+
+// TestEchoBodiesNeverCross: a handler's request body aliases the pooled
+// read buffer, and an echo handler's response is that same slice. Eight
+// callers share one connection, each echoing its own payload (all within
+// one pooled buffer, the largest filling a single-Write frame exactly); a
+// buffer recycled before its response was written, or handed to two
+// requests, would surface as another caller's bytes.
+func TestEchoBodiesNeverCross(t *testing.T) {
+	c := memClient(t, echoServer(t))
+
+	const callers, calls = 8, 40
+	largest := bodySeed - framePrefix - frameFixed - len("echo")
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			payload := bytes.Repeat([]byte{byte('a' + g)}, 1+g*largest/(callers-1))
+			for i := 0; i < calls; i++ {
+				out, err := c.CallContext(context.Background(), "echo", payload)
+				if err != nil {
+					t.Errorf("caller %d: %v", g, err)
+					return
+				}
+				if !bytes.Equal(out, payload) {
+					t.Errorf("caller %d call %d: response of %d bytes starting %q is not its own %d-byte request", g, i, len(out), out[:min(len(out), 8)], len(payload))
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestCallContextDeadline: a deadline abandons one call without poisoning

@@ -1,15 +1,27 @@
 // Package transport is the wire layer of the reproduction: a small
-// request/response RPC protocol (length-prefixed gob frames) over TCP with
-// TLS, standing in for the gRPC+TLS channels of the paper's implementation
+// request/response RPC protocol (fixed-layout frames) over TCP with TLS,
+// standing in for the gRPC+TLS channels of the paper's implementation
 // (§5). It also provides an in-memory listener so protocol tests need no
 // network.
 //
-// Frame format: 4-byte big-endian length, then a gob-encoded envelope.
-// Requests carry a method name and an opaque body; responses carry a body,
-// or an error string plus a one-byte status code (RemoteError.Code). Bodies
-// have exactly one encoding per message type (Encode/Decode): the
-// fixed-layout codec of codec.go for data-plane fragment messages, gob for
-// the control plane.
+// Frame format (all fields big-endian):
+//
+//	offset  size  field
+//	0       4     length of everything after this field (12 + t + body)
+//	4       8     request ID
+//	12      1     kind: 1 = request, 2 = response; it doubles as the
+//	              protocol version, so any other value drops the connection
+//	13      1     status code (RemoteError.Code); 0 on a request and on a
+//	              successful response
+//	14      2     text length t
+//	16      t     text: the method name on a request, the error message on
+//	              a response
+//	16+t    ...   body, to the end of the frame
+//
+// Every length is checked against the bytes actually present before it is
+// used. Bodies have exactly one encoding per message type (Encode/Decode):
+// a fixed layout for every message exchanged per round (codec.go and the
+// messages' own AppendWire/DecodeWire), gob for the rest.
 //
 // Concurrency: one Client multiplexes any number of concurrent Calls over
 // its single connection — requests are pipelined by a writer goroutine and
@@ -20,6 +32,14 @@
 // checks (EnableKeepAlive), dial/backoff helpers (DialBackoff, Retry), and
 // per-connection counters (Stats) make the layer deadline-aware end to
 // end: a hung peer costs one timed-out call, never a wedged party.
+//
+// Duplicate delivery: a frame leaves in one Write, so a link that repeats a
+// Write replays a well-formed frame. TLS rejects replayed records beneath
+// this layer; should one arrive anyway the contract is no hang, no panic
+// and never a wrong answer: the server runs the handler once per delivered
+// request (the aggregator's methods are idempotent by design), and the
+// client discards a response whose ID is not pending, so each call still
+// returns its own answer or an error.
 package transport
 
 import (
@@ -29,6 +49,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 )
@@ -41,64 +62,103 @@ const MaxFrame = 1 << 28 // 256 MiB
 // without a registered handler; Client.Ping and keepalive use it.
 const MethodPing = "transport.Ping"
 
-type request struct {
-	ID     uint64
-	Method string
-	Body   []byte
+const (
+	kindRequest  = 1
+	kindResponse = 2
+
+	// framePrefix is the length field; frameFixed the fixed fields it
+	// counts (ID, kind, code, text length).
+	framePrefix = 4
+	frameFixed  = 12
+)
+
+// frame is one parsed frame. text and body alias buf, the readBody buffer
+// the frame arrived in: whoever holds the frame hands buf to putBody once
+// both are dead.
+type frame struct {
+	id   uint64
+	kind byte
+	code uint8
+	text []byte
+	body []byte
+	buf  []byte
 }
 
-type response struct {
-	ID   uint64
-	Body []byte
-	Err  string
-	Code uint8 // status code of a failed call; 0 = unclassified
-}
-
-// frameBufPool recycles the per-frame encode buffers: a frame is fully
-// written to the connection before writeFrame returns, so the buffer's
-// lifetime is exactly one call.
+// frameBufPool recycles the buffers frames are assembled in: a frame is
+// fully written to the connection before writeFrame returns, so the
+// buffer's lifetime is exactly one call. A frame larger than bodySeed
+// stages only its header here, so no pooled buffer outgrows bodySeed.
 var frameBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
+// writeFrame sends one frame. Each Write is a net.Pipe rendezvous and a TLS
+// record, so a frame that fits bodySeed is assembled and leaves in one; a
+// larger body follows its header in a second Write with no staging copy.
+//
 //perf:hotpath
-func writeFrame(w io.Writer, v any) error {
+func writeFrame(w io.Writer, id uint64, kind byte, code uint8, text string, body []byte) error {
+	if len(text) > math.MaxUint16 {
+		return fmt.Errorf("transport: frame text of %d bytes exceeds uint16 length field", len(text))
+	}
+	n := frameFixed + len(text) + len(body)
+	if n > MaxFrame {
+		return fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
+	}
+	var hdr [framePrefix + frameFixed]byte
+	binary.BigEndian.PutUint32(hdr[0:4], uint32(n))
+	binary.BigEndian.PutUint64(hdr[4:12], id)
+	hdr[12], hdr[13] = kind, code
+	binary.BigEndian.PutUint16(hdr[14:16], uint16(len(text)))
+
 	buf := frameBufPool.Get().(*bytes.Buffer)
 	defer frameBufPool.Put(buf)
 	buf.Reset()
-	if err := gob.NewEncoder(buf).Encode(v); err != nil {
+	buf.Write(hdr[:])
+	buf.WriteString(text)
+	if framePrefix+n > bodySeed {
+		if _, err := w.Write(buf.Bytes()); err != nil {
+			return err
+		}
+		_, err := w.Write(body)
 		return err
 	}
-	if buf.Len() > MaxFrame {
-		return fmt.Errorf("transport: frame of %d bytes exceeds limit", buf.Len())
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(buf.Len()))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
+	buf.Write(body)
 	_, err := w.Write(buf.Bytes())
 	return err
 }
 
+// readFrame reads and parses one frame. The caller owns f.buf (see frame);
+// on error there is nothing to release.
+//
 //perf:hotpath
-func readFrame(r io.Reader, v any) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return err
+func readFrame(r io.Reader) (frame, error) {
+	var pre [framePrefix]byte
+	if _, err := io.ReadFull(r, pre[:]); err != nil {
+		return frame{}, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(pre[:])
 	if n > MaxFrame {
-		return fmt.Errorf("transport: incoming frame of %d bytes exceeds limit", n)
+		return frame{}, fmt.Errorf("transport: incoming frame of %d bytes exceeds limit", n)
 	}
-	body, err := readBody(r, int(n))
+	if n < frameFixed {
+		return frame{}, fmt.Errorf("transport: incoming frame of %d bytes is shorter than its header", n)
+	}
+	buf, err := readBody(r, int(n))
 	if err != nil {
-		return err
+		return frame{}, err
 	}
-	// The decode copies every field out of body (gob never aliases its
-	// input), so the buffer's lifetime ends here and it can go back to
-	// the pool even on decode error.
-	err = gob.NewDecoder(bytes.NewReader(body)).Decode(v)
-	putBody(body)
-	return err
+	bodyAt := frameFixed + int(binary.BigEndian.Uint16(buf[10:12]))
+	if bodyAt > len(buf) {
+		putBody(buf)
+		return frame{}, fmt.Errorf("transport: frame text of %d bytes overruns %d-byte frame", bodyAt-frameFixed, len(buf))
+	}
+	return frame{
+		id:   binary.BigEndian.Uint64(buf[0:8]),
+		kind: buf[8],
+		code: buf[9],
+		text: buf[frameFixed:bodyAt],
+		body: buf[bodyAt:],
+		buf:  buf,
+	}, nil
 }
 
 // bodySeed is the pooled frame-body buffer size: every body at or under
@@ -117,8 +177,7 @@ var bodyPool = sync.Pool{New: func() any { return new([bodySeed]byte) }}
 // front. MaxFrame bounds n, but even a prefix just under the bound from
 // a hostile or corrupt peer can then cost at most one 64 KiB buffer
 // before the read starves and fails — never an up-front multi-hundred-MiB
-// allocation. Applies identically whether the body carries a gob envelope
-// or a fixed-layout codec payload.
+// allocation.
 //
 // Bodies up to bodySeed come from bodyPool; the caller must hand the
 // returned slice to putBody when done with it (oversized bodies are
@@ -173,7 +232,10 @@ func putBody(b []byte) {
 	bodyPool.Put((*[bodySeed]byte)(b[:bodySeed]))
 }
 
-// Handler processes one request body and returns a response body.
+// Handler processes one request body and returns a response body. body
+// aliases the connection's pooled read buffer: it is valid until the
+// handler returns (and, for a handler that returns a slice of it, until the
+// response has been written) and must not be retained after that.
 type Handler func(body []byte) ([]byte, error)
 
 // Server dispatches RPC requests to registered handlers. Each request runs
@@ -245,55 +307,72 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.lnMu.Unlock()
 		s.wg.Done()
 	}()
-	write := func(resp *response) {
+	write := func(id uint64, code uint8, text string, body []byte) {
+		if len(text) > math.MaxUint16 {
+			text = text[:math.MaxUint16]
+		}
 		wmu.Lock()
 		defer wmu.Unlock()
-		if err := writeFrame(conn, resp); err != nil {
+		if err := writeFrame(conn, id, kindResponse, code, text, body); err != nil {
 			// Unblock the read loop; in-flight handlers drain into
 			// writes that fail the same way.
 			conn.Close()
 		}
 	}
 	for {
-		var req request
-		if err := readFrame(conn, &req); err != nil {
+		f, err := readFrame(conn)
+		if err != nil {
 			// Malformed frame, peer close, or server close: drop the
 			// connection. Handler goroutines finish via the deferred wait.
 			return
 		}
-		if req.Method == MethodPing {
-			write(&response{ID: req.ID})
+		if f.kind != kindRequest || f.code != 0 {
+			putBody(f.buf)
+			return
+		}
+		if string(f.text) == MethodPing {
+			write(f.id, 0, "", nil)
+			putBody(f.buf)
 			continue
 		}
 		s.mu.RLock()
-		h, ok := s.handlers[req.Method]
+		h, ok := s.handlers[string(f.text)]
 		s.mu.RUnlock()
 		if !ok {
-			write(&response{ID: req.ID, Err: fmt.Sprintf("transport: unknown method %q", req.Method)})
+			write(f.id, 0, fmt.Sprintf("transport: unknown method %q", f.text), nil)
+			putBody(f.buf)
 			continue
 		}
 		hwg.Add(1)
-		go func(req request) {
+		go func() {
 			defer hwg.Done()
-			resp := response{ID: req.ID}
+			var (
+				body []byte
+				text string
+				code uint8
+			)
 			func() {
 				defer func() {
 					if r := recover(); r != nil {
-						resp.Body, resp.Err = nil, fmt.Sprintf("transport: handler %s panicked: %v", req.Method, r)
+						body, code = nil, 0
+						text = fmt.Sprintf("transport: handler %s panicked: %v", f.text, r)
 					}
 				}()
-				if body, err := h(req.Body); err != nil {
-					resp.Err = err.Error()
+				out, err := h(f.body)
+				if err != nil {
+					text = err.Error()
 					var se *StatusError
 					if errors.As(err, &se) {
-						resp.Code = se.Code
+						code = se.Code
 					}
 				} else {
-					resp.Body = body
+					body = out
 				}
 			}()
-			write(&resp)
-		}(req)
+			write(f.id, code, text, body)
+			// Only now: an echoing handler's response is its request body.
+			putBody(f.buf)
+		}()
 	}
 }
 
@@ -327,7 +406,7 @@ func (e *RemoteError) Error() string {
 }
 
 // StatusError is how a handler attaches a status code to the error it
-// returns: the server copies Code into the response envelope and the
+// returns: the server copies Code into the response frame's header and the
 // caller finds it in RemoteError.Code. The codes belong to the protocol
 // served (core keeps the aggregator's table); 0 means unclassified.
 type StatusError struct {
@@ -338,9 +417,9 @@ type StatusError struct {
 func (e *StatusError) Error() string { return e.Err.Error() }
 func (e *StatusError) Unwrap() error { return e.Err }
 
-// Encode encodes v for use as a request or response body: the fixed-layout
-// codec for data-plane messages implementing WireAppender, gob for
-// everything else (the control plane).
+// Encode encodes v for use as a request or response body: its own fixed
+// layout for a message implementing WireAppender (every message exchanged
+// per round), gob for everything else (attestation, registration).
 func Encode(v any) ([]byte, error) {
 	if wa, ok := v.(WireAppender); ok {
 		return wa.AppendWire(nil)
@@ -353,8 +432,8 @@ func Encode(v any) ([]byte, error) {
 }
 
 // Decode decodes body into v, by the same rule as Encode: a WireDecoder
-// takes the fixed-layout codec and nothing else — a body without the codec
-// magic is its decode error, not a gob retry.
+// takes its fixed layout and nothing else — a body in another encoding is
+// its decode error, not a gob retry. Nothing decoded aliases body.
 func Decode(body []byte, v any) error {
 	if wd, ok := v.(WireDecoder); ok {
 		return wd.DecodeWire(body)

@@ -270,8 +270,38 @@ func TestFrameLimit(t *testing.T) {
 		hdr := []byte{0xFF, 0xFF, 0xFF, 0xFF}
 		a.Write(hdr)
 	}()
-	var req request
-	if err := readFrame(b, &req); err == nil {
+	if _, err := readFrame(b); err == nil {
 		t.Fatal("oversized frame accepted")
+	}
+}
+
+// writeCounter records the size of each Write it receives.
+type writeCounter struct{ sizes []int }
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.sizes = append(w.sizes, len(p))
+	return len(p), nil
+}
+
+// A frame that fits the 64 KiB seed leaves in one Write (one net.Pipe
+// rendezvous, one TLS record); one byte more and the body follows its
+// header in a second Write instead of being staged.
+func TestFrameWriteCount(t *testing.T) {
+	fits := bodySeed - framePrefix - frameFixed - len("m")
+	for _, tc := range []struct {
+		body int
+		want []int
+	}{
+		{0, []int{framePrefix + frameFixed + 1}},
+		{fits, []int{bodySeed}},
+		{fits + 1, []int{framePrefix + frameFixed + 1, fits + 1}},
+	} {
+		var w writeCounter
+		if err := writeFrame(&w, 1, kindRequest, 0, "m", make([]byte, tc.body)); err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(w.sizes) != fmt.Sprint(tc.want) {
+			t.Errorf("%d-byte body left in Writes of %v bytes, want %v", tc.body, w.sizes, tc.want)
+		}
 	}
 }
