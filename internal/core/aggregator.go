@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -53,13 +52,13 @@ type AggregatorNode struct {
 	// journal, when non-nil, is the durable round-state log. Mutations
 	// append to it (fsync-on-commit) before acknowledging.
 	journal *journal.Journal
-	// walBuf is the reused encode scratch for fragment WAL records:
-	// journal.Append copies the frame out synchronously, so the buffer is
-	// free again when logFragmentDurable returns. Guarded by mu like
-	// every caller; ephemeral, never journaled or recovered.
+	// walBuf is the reused encode scratch for WAL records: journal.Append
+	// copies the frame out synchronously, so the buffer is free again when
+	// logFragmentDurable or logEvent* returns. Guarded by mu like every
+	// caller; ephemeral, never journaled or recovered.
 	walBuf []byte
-	// compactEvery bounds the journal tail before a snapshot+truncate
-	// compaction (0 = default).
+	// compactEvery bounds the journal tail before a compaction rewrites
+	// the log as the node's state (0 = default).
 	compactEvery int
 
 	// clock is the injected time source for the round lifecycle and
@@ -153,7 +152,7 @@ func (a *AggregatorNode) Register(partyID string) {
 		// Best-effort journaling: a lost register record is self-healing
 		// (uploads imply registration on replay, and parties re-register on
 		// reconnect), so registration does not fail on journal errors.
-		a.logEvent(recRegister, walEvent{Party: partyID})
+		a.logEvent(recRegister, 0, partyID)
 		a.parties[partyID] = true
 	}
 	a.lastSeen[partyID] = a.nowLocked()
@@ -280,10 +279,11 @@ func (a *AggregatorNode) upload(round int, partyID string, frag tensor.Vector, w
 func (a *AggregatorNode) SetQuorum(n int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	n = max(n, 0) // every n <= 0 means the same; 0 is the one journaled
 	if a.quorum == n {
 		return
 	}
-	a.logEvent(recQuorum, walEvent{N: n})
+	a.logEvent(recQuorum, n, "")
 	a.quorum = n
 }
 
@@ -294,16 +294,18 @@ func (a *AggregatorNode) SetQuorum(n int) {
 func (a *AggregatorNode) SetRetention(n int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	n = max(n, 0) // every n <= 0 means the same; 0 is the one journaled
 	if a.retention == n {
 		return
 	}
-	a.logEvent(recRetention, walEvent{N: n})
+	a.logEvent(recRetention, n, "")
 	a.retention = n
 	a.evictLocked(a.lastAggregated)
 }
 
-// SetCompactEvery tunes how many journal records accumulate before a
-// snapshot+truncate compaction (default 1024; no-op without a journal).
+// SetCompactEvery tunes how many journal records accumulate before the
+// journal is compacted — rewritten as the node's current state (default
+// 1024; no-op without a journal).
 func (a *AggregatorNode) SetCompactEvery(n int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -354,11 +356,7 @@ func (a *AggregatorNode) Aggregate(round int) error {
 		return fmt.Errorf("%w: round %d has %d/%d uploads", ErrRoundIncomplete, round, uploadCount(rs), a.required())
 	}
 	// Deterministic party order: sort IDs.
-	ids := make([]string, 0, len(rs.fragments))
-	for id := range rs.fragments {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
+	ids := sortedKeys(rs.fragments)
 	updates := make([]tensor.Vector, len(ids))
 	weights := make([]float64, len(ids))
 	for i, id := range ids {
@@ -418,20 +416,8 @@ func (a *AggregatorNode) fused(round int, partyID string) (tensor.Vector, error)
 	}
 	// Advisory fetch-served record (no fsync: its loss is harmless); it
 	// lets operators audit which rounds were actually delivered.
-	a.logEventAdvisory(recFetch, walEvent{Party: partyID, Round: round})
+	a.logEventAdvisory(recFetch, round, partyID)
 	return rs.aggregated, nil
-}
-
-// DropRound frees a completed round's state.
-func (a *AggregatorNode) DropRound(round int) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if _, ok := a.rounds[round]; !ok {
-		return
-	}
-	a.logEvent(recDrop, walEvent{Round: round})
-	delete(a.rounds, round)
-	a.maybeCompactLocked()
 }
 
 // evictLocked applies the retention policy after round `latest` fused.

@@ -275,7 +275,7 @@ func (a *AggregatorNode) reapLocked(now time.Time) []string {
 	}
 	sort.Strings(stale)
 	for _, p := range stale {
-		a.logEvent(recEvict, walEvent{Party: p})
+		a.logEvent(recEvict, 0, p)
 		delete(a.parties, p)
 		delete(a.lastSeen, p)
 		a.evicted[p] = true
@@ -294,7 +294,7 @@ func (a *AggregatorNode) reapLocked(now time.Time) []string {
 // membership change so replay reproduces the decision. Callers must hold
 // a.mu.
 func (a *AggregatorNode) rejoinLocked(partyID string) {
-	a.logEvent(recRejoin, walEvent{Party: partyID})
+	a.logEvent(recRejoin, 0, partyID)
 	delete(a.evicted, partyID)
 	a.parties[partyID] = true
 }
@@ -324,10 +324,5 @@ func (a *AggregatorNode) Suspects() []string {
 func (a *AggregatorNode) EvictedParties() []string {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	out := make([]string, 0, len(a.evicted))
-	for p := range a.evicted {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
+	return sortedKeys(a.evicted)
 }

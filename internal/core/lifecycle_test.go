@@ -573,13 +573,14 @@ func TestReplayEvictRejoinInterleavedWithQuorumRetention(t *testing.T) {
 	}
 }
 
-// Rejoin after snapshot compaction: the eviction rides the snapshot, the
-// rejoin rides the post-snapshot log tail, and both survive a restart.
+// Rejoin after compaction: the eviction rides the rewritten log's
+// membership records, the rejoin a record appended after them, and both
+// survive a restart.
 func TestRejoinAfterSnapshotCompaction(t *testing.T) {
 	dir := t.TempDir()
 	clk := NewFakeClock(lifecycleEpoch)
 	node, _ := recoverLifecycleNode(t, "agg-cmp", dir, clk)
-	node.SetCompactEvery(1) // compact on every mutation: evict lands in a snapshot
+	node.SetCompactEvery(1) // compact on every mutation: evict lands in a compacted log
 	node.SetLiveness(time.Second, 2*time.Second)
 	node.Register("P1")
 	node.Register("P2")
@@ -600,7 +601,8 @@ func TestRejoinAfterSnapshotCompaction(t *testing.T) {
 	if info.Evicted != 1 || len(node2.EvictedParties()) != 1 {
 		t.Fatalf("eviction lost in compaction: info=%d evicted=%v", info.Evicted, node2.EvictedParties())
 	}
-	// Rejoin lands after the snapshot; another compaction folds it in.
+	// Rejoin lands after the compacted records; another compaction folds it
+	// in.
 	if rejoined, err := node2.Heartbeat("P2"); err != nil || !rejoined {
 		t.Fatalf("rejoin = (%v, %v)", rejoined, err)
 	}

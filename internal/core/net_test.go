@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"errors"
 	"math"
 	"reflect"
@@ -104,6 +106,17 @@ func TestNetErrorsPropagate(t *testing.T) {
 	}
 }
 
+// gobEncode returns v's gob encoding: what a peer or journal from before
+// the fixed layouts wrote.
+func gobEncode(t *testing.T, v any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestFragmentMessagesHaveOneEncoding: the fragment-bearing RPC bodies
 // decode from the fixed-layout codec or not at all — a gob body (what a
 // pre-codec peer sent) and a truncated one are errors, with no fallback.
@@ -112,10 +125,7 @@ func TestFragmentMessagesHaveOneEncoding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gobBody, err := encodeWAL(UploadReq{Round: 1, PartyID: "P1", Fragment: []float64{1, 2, 3}, Weight: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	gobBody := gobEncode(t, UploadReq{Round: 1, PartyID: "P1", Fragment: []float64{1, 2, 3}, Weight: 1})
 	for _, tc := range []struct {
 		name    string
 		body    []byte
@@ -196,10 +206,7 @@ func TestRoundControlBodies(t *testing.T) {
 			t.Fatalf("zero %T encodes to %d bytes, %v; want the %d fixed ones", m.msg, len(zero), err, ctlFixedLen)
 		}
 
-		gobBody, err := encodeWAL(m.msg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		gobBody := gobEncode(t, m.msg)
 		mutate := func(f func(b []byte) []byte) []byte { return f(append([]byte(nil), valid...)) }
 		type hostileBody struct {
 			name    string

@@ -1,21 +1,21 @@
 package core
 
-// Crash recovery for aggregator nodes: the event/snapshot encoding written
-// to the internal/journal write-ahead log, and the replay path that
-// rehydrates an AggregatorNode after a restart.
+// Crash recovery for aggregator nodes: the records an AggregatorNode
+// writes to its internal/journal write-ahead log, and the one path that
+// replays them after a restart.
 //
-// Replay is idempotent by construction — registering twice, re-applying an
-// identical upload, or re-setting an aggregated vector all converge to the
-// same state — so a log whose records partially overlap the compaction
-// snapshot (the window a crash between snapshot-rename and log-truncate
-// leaves behind) replays safely on top of it.
+// Every record type has one payload encoding: uploads and fused rounds
+// carry the transport fragment codec, the events the round-control layout
+// of net.go. Compaction rewrites the log as the same records the live path
+// writes, in an order that replays to exactly the node's state
+// (compactRecordsLocked), so recovery is a single loop: every record in
+// wal.log, in order, through applyRecord.
 
 import (
-	"bytes"
-	"encoding/gob"
+	"cmp"
 	"fmt"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"deta/internal/agg"
 	"deta/internal/journal"
@@ -25,18 +25,18 @@ import (
 )
 
 // Journal record types (journal.Record.Type). The values are on-disk
-// format: 2 and 3 were the gob-payload fragment records and are never
-// reused — replay rejects them as unknown.
+// format and are never reused: 2 and 3 were gob-payload fragment records
+// and 4 dropped a round; replay rejects all three as unknown.
 const (
+	// Event records: a round-control body (flags 0) whose u32 holds the
+	// round (fetch) or the new value (quorum, retention); see eventFields.
 	recRegister  uint8 = 1 // a party was admitted
-	recDrop      uint8 = 4 // a round's state was explicitly dropped
 	recQuorum    uint8 = 5 // the party quorum changed
 	recRetention uint8 = 6 // the round-retention bound changed
 	recFetch     uint8 = 7 // advisory: an aggregated fragment was served
 
 	// Fragment-carrying records: their payload is a transport fragment
-	// encoding, not a gob walEvent, so the hot upload path journals
-	// without gob's reflection cost.
+	// encoding, the one the fragment arrived in.
 	recUpload    uint8 = 8 // an accepted fragment (fsynced before ack)
 	recAggregate uint8 = 9 // a fused round; carries the fused vector
 
@@ -48,43 +48,15 @@ const (
 	recRejoin uint8 = 11 // an evicted party was readmitted
 )
 
-// walEvent is the single gob-encoded payload shape shared by all record
-// types that carry no fragment; unused fields stay at their zero values.
-type walEvent struct {
-	Party string
-	Round int
-	N     int
-}
-
-// walRound is one round's state inside a compaction snapshot.
-type walRound struct {
-	Fragments  map[string][]float64
-	Weights    map[string]float64
-	Aggregated []float64
-}
-
-// walSnapshot is the full-node compaction snapshot. Evicted was added with
-// the churn records; gob keeps old snapshots decodable (missing field
-// stays empty) and old binaries tolerant of new ones.
-type walSnapshot struct {
-	Parties        []string
-	Quorum         int
-	Retention      int
-	LastAggregated int
-	Rounds         map[int]walRound
-	Evicted        []string
-}
-
-func encodeWAL(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeWAL(data []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
+// eventFields says which round-control fields each event record carries.
+// A type missing here is a fragment record or unknown.
+var eventFields = map[uint8]ctlFields{
+	recRegister:  {party: true},
+	recQuorum:    {round: true},
+	recRetention: {round: true},
+	recFetch:     {round: true, party: true},
+	recEvict:     {party: true},
+	recRejoin:    {party: true},
 }
 
 // RecoveryInfo summarizes what a journal replay restored, for boot logging.
@@ -114,14 +86,6 @@ func RecoverAggregatorNode(id string, algorithm agg.Algorithm, cvm *sev.CVM, dir
 		return nil, nil, fmt.Errorf("core: aggregator %s: %w", id, err)
 	}
 	info := &RecoveryInfo{TornTail: rec.Truncated}
-	if rec.Snapshot != nil {
-		var snap walSnapshot
-		if err := decodeWAL(rec.Snapshot, &snap); err != nil {
-			_ = j.Close() // recovery already failed; report the decode error
-			return nil, nil, fmt.Errorf("core: aggregator %s: decoding snapshot: %w", id, err)
-		}
-		node.restoreSnapshot(snap)
-	}
 	for _, r := range rec.Records {
 		if err := node.applyRecord(r, info); err != nil {
 			_ = j.Close() // recovery already failed; report the replay error
@@ -172,36 +136,8 @@ func StateDirFor(stateDir, aggregatorID string) string {
 	return filepath.Join(stateDir, aggregatorID)
 }
 
-// restoreSnapshot loads a compaction snapshot into a fresh node.
-func (a *AggregatorNode) restoreSnapshot(snap walSnapshot) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for _, p := range snap.Parties {
-		a.parties[p] = true
-	}
-	for _, p := range snap.Evicted {
-		a.evicted[p] = true
-	}
-	a.quorum = snap.Quorum
-	a.retention = snap.Retention
-	a.lastAggregated = snap.LastAggregated
-	for round, wr := range snap.Rounds {
-		rs := newRoundState()
-		for id, f := range wr.Fragments {
-			rs.fragments[id] = tensor.Vector(f)
-		}
-		for id, w := range wr.Weights {
-			rs.weights[id] = w
-		}
-		if wr.Aggregated != nil {
-			rs.aggregated = tensor.Vector(wr.Aggregated)
-		}
-		a.rounds[round] = rs
-	}
-}
-
-// applyRecord replays one journal record. Application is idempotent, so
-// records that overlap the snapshot re-apply harmlessly.
+// applyRecord replays one journal record through the state change the
+// live path made when it wrote the record.
 func (a *AggregatorNode) applyRecord(r journal.Record, info *RecoveryInfo) error {
 	if r.Type == recUpload || r.Type == recAggregate {
 		var f transport.Fragment
@@ -229,36 +165,36 @@ func (a *AggregatorNode) applyRecord(r journal.Record, info *RecoveryInfo) error
 		}
 		return nil
 	}
-	var ev walEvent
-	if err := decodeWAL(r.Data, &ev); err != nil {
+	has, ok := eventFields[r.Type]
+	if !ok {
+		return fmt.Errorf("unknown record type %d", r.Type)
+	}
+	_, n, party, err := decodeCtl(r.Data, has)
+	if err != nil {
 		return fmt.Errorf("record type %d: %w", r.Type, err)
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	switch r.Type {
 	case recRegister:
-		a.parties[ev.Party] = true
-		delete(a.evicted, ev.Party)
-	case recDrop:
-		delete(a.rounds, ev.Round)
+		a.parties[party] = true
+		delete(a.evicted, party)
 	case recQuorum:
-		a.quorum = ev.N
+		a.quorum = n
 	case recRetention:
-		a.retention = ev.N
+		a.retention = n
 		a.evictLocked(a.lastAggregated)
 	case recFetch:
 		if info != nil {
 			info.FetchesServed++
 		}
 	case recEvict:
-		delete(a.parties, ev.Party)
-		delete(a.lastSeen, ev.Party)
-		a.evicted[ev.Party] = true
+		delete(a.parties, party)
+		delete(a.lastSeen, party)
+		a.evicted[party] = true
 	case recRejoin:
-		delete(a.evicted, ev.Party)
-		a.parties[ev.Party] = true
-	default:
-		return fmt.Errorf("unknown record type %d", r.Type)
+		delete(a.evicted, party)
+		a.parties[party] = true
 	}
 	return nil
 }
@@ -281,8 +217,8 @@ func (a *AggregatorNode) applyAggregated(round int, fused tensor.Vector) {
 
 // logFragmentDurable commits a fragment-carrying record (fsync) before
 // the caller acknowledges the mutation, encoding the payload with the
-// fixed-layout wire codec — the same encoding the fragment arrived in —
-// instead of gob. The encoding reuses a.walBuf, so steady-state uploads
+// fixed-layout wire codec — the same encoding the fragment arrived in.
+// The encoding reuses a.walBuf, so steady-state uploads
 // journal without allocating; the journal copies the record out before
 // Append returns, which is what makes the reuse safe. With no journal
 // attached it is a no-op. Callers must hold a.mu.
@@ -302,33 +238,44 @@ func (a *AggregatorNode) logFragmentDurable(typ uint8, party string, round int, 
 	return a.journal.Append(typ, data)
 }
 
-// logEvent journals best-effort for mutations that are self-healing after
-// a crash (registration, config); errors are ignored by design. Callers
-// must hold a.mu.
-func (a *AggregatorNode) logEvent(typ uint8, ev walEvent) {
-	if a.journal == nil {
-		return
-	}
-	if data, err := encodeWAL(ev); err == nil {
+// logEvent journals an event record best-effort, for mutations that are
+// self-healing after a crash (registration, config); errors are ignored by
+// design. n is the record's round or value (see eventFields). Callers must
+// hold a.mu.
+func (a *AggregatorNode) logEvent(typ uint8, n int, party string) {
+	if data, ok := a.encodeEventLocked(n, party); ok {
 		a.journal.Append(typ, data)
 	}
 }
 
-// logEventAdvisory journals without fsync, for records whose loss is
-// harmless (fetch-served audit trail). Callers must hold a.mu.
-func (a *AggregatorNode) logEventAdvisory(typ uint8, ev walEvent) {
-	if a.journal == nil {
-		return
-	}
-	if data, err := encodeWAL(ev); err == nil {
+// logEventAdvisory journals an event record without fsync, for records
+// whose loss is harmless (fetch-served audit trail). Callers must hold a.mu.
+func (a *AggregatorNode) logEventAdvisory(typ uint8, n int, party string) {
+	if data, ok := a.encodeEventLocked(n, party); ok {
 		a.journal.AppendNoSync(typ, data)
 	}
 }
 
-// maybeCompactLocked snapshots and truncates the journal once its tail
-// exceeds the compaction threshold, bounding disk usage and restart replay
-// time. Compaction failure is non-fatal (the WAL itself is intact; the
-// next mutation past the threshold retries). Callers must hold a.mu.
+// encodeEventLocked encodes an event record's round-control body into
+// a.walBuf, reused as logFragmentDurable does. ok is false with no journal
+// attached or when the body does not encode. Callers must hold a.mu.
+func (a *AggregatorNode) encodeEventLocked(n int, party string) (data []byte, ok bool) {
+	if a.journal == nil {
+		return nil, false
+	}
+	data, err := appendCtl(a.walBuf[:0], 0, n, party)
+	if err != nil {
+		return nil, false
+	}
+	a.walBuf = data
+	return data, true
+}
+
+// maybeCompactLocked rewrites the journal as the node's current state once
+// its tail exceeds the compaction threshold, bounding disk usage and
+// restart replay time. Compaction failure is non-fatal (the log itself is
+// intact; the next mutation past the threshold retries). Callers must hold
+// a.mu.
 func (a *AggregatorNode) maybeCompactLocked() {
 	if a.journal == nil {
 		return
@@ -340,47 +287,81 @@ func (a *AggregatorNode) maybeCompactLocked() {
 	if a.journal.TailLen() < threshold {
 		return
 	}
-	data, err := encodeWAL(a.snapshotLocked())
+	recs, err := a.compactRecordsLocked()
 	if err != nil {
 		return
 	}
-	a.journal.Compact(data)
+	a.journal.Compact(recs)
 }
 
-// snapshotLocked captures the node's full state as a compaction snapshot.
-// Slice-valued fields are built in sorted order so the snapshot content
-// is deterministic for a given state — map iteration order must never
-// leak into what gets written to disk. Callers must hold a.mu.
-func (a *AggregatorNode) snapshotLocked() walSnapshot {
-	snap := walSnapshot{
-		Quorum:         a.quorum,
-		Retention:      a.retention,
-		LastAggregated: a.lastAggregated,
-		Rounds:         make(map[int]walRound, len(a.rounds)),
-	}
-	for p := range a.parties {
-		snap.Parties = append(snap.Parties, p)
-	}
-	sort.Strings(snap.Parties)
-	for p := range a.evicted {
-		snap.Evicted = append(snap.Evicted, p)
-	}
-	sort.Strings(snap.Evicted)
-	for round, rs := range a.rounds {
-		wr := walRound{
-			Fragments: make(map[string][]float64, len(rs.fragments)),
-			Weights:   make(map[string]float64, len(rs.weights)),
+// compactRecordsLocked writes the node's durable state as the records the
+// live path writes, in the order that makes applyRecord replay to exactly
+// that state:
+//
+//   - quorum, then retention;
+//   - fused rounds, ascending: each round's uploads, then its
+//     recAggregate. Every fused round the node holds lies above the
+//     retention horizon of the rounds fused before it, so no eviction that
+//     replay re-runs removes one;
+//   - open rounds, ascending. They may lie below the horizon (a
+//     straggler's upload after its round was evicted), and replaying an
+//     upload evicts nothing;
+//   - membership: recRegister for every party, recEvict for every evicted
+//     one. It comes last because replaying an upload readmits its party.
+//
+// Rounds and parties are written in sorted order, so the same state always
+// compacts to the same bytes. Callers must hold a.mu.
+func (a *AggregatorNode) compactRecordsLocked() ([]journal.Record, error) {
+	var (
+		recs  []journal.Record
+		first error // the first encoding error, if any
+	)
+	add := func(typ uint8, data []byte, err error) {
+		recs = append(recs, journal.Record{Type: typ, Data: data})
+		if first == nil {
+			first = err
 		}
-		for id, f := range rs.fragments {
-			wr.Fragments[id] = f
-		}
-		for id, w := range rs.weights {
-			wr.Weights[id] = w
-		}
-		if rs.aggregated != nil {
-			wr.Aggregated = rs.aggregated
-		}
-		snap.Rounds[round] = wr
 	}
-	return snap
+	event := func(typ uint8, n int, party string) {
+		data, err := appendCtl(nil, 0, n, party)
+		add(typ, data, err)
+	}
+	fragment := func(typ uint8, round int, party string, v tensor.Vector, weight float64) {
+		data, err := transport.AppendFragment(nil, &transport.Fragment{Round: round, PartyID: party, Weight: weight, Values: v})
+		add(typ, data, err)
+	}
+	event(recQuorum, a.quorum, "")
+	event(recRetention, a.retention, "")
+	rounds := sortedKeys(a.rounds)
+	for _, fused := range []bool{true, false} {
+		for _, r := range rounds {
+			rs := a.rounds[r]
+			if (rs.aggregated != nil) != fused {
+				continue
+			}
+			for _, p := range sortedKeys(rs.fragments) {
+				fragment(recUpload, r, p, rs.fragments[p], rs.weights[p])
+			}
+			if fused {
+				fragment(recAggregate, r, "", rs.aggregated, 0)
+			}
+		}
+	}
+	for _, p := range sortedKeys(a.parties) {
+		event(recRegister, 0, p)
+	}
+	for _, p := range sortedKeys(a.evicted) {
+		event(recEvict, 0, p)
+	}
+	return recs, first
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }

@@ -1,13 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"net"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -191,9 +191,8 @@ func TestRecoverAggregatorNode(t *testing.T) {
 }
 
 // Compaction must preserve recoverability while keeping the log short: a
-// node that compacted (snapshot+truncate) recovers the same state, and the
-// crash window between snapshot rename and log truncation (old records
-// replayed on top of the snapshot that contains them) is harmless.
+// node whose journal was rewritten many times over recovers every round,
+// from a directory holding nothing but wal.log.
 func TestRecoverAfterCompaction(t *testing.T) {
 	proxy, vendor := testTrust(t)
 	dir := t.TempDir()
@@ -215,9 +214,24 @@ func TestRecoverAfterCompaction(t *testing.T) {
 	}
 	node.CloseJournal()
 
-	// The log must have been truncated along the way.
-	if fi, err := os.Stat(filepath.Join(dir, "snapshot.bin")); err != nil || fi.Size() == 0 {
-		t.Fatalf("no compaction snapshot written: %v", err)
+	// The log must have been rewritten along the way: only a compacted log
+	// starts with a quorum record (this node never set one).
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "wal.log" {
+		t.Fatalf("journal directory holds %v, want only wal.log", entries)
+	}
+	j, rec, err := journal.Open(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Records[0].Type != recQuorum {
+		t.Fatalf("log starts with record type %d, not a compaction's quorum record", rec.Records[0].Type)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
 	}
 
 	cvm2 := provisionCVM(t, proxy, vendor, "agg-c2")
@@ -334,25 +348,34 @@ func TestRetentionBoundsMemoryOver100Rounds(t *testing.T) {
 }
 
 // Session-level wiring: a StateDir session journals every aggregator and a
-// retention bound keeps their memory flat across the run.
+// retention bound keeps their memory flat across the run. RetainRounds <= 0
+// keeps one round, the last fused.
 func TestSessionStateDirAndRetention(t *testing.T) {
-	s := newTinySession(t, 2, true)
-	s.Opts.StateDir = t.TempDir()
-	s.Opts.JournalNoSync = true
-	s.Opts.RetainRounds = 2
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for _, node := range s.Nodes {
-		if node.JournalDir() == "" {
-			t.Fatalf("aggregator %s has no journal", node.ID)
-		}
-		if held := node.RoundsHeld(); held > 2 {
-			t.Fatalf("aggregator %s holds %d rounds, retention 2", node.ID, held)
-		}
-		if _, err := os.Stat(filepath.Join(node.JournalDir(), "wal.log")); err != nil {
-			t.Fatalf("aggregator %s journal missing: %v", node.ID, err)
-		}
+	for _, retain := range []int{0, 2} {
+		t.Run(fmt.Sprintf("retain=%d", retain), func(t *testing.T) {
+			s := newTinySession(t, 2, true)
+			s.Opts.StateDir = t.TempDir()
+			s.Opts.JournalNoSync = true
+			s.Opts.RetainRounds = retain
+			if _, err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			want := max(retain, 1)
+			if s.Cfg.Rounds <= want {
+				t.Fatalf("%d rounds cannot show retention %d", s.Cfg.Rounds, want)
+			}
+			for _, node := range s.Nodes {
+				if node.JournalDir() == "" {
+					t.Fatalf("aggregator %s has no journal", node.ID)
+				}
+				if held := node.RoundsHeld(); held != want {
+					t.Fatalf("aggregator %s holds %d rounds, want %d", node.ID, held, want)
+				}
+				if _, err := os.Stat(filepath.Join(node.JournalDir(), "wal.log")); err != nil {
+					t.Fatalf("aggregator %s journal missing: %v", node.ID, err)
+				}
+			}
+		})
 	}
 }
 
@@ -463,31 +486,60 @@ func TestAggregatorClientRedial(t *testing.T) {
 	client.C.Close()
 }
 
-// Regression: the compaction snapshot's slice-valued fields must not
-// inherit Go's randomized map iteration order. Parties is built by ranging
-// over the parties map; snapshotLocked must sort it so the bytes that
-// reach the WAL are a pure function of node state.
+// Regression: compaction must not let Go's randomized map iteration order
+// reach the disk. Compacting the same state repeatedly — forty parties,
+// rounds with several uploads, an evicted party — must write the same
+// bytes every time.
 func TestSnapshotPartiesSorted(t *testing.T) {
 	proxy, vendor := testTrust(t)
 	cvm := provisionCVM(t, proxy, vendor, "agg-snap")
-	node, err := NewAggregatorNode("agg-snap", agg.IterativeAverage{}, cvm)
+	dir := t.TempDir()
+	node, _, err := RecoverAggregatorNode("agg-snap", agg.IterativeAverage{}, cvm, dir, journal.Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Enough parties that an unsorted map range is effectively guaranteed
-	// to betray itself across repeated snapshots.
+	defer node.CloseJournal()
+	clk := NewFakeClock(time.Unix(1_700_000_000, 0))
+	node.SetClock(clk)
+	node.SetLiveness(time.Second, 2*time.Second)
 	for i := 0; i < 40; i++ {
 		node.Register(fmt.Sprintf("P%02d", i))
 	}
-	node.mu.Lock()
-	defer node.mu.Unlock()
-	for trial := 0; trial < 5; trial++ {
-		snap := node.snapshotLocked()
-		if !sort.StringsAreSorted(snap.Parties) {
-			t.Fatalf("trial %d: snapshot parties unsorted: %v", trial, snap.Parties)
+	clk.Advance(time.Second)
+	for round := 1; round <= 3; round++ {
+		for i := 0; i < 40; i++ {
+			if err := node.Upload(round, fmt.Sprintf("P%02d", i), tensor.Vector{float64(i), float64(round)}, 1); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if len(snap.Parties) != 40 {
-			t.Fatalf("trial %d: %d parties, want 40", trial, len(snap.Parties))
+	}
+	if err := node.Aggregate(1); err != nil {
+		t.Fatal(err)
+	}
+	node.Register("silent")
+	clk.Advance(2 * time.Second)
+	if got := node.Tick(); len(got) != 41 {
+		t.Fatalf("tick evicted %d parties, want all 41", len(got))
+	}
+	var first []byte
+	for trial := 0; trial < 5; trial++ {
+		node.mu.Lock()
+		recs, err := node.compactRecordsLocked()
+		if err == nil {
+			err = node.journal.Compact(recs)
+		}
+		node.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(filepath.Join(dir, "wal.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if trial == 0 {
+			first = b
+		} else if !bytes.Equal(b, first) {
+			t.Fatalf("trial %d: compacting the same state wrote different bytes", trial)
 		}
 	}
 }
@@ -547,40 +599,57 @@ func TestUploadJournalFailureLeavesNoPhantomRound(t *testing.T) {
 	}
 }
 
-// TestRecoverRejectsRetiredFragmentRecords: record types 2 and 3 carried
-// gob-encoded fragments before the fixed-layout records 8 and 9. They have
-// no replay path; a journal holding one fails recovery naming the type
-// rather than skipping an acknowledged upload.
+// TestRecoverRejectsRetiredFragmentRecords: a journal written before the
+// fixed layouts fails recovery, naming the record type, rather than
+// replaying to a node that is silently missing state. Types 2 and 3
+// carried gob-encoded fragments and 4 dropped a round: none has a replay
+// path. The event types now carry the round-control layout, so the gob
+// walEvent they once held is a decode error.
 func TestRecoverRejectsRetiredFragmentRecords(t *testing.T) {
 	proxy, vendor := testTrust(t)
-	// The payload is what such a record held: a gob struct with the fields
-	// walEvent has kept plus the fragment it no longer has.
-	payload, err := encodeWAL(struct {
+	// What those records held: a gob struct with the fields the event
+	// payload had, plus, for 2 and 3, the fragment.
+	fragment := gobEncode(t, struct {
 		Party  string
 		Round  int
 		Frag   []float64
 		Weight float64
 	}{"P1", 1, []float64{1, 2}, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, typ := range []uint8{2, 3} {
+	event := gobEncode(t, struct {
+		Party string
+		Round int
+		N     int
+	}{"P1", 1, 2})
+	for _, tc := range []struct {
+		typ     uint8
+		payload []byte
+		want    string
+	}{
+		{2, fragment, "unknown record type 2"},
+		{3, fragment, "unknown record type 3"},
+		{4, event, "unknown record type 4"},
+		{recRegister, event, "record type 1: "},
+		{recQuorum, event, "record type 5: "},
+		{recRetention, event, "record type 6: "},
+		{recFetch, event, "record type 7: "},
+		{recEvict, event, "record type 10: "},
+		{recRejoin, event, "record type 11: "},
+	} {
 		dir := t.TempDir()
 		j, _, err := journal.Open(dir, journal.Options{NoSync: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := j.Append(typ, payload); err != nil {
+		if err := j.Append(tc.typ, tc.payload); err != nil {
 			t.Fatal(err)
 		}
 		if err := j.Close(); err != nil {
 			t.Fatal(err)
 		}
-		id := fmt.Sprintf("agg-retired-%d", typ)
+		id := fmt.Sprintf("agg-retired-%d", tc.typ)
 		_, _, err = RecoverAggregatorNode(id, agg.IterativeAverage{}, provisionCVM(t, proxy, vendor, id), dir, journal.Options{NoSync: true})
-		want := fmt.Sprintf("unknown record type %d", typ)
-		if err == nil || !strings.Contains(err.Error(), want) {
-			t.Fatalf("recovery over a type-%d record: err = %v, want %q", typ, err, want)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("recovery over a gob type-%d record: err = %v, want one containing %q", tc.typ, err, tc.want)
 		}
 	}
 }

@@ -60,10 +60,9 @@ type Options struct {
 	// JournalNoSync skips the per-record fsync (process-crash durability
 	// only; for tests and benchmarks).
 	JournalNoSync bool
-	// RetainRounds, when positive, evicts aggregated rounds older than N
-	// from each aggregator's memory (the journal stays the durable
-	// copy), and Run skips its explicit per-round DropRound in favor of
-	// that policy.
+	// RetainRounds is how many fused rounds each aggregator keeps in
+	// memory: older ones are evicted after every fusion (the journal stays
+	// the durable copy). Values below 1 keep one, the round just fused.
 	RetainRounds int
 	// RoundDeadline, when positive, arms the per-round lifecycle state
 	// machine on every aggregator: a round still below quorum after this
@@ -208,9 +207,7 @@ func (s *Session) Setup() (err error) {
 		if err != nil {
 			return err
 		}
-		if s.Opts.RetainRounds > 0 {
-			node.SetRetention(s.Opts.RetainRounds)
-		}
+		node.SetRetention(max(s.Opts.RetainRounds, 1))
 		if s.Clock != nil {
 			node.SetClock(s.Clock)
 		}
@@ -348,12 +345,6 @@ func (s *Session) Run() (*fl.History, error) {
 			return nil, err
 		}
 		global = s.applyUpdate(global, fused)
-		if s.Opts.RetainRounds <= 0 {
-			// No retention policy: free each round eagerly as before.
-			for _, node := range s.Nodes {
-				node.DropRound(round)
-			}
-		}
 		cum += orSystem(s.Clock).Now().Sub(start)
 
 		m := fl.RoundMetrics{Round: round, TrainLoss: trainLoss, Cumulative: cum}

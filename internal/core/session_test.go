@@ -253,9 +253,8 @@ func TestAggregatorNodeProtocolErrors(t *testing.T) {
 	if len(leak) != 2 || leak["P1"][0] != 1 {
 		t.Fatalf("leak = %v", leak)
 	}
-	node.DropRound(1)
-	if node.LeakRoundFragments(1) != nil {
-		t.Fatal("round state survived DropRound")
+	if held := node.RoundsHeld(); held != 1 {
+		t.Fatalf("node holds %d rounds, want 1", held)
 	}
 }
 

@@ -32,9 +32,7 @@ func columnSum(t *testing.T, tab *Table, col int) float64 {
 }
 
 func TestTable1Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("attack grid is slow")
-	}
+	skipAttackGrid(t, "attack grid is slow")
 	sc := FastScale()
 	tab, err := Table1(sc)
 	if err != nil {
@@ -79,9 +77,7 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestTable2Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("attack grid is slow")
-	}
+	skipAttackGrid(t, "attack grid is slow")
 	sc := FastScale()
 	sc.AttackImages = 4
 	tab, err := Table2(sc)
@@ -99,9 +95,7 @@ func TestTable2Shape(t *testing.T) {
 }
 
 func TestTable3Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("attack grid is slow")
-	}
+	skipAttackGrid(t, "attack grid is slow")
 	sc := FastScale()
 	tab, err := Table3(sc)
 	if err != nil {
@@ -128,9 +122,9 @@ func TestFig3And4Render(t *testing.T) {
 	if testing.Short() {
 		t.Skip("reconstruction grids are slow")
 	}
-	sc := FastScale()
-	sc.AttackIters = 60
-	sc.IGIters = 60
+	sc := testScale()
+	sc.AttackIters = min(sc.AttackIters, 60)
+	sc.IGIters = min(sc.IGIters, 60)
 	var buf bytes.Buffer
 	if err := Fig3(sc, &buf); err != nil {
 		t.Fatal(err)
@@ -151,12 +145,17 @@ func TestFig3And4Render(t *testing.T) {
 }
 
 func TestFig5aEquivalenceAndOverhead(t *testing.T) {
-	sc := FastScale()
+	sc := testScale()
 	// One run's latency ratio is two sub-second timings of a shared
 	// machine divided by each other (0.60 was seen once in 40 runs under
 	// load), so the band is asserted on the median of five runs; the loss
-	// equality is exact and is asserted on every run.
-	const runs = 5
+	// equality is exact and is asserted on every run. Under the race
+	// detector the ratio measures the detector, not DeTA: one run checks
+	// the equality and the band is not asserted.
+	runs := 5
+	if raceBuild {
+		runs = 1
+	}
 	ratios := make([]float64, 0, runs)
 	for run := 0; run < runs; run++ {
 		lossAcc, latency, err := Fig5a(sc)
@@ -188,6 +187,9 @@ func TestFig5aEquivalenceAndOverhead(t *testing.T) {
 	// the transform and the RPC framing — a few percent of a round —
 	// inside timer noise (EXPERIMENTS.md records negative overheads at fast
 	// scale as noise).
+	if raceBuild {
+		return
+	}
 	sort.Float64s(ratios)
 	if median := ratios[runs/2]; median < 0.8 || median > 4.0 {
 		t.Errorf("median DETA/FFL latency ratio %v outside plausible band [0.8,4] (runs: %v)", median, ratios)
@@ -195,7 +197,7 @@ func TestFig5aEquivalenceAndOverhead(t *testing.T) {
 }
 
 func TestFig5bMedian(t *testing.T) {
-	sc := FastScale()
+	sc := testScale()
 	lossAcc, _, err := Fig5b(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +214,7 @@ func TestFig5cPaillier(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Paillier fusion is slow")
 	}
-	sc := FastScale()
+	sc := testScale()
 	lossAcc, latency, err := Fig5c(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -235,8 +237,8 @@ func TestFig6TwoPartyCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CIFAR workload is slow")
 	}
-	sc := FastScale()
-	sc.CIFARRounds = 2
+	sc := testScale()
+	sc.CIFARRounds = min(sc.CIFARRounds, 2)
 	lossAcc, latency, err := Fig6(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -260,8 +262,8 @@ func TestFig7NonIID(t *testing.T) {
 	if testing.Short() {
 		t.Skip("VGG workload is slow")
 	}
-	sc := FastScale()
-	sc.RVLRounds = 2
+	sc := testScale()
+	sc.RVLRounds = min(sc.RVLRounds, 2)
 	lossAcc, _, err := Fig7(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -288,9 +290,9 @@ func TestAblationAggregatorCount(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains 5 sessions")
 	}
-	sc := FastScale()
-	sc.SamplesPerParty = 12
-	sc.TestSamples = 12
+	sc := testScale()
+	sc.SamplesPerParty = min(sc.SamplesPerParty, 12)
+	sc.TestSamples = min(sc.TestSamples, 12)
 	tab, err := AblationAggregatorCount(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -315,9 +317,7 @@ func TestAblationAuthCost(t *testing.T) {
 }
 
 func TestAblationKnownMapper(t *testing.T) {
-	if testing.Short() {
-		t.Skip("attack grid is slow")
-	}
+	skipAttackGrid(t, "attack grid is slow")
 	sc := FastScale()
 	sc.AttackImages = 3
 	tab, err := AblationKnownMapper(sc)
@@ -342,9 +342,9 @@ func TestAblationDropout(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains two sessions")
 	}
-	sc := FastScale()
-	sc.SamplesPerParty = 12
-	sc.TestSamples = 12
+	sc := testScale()
+	sc.SamplesPerParty = min(sc.SamplesPerParty, 12)
+	sc.TestSamples = min(sc.TestSamples, 12)
 	tab, err := AblationDropout(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -413,9 +413,7 @@ func TestRegistry(t *testing.T) {
 }
 
 func TestAblationLabelInference(t *testing.T) {
-	if testing.Short() {
-		t.Skip("computes many gradients")
-	}
+	skipAttackGrid(t, "computes many gradients")
 	sc := FastScale()
 	sc.AttackImages = 3
 	tab, err := AblationLabelInference(sc)
@@ -436,9 +434,9 @@ func TestAblationLDP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains four sessions")
 	}
-	sc := FastScale()
-	sc.SamplesPerParty = 12
-	sc.TestSamples = 12
+	sc := testScale()
+	sc.SamplesPerParty = min(sc.SamplesPerParty, 12)
+	sc.TestSamples = min(sc.TestSamples, 12)
 	tab, err := AblationLDP(sc)
 	if err != nil {
 		t.Fatal(err)

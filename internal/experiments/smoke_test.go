@@ -32,6 +32,29 @@ func tinyScale() Scale {
 	return sc
 }
 
+// testScale is the scale of the tests that train: FastScale, or in the
+// race build tinyScale, one tiny round. Their equivalence assertions
+// (DeTA's loss equals FFL's, accuracy equal across K) hold at any scale.
+func testScale() Scale {
+	if raceBuild {
+		return tinyScale()
+	}
+	return FastScale()
+}
+
+// skipAttackGrid skips a test under -short and in the race build. Such a
+// test asserts attack success rates, which need the full attack budget,
+// and has no concurrency of its own for the detector to check; in the race
+// build TestSmokeAllExperiments still runs every attack, at tinyScale.
+// The verification gate (scripts/check.sh, CI) runs this package without
+// -race too, so these assertions and the Fig5a latency band stay gated.
+func skipAttackGrid(t *testing.T, why string) {
+	t.Helper()
+	if testing.Short() || raceBuild {
+		t.Skip(why)
+	}
+}
+
 // smokeWant maps every experiment ID to substrings its rendered output
 // must contain — the table CSV header (or figure title/series header)
 // that identifies the artifact. Adding an experiment to Registry without

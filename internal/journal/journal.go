@@ -1,29 +1,31 @@
 // Package journal is the durable round-state log that lets an aggregator
-// survive a crash: an append-only, CRC-framed, fsync-on-commit write-ahead
-// log plus snapshot+truncate compaction, built on the stdlib only.
+// survive a crash: one append-only, CRC-framed, fsync-on-commit
+// write-ahead log file, compacted by rewriting it, built on the stdlib
+// only.
 //
 // An aggregator appends one record per accepted mutation (register, upload,
 // aggregate, ...) *before* acknowledging it to the caller, so any state a
-// party has seen confirmed is recoverable. On restart, Open returns the
-// last compaction snapshot (if any) and every committed record appended
-// after it; a torn or corrupted tail — the expected artifact of a crash
-// mid-append — is truncated away silently, recovering to the last committed
-// record instead of erroring out.
+// party has seen confirmed is recoverable. On restart, Open returns every
+// committed record in wal.log; a torn or corrupted tail — the expected
+// artifact of a crash mid-append — is truncated away silently, recovering
+// to the last committed record instead of erroring out.
 //
-// On-disk format (wal.log and snapshot.bin share it):
+// On-disk format (wal.log):
 //
 //	record = type(1) | len(4, big-endian) | crc32c(4) | data(len)
 //
 // where the checksum covers the type byte, the length, and the data, so a
-// bit flip anywhere in a record is detected. The snapshot file holds
-// exactly one record and is replaced atomically (write-temp, fsync,
-// rename, fsync dir), so it is either the old or the new snapshot, never a
-// mix. Compaction truncates the log only after the snapshot rename is
-// durable; a crash between the two replays the (idempotent) log records on
-// top of the snapshot that already contains them.
+// bit flip anywhere in a record is detected. Compact replaces the log with
+// a shorter one holding the caller's records: it writes them to wal.tmp,
+// fsyncs it, renames it over wal.log and fsyncs the directory, then keeps
+// appending to the renamed file. A crash leaves either the old log or the
+// new one, each complete on its own, so there is no window in which two
+// files must be combined; a wal.tmp left behind is a compaction that never
+// committed, and Open deletes it.
 package journal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -35,9 +37,8 @@ import (
 )
 
 const (
-	logName      = "wal.log"
-	snapName     = "snapshot.bin"
-	snapTempName = "snapshot.tmp"
+	logName  = "wal.log"
+	tempName = "wal.tmp"
 
 	headerSize = 9 // type(1) + len(4) + crc(4)
 
@@ -52,7 +53,7 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 var ErrClosed = errors.New("journal: closed")
 
 // Record is one committed journal entry: an application-defined type tag
-// and an opaque payload (the aggregator gob-encodes its events).
+// and an opaque payload.
 type Record struct {
 	Type uint8
 	Data []byte
@@ -68,11 +69,9 @@ type Options struct {
 
 // Recovered is what Open found on disk.
 type Recovered struct {
-	// Snapshot is the payload of the last compaction snapshot, nil if the
-	// journal has never been compacted.
-	Snapshot []byte
-	// Records are the committed records appended after the snapshot, in
-	// append order.
+	// Records are the committed records of wal.log, in append order. Their
+	// Data aliases the one buffer Open read the file into: a caller that
+	// keeps a payload past replay copies it out.
 	Records []Record
 	// Truncated reports that a torn or corrupted tail was discarded — the
 	// normal signature of a crash mid-append, not an error.
@@ -86,39 +85,37 @@ type Journal struct {
 	log    *os.File
 	off    int64 // committed end of wal.log
 	noSync bool
-	tail   int // records appended since the last compaction
+	tail   int // records in wal.log not written by the last Compact
 	closed bool
 }
 
 // Open opens (creating if needed) the journal in dir and recovers its
 // contents. A torn tail is truncated in place so subsequent appends start
-// from the last committed record.
+// from the last committed record. Every recovered record counts toward
+// TailLen, so a restart brings the next compaction forward, never back.
 func Open(dir string, opts Options) (*Journal, *Recovered, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
-	rec := &Recovered{}
-
-	// Snapshot: replaced atomically by Compact, so a readable file is
-	// complete; anything else is real corruption worth surfacing.
-	snapPath := filepath.Join(dir, snapName)
-	if b, err := os.ReadFile(snapPath); err == nil {
-		r, n, err := decodeRecord(b)
-		if err != nil || n != len(b) {
-			return nil, nil, fmt.Errorf("journal: corrupt snapshot %s", snapPath)
-		}
-		rec.Snapshot = r.Data
+	// Journals once kept compacted state in a second file. Replaying the
+	// log without it would recover a node missing every compacted round,
+	// so such a directory is refused rather than half-read.
+	old := filepath.Join(dir, "snapshot.bin")
+	if _, err := os.Stat(old); err == nil {
+		return nil, nil, fmt.Errorf("journal: %s is a compaction snapshot this journal no longer reads; its state is not in %s", old, logName)
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
-	// A leftover temp file is a compaction that never committed.
-	os.Remove(filepath.Join(dir, snapTempName))
+	// A leftover temp file is a compaction that never committed: the log
+	// beside it is still the whole state.
+	os.Remove(filepath.Join(dir, tempName))
 
 	logPath := filepath.Join(dir, logName)
 	b, err := os.ReadFile(logPath)
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
+	rec := &Recovered{}
 	good := 0
 	for good < len(b) {
 		r, n, err := decodeRecord(b[good:])
@@ -151,9 +148,10 @@ func Open(dir string, opts Options) (*Journal, *Recovered, error) {
 // Dir returns the journal's directory.
 func (j *Journal) Dir() string { return j.dir }
 
-// TailLen returns the number of records appended since the last compaction
-// (including recovered ones) — the replay work a restart would do on top
-// of the snapshot. Callers compact when it grows past their threshold.
+// TailLen returns the number of records in the log that the last Compact
+// did not write (recovered ones included) — how far the log has grown past
+// the state it was last compacted to. Callers compact when it passes their
+// threshold.
 func (j *Journal) TailLen() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -202,54 +200,63 @@ func (j *Journal) append(typ uint8, data []byte, sync bool) error {
 	return nil
 }
 
-// Compact atomically replaces the snapshot with the given state and
-// truncates the log, bounding both disk usage and restart replay time. The
-// snapshot must capture every record appended so far; a crash between the
-// snapshot rename and the log truncation replays the old records on top of
-// it, which the aggregator's idempotent replay tolerates.
-func (j *Journal) Compact(snapshot []byte) error {
+// Compact replaces the log with recs — records that replay to the
+// caller's whole state — bounding both disk usage and restart replay time.
+// They are written to wal.tmp, which is fsynced (unless NoSync), renamed
+// over wal.log and then kept as the file later appends go to; the
+// directory is fsynced so the rename survives a host crash. The old log is
+// untouched until the rename, so a Compact that fails or is cut short by a
+// crash loses nothing. Compact does not keep recs.
+func (j *Journal) Compact(recs []Record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
 		return ErrClosed
 	}
-	tmpPath := filepath.Join(j.dir, snapTempName)
+	tmpPath := filepath.Join(j.dir, tempName)
 	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("journal: compact: %w", err)
 	}
-	if _, err := tmp.Write(encodeRecord(0, snapshot)); err != nil {
-		_ = tmp.Close() // the write error is the one worth reporting
-		os.Remove(tmpPath)
-		return fmt.Errorf("journal: compact: %w", err)
+	off, err := writeRecords(tmp, recs)
+	if err == nil && !j.noSync {
+		err = tmp.Sync()
 	}
-	if !j.noSync {
-		if err := tmp.Sync(); err != nil {
-			_ = tmp.Close() // the fsync error is the one worth reporting
-			os.Remove(tmpPath)
-			return fmt.Errorf("journal: compact fsync: %w", err)
-		}
+	if err == nil {
+		err = os.Rename(tmpPath, filepath.Join(j.dir, logName))
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpPath)
-		return fmt.Errorf("journal: compact: %w", err)
-	}
-	if err := os.Rename(tmpPath, filepath.Join(j.dir, snapName)); err != nil {
+	if err != nil {
+		_ = tmp.Close() // the compaction error is the one worth reporting
 		os.Remove(tmpPath)
 		return fmt.Errorf("journal: compact: %w", err)
 	}
 	if !j.noSync {
 		syncDir(j.dir)
 	}
-	if err := j.log.Truncate(0); err != nil {
-		return fmt.Errorf("journal: compact truncate: %w", err)
-	}
-	if _, err := j.log.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("journal: compact: %w", err)
-	}
-	j.off = 0
-	j.tail = 0
+	// The old handle's file was unlinked by the rename; nothing in it is
+	// needed any more.
+	_ = j.log.Close()
+	j.log, j.off, j.tail = tmp, off, 0
 	return nil
+}
+
+// writeRecords frames recs onto w through one buffer and returns the bytes
+// written.
+func writeRecords(w io.Writer, recs []Record) (int64, error) {
+	bw := bufio.NewWriterSize(w, 64<<10)
+	h := make([]byte, headerSize)
+	var off int64
+	for _, r := range recs {
+		if len(r.Data) > MaxRecord {
+			return 0, fmt.Errorf("record of %d bytes exceeds limit", len(r.Data))
+		}
+		// bufio.Writer errors are sticky: Flush reports the first one.
+		putHeader(h, r.Type, r.Data)
+		bw.Write(h)
+		bw.Write(r.Data)
+		off += int64(headerSize + len(r.Data))
+	}
+	return off, bw.Flush()
 }
 
 // Close fsyncs (unless NoSync) and closes the log file. A failed final
@@ -278,29 +285,32 @@ func (j *Journal) Close() error {
 // directory fsync).
 func syncDir(dir string) {
 	if d, err := os.Open(dir); err == nil {
-		//lint:ignore errdiscipline directory fsync is best-effort: some filesystems reject it, and the snapshot rename is already ordered by the file fsync
+		//lint:ignore errdiscipline directory fsync is best-effort: some filesystems reject it, and the rename is already ordered by the file fsync
 		d.Sync()
 		//lint:ignore errdiscipline read-only directory handle; nothing buffered to lose
 		d.Close()
 	}
 }
 
+// putHeader frames a record of typ carrying data into h[:headerSize]: the
+// type, the length, and the checksum over both and the data.
+func putHeader(h []byte, typ uint8, data []byte) {
+	h[0] = typ
+	binary.BigEndian.PutUint32(h[1:5], uint32(len(data)))
+	binary.BigEndian.PutUint32(h[5:9], crc32.Update(crc32.Update(0, crcTable, h[:5]), crcTable, data))
+}
+
 func encodeRecord(typ uint8, data []byte) []byte {
 	frame := make([]byte, headerSize+len(data))
-	frame[0] = typ
-	binary.BigEndian.PutUint32(frame[1:5], uint32(len(data)))
-	h := crc32.New(crcTable)
-	h.Write(frame[:5])
-	h.Write(data)
-	binary.BigEndian.PutUint32(frame[5:9], h.Sum32())
+	putHeader(frame, typ, data)
 	copy(frame[headerSize:], data)
 	return frame
 }
 
 // decodeRecord parses one record from the front of b, returning the bytes
-// consumed. Any framing or checksum violation — including a record cut
-// short by a crash — is an error; the caller treats it as the end of the
-// committed log.
+// consumed. The record's Data aliases b. Any framing or checksum violation
+// — including a record cut short by a crash — is an error; the caller
+// treats it as the end of the committed log.
 func decodeRecord(b []byte) (Record, int, error) {
 	if len(b) < headerSize {
 		return Record{}, 0, errors.New("journal: torn header")
@@ -313,13 +323,9 @@ func decodeRecord(b []byte) (Record, int, error) {
 	if len(b) < end {
 		return Record{}, 0, errors.New("journal: torn record")
 	}
-	h := crc32.New(crcTable)
-	h.Write(b[:5])
-	h.Write(b[headerSize:end])
-	if h.Sum32() != binary.BigEndian.Uint32(b[5:9]) {
+	data := b[headerSize:end:end]
+	if crc32.Update(crc32.Update(0, crcTable, b[:5]), crcTable, data) != binary.BigEndian.Uint32(b[5:9]) {
 		return Record{}, 0, errors.New("journal: checksum mismatch")
 	}
-	data := make([]byte, n)
-	copy(data, b[headerSize:end])
 	return Record{Type: b[0], Data: data}, end, nil
 }

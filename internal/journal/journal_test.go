@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -22,7 +23,7 @@ func TestAppendAndRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Snapshot != nil || len(rec.Records) != 0 || rec.Truncated {
+	if len(rec.Records) != 0 || rec.Truncated {
 		t.Fatalf("fresh journal recovered %+v", rec)
 	}
 	for i := 0; i < 10; i++ {
@@ -73,6 +74,39 @@ func TestEmptyAndZeroLengthRecords(t *testing.T) {
 	}
 }
 
+// readLog decodes every record in dir's wal.log as it is on disk now.
+func readLog(t *testing.T, dir string) []Record {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(dir, logName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []Record
+	for off := 0; off < len(b); {
+		r, n, err := decodeRecord(b[off:])
+		if err != nil {
+			t.Fatalf("wal.log at byte %d: %v", off, err)
+		}
+		recs = append(recs, r)
+		off += n
+	}
+	return recs
+}
+
+func wantRecords(t *testing.T, got []Record, want ...string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d records, want %d: %q", len(got), len(want), got)
+	}
+	for i, r := range got {
+		if string(r.Data) != want[i] {
+			t.Fatalf("record %d = %q, want %q", i, r.Data, want[i])
+		}
+	}
+}
+
+// Compact replaces the log with the records it is given; a reopen replays
+// them and then whatever was appended after.
 func TestCompactSnapshotAndReplay(t *testing.T) {
 	dir := t.TempDir()
 	j, _, err := Open(dir, Options{})
@@ -82,27 +116,68 @@ func TestCompactSnapshotAndReplay(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		mustAppend(t, j, 1, []byte(fmt.Sprintf("pre-%d", i)))
 	}
-	if err := j.Compact([]byte("state-after-5")); err != nil {
+	if err := j.Compact([]Record{{Type: 3, Data: []byte("state-a")}, {Type: 4, Data: []byte("state-b")}}); err != nil {
 		t.Fatal(err)
 	}
 	if got := j.TailLen(); got != 0 {
 		t.Fatalf("tail after compact = %d, want 0", got)
 	}
 	mustAppend(t, j, 2, []byte("post-compact"))
+	if got := j.TailLen(); got != 1 {
+		t.Fatalf("tail = %d, want 1", got)
+	}
 	j.Close()
 
+	j2, rec, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	wantRecords(t, rec.Records, "state-a", "state-b", "post-compact")
+	if rec.Records[0].Type != 3 || rec.Records[1].Type != 4 || rec.Records[2].Type != 2 {
+		t.Fatalf("record types %d %d %d, want 3 4 2", rec.Records[0].Type, rec.Records[1].Type, rec.Records[2].Type)
+	}
+	// A restart counts what it read as tail.
+	if got := j2.TailLen(); got != 3 {
+		t.Fatalf("tail after reopen = %d, want 3", got)
+	}
+}
+
+// Appends made after Compact go to the renamed file, not the unlinked old
+// log: they are in wal.log before any reopen, and they survive one.
+func TestAppendAfterCompactSurvivesReopen(t *testing.T) {
+	dir := t.TempDir()
+	j, _, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustAppend(t, j, 1, []byte("old"))
+	for round := 0; round < 3; round++ {
+		if err := j.Compact([]Record{{Type: 1, Data: []byte("state")}}); err != nil {
+			t.Fatal(err)
+		}
+		mustAppend(t, j, 2, []byte("after"))
+		wantRecords(t, readLog(t, dir), "state", "after")
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != logName {
+		t.Fatalf("journal directory holds %v, want only %s", entries, logName)
+	}
 	_, rec, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(rec.Snapshot) != "state-after-5" {
-		t.Fatalf("snapshot = %q", rec.Snapshot)
-	}
-	if len(rec.Records) != 1 || string(rec.Records[0].Data) != "post-compact" {
-		t.Fatalf("records after snapshot = %+v", rec.Records)
-	}
+	wantRecords(t, rec.Records, "state", "after")
 }
 
+// A wal.tmp left by a compaction that never committed is deleted by Open,
+// and the log beside it is recovered whole.
 func TestCompactIsAtomic(t *testing.T) {
 	dir := t.TempDir()
 	j, _, err := Open(dir, Options{})
@@ -110,24 +185,60 @@ func TestCompactIsAtomic(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustAppend(t, j, 1, []byte("r"))
-	if err := j.Compact([]byte("snap-1")); err != nil {
+	if err := j.Compact([]Record{{Type: 1, Data: []byte("snap-1")}}); err != nil {
 		t.Fatal(err)
 	}
+	mustAppend(t, j, 1, []byte("r2"))
 	j.Close()
-	// A stale temp file from a crashed compaction must not shadow the
-	// committed snapshot.
-	if err := os.WriteFile(filepath.Join(dir, snapTempName), []byte("garbage"), 0o644); err != nil {
+	// What a crash mid-compaction leaves: a partial temp file holding the
+	// start of a valid record.
+	partial := encodeRecord(1, []byte("snap-2"))[:headerSize+2]
+	if err := os.WriteFile(filepath.Join(dir, tempName), partial, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, rec, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(rec.Snapshot) != "snap-1" {
-		t.Fatalf("snapshot = %q, want snap-1", rec.Snapshot)
-	}
-	if _, err := os.Stat(filepath.Join(dir, snapTempName)); !os.IsNotExist(err) {
+	wantRecords(t, rec.Records, "snap-1", "r2")
+	if _, err := os.Stat(filepath.Join(dir, tempName)); !os.IsNotExist(err) {
 		t.Fatal("stale compaction temp file survived Open")
+	}
+}
+
+// A failed Compact leaves the log and the append handle as they were.
+func TestCompactFailureKeepsLog(t *testing.T) {
+	dir := t.TempDir()
+	j, _, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	mustAppend(t, j, 1, []byte("kept"))
+	// A directory where the temp file goes makes the compaction fail.
+	if err := os.Mkdir(filepath.Join(dir, tempName), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Compact([]Record{{Type: 1, Data: []byte("state")}}); err == nil {
+		t.Fatal("compaction into an unwritable temp path succeeded")
+	}
+	mustAppend(t, j, 1, []byte("after"))
+	wantRecords(t, readLog(t, dir), "kept", "after")
+	if got := j.TailLen(); got != 2 {
+		t.Fatalf("tail after failed compaction = %d, want 2", got)
+	}
+}
+
+// A directory still holding the second file of the retired two-file
+// format is refused by name: replaying wal.log alone would recover a node
+// without its compacted rounds.
+func TestOpenRefusesSnapshotFile(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "snapshot.bin"), encodeRecord(0, []byte("gob state")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), "snapshot.bin") {
+		t.Fatalf("Open beside snapshot.bin: err = %v, want one naming the file", err)
 	}
 }
 

@@ -48,7 +48,6 @@ var replayRootNames = map[string]map[string]bool{
 	"deta/internal/core": {
 		"RecoverAggregatorNode": true,
 		"applyRecord":           true,
-		"restoreSnapshot":       true,
 	},
 	"deta/internal/agg": {
 		"Aggregate": true,

@@ -61,16 +61,8 @@ func (a *AggregatorNode) UploadGuarded(party string, round int, frag []float64, 
 	return nil
 }
 
-// restoreSnapshot is the replay side of the protocol: it rebuilds state
-// FROM the journal and is exempt by name.
-func (a *AggregatorNode) restoreSnapshot(parties []string, quorum int) {
-	for _, p := range parties {
-		a.parties[p] = true
-	}
-	a.quorum = quorum
-}
-
-// applyRecord likewise replays one WAL record.
+// applyRecord is the replay side of the protocol: it rebuilds state FROM
+// the journal and is exempt by name.
 func (a *AggregatorNode) applyRecord(typ byte, party string, round int) {
 	switch typ {
 	case 3:

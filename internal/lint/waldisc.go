@@ -20,7 +20,7 @@ package lint
 //     creation and the per-party fragment/weight/aggregate maps.
 //   - strength 1, any journal append (logEvent*, AppendNoSync, Compact,
 //     or an unchecked strength-2 call). Enough for membership flags and
-//     counters that a snapshot re-captures, and for ALL deletes: dropping
+//     counters that a compaction re-captures, and for ALL deletes: dropping
 //     state early at worst forgets what replay can rebuild, it never
 //     acknowledges phantom data (the rollback `delete` after a failed
 //     append is the canonical guarded delete).
@@ -29,7 +29,7 @@ package lint
 // summaries, so `a.admit(p)` is as visible as `a.parties[p] = true`.
 // Findings are reported only in exported functions — the package's ack
 // surface; unexported functions contribute summaries instead. Replay
-// itself (RecoverAggregatorNode, applyRecord, restoreSnapshot) is exempt:
+// itself (RecoverAggregatorNode, applyRecord) is exempt:
 // it mutates state FROM the journal. Mutations through aliased maps
 // (`m := a.parties; m[p] = true`) and inside function literals are out of
 // scope — neither shape occurs in the tree.
@@ -71,7 +71,6 @@ var walDurableFields = map[string]map[string]int{
 var walExemptFuncs = map[string]bool{
 	"RecoverAggregatorNode": true,
 	"applyRecord":           true,
-	"restoreSnapshot":       true,
 }
 
 // walMut is one durable-state mutation: the strength its guard needs, a
