@@ -13,16 +13,12 @@ package agg
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"deta/internal/parallel"
 	"deta/internal/tensor"
 )
-
-// medianGrain is the minimum number of coordinates per parallel chunk for
-// the per-coordinate sort kernels (median, trimmed mean). Each coordinate
-// costs a k-element sort, so chunks amortize quickly.
-const medianGrain = 128
 
 // Algorithm combines one model update per party into an aggregated update.
 // weights are per-party importance values (typically local dataset sizes);
@@ -108,17 +104,7 @@ func (CoordinateMedian) Aggregate(updates []tensor.Vector, weights []float64) (t
 	if err != nil {
 		return nil, err
 	}
-	out := make(tensor.Vector, n)
-	parallel.For(n, medianGrain, func(lo, hi int) {
-		col := make([]float64, len(updates))
-		for i := lo; i < hi; i++ {
-			for k, u := range updates {
-				col[k] = u[i]
-			}
-			out[i] = median(col)
-		}
-	})
-	return out, nil
+	return orderStat{median: true}.aggregate(updates, n), nil
 }
 
 // median computes the median of xs, mutating xs's order.
@@ -149,23 +135,7 @@ func (t TrimmedMean) Aggregate(updates []tensor.Vector, weights []float64) (tens
 	if t.Trim < 0 || 2*t.Trim >= len(updates) {
 		return nil, fmt.Errorf("agg: trim %d invalid for %d parties", t.Trim, len(updates))
 	}
-	out := make(tensor.Vector, n)
-	parallel.For(n, medianGrain, func(lo, hi int) {
-		col := make([]float64, len(updates))
-		for i := lo; i < hi; i++ {
-			for k, u := range updates {
-				col[k] = u[i]
-			}
-			sort.Float64s(col)
-			kept := col[t.Trim : len(col)-t.Trim]
-			var s float64
-			for _, v := range kept {
-				s += v
-			}
-			out[i] = s / float64(len(kept))
-		}
-	})
-	return out, nil
+	return orderStat{trim: t.Trim}.aggregate(updates, n), nil
 }
 
 // Krum selects the single update whose summed squared distance to its
@@ -223,7 +193,15 @@ func (k Krum) Select(updates []tensor.Vector) (int, error) {
 		ds := make([]float64, 0, n-1)
 		for j := 0; j < n; j++ {
 			if j != i {
-				ds = append(ds, d2[i][j])
+				// A distance is a sum of squares: >= 0, +Inf or NaN. A NaN
+				// would sort first, count as the nearest neighbour and make
+				// every score NaN, which pins the choice to update 0; rank it
+				// as the farthest there is, like +Inf.
+				d := d2[i][j]
+				if math.IsNaN(d) {
+					d = math.Inf(1)
+				}
+				ds = append(ds, d)
 			}
 		}
 		sort.Float64s(ds)

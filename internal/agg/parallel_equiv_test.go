@@ -14,7 +14,9 @@ import (
 // Serial reference implementations of every parallelized kernel in this
 // package. The production code must produce bit-identical output (==, not
 // approximate): chunked parallelism never splits a coordinate's computation,
-// so no floating-point accumulation order changes.
+// so no floating-point accumulation order changes. serialMedian and
+// serialTrimmedMean are also the column-at-a-time sort kernels the tiled
+// order-statistic kernels replaced (order_test.go).
 
 func serialMedian(updates []tensor.Vector) tensor.Vector {
 	n := len(updates[0])
@@ -24,7 +26,13 @@ func serialMedian(updates []tensor.Vector) tensor.Vector {
 		for k, u := range updates {
 			col[k] = u[i]
 		}
-		out[i] = median(col)
+		sort.Float64s(col)
+		m := len(col) / 2
+		if len(col)%2 == 1 {
+			out[i] = col[m]
+		} else {
+			out[i] = (col[m-1] + col[m]) / 2
+		}
 	}
 	return out
 }
@@ -69,7 +77,11 @@ func serialKrumSelect(updates []tensor.Vector, f int) int {
 		ds := make([]float64, 0, n-1)
 		for j := 0; j < n; j++ {
 			if j != i {
-				ds = append(ds, d2[i][j])
+				d := d2[i][j]
+				if math.IsNaN(d) {
+					d = math.Inf(1)
+				}
+				ds = append(ds, d)
 			}
 		}
 		sort.Float64s(ds)

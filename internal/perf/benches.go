@@ -67,6 +67,10 @@ func aggBenches() []Bench {
 		{Name: "agg/IterativeAverage/p8,n16384", F: aggAlgorithmBench(agg.IterativeAverage{}, 8, 1<<14)},
 		{Name: "agg/CoordinateMedian/p8,n16384", F: aggAlgorithmBench(agg.CoordinateMedian{}, 8, 1<<14)},
 		{Name: "agg/TrimmedMean/p8,n16384", F: aggAlgorithmBench(agg.TrimmedMean{Trim: 1}, 8, 1<<14)},
+		// The fanin_median benchmark's per-node fuse: 32 parties, one
+		// third of its 16 384 parameters.
+		{Name: "agg/CoordinateMedian/p32,n5462", F: aggAlgorithmBench(agg.CoordinateMedian{}, 32, 5462)},
+		{Name: "agg/TrimmedMean/p32,n5462", F: aggAlgorithmBench(agg.TrimmedMean{Trim: 1}, 32, 5462)},
 		{Name: "agg/Krum/p8,n4096", F: aggAlgorithmBench(agg.Krum{F: 1}, 8, 1<<12)},
 		{Name: "agg/FLAMELite/p8,n4096", F: aggAlgorithmBench(agg.FLAMELite{}, 8, 1<<12)},
 	}
@@ -384,8 +388,22 @@ func paillierBenches() []Bench {
 
 // ---- transport: RPC round trip and wire codec -------------------------
 
+// The echo messages take the fixed-layout path every round-path message
+// takes (the payload is the whole body), so the Call benches time the
+// frame and the mux, not gob.
 type perfEchoReq struct{ Payload []byte }
 type perfEchoResp struct{ Payload []byte }
+
+func (r perfEchoReq) AppendWire(dst []byte) ([]byte, error) { return append(dst, r.Payload...), nil }
+func (r *perfEchoReq) DecodeWire(data []byte) error {
+	r.Payload = append([]byte(nil), data...)
+	return nil
+}
+func (r perfEchoResp) AppendWire(dst []byte) ([]byte, error) { return append(dst, r.Payload...), nil }
+func (r *perfEchoResp) DecodeWire(data []byte) error {
+	r.Payload = append([]byte(nil), data...)
+	return nil
+}
 
 // perfTransportClient starts an in-memory server with a typed "echo" and a
 // raw "noop" method (no injected latency: these benches track CPU cost of

@@ -40,11 +40,11 @@ go test -race -count=1 -run 'TestChaosRestartBitIdenticalModel' -v ./internal/co
 echo "== churn chaos e2e (party death + evict + rejoin + aggregator restart, -race)"
 go test -race -count=1 -run 'TestChaosChurnEvictRejoinBitIdentical' -v ./internal/core
 
-echo "== perf vs tracked baselines: data-plane areas gate hard"
-go run ./cmd/deta-bench -perf -perf-area core,transport,paillier -perf-baseline .
+echo "== perf vs tracked baselines: round-path areas (fusion kernels, transform, wire, crypto) gate hard"
+go run ./cmd/deta-bench -perf -perf-area agg,core,transport,paillier -perf-baseline .
 
 echo "== perf vs tracked baselines: advisory areas (warn-only: fsync is machine-dependent, lint cost tracks tree size)"
-go run ./cmd/deta-bench -perf -perf-area agg,journal,lint -perf-baseline . ||
+go run ./cmd/deta-bench -perf -perf-area journal,lint -perf-baseline . ||
 	echo "WARNING: perf regression vs BENCH_*.json baselines (exit $?)." \
 		"Investigate, or refresh with: go run ./cmd/deta-bench -perf -perf-baseline-write"
 
