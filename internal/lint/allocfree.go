@@ -17,7 +17,7 @@ package lint
 //   - interface boxing: passing a concrete non-pointer-shaped value
 //     (int, string, struct, slice, ...) to an interface-typed parameter
 //   - a synchronous call to an unannotated module function whose
-//     alloc-effect summary (computeAllocFX, a fixpoint over call edges)
+//     alloc-effect summary (computeAllocFX, over call edges at any depth)
 //     says it may allocate
 //
 // Trust boundaries: a call to another `//perf:hotpath` function is clean
@@ -38,13 +38,12 @@ import (
 	"go/ast"
 	"go/types"
 	"strings"
-	"sync"
 )
 
 const hotpathDirective = "//perf:hotpath"
 
 type AllocFree struct {
-	once  sync.Once
+	ix    *moduleIndex
 	hot   map[*types.Func]bool
 	alloc map[*types.Func]allocInfo
 }
@@ -83,29 +82,22 @@ func hotpathAnnotated(decl *ast.FuncDecl) bool {
 }
 
 // Prepare collects the module-wide annotated set and the alloc-effect
-// summary. Run falls back to single-package preparation when the
-// framework did not call it.
-func (a *AllocFree) Prepare(pkgs []*Package) {
-	a.once.Do(func() {
-		a.hot = make(map[*types.Func]bool)
-		var units []*funcUnit
-		for _, pkg := range pkgs {
-			units = append(units, funcUnits(pkg)...)
+// summary.
+func (a *AllocFree) Prepare(ix *moduleIndex) {
+	a.ix = ix
+	a.hot = make(map[*types.Func]bool)
+	for _, u := range ix.decls {
+		if hotpathAnnotated(u.decl) {
+			a.hot[u.obj] = true
 		}
-		for _, u := range units {
-			if u.decl != nil && u.obj != nil && hotpathAnnotated(u.decl) {
-				a.hot[u.obj] = true
-			}
-		}
-		a.alloc = computeAllocFX(units)
-	})
+	}
+	a.alloc = computeAllocFX(ix)
 }
 
 func (a *AllocFree) Run(pkg *Package, r *Reporter) {
-	a.Prepare([]*Package{pkg})
 	a.checkAnnotations(pkg, r)
-	for _, u := range funcUnits(pkg) {
-		if u.decl != nil && u.obj != nil && a.hot[u.obj] {
+	for _, u := range a.ix.units[pkg] {
+		if a.hot[u.obj] {
 			a.checkRegion(u, r)
 		}
 	}
@@ -298,17 +290,13 @@ func allocExemptPkg(path string) bool {
 }
 
 // computeAllocFX summarizes which module functions may allocate on their
-// synchronous path: direct make/new/append/map-write sites, then a
-// fixpoint over call edges. Literal bodies count (they run on the
-// caller's path); goroutine spawns do not.
-func computeAllocFX(units []*funcUnit) map[*types.Func]allocInfo {
-	alloc := make(map[*types.Func]allocInfo)
-	edges := make(map[*types.Func][]*types.Func)
-	for _, u := range units {
-		if u.obj == nil || u.decl == nil {
-			continue // literals are walked as part of their declaring unit
-		}
-		info := alloc[u.obj]
+// synchronous path: a direct make/new/append/map-write site (the first
+// one is the witness), else a callee that may. Literal bodies count (they
+// run on the caller's path); goroutine spawns do not.
+func computeAllocFX(ix *moduleIndex) map[*types.Func]allocInfo {
+	return summarize(ix, "allocation", ix.decls, func(u *funcUnit, sum map[*types.Func]allocInfo) allocInfo {
+		var info allocInfo
+		var callees []*types.Func
 		ast.Inspect(u.decl.Body, func(n ast.Node) bool {
 			if _, isGo := n.(*ast.GoStmt); isGo {
 				return false
@@ -328,7 +316,7 @@ func computeAllocFX(units []*funcUnit) map[*types.Func]allocInfo {
 				}
 				if f := calleeFunc(u.pkg, x); f != nil && f.Pkg() != nil &&
 					strings.HasPrefix(f.Pkg().Path(), "deta/") && !allocExemptPkg(f.Pkg().Path()) {
-					edges[u.obj] = append(edges[u.obj], f)
+					callees = append(callees, f)
 				}
 			case *ast.AssignStmt:
 				for _, lhs := range x.Lhs {
@@ -343,26 +331,11 @@ func computeAllocFX(units []*funcUnit) map[*types.Func]allocInfo {
 			}
 			return true
 		})
-		alloc[u.obj] = info
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, u := range units {
-			if u.obj == nil || u.decl == nil {
-				continue
-			}
-			info := alloc[u.obj]
-			if info.may {
-				continue
-			}
-			for _, callee := range edges[u.obj] {
-				if ci := alloc[callee]; ci.may {
-					alloc[u.obj] = allocInfo{may: true, via: "via " + callee.Name()}
-					changed = true
-					break
-				}
+		for _, f := range callees {
+			if !info.may && sum[f].may {
+				info = allocInfo{may: true, via: "via " + f.Name()}
 			}
 		}
-	}
-	return alloc
+		return info
+	}, eq[allocInfo])
 }

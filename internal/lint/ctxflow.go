@@ -18,14 +18,9 @@ package lint
 //     Go, and the commit-before-ack path must not be (DESIGN.md §9).
 import (
 	"go/ast"
-	"go/types"
-	"sync"
 )
 
-type CtxFlow struct {
-	once sync.Once
-	io   map[*types.Func]ioInfo
-}
+type CtxFlow struct{ ix *moduleIndex }
 
 func (*CtxFlow) Name() string { return "ctxflow" }
 func (*CtxFlow) Doc() string {
@@ -43,24 +38,13 @@ var ctxFlowExemptNames = map[string]bool{
 	"Serve": true, "ReadFrom": true, "WriteTo": true,
 }
 
-// Prepare computes the module-wide transitive I/O summary. Run falls
-// back to a single-package summary if the framework did not call it.
-func (a *CtxFlow) Prepare(pkgs []*Package) {
-	a.once.Do(func() {
-		var units []*funcUnit
-		for _, pkg := range pkgs {
-			units = append(units, funcUnits(pkg)...)
-		}
-		a.io = computeIO(units)
-	})
-}
+func (a *CtxFlow) Prepare(ix *moduleIndex) { a.ix = ix }
 
 func (a *CtxFlow) Run(pkg *Package, r *Reporter) {
-	a.Prepare([]*Package{pkg})
 	if !pathIn(pkg.Path, ctxFlowScope...) {
 		return
 	}
-	for _, u := range funcUnits(pkg) {
+	for _, u := range a.ix.units[pkg] {
 		if u.decl == nil || u.obj == nil || !exported(u.decl) {
 			continue
 		}
@@ -70,7 +54,7 @@ func (a *CtxFlow) Run(pkg *Package, r *Reporter) {
 		if hasCtxParam(pkg, u.decl) {
 			continue
 		}
-		info := a.io[u.obj]
+		info := a.ix.io[u.obj]
 		if info.kind&ioNet == 0 {
 			continue
 		}

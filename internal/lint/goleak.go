@@ -24,18 +24,17 @@ package lint
 //
 // Blocking is a property of the spawned function, so it propagates: a
 // wrapper whose body unconditionally (top-level, not nested in a branch)
-// calls a forever-blocking function blocks forever itself, to a fixpoint.
+// calls a forever-blocking function blocks forever itself, at any depth.
 // Spawns through bare function values (e.g. a worker pool invoking a
 // func() parameter) are unresolvable and skipped.
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sync"
 )
 
 type GoLeak struct {
-	once    sync.Once
+	ix      *moduleIndex
 	nodeWhy map[ast.Node]string // unit node (decl or literal) -> why it blocks forever
 	objWhy  map[*types.Func]string
 }
@@ -46,52 +45,38 @@ func (*GoLeak) Doc() string {
 }
 
 // Prepare computes the blocks-forever summary over every function body in
-// the module. Run falls back to single-package preparation when the
-// framework did not call it.
-func (a *GoLeak) Prepare(pkgs []*Package) {
-	a.once.Do(func() {
-		a.nodeWhy = make(map[ast.Node]string)
-		a.objWhy = make(map[*types.Func]string)
-		var units []*funcUnit
-		for _, pkg := range pkgs {
-			units = append(units, funcUnits(pkg)...)
+// the module: a body blocks on its own, or through an unconditional
+// top-level call to a blocker. Conditional calls stay unflagged (may-block
+// is too noisy for a leak report). A unit's first reason sticks.
+func (a *GoLeak) Prepare(ix *moduleIndex) {
+	a.ix = ix
+	a.nodeWhy = make(map[ast.Node]string)
+	a.objWhy = make(map[*types.Func]string)
+	step := func(u *funcUnit) []*funcUnit {
+		if a.nodeWhy[u.node()] != "" {
+			return nil
 		}
-		for _, u := range units {
-			if why := directBlocksForever(u); why != "" {
-				a.mark(u, why)
+		why := directBlocksForever(u)
+		for i := 0; why == "" && i < len(u.body().List); i++ {
+			es, ok := u.body().List[i].(*ast.ExprStmt)
+			if !ok {
+				continue
 			}
-		}
-		// Propagate through unconditional top-level calls: a wrapper that
-		// just runs a blocker blocks too. Conditional calls stay unflagged
-		// (may-block is too noisy for a leak report).
-		for changed := true; changed; {
-			changed = false
-			for _, u := range units {
-				if a.nodeWhy[u.node()] != "" || u.body() == nil {
-					continue
-				}
-				for _, st := range u.body().List {
-					es, ok := st.(*ast.ExprStmt)
-					if !ok {
-						continue
-					}
-					call, ok := unparen(es.X).(*ast.CallExpr)
-					if !ok {
-						continue
-					}
-					f := calleeFunc(u.pkg, call)
-					if f == nil {
-						continue
-					}
-					if why := a.objWhy[f]; why != "" {
-						a.mark(u, "calls "+f.Name()+", which "+why)
-						changed = true
-						break
-					}
+			if call, ok := unparen(es.X).(*ast.CallExpr); ok {
+				if f := calleeFunc(u.pkg, call); f != nil && a.objWhy[f] != "" {
+					why = "calls " + f.Name() + ", which " + a.objWhy[f]
 				}
 			}
 		}
-	})
+		if why == "" {
+			return nil
+		}
+		a.mark(u, why)
+		return ix.callers[u]
+	}
+	if !ix.solve("goleak", ix.all, step) {
+		a.nodeWhy, a.objWhy = nil, nil
+	}
 }
 
 func (a *GoLeak) mark(u *funcUnit, why string) {
@@ -102,16 +87,11 @@ func (a *GoLeak) mark(u *funcUnit, why string) {
 }
 
 func (a *GoLeak) Run(pkg *Package, r *Reporter) {
-	a.Prepare([]*Package{pkg})
-	for _, u := range funcUnits(pkg) {
-		body := u.body()
-		if body == nil {
-			continue
-		}
+	for _, u := range a.ix.units[pkg] {
 		// Visit this unit's own go statements. Nested literals are their
 		// own units (including the literal a GoStmt spawns), so pruning
 		// here still covers every spawn exactly once.
-		ast.Inspect(body, func(n ast.Node) bool {
+		ast.Inspect(u.body(), func(n ast.Node) bool {
 			switch x := n.(type) {
 			case *ast.FuncLit:
 				return false
@@ -141,12 +121,8 @@ func (a *GoLeak) checkGo(pkg *Package, g *ast.GoStmt, r *Reporter) {
 // directBlocksForever reports why a function body blocks forever on its
 // own (no propagation), or "".
 func directBlocksForever(u *funcUnit) string {
-	body := u.body()
-	if body == nil {
-		return ""
-	}
 	why := ""
-	ast.Inspect(body, func(n ast.Node) bool {
+	ast.Inspect(u.body(), func(n ast.Node) bool {
 		if why != "" {
 			return false
 		}

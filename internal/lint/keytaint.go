@@ -25,20 +25,20 @@ package lint
 // over a tainted variable clears it (strong update on the CFG).
 //
 // The analysis is two-level: a module-wide, flow-insensitive fixpoint
-// (Prepare) marks tainted struct fields, parameters, and returns so facts
-// cross function boundaries; then a per-function, flow-sensitive pass
-// over the CFG checks sinks with path-union (may) taint.
+// (Prepare, on the module index's solver) marks tainted struct fields,
+// parameters, and returns so facts cross function boundaries; then a
+// per-function, flow-sensitive pass over the CFG checks sinks with
+// path-union (may) taint.
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
 	"strings"
-	"sync"
 )
 
 type KeyTaint struct {
-	once sync.Once
-	g    *taintGlobal
+	ix *moduleIndex
+	g  *taintGlobal
 }
 
 func (*KeyTaint) Name() string { return "keytaint" }
@@ -91,16 +91,17 @@ var keyTaintExemptWire = map[string]bool{
 	"PermKeyReq": true, "PermKeyResp": true,
 }
 
-// Prepare runs the module-wide taint fixpoint. Run falls back to a
-// single-package fixpoint if the framework did not call it.
-func (a *KeyTaint) Prepare(pkgs []*Package) {
-	a.once.Do(func() { a.g = computeTaint(pkgs) })
+func (a *KeyTaint) Prepare(ix *moduleIndex) {
+	a.ix = ix
+	a.g = computeTaint(ix)
 }
 
 func (a *KeyTaint) Run(pkg *Package, r *Reporter) {
-	a.Prepare([]*Package{pkg})
+	if a.g == nil {
+		return // the fixpoint did not settle; solve has reported it
+	}
 	env := &taintEnv{pkg: pkg, g: a.g}
-	for _, u := range funcUnits(pkg) {
+	for _, u := range a.ix.units[pkg] {
 		if u.lit != nil && u.parent != nil {
 			// Nested literals are checked in context by the enclosing
 			// unit's pass (checkFuncLit), carrying captured-variable
@@ -117,44 +118,86 @@ func (a *KeyTaint) Run(pkg *Package, r *Reporter) {
 type taintFact = fact[types.Object, string]
 
 // taintGlobal is the module-wide summary: fields, parameters, and
-// returns that carry key material.
+// returns that carry key material. It only grows.
 type taintGlobal struct {
 	fields  map[*types.Var]string
 	params  map[*types.Var]string
 	returns map[*types.Func]string
-	changed bool
 }
 
-func computeTaint(pkgs []*Package) *taintGlobal {
+func (g *taintGlobal) size() int { return len(g.fields) + len(g.params) + len(g.returns) }
+
+// computeTaint solves the global taint summary. Each package shares one
+// weak (no-kill, object-keyed) environment: a function literal resolves
+// captured variables to the very objects its enclosing function defined,
+// so sharing is what lets taint flow into and out of closures, and
+// distinct functions cannot pollute each other — their locals are
+// distinct objects. A function and the literals nested in it are one
+// solve unit, scanned together until neither the environment nor the
+// global summary grows. What grew decides what re-runs: a tainted field
+// every unit, a tainted return the callers, a tainted parameter the
+// callees.
+func computeTaint(ix *moduleIndex) *taintGlobal {
 	g := &taintGlobal{
-		fields:  resolveTaintFields(pkgs),
+		fields:  resolveTaintFields(ix.pkgs),
 		params:  make(map[*types.Var]string),
 		returns: make(map[*types.Func]string),
 	}
-	var units []*funcUnit
-	var envs []*taintEnv
-	for _, pkg := range pkgs {
-		us := funcUnits(pkg)
-		units = append(units, us...)
-		// One shared weak environment per package: a function literal
-		// resolves captured variables to the very objects its enclosing
-		// function defined, so sharing the (object-keyed, no-kill) local
-		// environment is what lets the fixpoint see taint flow into and
-		// out of closures. Distinct functions cannot pollute each other —
-		// their locals are distinct objects.
-		env := &taintEnv{pkg: pkg, g: g, weak: true, local: make(taintFact)}
-		for range us {
-			envs = append(envs, env)
+	top := func(u *funcUnit) *funcUnit {
+		for u.parent != nil {
+			u = u.parent
+		}
+		return u
+	}
+	var tops []*funcUnit
+	family := make(map[*funcUnit][]*funcUnit)
+	envs := make(map[*Package]*taintEnv)
+	for _, u := range ix.all {
+		if t := top(u); t != u {
+			family[t] = append(family[t], u)
+			continue
+		}
+		tops = append(tops, u)
+		family[u] = []*funcUnit{u}
+		if envs[u.pkg] == nil {
+			envs[u.pkg] = &taintEnv{pkg: u.pkg, g: g, weak: true, local: make(taintFact)}
 		}
 	}
-	for round := 0; round < 10; round++ {
-		g.changed = false
-		for i, u := range units {
-			scanTaintUnit(envs[i], u)
+	step := func(t *funcUnit) []*funcUnit {
+		env := envs[t.pkg]
+		fields, params, returns := len(g.fields), len(g.params), len(g.returns)
+		for {
+			before := g.size()
+			env.localChanged = false
+			for _, u := range family[t] {
+				scanTaintUnit(env, u)
+			}
+			if !env.localChanged && g.size() == before {
+				break
+			}
 		}
-		if !g.changed {
-			break
+		if len(g.fields) > fields {
+			return tops
 		}
+		var rerun []*funcUnit
+		if len(g.returns) > returns {
+			for _, c := range ix.callers[t] {
+				rerun = append(rerun, top(c))
+			}
+		}
+		if len(g.params) > params {
+			for _, u := range family[t] {
+				for _, f := range ix.calls[u] {
+					if c := ix.byObj[f]; c != nil {
+						rerun = append(rerun, c)
+					}
+				}
+			}
+		}
+		return rerun
+	}
+	if !ix.solve("keytaint", tops, step) {
+		return nil
 	}
 	return g
 }
@@ -192,26 +235,12 @@ func resolveTaintFields(pkgs []*Package) map[*types.Var]string {
 }
 
 // scanTaintUnit is one flow-insensitive sweep of a function body for the
-// global fixpoint: it grows a persistent weak (no-kill) local environment
-// and records tainted parameters, field stores, and returns.
+// global fixpoint: it grows the persistent weak local environment and
+// records tainted parameters, field stores, and returns.
 func scanTaintUnit(env *taintEnv, u *funcUnit) {
-	body := u.body()
-	if body == nil {
-		return
-	}
-	if env.local == nil {
-		env.local = make(taintFact)
-	}
 	seedParams(env, u, env.local)
-	// Inner sweeps so short def-use chains converge within one round.
-	for pass := 0; pass < 4; pass++ {
-		env.localChanged = false
-		syncWalk(body, func(n ast.Node) { env.transfer(env.local, n) })
-		if !env.localChanged {
-			break
-		}
-	}
-	syncWalk(body, func(n ast.Node) {
+	syncWalk(u.body(), func(n ast.Node) { env.transfer(env.local, n) })
+	syncWalk(u.body(), func(n ast.Node) {
 		switch x := n.(type) {
 		case *ast.CallExpr:
 			env.recordArgTaint(env.local, x)
@@ -223,7 +252,6 @@ func scanTaintUnit(env *taintEnv, u *funcUnit) {
 				if label, ok := env.exprTaint(env.local, res); ok {
 					if _, seen := env.g.returns[u.obj]; !seen {
 						env.g.returns[u.obj] = label
-						env.g.changed = true
 					}
 				}
 			}
@@ -251,13 +279,9 @@ func seedParams(env *taintEnv, u *funcUnit, f taintFact) {
 // checkTaintUnit is the precise, flow-sensitive pass: solve taint over
 // the CFG with strong updates, then report sink reaches.
 func checkTaintUnit(env *taintEnv, u *funcUnit, r *Reporter) {
-	body := u.body()
-	if body == nil {
-		return
-	}
 	entry := make(taintFact)
 	seedParams(env, u, entry)
-	checkTaintBody(env, body, entry, r)
+	checkTaintBody(env, u.body(), entry, r)
 }
 
 // checkTaintBody solves taint over one body's CFG from the given entry
@@ -424,7 +448,6 @@ func (env *taintEnv) recordFieldStore(f taintFact, target, value ast.Expr) {
 	if label, tainted := env.exprTaint(f, value); tainted {
 		if _, seen := env.g.fields[fv]; !seen {
 			env.g.fields[fv] = label
-			env.g.changed = true
 		}
 	}
 }
@@ -455,7 +478,6 @@ func (env *taintEnv) recordArgTaint(f taintFact, call *ast.CallExpr) {
 		}
 		if _, seen := env.g.params[pv]; !seen {
 			env.g.params[pv] = label
-			env.g.changed = true
 		}
 	}
 }

@@ -6,12 +6,10 @@
 // The enforced invariants (see DESIGN.md §10):
 //
 //   - cryptorand:     keyed/secret randomness must never come from math/rand
-//   - maporder:       no order-dependent accumulation over map iteration
 //   - errdiscipline:  no silently dropped Sync/Close/Write/Commit errors on
 //     the durability path
 //   - ctxplumb:       RPC/fleet surfaces take a caller context, first, and
 //     never mint context.Background() internally
-//   - mutexcopy:      no by-value copies of lock-bearing structs
 //   - keytaint:       key material never reaches logs, error strings, the
 //     journal, or wire messages other than the AP PermKey response
 //   - lockregion:     no network/disk I/O on any CFG path holding a mutex
@@ -30,20 +28,28 @@
 //     (WAL-before-ack)
 //   - replaypure:     no nondeterminism source (wall clock, global rand,
 //     goroutines, observable map order) is reachable from replay roots or
-//     fusion kernels
+//     fusion kernels, and no observable map order in the deterministic
+//     packages
 //   - clockdisc:      internal/core and cmd never read the wall clock or
 //     arm timers directly — all time flows through the injectable
 //     core.Clock
 //
-// keytaint, lockregion, ctxflow, lockorder, goleak, and allocfree are
-// dataflow/summary analyzers: they run on per-function control-flow
-// graphs (cfg.go, dataflow.go) with module-wide call-graph summaries
-// (summary.go) computed once, up front, through the Preparer hook.
-// waldisc and replaypure form the protocol-invariant tier on top of the
-// must-analysis engine (dom.go, mustflow.go): dominance and
-// every-path-append facts that the forward may-solver cannot express.
-// One defect, one finding: a syntactic maporder hit on a line where
-// replaypure also reports is aliased to the replaypure finding by Run.
+// By-value copies of locks are go vet's copylocks check, not ours.
+//
+// Run builds one module index (index.go) before any analyzer runs: every
+// function unit of every loaded package and one superset call graph. The
+// analyzers that reason across functions receive it through the Preparer
+// hook, and every call-graph summary they need — transitive I/O,
+// class-keyed lock effects and acquisitions, allocation, blocking, WAL
+// wrappers, key taint — is solved on it by one solver, solve: callees
+// first, so acyclic helper chains settle at any depth in one pass, and
+// only recursive cycles iterate. A cycle that does not settle is reported
+// as a finding of the pseudo-analyzer "lintsolver", never used as if it
+// were final. keytaint, lockregion, ctxflow, lockorder, goleak, and
+// allocfree then run on per-function control-flow graphs (cfg.go,
+// dataflow.go); waldisc and replaypure on the must-analysis engine
+// (dom.go, mustflow.go): dominance and every-path-append facts that the
+// forward may-solver cannot express.
 //
 // A finding on a line can be acknowledged — never silently — with a
 // comment on that line or the line above:
@@ -102,17 +108,10 @@ type Reporter struct {
 
 // Reportf records a finding at pos.
 func (r *Reporter) Reportf(pos token.Pos, format string, args ...any) {
-	p := r.pkg.Fset.Position(pos)
+	f := newFinding(r.analyzer, r.pkg.Fset.Position(pos), fmt.Sprintf(format, args...))
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.findings = append(r.findings, Finding{
-		Analyzer: r.analyzer,
-		Pos:      p,
-		File:     p.Filename,
-		Line:     p.Line,
-		Col:      p.Column,
-		Message:  fmt.Sprintf(format, args...),
-	})
+	r.findings = append(r.findings, f)
 }
 
 // Analyzer is one invariant checker. Run inspects a single package and
@@ -125,42 +124,42 @@ type Analyzer interface {
 }
 
 // Preparer is implemented by analyzers that need module-wide facts: Run
-// calls Prepare once with every loaded package before fanning out, so
-// call-graph summaries can cross package boundaries.
+// calls Prepare once with the module index before fanning out, so
+// call-graph summaries can cross package boundaries. Run may only be
+// called after Prepare.
 type Preparer interface {
-	Prepare(pkgs []*Package)
+	Prepare(ix *moduleIndex)
 }
 
 // All returns the full analyzer suite in stable order.
 func All() []Analyzer {
 	return []Analyzer{
 		CryptoRand{},
-		MapOrder{},
 		ErrDiscipline{},
 		CtxPlumb{},
-		MutexCopy{},
 		&KeyTaint{},
 		&LockRegion{},
 		&CtxFlow{},
 		&LockOrder{},
 		&GoLeak{},
 		&AllocFree{},
-		WalDisc{},
+		&WalDisc{},
 		&ReplayPure{},
 		ClockDisc{},
 	}
 }
 
 // Run executes the analyzers over the packages (concurrently across
-// packages, after a sequential Prepare round for analyzers that need
-// module-wide summaries), applies //lint:ignore suppression, and returns
-// the surviving findings sorted by position. Malformed ignore directives
-// (no analyzer name or no reason) are reported as findings of the
-// pseudo-analyzer "lintignore".
+// packages, after a sequential Prepare round on the module index),
+// applies //lint:ignore suppression, and returns the surviving findings
+// sorted by position. Malformed ignore directives (no analyzer name or no
+// reason) are reported as findings of the pseudo-analyzer "lintignore",
+// summaries that did not settle as findings of "lintsolver".
 func Run(pkgs []*Package, analyzers []Analyzer) []Finding {
+	ix := newIndex(pkgs)
 	for _, a := range analyzers {
 		if p, ok := a.(Preparer); ok {
-			p.Prepare(pkgs)
+			p.Prepare(ix)
 		}
 	}
 	// Per-package fan-out over the shared worker pool (bounded, unlike
@@ -188,33 +187,9 @@ func Run(pkgs []*Package, analyzers []Analyzer) []Finding {
 			results[i] = append(local, bad...)
 		}
 	})
-	var all []Finding
+	all := ix.unsettled
 	for _, fs := range results {
 		all = append(all, fs...)
-	}
-	// maporder/replaypure overlap: replaypure reruns the syntactic map-order
-	// checks under reachability scoping, so a line both analyzers hit is ONE
-	// defect — keep the replaypure finding (it carries replay provenance)
-	// and drop the maporder duplicate.
-	type fileLine struct {
-		file string
-		line int
-	}
-	replayLines := map[fileLine]bool{}
-	for _, f := range all {
-		if f.Analyzer == "replaypure" {
-			replayLines[fileLine{f.File, f.Line}] = true
-		}
-	}
-	if len(replayLines) > 0 {
-		kept := all[:0]
-		for _, f := range all {
-			if f.Analyzer == "maporder" && replayLines[fileLine{f.File, f.Line}] {
-				continue
-			}
-			kept = append(kept, f)
-		}
-		all = kept
 	}
 	sort.Slice(all, func(i, j int) bool {
 		a, b := all[i], all[j]

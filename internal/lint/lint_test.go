@@ -72,18 +72,17 @@ func TestAnalyzerFixtures(t *testing.T) {
 		analyzer Analyzer
 	}{
 		{"cryptorand", "deta/internal/rng", CryptoRand{}},
-		{"maporder", "deta/internal/core", MapOrder{}},
 		{"errdiscipline", "deta/internal/journal", ErrDiscipline{}},
 		{"ctxplumb", "deta/internal/core", CtxPlumb{}},
-		{"mutexcopy", "deta/internal/core", MutexCopy{}},
 		{"keytaint", "deta/internal/core", &KeyTaint{}},
 		{"lockregion", "deta/internal/core", &LockRegion{}},
 		{"ctxflow", "deta/internal/core", &CtxFlow{}},
 		{"lockorder", "deta/internal/core", &LockOrder{}},
 		{"goleak", "deta/internal/core", &GoLeak{}},
 		{"allocfree", "deta/internal/core", &AllocFree{}},
-		{"waldisc", "deta/internal/core", WalDisc{}},
+		{"waldisc", "deta/internal/core", &WalDisc{}},
 		{"replaypure", "deta/internal/core", &ReplayPure{}},
+		{"maporder", "deta/internal/core", &ReplayPure{}}, // replaypure's map-order checks, no replay root
 		{"clockdisc", "deta/internal/core", ClockDisc{}},
 		{"suppress", "deta/internal/journal", ErrDiscipline{}},
 	}
@@ -159,52 +158,6 @@ func TestSuppressionDirectives(t *testing.T) {
 	}
 }
 
-// TestMapOrderReplayPureDedup pins the one-defect-one-finding rule: the
-// replaypure fixture's accumulate loop is an order-dependent float fold
-// inside a replay-reachable function, so syntactic maporder and
-// reachability-scoped replaypure both hit the same line — the driver must
-// keep only the replaypure finding there, while maporder findings on
-// lines replaypure does not cover (the unreachable function) survive.
-func TestMapOrderReplayPureDedup(t *testing.T) {
-	loader := NewLoader()
-	pkg := fixturePkg(t, loader, "replaypure", "deta/internal/core")
-	findings := Run([]*Package{pkg}, []Analyzer{MapOrder{}, &ReplayPure{}})
-
-	byLine := map[int][]string{}
-	for _, f := range findings {
-		if filepath.Base(f.File) == "replaypure.go" || filepath.Base(f.File) == "replaypure_clean.go" {
-			byLine[f.Line] = append(byLine[f.Line], f.Analyzer)
-		}
-	}
-	// Locate the accumulate-loop line (want replaypure, inside the map
-	// range) and the unreachable fold in the clean file.
-	accLine := fixtureLine(t, "replaypure", "replaypure.go", "n.sum += v")
-	cleanLine := fixtureLine(t, "replaypure", "replaypure_clean.go", "n.sum += v")
-	if got := byLine[accLine]; len(got) != 1 || got[0] != "replaypure" {
-		t.Errorf("line %d: got analyzers %v, want exactly [replaypure] (maporder duplicate must be dropped)", accLine, got)
-	}
-	if got := byLine[cleanLine]; len(got) != 1 || got[0] != "maporder" {
-		t.Errorf("clean-file line %d: got analyzers %v, want exactly [maporder] (replaypure does not reach it)", cleanLine, got)
-	}
-}
-
-// fixtureLine returns the first line of the fixture file containing
-// needle.
-func fixtureLine(t *testing.T, fixture, file, needle string) int {
-	t.Helper()
-	src, err := os.ReadFile(filepath.Join("testdata", "src", fixture, file))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, line := range strings.Split(string(src), "\n") {
-		if strings.Contains(line, needle) {
-			return i + 1
-		}
-	}
-	t.Fatalf("%s/%s: %q not found", fixture, file, needle)
-	return 0
-}
-
 // TestLoadSelf exercises the go-list Load path end to end: this package
 // must load, type-check, and come back clean under the full suite.
 func TestLoadSelf(t *testing.T) {
@@ -244,7 +197,7 @@ func TestLockOrderRealTreeEdge(t *testing.T) {
 		t.Fatalf("loaded %d packages, want 2", len(pkgs))
 	}
 	lo := &LockOrder{}
-	lo.Prepare(pkgs)
+	lo.Prepare(newIndex(pkgs))
 	var got []string
 	for _, e := range lo.edges {
 		got = append(got, e.from+" -> "+e.to)

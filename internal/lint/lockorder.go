@@ -12,17 +12,16 @@ package lint
 // not observable across functions).
 //
 // Edges mean "class B was acquired while some lock of class A was held on
-// at least one CFG path". They come from two sources, both built on the
-// PR 8 fixpoint plumbing:
+// at least one CFG path". They come from two sources, both solved over the
+// module index:
 //
 //   - direct: a Lock/RLock statement executed with a non-empty may-held
-//     set (held sets propagate through the CFG like lockregion's, but
-//     keyed by class, with helper effects applied via a class-level net
-//     lock-effect summary — computeClassFX);
+//     set (held sets propagate through the CFG like lockregion's, with the
+//     same transfer and the same class-level net lock-effect summary);
 //   - transitive: a call to a function whose may-acquire summary
-//     (computeLockAcq, a fixpoint over sync call edges at any depth) says
-//     it can take class B — the edge anchors at the call site with the
-//     callee recorded as provenance.
+//     (computeLockAcq, over sync call edges at any depth) says it can take
+//     class B — the edge anchors at the call site with the callee recorded
+//     as provenance.
 //
 // Cycles (Tarjan SCCs with an internal edge, including self-loops: Go
 // mutexes are not reentrant) are reported once each, anchored at the
@@ -38,11 +37,9 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 )
 
 type LockOrder struct {
-	once    sync.Once
 	classFX map[*types.Func][]classFX
 	acq     map[*types.Func]map[string]acqWitness
 
@@ -74,28 +71,20 @@ func (*LockOrder) Doc() string {
 	return "build the module-wide lock-acquisition-order graph and flag cycles as potential deadlocks"
 }
 
-// Prepare computes the class-level summaries, collects the order graph
-// over every function body in the module, and precomputes the cycle
-// reports. Run falls back to single-package preparation when the
-// framework did not call it (fixture tests).
-func (a *LockOrder) Prepare(pkgs []*Package) {
-	a.once.Do(func() {
-		var units []*funcUnit
-		for _, pkg := range pkgs {
-			units = append(units, funcUnits(pkg)...)
-		}
-		a.classFX = computeClassFX(units)
-		a.acq = computeLockAcq(units)
-		seen := make(map[[2]string]bool)
-		for _, u := range units {
-			a.collectEdges(u, seen)
-		}
-		a.buildReports()
-	})
+// Prepare collects the order graph over every function body in the
+// module and precomputes the cycle reports.
+func (a *LockOrder) Prepare(ix *moduleIndex) {
+	a.classFX = ix.classFX
+	a.acq = computeLockAcq(ix)
+	a.edges = nil
+	seen := make(map[[2]string]bool)
+	for _, u := range ix.all {
+		a.collectEdges(u, seen)
+	}
+	a.buildReports()
 }
 
 func (a *LockOrder) Run(pkg *Package, r *Reporter) {
-	a.Prepare([]*Package{pkg})
 	for _, rep := range a.reports[pkg] {
 		r.Reportf(rep.pos, "%s", rep.msg)
 	}
@@ -106,12 +95,8 @@ func (a *LockOrder) Run(pkg *Package, r *Reporter) {
 // dedup keeps the first witness in source order — units arrive in load
 // order and blocks in allocation order, so the result is deterministic.
 func (a *LockOrder) collectEdges(u *funcUnit, seen map[[2]string]bool) {
-	body := u.body()
-	if body == nil {
-		return
-	}
-	c := buildCFG(body)
-	transfer := func(f lockFact, n ast.Node) { a.classTransfer(u.pkg, f, n) }
+	c := buildCFG(u.body())
+	transfer := func(f lockFact, n ast.Node) { heldTransfer(u.pkg, a.classFX, lockClass, f, n) }
 	in := solveForward(c, lockFact{}, transfer)
 	add := func(f lockFact, to string, pos token.Pos, via string) {
 		for _, from := range sortedFactKeys(f) {
@@ -178,41 +163,6 @@ func (a *LockOrder) edgesAtNode(pkg *Package, f lockFact, n ast.Node, add func(f
 	})
 }
 
-// classTransfer updates the class-keyed may-held set for one CFG node:
-// direct mutex operations and net class effects of callees.
-func (a *LockOrder) classTransfer(pkg *Package, f lockFact, n ast.Node) {
-	if st, ok := n.(*ast.ExprStmt); ok {
-		if class, op, ok := mutexClassOp(pkg, st.X); ok {
-			if op == "Lock" || op == "RLock" {
-				if _, held := f[class]; !held {
-					f[class] = st.Pos()
-				}
-			} else {
-				delete(f, class)
-			}
-			return
-		}
-	}
-	if _, ok := n.(*ast.DeferStmt); ok {
-		return // deferred releases happen at exit, not mid-function
-	}
-	inspectSyncCalls(n, func(call *ast.CallExpr) {
-		callee := calleeFunc(pkg, call)
-		if callee == nil {
-			return
-		}
-		for _, e := range a.classFX[callee] {
-			if e.acquire {
-				if _, held := f[e.class]; !held {
-					f[e.class] = call.Pos()
-				}
-			} else {
-				delete(f, e.class)
-			}
-		}
-	})
-}
-
 // buildReports finds strongly connected components of the order graph and
 // renders one finding per cycle, anchored at its earliest edge.
 func (a *LockOrder) buildReports() {
@@ -230,7 +180,14 @@ func (a *LockOrder) buildReports() {
 		nodes = append(nodes, n)
 	}
 	sort.Strings(nodes)
-	for _, comp := range lockSCCs(nodes, adj) {
+	succs := func(n string) []string {
+		var out []string
+		for _, e := range adj[n] {
+			out = append(out, e.to)
+		}
+		return out
+	}
+	for _, comp := range sccs(nodes, succs) {
 		inSCC := make(map[string]bool, len(comp))
 		for _, n := range comp {
 			inSCC[n] = true
@@ -350,72 +307,4 @@ func sortedAcqKeys(set map[string]acqWitness) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// lockSCCs is Tarjan's algorithm over the class graph, iterative to keep
-// stack use bounded, deterministic given sorted nodes and insertion-order
-// adjacency.
-func lockSCCs(nodes []string, adj map[string][]*lockEdge) [][]string {
-	index := make(map[string]int, len(nodes))
-	low := make(map[string]int, len(nodes))
-	onStack := make(map[string]bool, len(nodes))
-	var stack []string
-	var comps [][]string
-	next := 0
-
-	type frame struct {
-		node string
-		edge int // next adjacency index to explore
-	}
-	for _, root := range nodes {
-		if _, seen := index[root]; seen {
-			continue
-		}
-		work := []frame{{node: root}}
-		index[root], low[root] = next, next
-		next++
-		stack = append(stack, root)
-		onStack[root] = true
-		for len(work) > 0 {
-			fr := &work[len(work)-1]
-			edges := adj[fr.node]
-			if fr.edge < len(edges) {
-				to := edges[fr.edge].to
-				fr.edge++
-				if _, seen := index[to]; !seen {
-					index[to], low[to] = next, next
-					next++
-					stack = append(stack, to)
-					onStack[to] = true
-					work = append(work, frame{node: to})
-				} else if onStack[to] && index[to] < low[fr.node] {
-					low[fr.node] = index[to]
-				}
-				continue
-			}
-			// Node finished: pop, propagate lowlink, emit component.
-			n := fr.node
-			work = work[:len(work)-1]
-			if len(work) > 0 {
-				if low[n] < low[work[len(work)-1].node] {
-					low[work[len(work)-1].node] = low[n]
-				}
-			}
-			if low[n] == index[n] {
-				var comp []string
-				for {
-					top := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[top] = false
-					comp = append(comp, top)
-					if top == n {
-						break
-					}
-				}
-				sort.Strings(comp)
-				comps = append(comps, comp)
-			}
-		}
-	}
-	return comps
 }

@@ -8,11 +8,15 @@ package lint
 // modeled instead of approximated. Two interprocedural refinements come
 // from the call-graph summaries:
 //
-//   - helper-held locks: a call to a method whose net effect is acquiring
-//     (or releasing) a receiver/parameter mutex updates the held set at
-//     the call site;
+//   - helper-held locks: a call to a function whose net effect is
+//     acquiring (or releasing) a lock class — at any helper depth —
+//     updates the held set at the call site;
 //   - transitive I/O: a call to a module function that performs network
 //     or disk I/O anywhere on its synchronous path is itself a sink.
+//
+// Held locks are keyed by class ("core.peer.mu"), the same class-keyed
+// effects lockorder reads; a local mutex has no class and is keyed by its
+// printed expression. Two instances of one class are one lock here.
 //
 // The WAL's commit-before-ack is the sanctioned exception: writes through
 // deta/internal/journal — direct or transitive — never count as I/O here
@@ -25,54 +29,42 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
-	"sync"
 )
 
-type LockRegion struct {
-	once   sync.Once
-	io     map[*types.Func]ioInfo
-	lockFX map[*types.Func][]lockEffect
-}
+type LockRegion struct{ ix *moduleIndex }
 
 func (*LockRegion) Name() string { return "lockregion" }
 func (*LockRegion) Doc() string {
 	return "flag network/disk I/O on any CFG path holding a mutex in internal/core (WAL journal exempt)"
 }
 
-// Prepare computes module-wide I/O and lock-effect summaries. Run falls
-// back to single-package summaries if the framework did not call it.
-func (a *LockRegion) Prepare(pkgs []*Package) {
-	a.once.Do(func() {
-		var units []*funcUnit
-		for _, pkg := range pkgs {
-			units = append(units, funcUnits(pkg)...)
-		}
-		a.io = computeIO(units)
-		a.lockFX = computeLockFX(units)
-	})
-}
+func (a *LockRegion) Prepare(ix *moduleIndex) { a.ix = ix }
 
 func (a *LockRegion) Run(pkg *Package, r *Reporter) {
-	a.Prepare([]*Package{pkg})
 	if !pathIn(pkg.Path, "deta/internal/core") {
 		return
 	}
-	for _, u := range funcUnits(pkg) {
+	for _, u := range a.ix.units[pkg] {
 		a.checkUnit(u, r)
 	}
 }
 
-// lockFact is the dataflow fact: printed mutex expression -> position of
-// the acquisition that put it in the held set.
+// lockFact is the dataflow fact: held lock -> position of the acquisition
+// that put it in the held set.
 type lockFact = fact[string, token.Pos]
 
-func (a *LockRegion) checkUnit(u *funcUnit, r *Reporter) {
-	body := u.body()
-	if body == nil {
-		return
+// lockKey names a held lock: its class, or for a local mutex its printed
+// expression.
+func lockKey(pkg *Package, mu ast.Expr) string {
+	if c := lockClass(pkg, mu); c != "" {
+		return c
 	}
-	c := buildCFG(body)
-	transfer := func(f lockFact, n ast.Node) { a.lockTransfer(u.pkg, f, n) }
+	return types.ExprString(mu)
+}
+
+func (a *LockRegion) checkUnit(u *funcUnit, r *Reporter) {
+	c := buildCFG(u.body())
+	transfer := func(f lockFact, n ast.Node) { heldTransfer(u.pkg, a.ix.classFX, lockKey, f, n) }
 	in := solveForward(c, lockFact{}, transfer)
 	for _, blk := range reachableBlocks(c, in) {
 		f := cloneFact(in[blk])
@@ -83,39 +75,6 @@ func (a *LockRegion) checkUnit(u *funcUnit, r *Reporter) {
 			transfer(f, n)
 		}
 	}
-}
-
-// lockTransfer updates the held-lock set for one CFG node: direct
-// Lock/Unlock statements and calls to helpers with net lock effects.
-func (a *LockRegion) lockTransfer(pkg *Package, f lockFact, n ast.Node) {
-	if st, ok := n.(*ast.ExprStmt); ok {
-		if key, name, ok := mutexOp(pkg, st.X); ok {
-			if name == "Lock" || name == "RLock" {
-				f[key] = st.Pos()
-			} else {
-				delete(f, key)
-			}
-			return
-		}
-	}
-	// Deferred unlocks run at function exit; they never release a lock
-	// mid-function, so a DeferStmt has no transfer effect.
-	if _, ok := n.(*ast.DeferStmt); ok {
-		return
-	}
-	inspectSyncCalls(n, func(call *ast.CallExpr) {
-		callee := calleeFunc(pkg, call)
-		if callee == nil {
-			return
-		}
-		for _, e := range callLockEffects(pkg, call, a.lockFX[callee]) {
-			if e.acquire {
-				f[e.key] = e.pos
-			} else {
-				delete(f, e.key)
-			}
-		}
-	})
 }
 
 // checkNode reports I/O calls in n that execute with a non-empty held
@@ -134,7 +93,7 @@ func (a *LockRegion) checkNode(pkg *Package, f lockFact, n ast.Node, r *Reporter
 		}
 		r.Reportf(call.Pos(),
 			"%s while holding %s: I/O under a core mutex convoys every concurrent caller behind one peer's disk/network latency",
-			desc, heldKeys(f))
+			desc, strings.Join(sortedFactKeys(f), ", "))
 	})
 }
 
@@ -151,7 +110,7 @@ func (a *LockRegion) ioCallDesc(pkg *Package, call *ast.CallExpr) string {
 	if callee.Pkg().Path() == journalPath {
 		return "" // WAL barrier: commit-before-ack is sanctioned under the lock
 	}
-	if info := a.io[callee]; info.kind != 0 {
+	if info := a.ix.io[callee]; info.kind != 0 {
 		return "call to " + callee.Name() + " (" + info.kind.String() + " I/O via " + info.via + ")"
 	}
 	return ""
@@ -170,57 +129,4 @@ func inspectSyncCalls(n ast.Node, visit func(*ast.CallExpr)) {
 		}
 		return true
 	})
-}
-
-// heldKeys renders the held-lock set deterministically for messages.
-func heldKeys(f lockFact) string {
-	keys := make([]string, 0, len(f))
-	for k := range f {
-		keys = append(keys, k)
-	}
-	if len(keys) == 1 {
-		return keys[0]
-	}
-	// Rare multi-lock case: stable order for reproducible output.
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	return strings.Join(keys, ", ")
-}
-
-// mutexOp matches `<expr>.Lock()/RLock()/Unlock()/RUnlock()` where the
-// receiver is a sync.Mutex or sync.RWMutex, returning the printed
-// receiver expression as the lock key.
-func mutexOp(pkg *Package, e ast.Expr) (key, name string, ok bool) {
-	call, ok := e.(*ast.CallExpr)
-	if !ok {
-		return "", "", false
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", "", false
-	}
-	switch sel.Sel.Name {
-	case "Lock", "RLock", "Unlock", "RUnlock":
-	default:
-		return "", "", false
-	}
-	s, ok := pkg.Info.Selections[sel]
-	if !ok {
-		return "", "", false
-	}
-	t := s.Recv()
-	if p, isPtr := t.(*types.Pointer); isPtr {
-		t = p.Elem()
-	}
-	named, isNamed := t.(*types.Named)
-	if !isNamed || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync" {
-		return "", "", false
-	}
-	if n := named.Obj().Name(); n != "Mutex" && n != "RWMutex" {
-		return "", "", false
-	}
-	return types.ExprString(sel.X), sel.Sel.Name, true
 }

@@ -1,10 +1,8 @@
 package lint
 
-// summary.go is the call-graph summary pass: module-wide facts computed
-// once over all loaded packages (via the Preparer hook) so the dataflow
-// analyzers can reason across function boundaries.
-//
-// Three summaries are computed:
+// summary.go holds the function units and the call-graph summaries the
+// dataflow analyzers share, each solved once over the module index
+// (index.go) so facts cross function and package boundaries:
 //
 //   - transitive I/O: which module functions perform network or disk I/O
 //     on their synchronous path (goroutine bodies and function literals do
@@ -12,11 +10,10 @@ package lint
 //     deta/internal/journal are a deliberate barrier: the WAL's
 //     commit-before-ack write is the sanctioned, documented exception to
 //     both the lock-region and context rules (DESIGN.md §9).
-//   - lock effects: the net mutexes a function acquires or releases on
-//     behalf of its caller (receiver- or parameter-rooted), so
-//     helper-held locks are visible at call sites.
-//   - key taint (see keytaint.go): which fields, parameters, and returns
-//     carry key material, by flow-insensitive fixpoint.
+//   - lock effects: the net lock classes a function leaves held (or
+//     releases) for its caller, so helper-held locks are visible at call
+//     sites (lockregion, lockorder), and the classes it may acquire at
+//     all (lockorder).
 //
 // All summaries key on *types.Func object identity, which is stable
 // across packages because one Loader run shares a single dependency
@@ -28,6 +25,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"strings"
 )
 
@@ -252,17 +250,13 @@ func ioPrimitive(pkg *Package, call *ast.CallExpr) (ioKind, string) {
 }
 
 // computeIO builds the transitive I/O summary over all declared module
-// functions: direct primitives first, then a fixpoint over call edges.
+// functions: direct primitives first (they win the witness), then callees.
 // Goroutine bodies and function literals are excluded (async path); calls
 // into deta/internal/journal are excluded (WAL barrier).
-func computeIO(units []*funcUnit) map[*types.Func]ioInfo {
-	io := make(map[*types.Func]ioInfo)
-	edges := make(map[*types.Func][]*types.Func)
-	for _, u := range units {
-		if u.obj == nil {
-			continue
-		}
-		info := io[u.obj]
+func computeIO(ix *moduleIndex) map[*types.Func]ioInfo {
+	return summarize(ix, "transitive I/O", ix.decls, func(u *funcUnit, sum map[*types.Func]ioInfo) ioInfo {
+		var info ioInfo
+		var callees []*types.Func
 		syncWalk(u.body(), func(n ast.Node) {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -279,32 +273,19 @@ func computeIO(units []*funcUnit) map[*types.Func]ioInfo {
 			}
 			if f := calleeFunc(u.pkg, call); f != nil && f.Pkg() != nil &&
 				strings.HasPrefix(f.Pkg().Path(), "deta/") && f.Pkg().Path() != journalPath {
-				edges[u.obj] = append(edges[u.obj], f)
+				callees = append(callees, f)
 			}
 		})
-		io[u.obj] = info
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, u := range units {
-			if u.obj == nil {
-				continue
-			}
-			info := io[u.obj]
-			for _, callee := range edges[u.obj] {
-				ci := io[callee]
-				if add := ci.kind &^ info.kind; add != 0 {
-					info.kind |= add
-					if info.via == "" {
-						info.via = callee.Name()
-					}
-					changed = true
+		for _, f := range callees {
+			if add := sum[f].kind &^ info.kind; add != 0 {
+				info.kind |= add
+				if info.via == "" {
+					info.via = f.Name()
 				}
 			}
-			io[u.obj] = info
 		}
-	}
-	return io
+		return info
+	}, eq[ioInfo])
 }
 
 // syncWalk visits the nodes of body that execute on the caller's
@@ -324,260 +305,45 @@ func syncWalk(body ast.Node, visit func(ast.Node)) {
 }
 
 // ---------------------------------------------------------------------------
-// Lock-effect summaries.
-
-// lockEffect is one net mutex acquisition (or release) a function
-// performs on behalf of its caller, rooted at the receiver (root == -1)
-// or a parameter (root == index).
-type lockEffect struct {
-	root    int
-	path    string // printed selector path below the root, e.g. ".mu"
-	acquire bool
-}
-
-// computeLockFX summarizes, per declared function, the net locks it
-// leaves held (or releases) for its caller, rooted at the receiver or a
-// parameter. Effects propagate through call edges to a fixpoint (the
-// same shape as computeIO): a helper that locks via another helper still
-// surfaces at the outermost call site. Balanced Lock/Unlock — direct,
-// through calls, or Lock with a deferred Unlock — cancel out. Effects
-// rooted at a callee's locals never propagate; they are invisible in the
-// caller's frame.
-func computeLockFX(units []*funcUnit) map[*types.Func][]lockEffect {
-	out := make(map[*types.Func][]lockEffect)
-	// The cap bounds recursive call cycles; real helper chains stabilize
-	// after one pass per call depth.
-	for iter := 0; iter < 10; iter++ {
-		next := make(map[*types.Func][]lockEffect)
-		for _, u := range units {
-			if u.obj == nil {
-				continue
-			}
-			if fx := unitLockFX(u, out); len(fx) > 0 {
-				next[u.obj] = fx
-			}
-		}
-		if lockFXStable(out, next) {
-			return next
-		}
-		out = next
-	}
-	return out
-}
-
-// unitLockFX computes one function's net lock effects given the current
-// summaries of every other function.
-func unitLockFX(u *funcUnit, summaries map[*types.Func][]lockEffect) []lockEffect {
-	roots := unitRoots(u)
-	var fx []lockEffect
-	apply := func(root int, path string, acquire bool) {
-		// A release cancels the latest matching acquire (and vice
-		// versa); otherwise it is a net effect of its own.
-		for i := len(fx) - 1; i >= 0; i-- {
-			if fx[i].root == root && fx[i].path == path && fx[i].acquire != acquire {
-				fx = append(fx[:i], fx[i+1:]...)
-				return
-			}
-		}
-		fx = append(fx, lockEffect{root: root, path: path, acquire: acquire})
-	}
-	// callFX maps a callee's summarized effects through the call site
-	// into this function's frame. releasesOnly models deferred calls,
-	// which (like deferred Unlocks) only ever discharge a held lock.
-	callFX := func(call *ast.CallExpr, releasesOnly bool) {
-		callee := calleeFunc(u.pkg, call)
-		if callee == nil {
-			return
-		}
-		for _, e := range summaries[callee] {
-			if releasesOnly && e.acquire {
-				continue
-			}
-			var base ast.Expr
-			if e.root == -1 {
-				sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
-				if !ok {
-					continue
-				}
-				base = sel.X
-			} else {
-				if e.root >= len(call.Args) {
-					continue
-				}
-				base = call.Args[e.root]
-			}
-			if root, path, ok := exprRoot(u.pkg, base, roots); ok {
-				apply(root, path+e.path, e.acquire)
-			}
-		}
-	}
-	syncWalk(u.body(), func(n ast.Node) {
-		switch st := n.(type) {
-		case *ast.ExprStmt:
-			if _, name, ok := mutexOp(u.pkg, st.X); ok {
-				if root, path, ok := splitRoot(u.pkg, st.X, roots); ok {
-					apply(root, path, name == "Lock" || name == "RLock")
-				}
-				return
-			}
-			if call, ok := unparen(st.X).(*ast.CallExpr); ok {
-				callFX(call, false)
-			}
-		case *ast.AssignStmt:
-			for _, rhs := range st.Rhs {
-				if call, ok := unparen(rhs).(*ast.CallExpr); ok {
-					callFX(call, false)
-				}
-			}
-		case *ast.DeferStmt:
-			if _, name, ok := mutexOp(u.pkg, st.Call); ok {
-				if name == "Unlock" || name == "RUnlock" {
-					if root, path, ok := splitRoot(u.pkg, st.Call, roots); ok {
-						apply(root, path, false)
-					}
-				}
-				return
-			}
-			callFX(st.Call, true)
-		}
-	})
-	return fx
-}
-
-// lockFXStable reports whether two summary generations are identical, so
-// the fixpoint can stop iterating.
-func lockFXStable(a, b map[*types.Func][]lockEffect) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for f, afx := range a {
-		bfx, ok := b[f]
-		if !ok || len(afx) != len(bfx) {
-			return false
-		}
-		for i := range afx {
-			if afx[i] != bfx[i] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// unitRoots maps the receiver (-1) and parameter objects (by index) of a
-// function so lock effects can be rooted relative to the caller's
-// arguments.
-func unitRoots(u *funcUnit) map[types.Object]int {
-	roots := make(map[types.Object]int)
-	if u.decl != nil && u.decl.Recv != nil && len(u.decl.Recv.List) > 0 && len(u.decl.Recv.List[0].Names) > 0 {
-		if obj := u.pkg.Info.Defs[u.decl.Recv.List[0].Names[0]]; obj != nil {
-			roots[obj] = -1
-		}
-	}
-	i := 0
-	for _, field := range u.ftype().Params.List {
-		for _, name := range field.Names {
-			if obj := u.pkg.Info.Defs[name]; obj != nil {
-				roots[obj] = i
-			}
-			i++
-		}
-		if len(field.Names) == 0 {
-			i++
-		}
-	}
-	return roots
-}
-
-// splitRoot decomposes the mutex expression of a Lock/Unlock call
-// (`recv.mu.Lock()`) into a root (receiver/parameter index) and the
-// selector path below it ("" if the root IS the mutex).
-func splitRoot(pkg *Package, call ast.Expr, roots map[types.Object]int) (int, string, bool) {
-	ce, ok := unparen(call).(*ast.CallExpr)
-	if !ok {
-		return 0, "", false
-	}
-	sel, ok := ce.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return 0, "", false
-	}
-	return exprRoot(pkg, sel.X, roots)
-}
-
-// exprRoot decomposes a selector chain (possibly through & and *) into a
-// root (receiver/parameter index) and the printed path below it ("" if
-// the root IS the expression).
-func exprRoot(pkg *Package, e ast.Expr, roots map[types.Object]int) (int, string, bool) {
-	full := types.ExprString(unparen(e))
-	base := unparen(e)
-	for {
-		switch x := base.(type) {
-		case *ast.SelectorExpr:
-			base = unparen(x.X)
-		case *ast.StarExpr:
-			base = unparen(x.X)
-		case *ast.UnaryExpr:
-			if x.Op != token.AND {
-				return 0, "", false
-			}
-			base = unparen(x.X)
-		case *ast.Ident:
-			obj := pkg.Info.Uses[x]
-			root, ok := roots[obj]
-			if !ok {
-				return 0, "", false
-			}
-			path := strings.TrimLeft(full, "&*")
-			return root, strings.TrimPrefix(path, x.Name), true
-		default:
-			return 0, "", false
-		}
-	}
-}
-
-// callLockEffects maps a callee's lock effects through a call site,
-// returning (lock key, acquire, position) triples in the caller's frame.
-func callLockEffects(pkg *Package, call *ast.CallExpr, fx []lockEffect) []appliedLockFX {
-	var recvStr string
-	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
-		recvStr = types.ExprString(sel.X)
-	}
-	var out []appliedLockFX
-	for _, e := range fx {
-		var root string
-		if e.root == -1 {
-			if recvStr == "" {
-				continue // receiver effect on a non-method call form
-			}
-			root = recvStr
-		} else {
-			if e.root >= len(call.Args) {
-				continue
-			}
-			root = types.ExprString(call.Args[e.root])
-		}
-		out = append(out, appliedLockFX{key: root + e.path, acquire: e.acquire, pos: call.Pos()})
-	}
-	return out
-}
-
-type appliedLockFX struct {
-	key     string
-	acquire bool
-	pos     token.Pos
-}
-
-// ---------------------------------------------------------------------------
-// Lock-class summaries (lockorder).
+// Lock-class summaries (lockregion, lockorder).
 //
 // Lock identity here is a *class*, not an instance: a struct-field mutex
 // is named by its owning named type plus the field ("core.AggregatorNode.mu",
 // embedded owners resolved through the selection's index path), a
-// package-level mutex by "pkg.var". Classes are global strings, so —
-// unlike the root/path lockEffect form above, which exists to map
-// instances through call sites — class effects propagate through call
-// edges with no argument mapping at all. Local mutexes have no class and
-// are invisible to the order graph.
+// package-level mutex by "pkg.var". Classes are global strings, so class
+// effects propagate through call edges with no argument mapping at all.
+// Local mutexes have no class: lockregion keys them by their printed
+// expression, lockorder ignores them, and no summary carries them.
+
+// mutexOp matches `<expr>.Lock()/RLock()/Unlock()/RUnlock()` where the
+// receiver is a sync.Mutex or sync.RWMutex, returning the receiver.
+func mutexOp(pkg *Package, e ast.Expr) (mu ast.Expr, name string, ok bool) {
+	call, ok := e.(*ast.CallExpr)
+	if !ok {
+		return nil, "", false
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return nil, "", false
+	}
+	switch sel.Sel.Name {
+	case "Lock", "RLock", "Unlock", "RUnlock":
+	default:
+		return nil, "", false
+	}
+	s, ok := pkg.Info.Selections[sel]
+	if !ok {
+		return nil, "", false
+	}
+	named, isNamed := derefType(s.Recv()).(*types.Named)
+	if !isNamed || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync" {
+		return nil, "", false
+	}
+	if n := named.Obj().Name(); n != "Mutex" && n != "RWMutex" {
+		return nil, "", false
+	}
+	return sel.X, sel.Sel.Name, true
+}
 
 // lockClass names the lock class of a mutex-valued expression, or "" if
 // the expression has no class (locals, unresolvable chains).
@@ -629,10 +395,8 @@ func derefType(t types.Type) types.Type {
 // mutexClassOp matches a mutex Lock/RLock/Unlock/RUnlock call whose lock
 // has a resolvable class.
 func mutexClassOp(pkg *Package, e ast.Expr) (class, name string, ok bool) {
-	if _, n, isOp := mutexOp(pkg, e); isOp {
-		call := unparen(e).(*ast.CallExpr)
-		sel := call.Fun.(*ast.SelectorExpr)
-		if c := lockClass(pkg, sel.X); c != "" {
+	if mu, n, isOp := mutexOp(pkg, e); isOp {
+		if c := lockClass(pkg, mu); c != "" {
 			return c, n, true
 		}
 	}
@@ -640,36 +404,17 @@ func mutexClassOp(pkg *Package, e ast.Expr) (class, name string, ok bool) {
 }
 
 // classFX is one net class-level lock effect a function performs for its
-// caller. The same cancellation discipline as lockEffect applies, but no
-// call-site mapping is needed: classes are instance-independent.
+// caller.
 type classFX struct {
 	class   string
 	acquire bool
 }
 
-// computeClassFX mirrors computeLockFX at class granularity: the net lock
-// classes a function leaves held (or releases), to a fixpoint over call
-// edges.
-func computeClassFX(units []*funcUnit) map[*types.Func][]classFX {
-	out := make(map[*types.Func][]classFX)
-	for iter := 0; iter < 10; iter++ {
-		next := make(map[*types.Func][]classFX)
-		for _, u := range units {
-			if u.obj == nil {
-				continue
-			}
-			if fx := unitClassFX(u, out); len(fx) > 0 {
-				next[u.obj] = fx
-			}
-		}
-		if classFXStable(out, next) {
-			return next
-		}
-		out = next
-	}
-	return out
-}
-
+// unitClassFX is the transfer of the net lock-effect summary (the index's
+// classFX): the lock classes u leaves held, or releases, for its caller.
+// A release cancels the latest matching acquire and vice versa, so
+// balanced Lock/Unlock — direct, through calls, or Lock with a deferred
+// Unlock — leaves nothing.
 func unitClassFX(u *funcUnit, summaries map[*types.Func][]classFX) []classFX {
 	var fx []classFX
 	apply := func(class string, acquire bool) {
@@ -681,16 +426,13 @@ func unitClassFX(u *funcUnit, summaries map[*types.Func][]classFX) []classFX {
 		}
 		fx = append(fx, classFX{class: class, acquire: acquire})
 	}
+	// releasesOnly models deferred calls, which (like deferred Unlocks)
+	// only ever discharge a held lock.
 	callFX := func(call *ast.CallExpr, releasesOnly bool) {
-		callee := calleeFunc(u.pkg, call)
-		if callee == nil {
-			return
-		}
-		for _, e := range summaries[callee] {
-			if releasesOnly && e.acquire {
-				continue
+		for _, e := range summaries[calleeFunc(u.pkg, call)] {
+			if !releasesOnly || !e.acquire {
+				apply(e.class, e.acquire)
 			}
-			apply(e.class, e.acquire)
 		}
 	}
 	syncWalk(u.body(), func(n ast.Node) {
@@ -722,22 +464,41 @@ func unitClassFX(u *funcUnit, summaries map[*types.Func][]classFX) []classFX {
 	return fx
 }
 
-func classFXStable(a, b map[*types.Func][]classFX) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for f, afx := range a {
-		bfx, ok := b[f]
-		if !ok || len(afx) != len(bfx) {
-			return false
+// heldTransfer updates a may-held lock set for one CFG node: a direct
+// mutex operation on the lock named by key (ignored when key returns ""),
+// or the net class effects (fx) of the node's synchronous calls. A held
+// lock keeps its first acquisition site. Deferred unlocks run at function
+// exit, never mid-function, so a DeferStmt has no effect.
+func heldTransfer(pkg *Package, fx map[*types.Func][]classFX, key func(*Package, ast.Expr) string, f lockFact, n ast.Node) {
+	hold := func(k string, pos token.Pos) {
+		if _, held := f[k]; !held {
+			f[k] = pos
 		}
-		for i := range afx {
-			if afx[i] != bfx[i] {
-				return false
+	}
+	if st, ok := n.(*ast.ExprStmt); ok {
+		if mu, op, ok := mutexOp(pkg, st.X); ok {
+			switch k := key(pkg, mu); {
+			case k == "":
+			case op == "Lock" || op == "RLock":
+				hold(k, st.Pos())
+			default:
+				delete(f, k)
+			}
+			return
+		}
+	}
+	if _, ok := n.(*ast.DeferStmt); ok {
+		return
+	}
+	inspectSyncCalls(n, func(call *ast.CallExpr) {
+		for _, e := range fx[calleeFunc(pkg, call)] {
+			if e.acquire {
+				hold(e.class, call.Pos())
+			} else {
+				delete(f, e.class)
 			}
 		}
-	}
-	return true
+	})
 }
 
 // acqWitness records where a summarized acquisition actually happens, for
@@ -749,18 +510,13 @@ type acqWitness struct {
 
 // computeLockAcq summarizes, per declared function, every lock class it
 // MAY acquire on its synchronous path — directly or through module
-// callees at any depth (a may-union fixpoint, unlike the net effects
-// above: an acquire-then-release still establishes lock order). The
-// journal is NOT exempt here: its mutex participates in ordering like any
-// other.
-func computeLockAcq(units []*funcUnit) map[*types.Func]map[string]acqWitness {
-	acq := make(map[*types.Func]map[string]acqWitness)
-	edges := make(map[*types.Func][]*types.Func)
-	for _, u := range units {
-		if u.obj == nil {
-			continue
-		}
+// callees at any depth (a may-union, unlike the net effects above: an
+// acquire-then-release still establishes lock order). The journal is NOT
+// exempt here: its mutex participates in ordering like any other.
+func computeLockAcq(ix *moduleIndex) map[*types.Func]map[string]acqWitness {
+	return summarize(ix, "lock acquisitions", ix.decls, func(u *funcUnit, sum map[*types.Func]map[string]acqWitness) map[string]acqWitness {
 		set := make(map[string]acqWitness)
+		var callees []*types.Func
 		syncWalk(u.body(), func(n ast.Node) {
 			switch st := n.(type) {
 			case *ast.ExprStmt:
@@ -772,36 +528,19 @@ func computeLockAcq(units []*funcUnit) map[*types.Func]map[string]acqWitness {
 			case *ast.CallExpr:
 				if f := calleeFunc(u.pkg, st); f != nil && f.Pkg() != nil &&
 					strings.HasPrefix(f.Pkg().Path(), "deta/") {
-					edges[u.obj] = append(edges[u.obj], f)
+					callees = append(callees, f)
 				}
 			}
 		})
-		if len(set) > 0 {
-			acq[u.obj] = set
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, u := range units {
-			if u.obj == nil {
-				continue
-			}
-			for _, callee := range edges[u.obj] {
-				for class, w := range acq[callee] {
-					set := acq[u.obj]
-					if set == nil {
-						set = make(map[string]acqWitness)
-						acq[u.obj] = set
-					}
-					if _, ok := set[class]; !ok {
-						set[class] = w
-						changed = true
-					}
+		for _, f := range callees {
+			for class, w := range sum[f] {
+				if _, seen := set[class]; !seen {
+					set[class] = w
 				}
 			}
 		}
-	}
-	return acq
+		return set
+	}, maps.Equal[map[string]acqWitness])
 }
 
 // fnDisplayName names a function unit for report messages.

@@ -218,3 +218,28 @@ func goodClosureSanitized(master []byte) func() {
 		log.Printf("state %s", s)
 	}
 }
+
+// badDeepChain passes a key down twenty helpers declared callee-first,
+// so a source-order sweep would move it one level per round; the sink
+// at the bottom must still fire.
+func chainLog20(b []byte)        { log.Printf("chain %x", b) } // want keytaint
+func chainLog19(b []byte)        { chainLog20(b) }
+func chainLog18(b []byte)        { chainLog19(b) }
+func chainLog17(b []byte)        { chainLog18(b) }
+func chainLog16(b []byte)        { chainLog17(b) }
+func chainLog15(b []byte)        { chainLog16(b) }
+func chainLog14(b []byte)        { chainLog15(b) }
+func chainLog13(b []byte)        { chainLog14(b) }
+func chainLog12(b []byte)        { chainLog13(b) }
+func chainLog11(b []byte)        { chainLog12(b) }
+func chainLog10(b []byte)        { chainLog11(b) }
+func chainLog9(b []byte)         { chainLog10(b) }
+func chainLog8(b []byte)         { chainLog9(b) }
+func chainLog7(b []byte)         { chainLog8(b) }
+func chainLog6(b []byte)         { chainLog7(b) }
+func chainLog5(b []byte)         { chainLog6(b) }
+func chainLog4(b []byte)         { chainLog5(b) }
+func chainLog3(b []byte)         { chainLog4(b) }
+func chainLog2(b []byte)         { chainLog3(b) }
+func chainLog1(b []byte)         { chainLog2(b) }
+func badDeepChain(master []byte) { chainLog1(rng.DeriveSeed(master)) }

@@ -205,3 +205,33 @@ func (p *peer) goodEarlyReturn(cond bool, b []byte) (int, error) {
 	p.mu.Unlock()
 	return p.conn.Write(b)
 }
+
+// badDeepChainHeld does disk I/O under a lock taken twenty helpers down
+// (declared callee-first): the lock-effect summary must carry the
+// acquisition up the whole chain.
+func (p *peer) holdDeep20() { p.mu.Lock() }
+func (p *peer) holdDeep19() { p.holdDeep20() }
+func (p *peer) holdDeep18() { p.holdDeep19() }
+func (p *peer) holdDeep17() { p.holdDeep18() }
+func (p *peer) holdDeep16() { p.holdDeep17() }
+func (p *peer) holdDeep15() { p.holdDeep16() }
+func (p *peer) holdDeep14() { p.holdDeep15() }
+func (p *peer) holdDeep13() { p.holdDeep14() }
+func (p *peer) holdDeep12() { p.holdDeep13() }
+func (p *peer) holdDeep11() { p.holdDeep12() }
+func (p *peer) holdDeep10() { p.holdDeep11() }
+func (p *peer) holdDeep9()  { p.holdDeep10() }
+func (p *peer) holdDeep8()  { p.holdDeep9() }
+func (p *peer) holdDeep7()  { p.holdDeep8() }
+func (p *peer) holdDeep6()  { p.holdDeep7() }
+func (p *peer) holdDeep5()  { p.holdDeep6() }
+func (p *peer) holdDeep4()  { p.holdDeep5() }
+func (p *peer) holdDeep3()  { p.holdDeep4() }
+func (p *peer) holdDeep2()  { p.holdDeep3() }
+func (p *peer) holdDeep1()  { p.holdDeep2() }
+
+func (p *peer) badDeepChainHeld() error {
+	p.holdDeep1()
+	defer p.mu.Unlock()
+	return os.Remove(p.path) // want lockregion
+}

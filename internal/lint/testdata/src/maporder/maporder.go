@@ -1,6 +1,7 @@
-// Package core poses as deta/internal/core for the maporder fixture:
-// map-order-dependent accumulation and journal writes are findings, the
-// collect-then-sort idiom and per-iteration state are not.
+// Package core poses as deta/internal/core for replaypure's map-order
+// checks: in a deterministic package, map-order-dependent accumulation
+// and journal writes are findings even though no replay root reaches
+// them; the collect-then-sort idiom and per-iteration state are not.
 package core
 
 import (
@@ -13,7 +14,7 @@ import (
 func keysUnsorted(m map[string]int) []string {
 	var out []string
 	for k := range m {
-		out = append(out, k) // want maporder
+		out = append(out, k) // want replaypure
 	}
 	return out
 }
@@ -32,7 +33,7 @@ func keysSorted(m map[string]int) []string {
 func sumFloats(m map[string]float64) float64 {
 	var sum float64
 	for _, v := range m {
-		sum += v // want maporder
+		sum += v // want replaypure
 	}
 	return sum
 }
@@ -59,22 +60,22 @@ func perIteration(m map[string][]int) int {
 	return n
 }
 
-type node struct {
+type walNode struct {
 	j *journal.Journal
 }
 
-func (n *node) logEvent(typ uint8, data []byte) {}
+func (n *walNode) logEvent(typ uint8, data []byte) {}
 
 // flushAll writes WAL records in map order, so replay order differs.
-func (n *node) flushAll(m map[string][]byte) {
+func (n *walNode) flushAll(m map[string][]byte) {
 	for _, v := range m {
-		n.j.Append(1, v) // want maporder
+		n.j.Append(1, v) // want replaypure
 	}
 }
 
 // drain reaches the WAL through the aggregator helper, matched by name.
-func (n *node) drain(m map[int][]byte) {
+func (n *walNode) drain(m map[int][]byte) {
 	for r, b := range m {
-		n.logEvent(uint8(r), b) // want maporder
+		n.logEvent(uint8(r), b) // want replaypure
 	}
 }

@@ -145,3 +145,30 @@ func (a *AggregatorNode) DropRoundMaybe(round int) error {
 	delete(a.rounds, round) // want waldisc
 	return nil
 }
+
+// RegisterDeep reaches an unguarded membership write twenty unexported
+// helpers down (declared callee-first); the summary surfaces it here.
+func (a *AggregatorNode) admitDeep20(party string) { a.parties[party] = true }
+func (a *AggregatorNode) admitDeep19(party string) { a.admitDeep20(party) }
+func (a *AggregatorNode) admitDeep18(party string) { a.admitDeep19(party) }
+func (a *AggregatorNode) admitDeep17(party string) { a.admitDeep18(party) }
+func (a *AggregatorNode) admitDeep16(party string) { a.admitDeep17(party) }
+func (a *AggregatorNode) admitDeep15(party string) { a.admitDeep16(party) }
+func (a *AggregatorNode) admitDeep14(party string) { a.admitDeep15(party) }
+func (a *AggregatorNode) admitDeep13(party string) { a.admitDeep14(party) }
+func (a *AggregatorNode) admitDeep12(party string) { a.admitDeep13(party) }
+func (a *AggregatorNode) admitDeep11(party string) { a.admitDeep12(party) }
+func (a *AggregatorNode) admitDeep10(party string) { a.admitDeep11(party) }
+func (a *AggregatorNode) admitDeep9(party string)  { a.admitDeep10(party) }
+func (a *AggregatorNode) admitDeep8(party string)  { a.admitDeep9(party) }
+func (a *AggregatorNode) admitDeep7(party string)  { a.admitDeep8(party) }
+func (a *AggregatorNode) admitDeep6(party string)  { a.admitDeep7(party) }
+func (a *AggregatorNode) admitDeep5(party string)  { a.admitDeep6(party) }
+func (a *AggregatorNode) admitDeep4(party string)  { a.admitDeep5(party) }
+func (a *AggregatorNode) admitDeep3(party string)  { a.admitDeep4(party) }
+func (a *AggregatorNode) admitDeep2(party string)  { a.admitDeep3(party) }
+func (a *AggregatorNode) admitDeep1(party string)  { a.admitDeep2(party) }
+
+func (a *AggregatorNode) RegisterDeep(party string) {
+	a.admitDeep1(party) // want waldisc
+}

@@ -72,3 +72,36 @@ func (a *AggregatorNode) applyRecord(typ byte, party string, round int) {
 		delete(a.rounds, round)
 	}
 }
+
+// AggregateDeep is guarded by a checked append twenty wrappers down
+// (declared callee-first): every wrapper appends on every path, so the
+// strength-2 guard reaches the call site and the write is clean.
+func (a *AggregatorNode) journalDeep20(typ byte) error { return a.journal.Append(typ, nil) }
+func (a *AggregatorNode) journalDeep19(typ byte) error { return a.journalDeep20(typ) }
+func (a *AggregatorNode) journalDeep18(typ byte) error { return a.journalDeep19(typ) }
+func (a *AggregatorNode) journalDeep17(typ byte) error { return a.journalDeep18(typ) }
+func (a *AggregatorNode) journalDeep16(typ byte) error { return a.journalDeep17(typ) }
+func (a *AggregatorNode) journalDeep15(typ byte) error { return a.journalDeep16(typ) }
+func (a *AggregatorNode) journalDeep14(typ byte) error { return a.journalDeep15(typ) }
+func (a *AggregatorNode) journalDeep13(typ byte) error { return a.journalDeep14(typ) }
+func (a *AggregatorNode) journalDeep12(typ byte) error { return a.journalDeep13(typ) }
+func (a *AggregatorNode) journalDeep11(typ byte) error { return a.journalDeep12(typ) }
+func (a *AggregatorNode) journalDeep10(typ byte) error { return a.journalDeep11(typ) }
+func (a *AggregatorNode) journalDeep9(typ byte) error  { return a.journalDeep10(typ) }
+func (a *AggregatorNode) journalDeep8(typ byte) error  { return a.journalDeep9(typ) }
+func (a *AggregatorNode) journalDeep7(typ byte) error  { return a.journalDeep8(typ) }
+func (a *AggregatorNode) journalDeep6(typ byte) error  { return a.journalDeep7(typ) }
+func (a *AggregatorNode) journalDeep5(typ byte) error  { return a.journalDeep6(typ) }
+func (a *AggregatorNode) journalDeep4(typ byte) error  { return a.journalDeep5(typ) }
+func (a *AggregatorNode) journalDeep3(typ byte) error  { return a.journalDeep4(typ) }
+func (a *AggregatorNode) journalDeep2(typ byte) error  { return a.journalDeep3(typ) }
+func (a *AggregatorNode) journalDeep1(typ byte) error  { return a.journalDeep2(typ) }
+
+func (a *AggregatorNode) AggregateDeep(round int, out []float64) error {
+	rs := a.rounds[round]
+	if err := a.journalDeep1(9); err != nil {
+		return err
+	}
+	rs.aggregated = out
+	return nil
+}

@@ -26,7 +26,8 @@ package lint
 //     append is the canonical guarded delete).
 //
 // Mutations reached through unexported helpers propagate to call sites via
-// summaries, so `a.admit(p)` is as visible as `a.parties[p] = true`.
+// summaries, at any helper depth, so `a.admit(p)` is as visible as
+// `a.parties[p] = true`.
 // Findings are reported only in exported functions — the package's ack
 // surface; unexported functions contribute summaries instead. Replay
 // itself (RecoverAggregatorNode, applyRecord) is exempt:
@@ -38,12 +39,13 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 )
 
-type WalDisc struct{}
+type WalDisc struct{ ix *moduleIndex }
 
-func (WalDisc) Name() string { return "waldisc" }
-func (WalDisc) Doc() string {
+func (*WalDisc) Name() string { return "waldisc" }
+func (*WalDisc) Doc() string {
 	return "require a dominating journal append before every durable aggregator state mutation (WAL-before-ack)"
 }
 
@@ -83,75 +85,49 @@ type walMut struct {
 }
 
 type walFunc struct {
-	decl *ast.FuncDecl
-	obj  *types.Func
-	c    *cfg
-	d    *domTree
+	c *cfg
+	d *domTree
 }
 
-func (WalDisc) Run(pkg *Package, r *Reporter) {
+func (a *WalDisc) Prepare(ix *moduleIndex) { a.ix = ix }
+
+func (a *WalDisc) Run(pkg *Package, r *Reporter) {
 	if pkg.Path != "deta/internal/core" {
 		return
 	}
-	var fns []*walFunc
-	for _, file := range pkg.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || walExemptFuncs[fd.Name.Name] {
-				continue
-			}
-			obj, _ := pkg.Info.Defs[fd.Name].(*types.Func)
-			c := buildCFG(fd.Body)
-			fns = append(fns, &walFunc{decl: fd, obj: obj, c: c, d: buildDomTree(c)})
+	fns := map[*funcUnit]*walFunc{}
+	var units, helpers []*funcUnit
+	for _, u := range a.ix.units[pkg] {
+		if u.obj == nil || walExemptFuncs[u.decl.Name.Name] {
+			continue
+		}
+		c := buildCFG(u.decl.Body)
+		fns[u] = &walFunc{c: c, d: buildDomTree(c)}
+		units = append(units, u)
+		if !exported(u.decl) {
+			helpers = append(helpers, u)
 		}
 	}
 
 	// Wrapper strengths: a function that appends (at strength s) on every
-	// path through its body transfers an s-strength guard to call sites.
-	// Wrappers may call wrappers, so iterate to a fixpoint; the call graph
-	// is shallow, 10 rounds is plenty.
-	ws := map[*types.Func]int{}
-	for iter := 0; iter < 10; iter++ {
-		next := map[*types.Func]int{}
-		for _, wf := range fns {
-			if wf.obj == nil {
-				continue
-			}
-			if s := walWrapperStrength(pkg, wf, ws); s > 0 {
-				next[wf.obj] = s
-			}
-		}
-		if walIntMapEqual(ws, next) {
-			break
-		}
-		ws = next
-	}
+	// path through its body transfers an s-strength guard to call sites,
+	// and wrappers may call wrappers.
+	ws := summarize(a.ix, "waldisc wrapper", units, func(u *funcUnit, ws map[*types.Func]int) int {
+		return walWrapperStrength(pkg, fns[u], ws)
+	}, eq[int])
 
-	// Unguarded-mutation summaries for unexported helpers, to the same
-	// fixpoint discipline: a helper's unguarded mutations surface at its
-	// call sites (where a dominating append CAN still guard them).
-	sums := map[*types.Func][]walMut{}
-	for iter := 0; iter < 10; iter++ {
-		next := map[*types.Func][]walMut{}
-		for _, wf := range fns {
-			if wf.obj == nil || exported(wf.decl) {
-				continue
-			}
-			if ms := walUnguarded(pkg, wf, ws, sums); len(ms) > 0 {
-				next[wf.obj] = ms
-			}
-		}
-		if walMutMapEqual(sums, next) {
-			break
-		}
-		sums = next
-	}
+	// Unguarded-mutation summaries for unexported helpers: a helper's
+	// unguarded mutations surface at its call sites (where a dominating
+	// append CAN still guard them).
+	sums := summarize(a.ix, "waldisc mutation", helpers, func(u *funcUnit, sums map[*types.Func][]walMut) []walMut {
+		return walUnguarded(pkg, fns[u], ws, sums)
+	}, slices.Equal[[]walMut])
 
-	for _, wf := range fns {
-		if !exported(wf.decl) {
+	for _, u := range units {
+		if !exported(u.decl) {
 			continue
 		}
-		for _, m := range walUnguarded(pkg, wf, ws, sums) {
+		for _, m := range walUnguarded(pkg, fns[u], ws, sums) {
 			guard := "a journal append"
 			if m.need >= 2 {
 				guard = "a checked durable journal append"
@@ -393,34 +369,4 @@ func walDurableTarget(pkg *Package, e ast.Expr) (need int, desc string, ok bool)
 			return 0, "", false
 		}
 	}
-}
-
-func walIntMapEqual(a, b map[*types.Func]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
-func walMutMapEqual(a, b map[*types.Func][]walMut) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, av := range a {
-		bv, ok := b[k]
-		if !ok || len(av) != len(bv) {
-			return false
-		}
-		for i := range av {
-			if av[i] != bv[i] {
-				return false
-			}
-		}
-	}
-	return true
 }
