@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -20,7 +21,9 @@ import (
 // With a Journal attached (RecoverAggregatorNode, or Session's StateDir),
 // every state mutation is committed to the write-ahead log before it is
 // acknowledged, so a crashed-and-restarted aggregator resumes the round
-// exactly where it left off instead of stalling the federation.
+// exactly where it left off instead of stalling the federation. Durable
+// state changes only through apply, fed by commitLocked live and by the
+// journal on replay (recover.go).
 type AggregatorNode struct {
 	ID        string
 	Algorithm agg.Algorithm
@@ -54,8 +57,8 @@ type AggregatorNode struct {
 	journal *journal.Journal
 	// walBuf is the reused encode scratch for WAL records: journal.Append
 	// copies the frame out synchronously, so the buffer is free again when
-	// logFragmentDurable or logEvent* returns. Guarded by mu like every
-	// caller; ephemeral, never journaled or recovered.
+	// appendLocked returns. Guarded by mu like every caller; ephemeral,
+	// never journaled or recovered.
 	walBuf []byte
 	// compactEvery bounds the journal tail before a compaction rewrites
 	// the log as the node's state (0 = default).
@@ -82,8 +85,7 @@ type AggregatorNode struct {
 }
 
 type roundState struct {
-	fragments  map[string]tensor.Vector
-	weights    map[string]float64
+	uploads    map[string]contribution // by party
 	aggregated tensor.Vector
 
 	// openedAt is when this node first saw the round (zero for rounds that
@@ -93,6 +95,24 @@ type roundState struct {
 	// bit-identical whenever it runs.
 	openedAt time.Time
 	quorumAt time.Time
+}
+
+// contribution is one party's accepted upload for a round.
+type contribution struct {
+	frag   tensor.Vector
+	weight float64
+}
+
+// roundLocked returns the round's state, creating it — with room for an
+// upload from every registered party — if the node has none. Only apply
+// calls it. Callers must hold a.mu.
+func (a *AggregatorNode) roundLocked(round int) *roundState {
+	rs, ok := a.rounds[round]
+	if !ok {
+		rs = &roundState{uploads: make(map[string]contribution, len(a.parties))}
+		a.rounds[round] = rs
+	}
+	return rs
 }
 
 // Aggregator-node errors.
@@ -142,21 +162,18 @@ func (a *AggregatorNode) SignChallenge(nonce []byte) ([]byte, error) {
 func (a *AggregatorNode) Register(partyID string) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.parties[partyID] {
-		a.lastSeen[partyID] = a.nowLocked()
-		return
-	}
-	if a.evicted[partyID] {
-		a.rejoinLocked(partyID)
-	} else {
+	if !a.parties[partyID] {
+		typ := recRegister
+		if a.evicted[partyID] {
+			typ = recRejoin
+		}
 		// Best-effort journaling: a lost register record is self-healing
 		// (uploads imply registration on replay, and parties re-register on
-		// reconnect), so registration does not fail on journal errors.
-		a.logEvent(recRegister, 0, partyID)
-		a.parties[partyID] = true
+		// reconnect), so commitLocked admits the party even on a journal
+		// error.
+		_ = a.commitLocked(record{typ: typ, party: partyID})
 	}
 	a.lastSeen[partyID] = a.nowLocked()
-	a.maybeCompactLocked()
 }
 
 // NumParties returns the registered-party count.
@@ -208,11 +225,10 @@ func (a *AggregatorNode) UploadOwned(round int, partyID string, frag tensor.Vect
 	return a.upload(round, partyID, frag, weight, true)
 }
 
-// upload is the steady-state ingest path, hence //perf:hotpath; its
-// remaining acknowledged allocations (round-state map writes, the
-// defensive Clone, the durability helpers) are tracked in
-// lint-baseline.json rather than ignored in place — they are burn-down
-// candidates, not sanctioned forever.
+// upload is the steady-state ingest path, hence //perf:hotpath. The
+// allocations left on it are acknowledged in place: the liveness stamp
+// here and, in commitLocked and appendLocked, the round map, compaction
+// and the WAL scratch buffer.
 //
 //perf:hotpath
 func (a *AggregatorNode) upload(round int, partyID string, frag tensor.Vector, weight float64, owned bool) error {
@@ -222,18 +238,19 @@ func (a *AggregatorNode) upload(round int, partyID string, frag tensor.Vector, w
 	if a.evicted[partyID] {
 		// A returning party's first upload readmits it — the same
 		// journaled transition a heartbeat or re-registration takes.
-		a.rejoinLocked(partyID)
+		_ = a.commitLocked(record{typ: recRejoin, party: partyID})
 	}
 	if !a.parties[partyID] {
 		return fmt.Errorf("%w: %q", ErrNotRegistered, partyID)
 	}
+	//lint:ignore allocfree one entry per registered party: past its first signal this overwrites a key that exists
 	a.lastSeen[partyID] = now
 	rs, ok := a.rounds[round]
 	if ok {
-		if prev, dup := rs.fragments[partyID]; dup {
+		if prev, dup := rs.uploads[partyID]; dup {
 			// Identical retries stay idempotent even after the round seals, so
 			// a party that hit an ambiguous failure pre-seal can still confirm.
-			if fragEqual(prev, frag) && rs.weights[partyID] == weight {
+			if slices.Equal(prev.frag, frag) && prev.weight == weight {
 				return nil // identical retry: already committed
 			}
 			return fmt.Errorf("%w %d from %q", ErrDuplicateUpload, round, partyID)
@@ -247,19 +264,6 @@ func (a *AggregatorNode) upload(round int, partyID string, frag tensor.Vector, w
 			}
 		}
 	}
-	// WAL before ack — and before any durable mutation: the round is
-	// created only after its first fragment is safely journaled, so a
-	// failed append leaves no phantom round to roll back. A brand-new
-	// round needs no duplicate or lifecycle check: its maps are empty and
-	// a round opening right now is by definition in PhaseOpen.
-	if err := a.logFragmentDurable(recUpload, partyID, round, frag, weight); err != nil {
-		return fmt.Errorf("core: aggregator %s journaling upload: %w", a.ID, err)
-	}
-	if !ok {
-		rs = newRoundState()
-		rs.openedAt = now
-		a.rounds[round] = rs
-	}
 	if !owned {
 		// Defensive copy into pooled storage: GetVector reuses retired
 		// fragment buffers, where Clone allocated a fresh slab per upload.
@@ -267,10 +271,21 @@ func (a *AggregatorNode) upload(round int, partyID string, frag tensor.Vector, w
 		copy(buf, frag)
 		frag = buf
 	}
-	rs.fragments[partyID] = frag
-	rs.weights[partyID] = weight
+	// WAL before ack: a failed append stores nothing, so no phantom round
+	// is left to roll back. A brand-new round needs no duplicate or
+	// lifecycle check: it has no uploads, and a round opening right now is
+	// by definition in PhaseOpen.
+	if err := a.commitLocked(record{typ: recUpload, n: round, party: partyID, frag: frag, weight: weight}); err != nil {
+		if !owned {
+			tensor.PutVector(frag)
+		}
+		return fmt.Errorf("core: aggregator %s journaling upload: %w", a.ID, err)
+	}
+	if !ok {
+		rs = a.rounds[round]
+		rs.openedAt = now
+	}
 	a.refreshQuorumLocked(rs, now)
-	a.maybeCompactLocked()
 	return nil
 }
 
@@ -280,11 +295,9 @@ func (a *AggregatorNode) SetQuorum(n int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	n = max(n, 0) // every n <= 0 means the same; 0 is the one journaled
-	if a.quorum == n {
-		return
+	if a.quorum != n {
+		_ = a.commitLocked(record{typ: recQuorum, n: n})
 	}
-	a.logEvent(recQuorum, n, "")
-	a.quorum = n
 }
 
 // SetRetention bounds memory over long runs: once set to n > 0, rounds
@@ -295,12 +308,9 @@ func (a *AggregatorNode) SetRetention(n int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	n = max(n, 0) // every n <= 0 means the same; 0 is the one journaled
-	if a.retention == n {
-		return
+	if a.retention != n {
+		_ = a.commitLocked(record{typ: recRetention, n: n})
 	}
-	a.logEvent(recRetention, n, "")
-	a.retention = n
-	a.evictLocked(a.lastAggregated)
 }
 
 // SetCompactEvery tunes how many journal records accumulate before the
@@ -350,18 +360,18 @@ func (a *AggregatorNode) Aggregate(round int) error {
 	// stragglers now, and Session's coordinator sends it as soon as every
 	// upload has been acknowledged.
 	if ok && a.phaseLocked(rs, a.nowLocked()) == PhaseAbandoned {
-		return fmt.Errorf("%w: round %d has %d/%d uploads", ErrRoundAbandoned, round, len(rs.fragments), a.required())
+		return fmt.Errorf("%w: round %d has %d/%d uploads", ErrRoundAbandoned, round, len(rs.uploads), a.required())
 	}
-	if !ok || len(rs.fragments) < a.required() {
+	if !ok || len(rs.uploads) < a.required() {
 		return fmt.Errorf("%w: round %d has %d/%d uploads", ErrRoundIncomplete, round, uploadCount(rs), a.required())
 	}
 	// Deterministic party order: sort IDs.
-	ids := sortedKeys(rs.fragments)
+	ids := sortedKeys(rs.uploads)
 	updates := make([]tensor.Vector, len(ids))
 	weights := make([]float64, len(ids))
 	for i, id := range ids {
-		updates[i] = rs.fragments[id]
-		weights[i] = rs.weights[id]
+		updates[i] = rs.uploads[id].frag
+		weights[i] = rs.uploads[id].weight
 	}
 	fused, err := a.Algorithm.Aggregate(updates, weights)
 	if err != nil {
@@ -370,11 +380,9 @@ func (a *AggregatorNode) Aggregate(round int) error {
 	// Journal the *result*, not just the trigger: stateful algorithms
 	// (e.g. Paillier fusion) cannot be re-run deterministically on
 	// replay, and parties must be able to re-download after a crash.
-	if err := a.logFragmentDurable(recAggregate, "", round, fused, 0); err != nil {
+	if err := a.commitLocked(record{typ: recAggregate, n: round, frag: fused}); err != nil {
 		return fmt.Errorf("core: aggregator %s journaling round %d: %w", a.ID, round, err)
 	}
-	a.applyAggregated(round, fused)
-	a.maybeCompactLocked()
 	return nil
 }
 
@@ -382,7 +390,7 @@ func uploadCount(rs *roundState) int {
 	if rs == nil {
 		return 0
 	}
-	return len(rs.fragments)
+	return len(rs.uploads)
 }
 
 // Download returns the aggregated fragment for a round, cloned so the
@@ -416,23 +424,8 @@ func (a *AggregatorNode) fused(round int, partyID string) (tensor.Vector, error)
 	}
 	// Advisory fetch-served record (no fsync: its loss is harmless); it
 	// lets operators audit which rounds were actually delivered.
-	a.logEventAdvisory(recFetch, round, partyID)
+	_ = a.commitLocked(record{typ: recFetch, n: round, party: partyID})
 	return rs.aggregated, nil
-}
-
-// evictLocked applies the retention policy after round `latest` fused.
-// Pure function of (rounds, retention, latest), so journal replay — which
-// re-runs it from the recAggregate records — reproduces the same bounded
-// map without eviction records of its own. Callers must hold a.mu.
-func (a *AggregatorNode) evictLocked(latest int) {
-	if a.retention <= 0 {
-		return
-	}
-	for r := range a.rounds {
-		if r <= latest-a.retention {
-			delete(a.rounds, r)
-		}
-	}
 }
 
 // LeakRoundFragments models an aggregator breach for the security analysis
@@ -446,30 +439,9 @@ func (a *AggregatorNode) LeakRoundFragments(round int) map[string]tensor.Vector 
 	if !ok {
 		return nil
 	}
-	out := make(map[string]tensor.Vector, len(rs.fragments))
-	for id, f := range rs.fragments {
-		out[id] = f.Clone()
+	out := make(map[string]tensor.Vector, len(rs.uploads))
+	for id, u := range rs.uploads {
+		out[id] = u.frag.Clone()
 	}
 	return out
-}
-
-func newRoundState() *roundState {
-	return &roundState{
-		fragments: make(map[string]tensor.Vector),
-		weights:   make(map[string]float64),
-	}
-}
-
-// fragEqual reports exact (bitwise, per-coordinate) equality — the test
-// for an idempotent re-upload.
-func fragEqual(a, b tensor.Vector) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

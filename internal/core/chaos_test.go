@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -90,7 +91,7 @@ func runParties(t *testing.T, n int, runParty func(idx int) (tensor.Vector, erro
 		if errs[p] != nil {
 			t.Fatalf("party %d: %v", p+1, errs[p])
 		}
-		if !fragEqual(finals[p], finals[0]) {
+		if !slices.Equal(finals[p], finals[0]) {
 			t.Fatalf("parties 1 and %d disagree on the global model", p+1)
 		}
 	}
@@ -328,7 +329,7 @@ func runChaosFederation(t *testing.T, faulty bool) tensor.Vector {
 // and severs plus two aggregator kill+restarts mid-round must complete all
 // rounds and produce a global model bit-identical to a fault-free run.
 func TestChaosRestartBitIdenticalModel(t *testing.T) {
-	if !fragEqual(runChaosFederation(t, false), runChaosFederation(t, true)) {
+	if !slices.Equal(runChaosFederation(t, false), runChaosFederation(t, true)) {
 		t.Fatal("chaos run diverged from the fault-free run")
 	}
 }

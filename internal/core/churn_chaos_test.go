@@ -12,6 +12,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -266,7 +267,7 @@ func TestChaosChurnEvictRejoinBitIdentical(t *testing.T) {
 
 	// Survivors and the rejoined party converge to a bit-identical model.
 	for _, p := range ps[1:] {
-		if !fragEqual(p.global, ps[0].global) {
+		if !slices.Equal(p.global, ps[0].global) {
 			t.Fatalf("P1 and %s diverge", p.id)
 		}
 	}

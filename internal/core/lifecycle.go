@@ -149,7 +149,7 @@ func (a *AggregatorNode) phaseLocked(rs *roundState, now time.Time) RoundPhase {
 		return PhaseFused
 	}
 	if a.deadline <= 0 || rs.openedAt.IsZero() {
-		if len(rs.fragments) >= a.required() {
+		if len(rs.uploads) >= a.required() {
 			return PhaseSealed
 		}
 		return PhaseOpen
@@ -161,7 +161,7 @@ func (a *AggregatorNode) phaseLocked(rs *roundState, now time.Time) RoundPhase {
 		}
 		return PhaseOpen
 	}
-	if len(rs.fragments) >= len(a.parties) {
+	if len(rs.uploads) >= len(a.parties) {
 		return PhaseSealed // nobody left to wait for
 	}
 	seal := deadline
@@ -186,10 +186,10 @@ func (a *AggregatorNode) lifecycleOnLocked(rs *roundState) bool {
 // round can reach quorum by membership shrinking as well as by uploads
 // arriving. Callers must hold a.mu.
 func (a *AggregatorNode) refreshQuorumLocked(rs *roundState, now time.Time) {
-	if rs == nil || !rs.quorumAt.IsZero() || len(rs.fragments) == 0 {
+	if rs == nil || !rs.quorumAt.IsZero() || len(rs.uploads) == 0 {
 		return
 	}
-	if len(rs.fragments) >= a.required() {
+	if len(rs.uploads) >= a.required() {
 		rs.quorumAt = now
 	}
 }
@@ -235,14 +235,13 @@ func (a *AggregatorNode) Heartbeat(partyID string) (rejoined bool, err error) {
 	defer a.mu.Unlock()
 	now := a.nowLocked()
 	if a.evicted[partyID] {
-		a.rejoinLocked(partyID)
+		_ = a.commitLocked(record{typ: recRejoin, party: partyID})
 		rejoined = true
 	} else if !a.parties[partyID] {
 		return false, fmt.Errorf("%w: %q", ErrNotRegistered, partyID)
 	}
 	a.lastSeen[partyID] = now
 	a.reapLocked(now)
-	a.maybeCompactLocked()
 	return rejoined, nil
 }
 
@@ -275,10 +274,7 @@ func (a *AggregatorNode) reapLocked(now time.Time) []string {
 	}
 	sort.Strings(stale)
 	for _, p := range stale {
-		a.logEvent(recEvict, 0, p)
-		delete(a.parties, p)
-		delete(a.lastSeen, p)
-		a.evicted[p] = true
+		_ = a.commitLocked(record{typ: recEvict, party: p})
 	}
 	// Evictions shrink the quorum denominator: an in-flight round may have
 	// just reached quorum by membership change rather than a new upload.
@@ -288,15 +284,6 @@ func (a *AggregatorNode) reapLocked(now time.Time) []string {
 		}
 	}
 	return stale
-}
-
-// rejoinLocked readmits an evicted party, journaling recRejoin before the
-// membership change so replay reproduces the decision. Callers must hold
-// a.mu.
-func (a *AggregatorNode) rejoinLocked(partyID string) {
-	a.logEvent(recRejoin, 0, partyID)
-	delete(a.evicted, partyID)
-	a.parties[partyID] = true
 }
 
 // Suspects lists registered parties whose last signal is at least

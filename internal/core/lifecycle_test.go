@@ -7,6 +7,7 @@ package core
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -396,7 +397,7 @@ func TestEvictRejoinSurviveRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fragEqual(got, want) {
+	if !slices.Equal(got, want) {
 		t.Fatalf("recovered fused vector %v != pre-crash %v", got, want)
 	}
 	// P3 comes back: the rejoin is journaled too.
@@ -474,7 +475,7 @@ func TestCrashBetweenSuspectAndEvictReplaysSameState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fragEqual(gotFrag, wantFrag) {
+	if !slices.Equal(gotFrag, wantFrag) {
 		t.Fatalf("round state diverged: %v vs %v", gotFrag, wantFrag)
 	}
 	if recovered.LastAggregatedRound() != control.LastAggregatedRound() {
@@ -565,7 +566,7 @@ func TestReplayEvictRejoinInterleavedWithQuorumRetention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fragEqual(got, want) {
+	if !slices.Equal(got, want) {
 		t.Fatalf("round 4 fused vector diverged: %v vs %v", got, want)
 	}
 	if err := recovered.CloseJournal(); err != nil {

@@ -4,12 +4,17 @@ package core
 // writes to its internal/journal write-ahead log, and the one path that
 // replays them after a restart.
 //
-// Every record type has one payload encoding: uploads and fused rounds
-// carry the transport fragment codec, the events the round-control layout
-// of net.go. Compaction rewrites the log as the same records the live path
-// writes, in an order that replays to exactly the node's state
-// (compactRecordsLocked), so recovery is a single loop: every record in
-// wal.log, in order, through applyRecord.
+// Log, then apply: every durable change to a node is a record, and apply is
+// the only code that turns a record into state. Live mutators build the
+// record and hand it to commitLocked, which appends it and then applies
+// it; recovery decodes each record in wal.log, in order, and applies it.
+// Replay therefore runs the very writes the live node ran.
+//
+// Every record type has one payload encoding (appendRecord): uploads and
+// fused rounds carry the transport fragment codec, the events the
+// round-control layout of net.go. Compaction rewrites the log as the same
+// records through the same encoder, in an order that replays to exactly
+// the node's state (compactRecordsLocked).
 
 import (
 	"cmp"
@@ -87,10 +92,17 @@ func RecoverAggregatorNode(id string, algorithm agg.Algorithm, cvm *sev.CVM, dir
 	}
 	info := &RecoveryInfo{TornTail: rec.Truncated}
 	for _, r := range rec.Records {
-		if err := node.applyRecord(r, info); err != nil {
+		rc, err := decodeRecord(r)
+		if err != nil {
 			_ = j.Close() // recovery already failed; report the replay error
 			return nil, nil, fmt.Errorf("core: aggregator %s: replaying journal: %w", id, err)
 		}
+		if rc.typ == recFetch {
+			info.FetchesServed++
+		}
+		node.mu.Lock()
+		node.apply(rc)
+		node.mu.Unlock()
 	}
 	node.mu.Lock()
 	node.journal = j
@@ -136,145 +148,143 @@ func StateDirFor(stateDir, aggregatorID string) string {
 	return filepath.Join(stateDir, aggregatorID)
 }
 
-// applyRecord replays one journal record through the state change the
-// live path made when it wrote the record.
-func (a *AggregatorNode) applyRecord(r journal.Record, info *RecoveryInfo) error {
-	if r.Type == recUpload || r.Type == recAggregate {
+// record is one durable change to a node, as a WAL record holds it. n is
+// the round (uploads, fused rounds, fetches) or the new value (quorum,
+// retention); party, frag and weight are set where the type carries them.
+type record struct {
+	typ    uint8
+	n      int
+	party  string
+	frag   tensor.Vector
+	weight float64
+}
+
+// carriesFragment reports whether records of type typ carry the fragment
+// codec — an upload or a fused round, acknowledged only once durable —
+// rather than a round-control body.
+func carriesFragment(typ uint8) bool {
+	return typ == recUpload || typ == recAggregate
+}
+
+// appendRecord appends rec's payload encoding to dst.
+func appendRecord(dst []byte, rec record) ([]byte, error) {
+	if carriesFragment(rec.typ) {
+		return transport.AppendFragment(dst, &transport.Fragment{
+			Round: rec.n, PartyID: rec.party, Weight: rec.weight, Values: rec.frag,
+		})
+	}
+	return appendCtl(dst, 0, rec.n, rec.party)
+}
+
+// decodeRecord is appendRecord's inverse. An unknown type, or a body its
+// type does not carry, is an error naming the type.
+func decodeRecord(r journal.Record) (record, error) {
+	rec := record{typ: r.Type}
+	if carriesFragment(r.Type) {
 		var f transport.Fragment
 		if err := transport.DecodeFragment(r.Data, &f); err != nil {
-			return fmt.Errorf("record type %d: %w", r.Type, err)
+			return rec, fmt.Errorf("record type %d: %w", r.Type, err)
 		}
-		a.mu.Lock()
-		defer a.mu.Unlock()
-		if r.Type == recUpload {
-			// An accepted upload implies registration even if the register
-			// record itself was lost — and implies the party is not evicted
-			// (the live path journals recRejoin first; that record is
-			// best-effort, so self-heal here if it was lost).
-			a.parties[f.PartyID] = true
-			delete(a.evicted, f.PartyID)
-			rs, ok := a.rounds[f.Round]
-			if !ok {
-				rs = newRoundState()
-				a.rounds[f.Round] = rs
-			}
-			rs.fragments[f.PartyID] = f.Values
-			rs.weights[f.PartyID] = f.Weight
-		} else {
-			a.applyAggregated(f.Round, f.Values)
-		}
-		return nil
+		rec.n, rec.party, rec.frag, rec.weight = f.Round, f.PartyID, f.Values, f.Weight
+		return rec, nil
 	}
 	has, ok := eventFields[r.Type]
 	if !ok {
-		return fmt.Errorf("unknown record type %d", r.Type)
+		return rec, fmt.Errorf("unknown record type %d", r.Type)
 	}
-	_, n, party, err := decodeCtl(r.Data, has)
-	if err != nil {
-		return fmt.Errorf("record type %d: %w", r.Type, err)
+	var err error
+	if _, rec.n, rec.party, err = decodeCtl(r.Data, has); err != nil {
+		return rec, fmt.Errorf("record type %d: %w", r.Type, err)
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	switch r.Type {
-	case recRegister:
-		a.parties[party] = true
-		delete(a.evicted, party)
+	return rec, nil
+}
+
+// apply makes the state change rec stands for. It is the only writer of
+// the node's durable state — membership, quorum, retention, the rounds,
+// their uploads and fused vectors — and the same code runs live (from
+// commitLocked) and on replay. A fetch record changes nothing: it is an
+// audit trail. Callers must hold a.mu.
+func (a *AggregatorNode) apply(rec record) {
+	switch rec.typ {
+	case recUpload:
+		a.roundLocked(rec.n).uploads[rec.party] = contribution{rec.frag, rec.weight}
+		// An accepted upload implies registration and readmission, even if
+		// the best-effort record of either was lost.
+		fallthrough
+	case recRegister, recRejoin:
+		a.parties[rec.party] = true
+		delete(a.evicted, rec.party)
+	case recAggregate:
+		a.roundLocked(rec.n).aggregated = rec.frag
+		a.lastAggregated = max(a.lastAggregated, rec.n)
 	case recQuorum:
-		a.quorum = n
+		a.quorum = rec.n
 	case recRetention:
-		a.retention = n
-		a.evictLocked(a.lastAggregated)
-	case recFetch:
-		if info != nil {
-			info.FetchesServed++
-		}
+		a.retention = rec.n
 	case recEvict:
-		delete(a.parties, party)
-		delete(a.lastSeen, party)
-		a.evicted[party] = true
-	case recRejoin:
-		delete(a.evicted, party)
-		a.parties[party] = true
+		delete(a.parties, rec.party)
+		delete(a.lastSeen, rec.party)
+		a.evicted[rec.party] = true
 	}
-	return nil
+	// Retention evicts the rounds at or below the horizon after each fusion
+	// and whenever the bound changes. It is a pure function of (rounds,
+	// retention, lastAggregated), so replay reproduces the same bounded map
+	// without eviction records of its own.
+	if (rec.typ == recAggregate || rec.typ == recRetention) && a.retention > 0 {
+		for r := range a.rounds {
+			if r <= a.lastAggregated-a.retention {
+				delete(a.rounds, r)
+			}
+		}
+	}
 }
 
-// applyAggregated installs a fused vector for a round and runs the
-// retention eviction — shared by the live Aggregate path and replay so
-// both produce identical state. Callers must hold a.mu.
-func (a *AggregatorNode) applyAggregated(round int, fused tensor.Vector) {
-	rs, ok := a.rounds[round]
-	if !ok {
-		rs = newRoundState()
-		a.rounds[round] = rs
-	}
-	rs.aggregated = fused
-	if round > a.lastAggregated {
-		a.lastAggregated = round
-	}
-	a.evictLocked(a.lastAggregated)
-}
-
-// logFragmentDurable commits a fragment-carrying record (fsync) before
-// the caller acknowledges the mutation, encoding the payload with the
-// fixed-layout wire codec — the same encoding the fragment arrived in.
-// The encoding reuses a.walBuf, so steady-state uploads
-// journal without allocating; the journal copies the record out before
-// Append returns, which is what makes the reuse safe. With no journal
-// attached it is a no-op. Callers must hold a.mu.
+// commitLocked logs rec, then applies it: the one way live code changes
+// durable state. A failed append of an upload or fused round returns the
+// error and changes nothing, since those are acknowledged only once
+// durable. Every other record applies even when its append fails:
+// membership and configuration records are self-healing after a crash,
+// and a fetch record is advisory. Callers must hold a.mu.
 //
 //perf:hotpath
-func (a *AggregatorNode) logFragmentDurable(typ uint8, party string, round int, frag tensor.Vector, weight float64) error {
+func (a *AggregatorNode) commitLocked(rec record) error {
+	err := a.appendLocked(rec)
+	if err != nil && carriesFragment(rec.typ) {
+		return err
+	}
+	//lint:ignore allocfree a round's map is created once per round, sized for every party; the other writes overwrite or delete keys
+	a.apply(rec)
+	//lint:ignore allocfree compaction rewrites the log once per compactEvery (default 1024) records, amortised over them
+	a.maybeCompactLocked()
+	return err
+}
+
+// appendLocked encodes rec into a.walBuf and appends it to the journal,
+// fsynced except for recFetch, whose loss is harmless. The journal copies
+// the record out before returning, which is what makes reusing walBuf
+// safe. With no journal attached it is a no-op. Callers must hold a.mu.
+//
+//perf:hotpath
+func (a *AggregatorNode) appendLocked(rec record) error {
 	if a.journal == nil {
 		return nil
 	}
-	data, err := transport.AppendFragment(a.walBuf[:0], &transport.Fragment{
-		Round: round, PartyID: party, Weight: weight, Values: frag,
-	})
+	//lint:ignore allocfree walBuf is reused across records: it grows only until it fits the largest one
+	data, err := appendRecord(a.walBuf[:0], rec)
 	if err != nil {
 		return err
 	}
 	a.walBuf = data
-	return a.journal.Append(typ, data)
-}
-
-// logEvent journals an event record best-effort, for mutations that are
-// self-healing after a crash (registration, config); errors are ignored by
-// design. n is the record's round or value (see eventFields). Callers must
-// hold a.mu.
-func (a *AggregatorNode) logEvent(typ uint8, n int, party string) {
-	if data, ok := a.encodeEventLocked(n, party); ok {
-		a.journal.Append(typ, data)
+	if rec.typ == recFetch {
+		return a.journal.AppendNoSync(rec.typ, data)
 	}
-}
-
-// logEventAdvisory journals an event record without fsync, for records
-// whose loss is harmless (fetch-served audit trail). Callers must hold a.mu.
-func (a *AggregatorNode) logEventAdvisory(typ uint8, n int, party string) {
-	if data, ok := a.encodeEventLocked(n, party); ok {
-		a.journal.AppendNoSync(typ, data)
-	}
-}
-
-// encodeEventLocked encodes an event record's round-control body into
-// a.walBuf, reused as logFragmentDurable does. ok is false with no journal
-// attached or when the body does not encode. Callers must hold a.mu.
-func (a *AggregatorNode) encodeEventLocked(n int, party string) (data []byte, ok bool) {
-	if a.journal == nil {
-		return nil, false
-	}
-	data, err := appendCtl(a.walBuf[:0], 0, n, party)
-	if err != nil {
-		return nil, false
-	}
-	a.walBuf = data
-	return data, true
+	return a.journal.Append(rec.typ, data)
 }
 
 // maybeCompactLocked rewrites the journal as the node's current state once
 // its tail exceeds the compaction threshold, bounding disk usage and
 // restart replay time. Compaction failure is non-fatal (the log itself is
-// intact; the next mutation past the threshold retries). Callers must hold
+// intact; the next commit past the threshold retries). Callers must hold
 // a.mu.
 func (a *AggregatorNode) maybeCompactLocked() {
 	if a.journal == nil {
@@ -295,8 +305,8 @@ func (a *AggregatorNode) maybeCompactLocked() {
 }
 
 // compactRecordsLocked writes the node's durable state as the records the
-// live path writes, in the order that makes applyRecord replay to exactly
-// that state:
+// live path commits, through the same encoder, in the order that makes
+// apply replay to exactly that state:
 //
 //   - quorum, then retention;
 //   - fused rounds, ascending: each round's uploads, then its
@@ -312,26 +322,7 @@ func (a *AggregatorNode) maybeCompactLocked() {
 // Rounds and parties are written in sorted order, so the same state always
 // compacts to the same bytes. Callers must hold a.mu.
 func (a *AggregatorNode) compactRecordsLocked() ([]journal.Record, error) {
-	var (
-		recs  []journal.Record
-		first error // the first encoding error, if any
-	)
-	add := func(typ uint8, data []byte, err error) {
-		recs = append(recs, journal.Record{Type: typ, Data: data})
-		if first == nil {
-			first = err
-		}
-	}
-	event := func(typ uint8, n int, party string) {
-		data, err := appendCtl(nil, 0, n, party)
-		add(typ, data, err)
-	}
-	fragment := func(typ uint8, round int, party string, v tensor.Vector, weight float64) {
-		data, err := transport.AppendFragment(nil, &transport.Fragment{Round: round, PartyID: party, Weight: weight, Values: v})
-		add(typ, data, err)
-	}
-	event(recQuorum, a.quorum, "")
-	event(recRetention, a.retention, "")
+	recs := []record{{typ: recQuorum, n: a.quorum}, {typ: recRetention, n: a.retention}}
 	rounds := sortedKeys(a.rounds)
 	for _, fused := range []bool{true, false} {
 		for _, r := range rounds {
@@ -339,21 +330,30 @@ func (a *AggregatorNode) compactRecordsLocked() ([]journal.Record, error) {
 			if (rs.aggregated != nil) != fused {
 				continue
 			}
-			for _, p := range sortedKeys(rs.fragments) {
-				fragment(recUpload, r, p, rs.fragments[p], rs.weights[p])
+			for _, p := range sortedKeys(rs.uploads) {
+				u := rs.uploads[p]
+				recs = append(recs, record{typ: recUpload, n: r, party: p, frag: u.frag, weight: u.weight})
 			}
 			if fused {
-				fragment(recAggregate, r, "", rs.aggregated, 0)
+				recs = append(recs, record{typ: recAggregate, n: r, frag: rs.aggregated})
 			}
 		}
 	}
 	for _, p := range sortedKeys(a.parties) {
-		event(recRegister, 0, p)
+		recs = append(recs, record{typ: recRegister, party: p})
 	}
 	for _, p := range sortedKeys(a.evicted) {
-		event(recEvict, 0, p)
+		recs = append(recs, record{typ: recEvict, party: p})
 	}
-	return recs, first
+	out := make([]journal.Record, len(recs))
+	for i, rec := range recs {
+		data, err := appendRecord(nil, rec)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = journal.Record{Type: rec.typ, Data: data}
+	}
+	return out, nil
 }
 
 // sortedKeys returns m's keys in ascending order.

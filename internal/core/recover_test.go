@@ -8,6 +8,8 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -68,7 +70,7 @@ func TestUploadIdempotentRetry(t *testing.T) {
 	if err := node.Upload(1, "P1", frag.Clone(), 4); err != nil {
 		t.Fatalf("identical re-upload rejected: %v", err)
 	}
-	if got := node.LeakRoundFragments(1)["P1"]; !fragEqual(got, frag) {
+	if got := node.LeakRoundFragments(1)["P1"]; !slices.Equal(got, frag) {
 		t.Fatalf("retry mutated stored fragment: %v", got)
 	}
 	// Conflicting fragment: rejected.
@@ -107,7 +109,7 @@ func TestAggregateIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fragEqual(first, second) {
+	if !slices.Equal(first, second) {
 		t.Fatalf("re-aggregate changed the fused vector: %v vs %v", first, second)
 	}
 }
@@ -168,7 +170,7 @@ func TestRecoverAggregatorNode(t *testing.T) {
 	if err != nil {
 		t.Fatalf("download after recovery: %v", err)
 	}
-	if !fragEqual(got, wantFused) {
+	if !slices.Equal(got, wantFused) {
 		t.Fatalf("recovered fused vector %v, want %v", got, wantFused)
 	}
 	// The in-flight round resumes: P1's fragment survived, P2 completes it.
@@ -247,7 +249,7 @@ func TestRecoverAfterCompaction(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d after compacted recovery: %v", r, err)
 		}
-		if want := (tensor.Vector{float64(r), float64(2 * r)}); !fragEqual(got, want) {
+		if want := (tensor.Vector{float64(r), float64(2 * r)}); !slices.Equal(got, want) {
 			t.Fatalf("round %d = %v, want %v", r, got, want)
 		}
 	}
@@ -289,7 +291,7 @@ func TestRecoverTornJournalTail(t *testing.T) {
 	if !info.TornTail {
 		t.Fatal("torn tail not reported")
 	}
-	if got := node2.LeakRoundFragments(1)["P1"]; !fragEqual(got, tensor.Vector{1, 2}) {
+	if got := node2.LeakRoundFragments(1)["P1"]; !slices.Equal(got, tensor.Vector{1, 2}) {
 		t.Fatalf("committed upload lost under torn tail: %v", got)
 	}
 	if err := node2.Upload(1, "P2", tensor.Vector{9, 9}, 1); !errors.Is(err, ErrNotRegistered) {
@@ -327,7 +329,7 @@ func TestRetentionBoundsMemoryOver100Rounds(t *testing.T) {
 		t.Fatalf("evicted round still in memory: %v", err)
 	}
 	// ...recent ones are not.
-	if got, err := node.Download(100, "P1"); err != nil || !fragEqual(got, tensor.Vector{100}) {
+	if got, err := node.Download(100, "P1"); err != nil || !slices.Equal(got, tensor.Vector{100}) {
 		t.Fatalf("retained round: %v, %v", got, err)
 	}
 	node.CloseJournal()
@@ -428,7 +430,7 @@ func TestDownloadAllBackoffDelivers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fragEqual(frags[0], tensor.Vector{4, 8}) {
+	if !slices.Equal(frags[0], tensor.Vector{4, 8}) {
 		t.Fatalf("downloaded %v", frags[0])
 	}
 }
@@ -544,58 +546,131 @@ func TestSnapshotPartiesSorted(t *testing.T) {
 	}
 }
 
-// Regression for the WAL-before-ack ordering in upload (pinned by the
-// waldisc analyzer): a failed durable append must leave no trace in
-// memory. In particular the first upload of a new round must not create
-// the round ahead of the journal write — the old code inserted it first
-// and rolled it back on error, exactly the mutate-before-append shape
-// waldisc rejects.
+// TestUploadJournalFailureLeavesNoPhantomRound pins what each record type
+// does once the journal is dead (closed under the node, as a full disk or
+// torn-away volume would fail it) — the contract commitLocked encodes.
+// Uploads and fusions are acknowledged only once durable, so they fail
+// with journal.ErrClosed and change nothing: in particular the first
+// upload of a new round leaves no phantom round, and an upload into an
+// open round stores no fragment the journal never saw. Membership and
+// configuration changes are self-healing after a crash, so they still
+// take effect in memory, and a download of a fused round, whose fetch
+// record is advisory, still succeeds.
 func TestUploadJournalFailureLeavesNoPhantomRound(t *testing.T) {
 	proxy, vendor := testTrust(t)
-	cvm := provisionCVM(t, proxy, vendor, "agg-wal")
-	dir := t.TempDir()
-	node, _, err := RecoverAggregatorNode("agg-wal", agg.IterativeAverage{}, cvm, dir, journal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	node.Register("P1")
-	node.Register("P2")
-	if err := node.Upload(1, "P1", tensor.Vector{1, 2}, 1); err != nil {
-		t.Fatal(err)
-	}
-	// Kill the journal out from under the node: every later durable
-	// append fails with journal.ErrClosed, as a full disk or torn-away
-	// volume would fail it.
-	node.mu.Lock()
-	j := node.journal
-	node.mu.Unlock()
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
+	// deadJournalNode: P1–P3 fused round 1, P1 and P2 filled round 2, P1
+	// opened round 3, P3 was evicted, and then the journal died.
+	deadJournalNode := func(t *testing.T, id string) (*AggregatorNode, *FakeClock) {
+		node, _, err := RecoverAggregatorNode(id, agg.IterativeAverage{}, provisionCVM(t, proxy, vendor, id), t.TempDir(), journal.Options{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		clk := NewFakeClock(time.Unix(1_700_000_000, 0))
+		node.SetClock(clk)
+		node.SetLiveness(time.Second, 2*time.Second)
+		for _, p := range []string{"P1", "P2", "P3"} {
+			node.Register(p)
+			if err := node.Upload(1, p, tensor.Vector{1, 2}, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := node.Aggregate(1); err != nil {
+			t.Fatal(err)
+		}
+		for _, up := range []struct {
+			round int
+			party string
+		}{{2, "P1"}, {2, "P2"}, {3, "P1"}} {
+			if err := node.Upload(up.round, up.party, tensor.Vector{3, 4}, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		clk.Advance(time.Second)
+		for _, p := range []string{"P1", "P2"} {
+			if _, err := node.Heartbeat(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		clk.Advance(time.Second)
+		if got := node.Tick(); !slices.Equal(got, []string{"P3"}) {
+			t.Fatalf("setup evicted %v, want [P3]", got)
+		}
+		node.mu.Lock()
+		j := node.journal
+		node.mu.Unlock()
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return node, clk
 	}
 
-	// First upload of a NEW round: the error must surface and no phantom
-	// round may appear.
-	if err := node.Upload(2, "P1", tensor.Vector{3, 4}, 1); !errors.Is(err, journal.ErrClosed) {
-		t.Fatalf("upload to new round with dead journal: err = %v, want journal.ErrClosed", err)
-	}
-	node.mu.Lock()
-	_, phantom := node.rounds[2]
-	node.mu.Unlock()
-	if phantom {
-		t.Fatal("failed journal append left a phantom round 2 in memory")
-	}
-
-	// Upload into the EXISTING round: the fragment must not be stored —
-	// an acknowledged-in-memory fragment the journal never saw would
-	// vanish on recovery.
-	if err := node.Upload(1, "P2", tensor.Vector{9, 9}, 1); !errors.Is(err, journal.ErrClosed) {
-		t.Fatalf("upload to existing round with dead journal: err = %v, want journal.ErrClosed", err)
-	}
-	node.mu.Lock()
-	_, stored := node.rounds[1].fragments["P2"]
-	node.mu.Unlock()
-	if stored {
-		t.Fatal("failed journal append left P2's fragment in memory")
+	unchanged := func(*durableState) {}
+	for i, tc := range []struct {
+		name    string
+		op      func(*AggregatorNode, *FakeClock) error
+		wantErr error
+		want    func(*durableState) // the state change op makes
+	}{
+		{"upload opening a round", func(n *AggregatorNode, _ *FakeClock) error {
+			return n.Upload(4, "P1", tensor.Vector{5, 6}, 1)
+		}, journal.ErrClosed, unchanged},
+		{"upload into an open round", func(n *AggregatorNode, _ *FakeClock) error {
+			return n.Upload(3, "P2", tensor.Vector{9, 9}, 1)
+		}, journal.ErrClosed, unchanged},
+		{"aggregate", func(n *AggregatorNode, _ *FakeClock) error {
+			return n.Aggregate(2)
+		}, journal.ErrClosed, unchanged},
+		{"register", func(n *AggregatorNode, _ *FakeClock) error {
+			n.Register("P4")
+			return nil
+		}, nil, func(s *durableState) { s.Parties = []string{"P1", "P2", "P4"} }},
+		{"heartbeat from an evicted party", func(n *AggregatorNode, _ *FakeClock) error {
+			if rejoined, err := n.Heartbeat("P3"); err != nil || !rejoined {
+				return fmt.Errorf("rejoined = %v, err = %v", rejoined, err)
+			}
+			return nil
+		}, nil, func(s *durableState) {
+			s.Parties = []string{"P1", "P2", "P3"}
+			s.Evicted = []string{}
+		}},
+		{"quorum", func(n *AggregatorNode, _ *FakeClock) error {
+			n.SetQuorum(1)
+			return nil
+		}, nil, func(s *durableState) { s.Quorum = 1 }},
+		{"retention", func(n *AggregatorNode, _ *FakeClock) error {
+			n.SetRetention(1)
+			return nil
+		}, nil, func(s *durableState) { s.Retention = 1 }},
+		{"reaper eviction", func(n *AggregatorNode, clk *FakeClock) error {
+			clk.Advance(2 * time.Second)
+			if got := n.Tick(); !slices.Equal(got, []string{"P1", "P2"}) {
+				return fmt.Errorf("tick evicted %v, want [P1 P2]", got)
+			}
+			return nil
+		}, nil, func(s *durableState) {
+			s.Parties = []string{}
+			s.Evicted = []string{"P1", "P2", "P3"}
+		}},
+		{"download of a fused round", func(n *AggregatorNode, _ *FakeClock) error {
+			got, err := n.Download(1, "P1")
+			if err == nil && !slices.Equal(got, tensor.Vector{1, 2}) {
+				err = fmt.Errorf("downloaded %v, want [1 2]", got)
+			}
+			return err
+		}, nil, unchanged},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			node, clk := deadJournalNode(t, fmt.Sprintf("agg-wal-%d", i))
+			want := durableStateOf(node)
+			tc.want(&want)
+			err := tc.op(node, clk)
+			if !errors.Is(err, tc.wantErr) {
+				t.Fatalf("err = %v, want %v", err, tc.wantErr)
+			}
+			if got := durableStateOf(node); !reflect.DeepEqual(got, want) {
+				t.Fatalf("state after a dead-journal %s:\n got: %+v\nwant: %+v", tc.name, got, want)
+			}
+		})
 	}
 }
 

@@ -2,6 +2,8 @@ package lint
 
 import (
 	"bufio"
+	"go/ast"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -206,4 +208,59 @@ func TestLockOrderRealTreeEdge(t *testing.T) {
 		}
 	}
 	t.Fatalf("edge core.AggregatorNode.mu -> journal.Journal.mu not in graph; have %v", got)
+}
+
+// TestCoreNamesExist pins the names waldisc and replaypure hard-code for
+// deta/internal/core to the real tree: every guard, exempt function, replay
+// root and journal-write helper must be a function declared there, and
+// every durable field a field of its type. Matching is by name, so a
+// rename the tables miss would otherwise drop a guard, an exemption or a
+// replay root without a single finding.
+func TestCoreNamesExist(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := NewLoader().Load(filepath.Join(wd, "..", ".."), "deta/internal/core")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg := pkgs[0]
+	declared := map[string]bool{}
+	for _, f := range pkg.Files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok {
+				declared[fd.Name.Name] = true
+			}
+		}
+	}
+	check := func(table, name string) {
+		if !declared[name] {
+			t.Errorf("%s names %s, which %s does not declare", table, name, pkg.Path)
+		}
+	}
+	for name := range walGuardNames {
+		check("waldisc walGuardNames", name)
+	}
+	for name := range walExemptFuncs {
+		check("waldisc walExemptFuncs", name)
+	}
+	for name := range replayRootNames[pkg.Path] {
+		check("replaypure replayRootNames", name)
+	}
+	for name := range coreJournalWrites {
+		check("replaypure coreJournalWrites", name)
+	}
+	for typ, fields := range walDurableFields {
+		obj := pkg.Types.Scope().Lookup(typ)
+		if obj == nil {
+			t.Errorf("waldisc walDurableFields names type %s, which %s does not declare", typ, pkg.Path)
+			continue
+		}
+		for field := range fields {
+			if f, _, _ := types.LookupFieldOrMethod(obj.Type(), true, pkg.Types, field); f == nil {
+				t.Errorf("waldisc walDurableFields names %s.%s, which is not a field", typ, field)
+			}
+		}
+	}
 }

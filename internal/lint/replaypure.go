@@ -49,12 +49,13 @@ func (*ReplayPure) Doc() string {
 	return "flag nondeterminism (wall clock, global rand, goroutines, map order) reachable from replay roots or fusion kernels, and map order in the deterministic packages"
 }
 
-// replayRootNames keys the roots by package: the recovery entry points in
-// core, and every fusion kernel (the Aggregate methods) in agg.
+// replayRootNames keys the roots by package: in core the recovery entry
+// point and apply, the one state writer replay and the live path share;
+// in agg every fusion kernel (the Aggregate methods).
 var replayRootNames = map[string]map[string]bool{
 	"deta/internal/core": {
 		"RecoverAggregatorNode": true,
-		"applyRecord":           true,
+		"apply":                 true,
 	},
 	"deta/internal/agg": {
 		"Aggregate": true,
@@ -167,12 +168,12 @@ var mapOrderScope = []string{
 	"deta/internal/rng",
 }
 
-// journalWriteMethods are order-sensitive sinks: appending to the WAL.
-var journalWriteMethods = map[string]bool{
-	"Append": true, "AppendNoSync": true, "Compact": true,
-	"logEvent": true, "logEventDurable": true, "logEventAdvisory": true,
-	"logFragmentDurable": true,
-}
+// Order-sensitive sinks: the Journal's appends, and the aggregator's
+// helpers that append to it.
+var (
+	journalWriteMethods = map[string]bool{"Append": true, "AppendNoSync": true, "Compact": true}
+	coreJournalWrites   = map[string]bool{"appendLocked": true, "commitLocked": true}
+)
 
 // checkMapOrderFunc flags loop bodies in fn that make map iteration order
 // observable. Go randomizes map iteration order per run, so any of the
@@ -186,8 +187,8 @@ var journalWriteMethods = map[string]bool{
 //     the loop (float addition is not associative, so the sum's bits
 //     depend on visit order);
 //   - writing journal records (Journal.Append/AppendNoSync/Compact or the
-//     aggregator's logEvent* helpers) — the WAL's record order would then
-//     differ between the original run and any re-execution.
+//     aggregator's appendLocked/commitLocked) — the WAL's record order
+//     would then differ between the original run and any re-execution.
 //
 // where is appended to the loop's description in each message (the
 // replay provenance, or "").
@@ -244,12 +245,10 @@ func checkMapRangeBody(pkg *Package, r *Reporter, rng *ast.RangeStmt, sorted map
 		case *ast.AssignStmt:
 			checkMapRangeAssign(pkg, r, rng, st, sorted, where)
 		case *ast.CallExpr:
-			if sel, ok := st.Fun.(*ast.SelectorExpr); ok && journalWriteMethods[sel.Sel.Name] {
-				if isJournalWrite(pkg, sel) {
-					r.Reportf(st.Pos(),
-						"journal write %s.%s inside map iteration%s: WAL record order becomes nondeterministic, breaking replay",
-						types.ExprString(sel.X), sel.Sel.Name, where)
-				}
+			if sel, ok := st.Fun.(*ast.SelectorExpr); ok && isJournalWrite(pkg, sel) {
+				r.Reportf(st.Pos(),
+					"journal write %s.%s inside map iteration%s: WAL record order becomes nondeterministic, breaking replay",
+					types.ExprString(sel.X), sel.Sel.Name, where)
 			}
 		}
 		return true
@@ -319,14 +318,16 @@ func declaredOutside(pkg *Package, expr ast.Expr, rng *ast.RangeStmt) bool {
 	}
 }
 
-// isJournalWrite reports whether sel is a WAL write: a method on a type
-// named Journal, or one of the aggregator's logEvent* helpers (matched by
-// name so fixtures and future wrappers are covered without importing the
-// journal package here).
+// isJournalWrite reports whether sel is a WAL write: one of the
+// journalWriteMethods on a type named Journal, or one of the aggregator's
+// coreJournalWrites (matched by name so fixtures and future wrappers are
+// covered without importing the journal package here).
 func isJournalWrite(pkg *Package, sel *ast.SelectorExpr) bool {
-	name := sel.Sel.Name
-	if name == "logEvent" || name == "logEventDurable" || name == "logEventAdvisory" || name == "logFragmentDurable" {
+	if coreJournalWrites[sel.Sel.Name] {
 		return true
+	}
+	if !journalWriteMethods[sel.Sel.Name] {
+		return false
 	}
 	s, ok := pkg.Info.Selections[sel]
 	if !ok {

@@ -64,7 +64,7 @@ type walNode struct {
 	j *journal.Journal
 }
 
-func (n *walNode) logEvent(typ uint8, data []byte) {}
+func (n *walNode) appendLocked(typ uint8, data []byte) {}
 
 // flushAll writes WAL records in map order, so replay order differs.
 func (n *walNode) flushAll(m map[string][]byte) {
@@ -76,6 +76,6 @@ func (n *walNode) flushAll(m map[string][]byte) {
 // drain reaches the WAL through the aggregator helper, matched by name.
 func (n *walNode) drain(m map[int][]byte) {
 	for r, b := range m {
-		n.logEvent(uint8(r), b) // want replaypure
+		n.appendLocked(uint8(r), b) // want replaypure
 	}
 }

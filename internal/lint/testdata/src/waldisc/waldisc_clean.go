@@ -1,12 +1,12 @@
 // Clean shapes for the waldisc fixture: appends that genuinely dominate
-// their mutations, ephemeral writes, guarded deletes, and the exempt
-// replay functions. No want markers in this file.
+// their mutations, ephemeral writes, guarded deletes, and the
+// log-then-apply seam. No want markers in this file.
 package core
 
 // SetQuorum is the canonical discipline: append first, mutate in the same
 // block.
 func (a *AggregatorNode) SetQuorum(n int) {
-	a.logEvent(2, "")
+	a.appendLocked(record{typ: 2, n: n})
 	a.quorum = n
 }
 
@@ -14,7 +14,7 @@ func (a *AggregatorNode) SetQuorum(n int) {
 // the deletes and the eviction flag inside the same loop-body block.
 func (a *AggregatorNode) ReapIdle(idle []string) {
 	for _, p := range idle {
-		a.logEvent(3, p)
+		a.appendLocked(record{typ: 3, party: p})
 		delete(a.parties, p)
 		a.evicted[p] = true
 	}
@@ -23,7 +23,7 @@ func (a *AggregatorNode) ReapIdle(idle []string) {
 // SealRounds appends once before the loop: the append block dominates
 // every iteration.
 func (a *AggregatorNode) SealRounds(last int) error {
-	if err := a.logFragmentDurable(9, "", last, nil, 0); err != nil {
+	if err := a.appendLocked(record{typ: 9, n: last}); err != nil {
 		return err
 	}
 	for r := range a.rounds {
@@ -47,7 +47,7 @@ func (a *AggregatorNode) Touch(round int, now int64) {
 // dominates the round insert, the payload writes, and the rollback delete
 // on the error branch (a guarded delete needs only strength 1).
 func (a *AggregatorNode) UploadGuarded(party string, round int, frag []float64, weight float64) error {
-	if err := a.logFragmentDurable(1, party, round, frag, weight); err != nil {
+	if err := a.appendLocked(record{typ: 1, n: round, party: party, frag: frag, weight: weight}); err != nil {
 		delete(a.rounds, round)
 		return err
 	}
@@ -56,21 +56,35 @@ func (a *AggregatorNode) UploadGuarded(party string, round int, frag []float64, 
 		rs = newRoundState()
 		a.rounds[round] = rs
 	}
-	rs.fragments[party] = frag
-	rs.weights[party] = weight
+	rs.uploads[party] = contribution{frag, weight}
 	return nil
 }
 
-// applyRecord is the replay side of the protocol: it rebuilds state FROM
-// the journal and is exempt by name.
-func (a *AggregatorNode) applyRecord(typ byte, party string, round int) {
-	switch typ {
-	case 3:
-		delete(a.parties, party)
-		a.evicted[party] = true
-	case 7:
-		delete(a.rounds, round)
+// commitLocked is the log-then-apply seam: the checked append dominates
+// apply, so apply's writes are guarded here and surface nowhere above.
+func (a *AggregatorNode) commitLocked(rec record) error {
+	if err := a.appendLocked(rec); err != nil {
+		return err
 	}
+	a.apply(rec)
+	return nil
+}
+
+// apply is the one state writer, which replay also runs. It is not
+// exempt: its writes surface at any call commitLocked does not guard.
+func (a *AggregatorNode) apply(rec record) {
+	switch rec.typ {
+	case 3:
+		delete(a.parties, rec.party)
+		a.evicted[rec.party] = true
+	case 7:
+		delete(a.rounds, rec.n)
+	}
+}
+
+// Evict changes state only through the seam.
+func (a *AggregatorNode) Evict(party string) error {
+	return a.commitLocked(record{typ: 3, party: party})
 }
 
 // AggregateDeep is guarded by a checked append twenty wrappers down

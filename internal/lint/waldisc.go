@@ -14,12 +14,12 @@ package lint
 //
 // Two guard strengths, matching the recovery protocol:
 //
-//   - strength 2, "checked durable append": logFragmentDurable or
+//   - strength 2, "checked durable append": appendLocked or
 //     Journal.Append with the returned error consumed. Required for the
 //     payload-bearing state replay rebuilds record-by-record — round
-//     creation and the per-party fragment/weight/aggregate maps.
-//   - strength 1, any journal append (logEvent*, AppendNoSync, Compact,
-//     or an unchecked strength-2 call). Enough for membership flags and
+//     creation, the per-party uploads and the fused vector.
+//   - strength 1, any journal append (AppendNoSync, Compact, or an
+//     unchecked strength-2 call). Enough for membership flags and
 //     counters that a compaction re-captures, and for ALL deletes: dropping
 //     state early at worst forgets what replay can rebuild, it never
 //     acknowledges phantom data (the rollback `delete` after a failed
@@ -29,9 +29,11 @@ package lint
 // summaries, at any helper depth, so `a.admit(p)` is as visible as
 // `a.parties[p] = true`.
 // Findings are reported only in exported functions — the package's ack
-// surface; unexported functions contribute summaries instead. Replay
-// itself (RecoverAggregatorNode, applyRecord) is exempt:
-// it mutates state FROM the journal. Mutations through aliased maps
+// surface; unexported functions contribute summaries instead. Replay's
+// entry point (RecoverAggregatorNode) is exempt: it mutates state FROM the
+// journal. The aggregator's one state writer, apply, is deliberately not:
+// its summary is guarded inside commitLocked, which appends first, and
+// surfaces at any other call. Mutations through aliased maps
 // (`m := a.parties; m[p] = true`) and inside function literals are out of
 // scope — neither shape occurs in the tree.
 
@@ -61,8 +63,7 @@ var walDurableFields = map[string]map[string]int{
 		"lastAggregated": 1,
 	},
 	"roundState": {
-		"fragments":  2,
-		"weights":    2,
+		"uploads":    2,
 		"aggregated": 2,
 	},
 }
@@ -72,7 +73,12 @@ var walDurableFields = map[string]map[string]int{
 // circular.
 var walExemptFuncs = map[string]bool{
 	"RecoverAggregatorNode": true,
-	"applyRecord":           true,
+}
+
+// walGuardNames are the aggregator's journal-append helpers, matched by
+// name, with the strength a checked call confers.
+var walGuardNames = map[string]int{
+	"appendLocked": 2,
 }
 
 // walMut is one durable-state mutation: the strength its guard needs, a
@@ -199,7 +205,7 @@ func walWrapperStrength(pkg *Package, wf *walFunc, ws map[*types.Func]int) int {
 }
 
 // walAppendStrength returns the strongest append event inside one CFG
-// node: 2 for a checked logFragmentDurable / Journal.Append (or a call to
+// node: 2 for a checked appendLocked / Journal.Append (or a call to
 // a strength-2 wrapper, itself checked), 1 for best-effort appends and
 // unchecked strength-2 calls, 0 for none. Appends inside defer/go run
 // after (or concurrently with) the surrounding statements, so they guard
@@ -226,11 +232,10 @@ func walAppendStrength(pkg *Package, n ast.Node, ws map[*types.Func]int) int {
 
 func walCallAppendStrength(pkg *Package, call *ast.CallExpr, ws map[*types.Func]int) int {
 	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
+		if s, ok := walGuardNames[sel.Sel.Name]; ok {
+			return s
+		}
 		switch name := sel.Sel.Name; name {
-		case "logFragmentDurable":
-			return 2
-		case "logEvent", "logEventDurable", "logEventAdvisory":
-			return 1
 		case "Append", "AppendNoSync", "Compact":
 			if isJournalWrite(pkg, sel) {
 				if name == "Append" {
@@ -339,7 +344,7 @@ func walInspect(n ast.Node, visit func(ast.Node) bool) {
 
 // walDurableTarget resolves an lvalue (or delete target) to a durable
 // field, walking through index/deref wrappers: `a.rounds[r] = rs` and
-// `rs.fragments[p] = f` both land on their owning field selection.
+// `rs.uploads[p] = u` both land on their owning field selection.
 func walDurableTarget(pkg *Package, e ast.Expr) (need int, desc string, ok bool) {
 	for {
 		switch x := unparen(e).(type) {
