@@ -12,6 +12,7 @@ import (
 	"deta/internal/journal"
 	"deta/internal/sev"
 	"deta/internal/tensor"
+	"deta/internal/transport"
 )
 
 // AggregatorNode is the aggregation service running inside one SEV CVM. It
@@ -63,6 +64,10 @@ type AggregatorNode struct {
 	// compactEvery bounds the journal tail before a compaction rewrites
 	// the log as the node's state (0 = default).
 	compactEvery int
+	// compactRetryAt, after a failed compaction, is the tail length at
+	// which the next attempt is due (0 = none failed since the last
+	// success). Ephemeral, like walBuf.
+	compactRetryAt int
 
 	// clock is the injected time source for the round lifecycle and
 	// liveness tracker (nil = SystemClock); see lifecycle.go.
@@ -85,8 +90,12 @@ type AggregatorNode struct {
 }
 
 type roundState struct {
-	uploads    map[string]contribution // by party
-	aggregated tensor.Vector
+	uploads map[string]contribution // by party
+	// aggregated is the fused round as its recAggregate payload: the
+	// fragment encoding of the fused vector, which the WAL, compaction and
+	// every download body share. It is immutable once apply installs it:
+	// eviction only drops the reference, and nothing pools it.
+	aggregated []byte
 
 	// openedAt is when this node first saw the round (zero for rounds that
 	// predate lifecycle configuration — restampLocked stamps them);
@@ -212,26 +221,28 @@ func (a *AggregatorNode) LastAggregatedRound() int {
 //
 //perf:hotpath
 func (a *AggregatorNode) Upload(round int, partyID string, frag tensor.Vector, weight float64) error {
-	return a.upload(round, partyID, frag, weight, false)
+	return a.upload(record{typ: recUpload, n: round, party: partyID, frag: frag, weight: weight}, false)
 }
 
-// UploadOwned is Upload for callers relinquishing frag — the RPC handler,
-// whose fragment was decoded into a buffer that exists only for this
-// request. The node stores frag without the defensive clone; the caller
-// must not touch it afterwards.
+// UploadOwned is Upload for callers relinquishing frag, decoded into a
+// buffer that exists only for this request. The node stores frag without
+// the defensive clone; the caller must not touch it afterwards.
 //
 //perf:hotpath
 func (a *AggregatorNode) UploadOwned(round int, partyID string, frag tensor.Vector, weight float64) error {
-	return a.upload(round, partyID, frag, weight, true)
+	return a.upload(record{typ: recUpload, n: round, party: partyID, frag: frag, weight: weight}, true)
 }
 
-// upload is the steady-state ingest path, hence //perf:hotpath. The
-// allocations left on it are acknowledged in place: the liveness stamp
-// here and, in commitLocked and appendLocked, the round map, compaction
-// and the WAL scratch buffer.
+// upload is the steady-state ingest path, hence //perf:hotpath: it admits
+// rec, a recUpload, taking ownership of rec.frag when owned. The RPC
+// handler also sets rec.wire to the request body, which is then journaled
+// as it is. The allocations left on the path are acknowledged in place:
+// the liveness stamp here and, in commitLocked and appendLocked, the round
+// map, compaction and the WAL scratch buffer.
 //
 //perf:hotpath
-func (a *AggregatorNode) upload(round int, partyID string, frag tensor.Vector, weight float64, owned bool) error {
+func (a *AggregatorNode) upload(rec record, owned bool) error {
+	round, partyID := rec.n, rec.party
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	now := a.nowLocked()
@@ -250,7 +261,7 @@ func (a *AggregatorNode) upload(round int, partyID string, frag tensor.Vector, w
 		if prev, dup := rs.uploads[partyID]; dup {
 			// Identical retries stay idempotent even after the round seals, so
 			// a party that hit an ambiguous failure pre-seal can still confirm.
-			if slices.Equal(prev.frag, frag) && prev.weight == weight {
+			if slices.Equal(prev.frag, rec.frag) && prev.weight == rec.weight {
 				return nil // identical retry: already committed
 			}
 			return fmt.Errorf("%w %d from %q", ErrDuplicateUpload, round, partyID)
@@ -267,17 +278,17 @@ func (a *AggregatorNode) upload(round int, partyID string, frag tensor.Vector, w
 	if !owned {
 		// Defensive copy into pooled storage: GetVector reuses retired
 		// fragment buffers, where Clone allocated a fresh slab per upload.
-		buf := tensor.GetVector(len(frag))
-		copy(buf, frag)
-		frag = buf
+		buf := tensor.GetVector(len(rec.frag))
+		copy(buf, rec.frag)
+		rec.frag = buf
 	}
 	// WAL before ack: a failed append stores nothing, so no phantom round
 	// is left to roll back. A brand-new round needs no duplicate or
 	// lifecycle check: it has no uploads, and a round opening right now is
 	// by definition in PhaseOpen.
-	if err := a.commitLocked(record{typ: recUpload, n: round, party: partyID, frag: frag, weight: weight}); err != nil {
+	if err := a.commitLocked(rec); err != nil {
 		if !owned {
-			tensor.PutVector(frag)
+			tensor.PutVector(rec.frag)
 		}
 		return fmt.Errorf("core: aggregator %s journaling upload: %w", a.ID, err)
 	}
@@ -377,10 +388,18 @@ func (a *AggregatorNode) Aggregate(round int) error {
 	if err != nil {
 		return fmt.Errorf("core: aggregator %s round %d: %w", a.ID, round, err)
 	}
+	// Encode the fused vector once, into an exact-size buffer the node
+	// owns: it is the WAL record, what compaction rewrites and every
+	// download's body. The vector itself is left to the collector, never
+	// pooled: a kernel may return an alias of one of its inputs.
+	wire, err := transport.AppendFragment(nil, &transport.Fragment{Round: round, Values: fused})
+	if err != nil {
+		return fmt.Errorf("core: aggregator %s round %d: %w", a.ID, round, err)
+	}
 	// Journal the *result*, not just the trigger: stateful algorithms
 	// (e.g. Paillier fusion) cannot be re-run deterministically on
 	// replay, and parties must be able to re-download after a crash.
-	if err := a.commitLocked(record{typ: recAggregate, n: round, frag: fused}); err != nil {
+	if err := a.commitLocked(record{typ: recAggregate, n: round, wire: wire}); err != nil {
 		return fmt.Errorf("core: aggregator %s journaling round %d: %w", a.ID, round, err)
 	}
 	return nil
@@ -393,21 +412,25 @@ func uploadCount(rs *roundState) int {
 	return len(rs.uploads)
 }
 
-// Download returns the aggregated fragment for a round, cloned so the
-// caller may keep and modify it.
+// Download returns the aggregated fragment for a round, decoded into a
+// fresh vector the caller may keep and modify.
 func (a *AggregatorNode) Download(round int, partyID string) (tensor.Vector, error) {
-	frag, err := a.fused(round, partyID)
+	wire, err := a.fused(round, partyID)
 	if err != nil {
 		return nil, err
 	}
-	return frag.Clone(), nil
+	var f transport.Fragment
+	if err := transport.DecodeFragment(wire, &f); err != nil {
+		return nil, fmt.Errorf("core: aggregator %s round %d: %w", a.ID, round, err)
+	}
+	return f.Values, nil
 }
 
-// fused is Download without the clone, for the RPC handler, which only
-// encodes the vector: the node's own fused vector, read-only. Nothing
-// mutates or pools it after Aggregate installs it (eviction just drops the
-// reference), so it may be read without the lock.
-func (a *AggregatorNode) fused(round int, partyID string) (tensor.Vector, error) {
+// fused returns the round's aggregated bytes, the RPC handler's response
+// body as they are. Nothing mutates or pools them after Aggregate installs
+// them (eviction just drops the reference), so they may be read without
+// the lock.
+func (a *AggregatorNode) fused(round int, partyID string) ([]byte, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if !a.parties[partyID] {

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"bytes"
+	"math"
 	"testing"
 
+	"deta/internal/journal"
 	"deta/internal/tensor"
+	"deta/internal/transport"
 )
 
 // FuzzShuffleRoundTrip drives the shuffle/unshuffle pair with arbitrary
@@ -74,4 +78,67 @@ func FuzzMapperRoundTrip(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzDecodeRecord feeds replay's record decoder arbitrary (type, payload)
+// pairs. It must never panic, and whatever it accepts must survive
+// re-encoding: decode, append, decode gives back the same record. A fused
+// round's payload is kept as a copy, never an alias of the log buffer.
+func FuzzDecodeRecord(f *testing.F) {
+	upload, err := transport.AppendFragment(nil, &transport.Fragment{
+		Round: 3, Index: 2, PartyID: "P1", Weight: 0.5, Values: tensor.Vector{1, math.NaN(), -0.0},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	fused, err := transport.AppendFragment(nil, &transport.Fragment{Round: 3, Values: tensor.Vector{2, 4}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	event, err := appendCtl(nil, 0, 7, "P1")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, typ := range []uint8{recRegister, recQuorum, recRetention, recFetch, recUpload, recAggregate, recEvict, recRejoin, 2, 4, 12} {
+		for _, payload := range [][]byte{upload, fused, event, event[:ctlFixedLen], nil} {
+			f.Add(typ, payload)
+		}
+	}
+	f.Fuzz(func(t *testing.T, typ uint8, payload []byte) {
+		rec, err := decodeRecord(journal.Record{Type: typ, Data: payload})
+		if err != nil {
+			return
+		}
+		if len(rec.wire) > 0 && &rec.wire[0] == &payload[0] {
+			t.Fatal("decoded record aliases the log buffer")
+		}
+		data := rec.wire
+		if data == nil {
+			if data, err = appendRecord(nil, rec); err != nil {
+				t.Fatalf("re-encoding decoded record %+v: %v", rec, err)
+			}
+		}
+		again, err := decodeRecord(journal.Record{Type: typ, Data: data})
+		if err != nil {
+			t.Fatalf("re-encoded record does not decode: %v", err)
+		}
+		if rec.typ != again.typ || rec.n != again.n || rec.party != again.party ||
+			math.Float64bits(rec.weight) != math.Float64bits(again.weight) ||
+			!slicesEqualBits(rec.frag, again.frag) || !bytes.Equal(rec.wire, again.wire) {
+			t.Fatalf("decode/append/decode changed the record: %+v -> %+v", rec, again)
+		}
+	})
+}
+
+// slicesEqualBits reports whether a and b hold the same float bits.
+func slicesEqualBits(a, b tensor.Vector) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

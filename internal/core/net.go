@@ -79,8 +79,13 @@ type (
 		Round   int
 		PartyID string
 	}
-	// DownloadResp carries it.
-	DownloadResp struct{ Fragment []float64 }
+	// DownloadResp carries it, naming the round it was fused for. The
+	// aggregator sends its journaled recAggregate payload as the body,
+	// so there is no encoder on this side.
+	DownloadResp struct {
+		Round    int
+		Fragment []float64
+	}
 )
 
 // The two fragment-bearing messages ride transport's fragment codec; the
@@ -106,18 +111,13 @@ func (r *UploadReq) DecodeWire(data []byte) error {
 	return nil
 }
 
-// AppendWire implements transport.WireAppender.
-func (r DownloadResp) AppendWire(dst []byte) ([]byte, error) {
-	return transport.AppendFragment(dst, &transport.Fragment{Values: tensor.Vector(r.Fragment)})
-}
-
 // DecodeWire implements transport.WireDecoder.
 func (r *DownloadResp) DecodeWire(data []byte) error {
 	var f transport.Fragment
 	if err := transport.DecodeFragment(data, &f); err != nil {
 		return err
 	}
-	r.Fragment = f.Values
+	r.Round, r.Fragment = f.Round, f.Values
 	return nil
 }
 
@@ -313,13 +313,21 @@ func ServeAggregator(node *AggregatorNode, srv *transport.Server) {
 		node.Register(r.PartyID)
 		return RegisterResp{OK: true}, nil
 	})
-	handle(srv, MethodUpload, func(r UploadReq) (UploadResp, error) {
-		// The decoded fragment was materialized for this request, so the
-		// node takes ownership instead of paying a defensive clone.
-		if err := node.UploadOwned(r.Round, r.PartyID, tensor.Vector(r.Fragment), r.Weight); err != nil {
-			return UploadResp{}, err
+	// The two fragment-bearing methods see raw bodies, so that the node
+	// encodes no fragment it already holds encoded.
+	srv.Handle(MethodUpload, func(body []byte) ([]byte, error) {
+		var r UploadReq
+		if err := r.DecodeWire(body); err != nil {
+			return nil, fmt.Errorf("decoding request: %w", err)
 		}
-		return UploadResp{OK: true}, nil
+		// The decoded fragment was materialized for this request, so the
+		// node takes ownership instead of paying a defensive clone; the
+		// body itself is the upload's WAL record.
+		rec := record{typ: recUpload, n: r.Round, party: r.PartyID, frag: r.Fragment, weight: r.Weight, wire: body}
+		if err := node.upload(rec, true); err != nil {
+			return nil, withStatus(err)
+		}
+		return uploadOK, nil
 	})
 	handle(srv, MethodComplete, func(r CompleteReq) (CompleteResp, error) {
 		done, abandoned := node.RoundStatus(r.Round)
@@ -338,16 +346,21 @@ func ServeAggregator(node *AggregatorNode, srv *transport.Server) {
 		}
 		return AggregateResp{OK: true}, nil
 	})
-	handle(srv, MethodDownload, func(r DownloadReq) (DownloadResp, error) {
-		// The response is encoded straight from the node's fused vector,
-		// which nothing mutates once Aggregate has installed it.
-		frag, err := node.fused(r.Round, r.PartyID)
-		if err != nil {
-			return DownloadResp{}, err
+	srv.Handle(MethodDownload, func(body []byte) ([]byte, error) {
+		var r DownloadReq
+		if err := r.DecodeWire(body); err != nil {
+			return nil, fmt.Errorf("decoding request: %w", err)
 		}
-		return DownloadResp{Fragment: frag}, nil
+		// The response body is the round's journaled record as the node
+		// holds it, which nothing mutates once Aggregate has installed it.
+		wire, err := node.fused(r.Round, r.PartyID)
+		return wire, withStatus(err)
 	})
 }
+
+// uploadOK is every successful upload's response body. A response body is
+// only written out, never pooled, so one shared copy serves every call.
+var uploadOK, _ = UploadResp{OK: true}.AppendWire(nil)
 
 // AggregatorClient is the party-side handle to one remote aggregator. All
 // methods take a context whose deadline bounds the RPC; the underlying
@@ -483,13 +496,18 @@ func (a *AggregatorClient) Aggregate(ctx context.Context, round int) error {
 	return nil
 }
 
-// Download fetches the aggregated fragment.
+// Download fetches the aggregated fragment. A response fused for any
+// other round is an error, never a fragment of the wrong model.
 func (a *AggregatorClient) Download(ctx context.Context, round int, partyID string) (tensor.Vector, error) {
 	resp, err := callAgg[DownloadReq, DownloadResp](ctx, a, MethodDownload, DownloadReq{
 		Round: round, PartyID: partyID,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: download from %s: %w", a.ID, err)
+	}
+	if resp.Round != round {
+		tensor.PutVector(resp.Fragment)
+		return nil, fmt.Errorf("core: download from %s: response is for round %d, not %d", a.ID, resp.Round, round)
 	}
 	return resp.Fragment, nil
 }

@@ -10,13 +10,17 @@ package core
 // it; recovery decodes each record in wal.log, in order, and applies it.
 // Replay therefore runs the very writes the live node ran.
 //
-// Every record type has one payload encoding (appendRecord): uploads and
-// fused rounds carry the transport fragment codec, the events the
-// round-control layout of net.go. Compaction rewrites the log as the same
-// records through the same encoder, in an order that replays to exactly
-// the node's state (compactRecordsLocked).
+// Every record type has one payload encoding: uploads and fused rounds
+// carry the transport fragment codec, the events the round-control layout
+// of net.go (appendRecord). A fragment is encoded at most once on the
+// node: an upload that arrived over the network is journaled as its
+// request body, and a fused round is held as its encoded record, which the
+// WAL, compaction and every download share. Compaction rewrites the log as
+// the same records, in an order that replays to exactly the node's state
+// (compactRecordsLocked).
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"path/filepath"
@@ -41,7 +45,8 @@ const (
 	recFetch     uint8 = 7 // advisory: an aggregated fragment was served
 
 	// Fragment-carrying records: their payload is a transport fragment
-	// encoding, the one the fragment arrived in.
+	// encoding, the one the fragment arrived in. Replay ignores its
+	// fragment-index field.
 	recUpload    uint8 = 8 // an accepted fragment (fsynced before ack)
 	recAggregate uint8 = 9 // a fused round; carries the fused vector
 
@@ -151,12 +156,20 @@ func StateDirFor(stateDir, aggregatorID string) string {
 // record is one durable change to a node, as a WAL record holds it. n is
 // the round (uploads, fused rounds, fetches) or the new value (quorum,
 // retention); party, frag and weight are set where the type carries them.
+//
+// wire, when set, is the record's payload already encoded, journaled as it
+// is instead of through appendRecord. An upload received over the network
+// carries its request body, which aliases transport's read buffer: the
+// journal copies it, and apply never keeps it. A fused round always
+// carries its encoding and no frag: apply keeps wire as the round's
+// aggregated bytes.
 type record struct {
 	typ    uint8
 	n      int
 	party  string
 	frag   tensor.Vector
 	weight float64
+	wire   []byte
 }
 
 // carriesFragment reports whether records of type typ carry the fragment
@@ -166,7 +179,8 @@ func carriesFragment(typ uint8) bool {
 	return typ == recUpload || typ == recAggregate
 }
 
-// appendRecord appends rec's payload encoding to dst.
+// appendRecord appends the payload encoding of rec, which carries no wire,
+// to dst.
 func appendRecord(dst []byte, rec record) ([]byte, error) {
 	if carriesFragment(rec.typ) {
 		return transport.AppendFragment(dst, &transport.Fragment{
@@ -177,9 +191,19 @@ func appendRecord(dst []byte, rec record) ([]byte, error) {
 }
 
 // decodeRecord is appendRecord's inverse. An unknown type, or a body its
-// type does not carry, is an error naming the type.
+// type does not carry, is an error naming the type. A fused round's
+// payload is validated but not decoded: the record carries a copy of it
+// as wire, so nothing it holds aliases r.Data.
 func decodeRecord(r journal.Record) (record, error) {
 	rec := record{typ: r.Type}
+	if r.Type == recAggregate {
+		var f transport.Fragment
+		if err := transport.DecodeFragmentHeader(r.Data, &f); err != nil {
+			return rec, fmt.Errorf("record type %d: %w", r.Type, err)
+		}
+		rec.n, rec.wire = f.Round, bytes.Clone(r.Data)
+		return rec, nil
+	}
 	if carriesFragment(r.Type) {
 		var f transport.Fragment
 		if err := transport.DecodeFragment(r.Data, &f); err != nil {
@@ -215,7 +239,7 @@ func (a *AggregatorNode) apply(rec record) {
 		a.parties[rec.party] = true
 		delete(a.evicted, rec.party)
 	case recAggregate:
-		a.roundLocked(rec.n).aggregated = rec.frag
+		a.roundLocked(rec.n).aggregated = rec.wire
 		a.lastAggregated = max(a.lastAggregated, rec.n)
 	case recQuorum:
 		a.quorum = rec.n
@@ -259,22 +283,27 @@ func (a *AggregatorNode) commitLocked(rec record) error {
 	return err
 }
 
-// appendLocked encodes rec into a.walBuf and appends it to the journal,
-// fsynced except for recFetch, whose loss is harmless. The journal copies
-// the record out before returning, which is what makes reusing walBuf
-// safe. With no journal attached it is a no-op. Callers must hold a.mu.
+// appendLocked appends rec to the journal, fsynced except for recFetch,
+// whose loss is harmless: rec.wire as it is when set, else rec encoded
+// into a.walBuf. The journal copies the record out before returning, which
+// is what makes reusing walBuf, and journaling a request body that
+// transport reuses, safe. With no journal attached it is a no-op. Callers
+// must hold a.mu.
 //
 //perf:hotpath
 func (a *AggregatorNode) appendLocked(rec record) error {
 	if a.journal == nil {
 		return nil
 	}
-	//lint:ignore allocfree walBuf is reused across records: it grows only until it fits the largest one
-	data, err := appendRecord(a.walBuf[:0], rec)
-	if err != nil {
-		return err
+	data := rec.wire
+	if data == nil {
+		var err error
+		//lint:ignore allocfree walBuf is reused across records: it grows only until it fits the largest one
+		if data, err = appendRecord(a.walBuf[:0], rec); err != nil {
+			return err
+		}
+		a.walBuf = data
 	}
-	a.walBuf = data
 	if rec.typ == recFetch {
 		return a.journal.AppendNoSync(rec.typ, data)
 	}
@@ -283,9 +312,10 @@ func (a *AggregatorNode) appendLocked(rec record) error {
 
 // maybeCompactLocked rewrites the journal as the node's current state once
 // its tail exceeds the compaction threshold, bounding disk usage and
-// restart replay time. Compaction failure is non-fatal (the log itself is
-// intact; the next commit past the threshold retries). Callers must hold
-// a.mu.
+// restart replay time. Compaction failure is non-fatal: the log itself is
+// intact, and the next attempt waits for another threshold's worth of
+// records rather than re-encoding the whole state on every commit.
+// Callers must hold a.mu.
 func (a *AggregatorNode) maybeCompactLocked() {
 	if a.journal == nil {
 		return
@@ -294,25 +324,30 @@ func (a *AggregatorNode) maybeCompactLocked() {
 	if threshold <= 0 {
 		threshold = 1024
 	}
-	if a.journal.TailLen() < threshold {
+	tail := a.journal.TailLen()
+	if tail < max(threshold, a.compactRetryAt) {
 		return
 	}
 	recs, err := a.compactRecordsLocked()
-	if err != nil {
-		return
+	if err == nil {
+		err = a.journal.Compact(recs)
 	}
-	a.journal.Compact(recs)
+	a.compactRetryAt = 0
+	if err != nil {
+		a.compactRetryAt = tail + threshold
+	}
 }
 
 // compactRecordsLocked writes the node's durable state as the records the
-// live path commits, through the same encoder, in the order that makes
+// live path commits, in the same encodings, in the order that makes
 // apply replay to exactly that state:
 //
 //   - quorum, then retention;
 //   - fused rounds, ascending: each round's uploads, then its
-//     recAggregate. Every fused round the node holds lies above the
-//     retention horizon of the rounds fused before it, so no eviction that
-//     replay re-runs removes one;
+//     recAggregate, the round's held encoding written as it is. Every
+//     fused round the node holds lies above the retention horizon of the
+//     rounds fused before it, so no eviction that replay re-runs removes
+//     one;
 //   - open rounds, ascending. They may lie below the horizon (a
 //     straggler's upload after its round was evicted), and replaying an
 //     upload evicts nothing;
@@ -335,7 +370,7 @@ func (a *AggregatorNode) compactRecordsLocked() ([]journal.Record, error) {
 				recs = append(recs, record{typ: recUpload, n: r, party: p, frag: u.frag, weight: u.weight})
 			}
 			if fused {
-				recs = append(recs, record{typ: recAggregate, n: r, frag: rs.aggregated})
+				recs = append(recs, record{typ: recAggregate, n: r, wire: rs.aggregated})
 			}
 		}
 	}
@@ -347,9 +382,12 @@ func (a *AggregatorNode) compactRecordsLocked() ([]journal.Record, error) {
 	}
 	out := make([]journal.Record, len(recs))
 	for i, rec := range recs {
-		data, err := appendRecord(nil, rec)
-		if err != nil {
-			return nil, err
+		data := rec.wire
+		if data == nil {
+			var err error
+			if data, err = appendRecord(nil, rec); err != nil {
+				return nil, err
+			}
 		}
 		out[i] = journal.Record{Type: rec.typ, Data: data}
 	}

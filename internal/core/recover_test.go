@@ -709,6 +709,10 @@ func TestRecoverRejectsRetiredFragmentRecords(t *testing.T) {
 		{recFetch, event, "record type 7: "},
 		{recEvict, event, "record type 10: "},
 		{recRejoin, event, "record type 11: "},
+		// The fragment records reject a gob body too; a fused round's is
+		// validated though replay keeps it encoded.
+		{recUpload, fragment, "record type 8: "},
+		{recAggregate, fragment, "record type 9: "},
 	} {
 		dir := t.TempDir()
 		j, _, err := journal.Open(dir, journal.Options{NoSync: true})

@@ -30,7 +30,7 @@ type durableState struct {
 type roundImage struct {
 	Fragments  map[string][]uint64
 	Weights    map[string]uint64
-	Aggregated []uint64 // nil while the round is open
+	Aggregated []byte // the fused round's record; nil while the round is open
 }
 
 func vectorBits(v tensor.Vector) []uint64 {
@@ -59,7 +59,7 @@ func durableStateOf(a *AggregatorNode) durableState {
 		img := roundImage{
 			Fragments:  make(map[string][]uint64, len(rs.uploads)),
 			Weights:    make(map[string]uint64, len(rs.uploads)),
-			Aggregated: vectorBits(rs.aggregated),
+			Aggregated: rs.aggregated,
 		}
 		for p, u := range rs.uploads {
 			img.Fragments[p] = vectorBits(u.frag)

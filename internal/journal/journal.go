@@ -87,6 +87,10 @@ type Journal struct {
 	noSync bool
 	tail   int // records in wal.log not written by the last Compact
 	closed bool
+	// frame is append's reused framing buffer: a record's header and
+	// payload, written with one write. It grows only until it fits the
+	// largest record, so an append allocates nothing.
+	frame []byte
 }
 
 // Open opens (creating if needed) the journal in dir and recovers its
@@ -161,7 +165,11 @@ func (j *Journal) TailLen() int {
 // Append commits one record: framed write, then fsync (unless NoSync).
 // When Append returns nil the record survives a crash; on error the log is
 // rolled back to its previous committed length so later appends stay
-// parseable.
+// parseable. Append has copied data by the time it returns, so the caller
+// may reuse or release the buffer; it allocates nothing once its framing
+// buffer fits the record.
+//
+//perf:hotpath
 func (j *Journal) Append(typ uint8, data []byte) error {
 	return j.append(typ, data, !j.noSync)
 }
@@ -172,16 +180,26 @@ func (j *Journal) AppendNoSync(typ uint8, data []byte) error {
 	return j.append(typ, data, false)
 }
 
+// append is Append, with the fsync optional.
+//
+//perf:hotpath
 func (j *Journal) append(typ uint8, data []byte, sync bool) error {
 	if len(data) > MaxRecord {
 		return fmt.Errorf("journal: record of %d bytes exceeds limit", len(data))
 	}
-	frame := encodeRecord(typ, data)
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
 		return ErrClosed
 	}
+	n := headerSize + len(data)
+	if cap(j.frame) < n {
+		//lint:ignore allocfree frame is reused across appends: it grows only until it fits the largest record
+		j.frame = make([]byte, n)
+	}
+	frame := j.frame[:n]
+	putHeader(frame, typ, data)
+	copy(frame[headerSize:], data)
 	if _, err := j.log.Write(frame); err != nil {
 		// Roll back a partial write so the on-disk tail stays framed.
 		j.log.Truncate(j.off)
@@ -195,7 +213,7 @@ func (j *Journal) append(typ uint8, data []byte, sync bool) error {
 			return fmt.Errorf("journal: fsync: %w", err)
 		}
 	}
-	j.off += int64(len(frame))
+	j.off += int64(n)
 	j.tail++
 	return nil
 }
@@ -298,13 +316,6 @@ func putHeader(h []byte, typ uint8, data []byte) {
 	h[0] = typ
 	binary.BigEndian.PutUint32(h[1:5], uint32(len(data)))
 	binary.BigEndian.PutUint32(h[5:9], crc32.Update(crc32.Update(0, crcTable, h[:5]), crcTable, data))
-}
-
-func encodeRecord(typ uint8, data []byte) []byte {
-	frame := make([]byte, headerSize+len(data))
-	putHeader(frame, typ, data)
-	copy(frame[headerSize:], data)
-	return frame
 }
 
 // decodeRecord parses one record from the front of b, returning the bytes

@@ -74,6 +74,29 @@ func TestEmptyAndZeroLengthRecords(t *testing.T) {
 	}
 }
 
+// frame returns the on-disk bytes of one record of typ carrying data.
+func frame(typ uint8, data []byte) []byte {
+	b := make([]byte, headerSize+len(data))
+	putHeader(b, typ, data)
+	copy(b[headerSize:], data)
+	return b
+}
+
+// An append copies its record into the journal's reused framing buffer:
+// past the first record of its size it allocates nothing, however large.
+func TestAppendAllocatesNothing(t *testing.T) {
+	j, _, err := Open(t.TempDir(), Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	data := bytes.Repeat([]byte{0xA5}, 175<<10)
+	mustAppend(t, j, 8, data) // warm-up: sizes the framing buffer
+	if allocs := testing.AllocsPerRun(20, func() { mustAppend(t, j, 8, data) }); allocs != 0 {
+		t.Fatalf("Append of a %d-byte record allocates %.1f times, want 0", len(data), allocs)
+	}
+}
+
 // readLog decodes every record in dir's wal.log as it is on disk now.
 func readLog(t *testing.T, dir string) []Record {
 	t.Helper()
@@ -192,7 +215,7 @@ func TestCompactIsAtomic(t *testing.T) {
 	j.Close()
 	// What a crash mid-compaction leaves: a partial temp file holding the
 	// start of a valid record.
-	partial := encodeRecord(1, []byte("snap-2"))[:headerSize+2]
+	partial := frame(1, []byte("snap-2"))[:headerSize+2]
 	if err := os.WriteFile(filepath.Join(dir, tempName), partial, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +257,7 @@ func TestCompactFailureKeepsLog(t *testing.T) {
 // without its compacted rounds.
 func TestOpenRefusesSnapshotFile(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "snapshot.bin"), encodeRecord(0, []byte("gob state")), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "snapshot.bin"), frame(0, []byte("gob state")), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), "snapshot.bin") {

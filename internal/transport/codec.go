@@ -133,36 +133,54 @@ func AppendFragment(dst []byte, f *Fragment) ([]byte, error) {
 //
 //perf:hotpath
 func DecodeFragment(data []byte, f *Fragment) error {
-	if len(data) < 2 || data[0] != fragMagic0 || data[1] != fragMagic1 {
-		return fmt.Errorf("transport: fragment body lacks codec magic")
+	slab, err := decodeFragmentHeader(data, f)
+	if err != nil {
+		return err
 	}
-	if len(data) < fragFixedLen+fragCountLen {
-		return fmt.Errorf("transport: fragment header truncated at %d bytes", len(data))
-	}
-	if v := data[2]; v != FragmentVersion {
-		return fmt.Errorf("transport: unknown fragment wire version %d (have %d)", v, FragmentVersion)
-	}
-	if dt := data[3]; dt != fragDtypeF64 {
-		return fmt.Errorf("transport: unknown fragment dtype %d", dt)
-	}
-	partyLen := int(binary.LittleEndian.Uint16(data[20:22]))
-	off := fragFixedLen + partyLen
-	if len(data) < off+fragCountLen {
-		return fmt.Errorf("transport: fragment party ID of %d bytes overruns %d-byte body", partyLen, len(data))
-	}
-	count := binary.LittleEndian.Uint32(data[off : off+fragCountLen])
-	slab := data[off+fragCountLen:]
-	if uint64(count)*8 != uint64(len(slab)) {
-		return fmt.Errorf("transport: fragment count %d disagrees with %d slab bytes", count, len(slab))
-	}
-	f.Round = int(binary.LittleEndian.Uint32(data[4:8]))
-	f.Index = int(binary.LittleEndian.Uint32(data[8:12]))
-	f.Weight = math.Float64frombits(binary.LittleEndian.Uint64(data[12:20]))
-	f.PartyID = string(data[fragFixedLen:off])
-	vals := tensor.GetVector(int(count))
+	vals := tensor.GetVector(len(slab) / 8)
 	for i := range vals {
 		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(slab[8*i : 8*i+8]))
 	}
 	f.Values = vals
 	return nil
+}
+
+// DecodeFragmentHeader validates data exactly as DecodeFragment does and
+// fills f's header fields, but leaves f.Values alone: it is for a holder
+// that keeps the encoding itself and needs only to know it is well formed.
+func DecodeFragmentHeader(data []byte, f *Fragment) error {
+	_, err := decodeFragmentHeader(data, f)
+	return err
+}
+
+// decodeFragmentHeader is DecodeFragmentHeader returning the float64 slab,
+// whose length it has checked against the element count.
+func decodeFragmentHeader(data []byte, f *Fragment) (slab []byte, err error) {
+	if len(data) < 2 || data[0] != fragMagic0 || data[1] != fragMagic1 {
+		return nil, fmt.Errorf("transport: fragment body lacks codec magic")
+	}
+	if len(data) < fragFixedLen+fragCountLen {
+		return nil, fmt.Errorf("transport: fragment header truncated at %d bytes", len(data))
+	}
+	if v := data[2]; v != FragmentVersion {
+		return nil, fmt.Errorf("transport: unknown fragment wire version %d (have %d)", v, FragmentVersion)
+	}
+	if dt := data[3]; dt != fragDtypeF64 {
+		return nil, fmt.Errorf("transport: unknown fragment dtype %d", dt)
+	}
+	partyLen := int(binary.LittleEndian.Uint16(data[20:22]))
+	off := fragFixedLen + partyLen
+	if len(data) < off+fragCountLen {
+		return nil, fmt.Errorf("transport: fragment party ID of %d bytes overruns %d-byte body", partyLen, len(data))
+	}
+	count := binary.LittleEndian.Uint32(data[off : off+fragCountLen])
+	slab = data[off+fragCountLen:]
+	if uint64(count)*8 != uint64(len(slab)) {
+		return nil, fmt.Errorf("transport: fragment count %d disagrees with %d slab bytes", count, len(slab))
+	}
+	f.Round = int(binary.LittleEndian.Uint32(data[4:8]))
+	f.Index = int(binary.LittleEndian.Uint32(data[8:12]))
+	f.Weight = math.Float64frombits(binary.LittleEndian.Uint64(data[12:20]))
+	f.PartyID = string(data[fragFixedLen:off])
+	return slab, nil
 }
