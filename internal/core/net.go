@@ -455,10 +455,19 @@ func (a *AggregatorClient) Register(ctx context.Context, partyID string) error {
 // carried in the wire header so journals and traces can tell which
 // partition a payload belongs to. The server side is idempotent for
 // identical retries, so re-sending after an ambiguous failure is safe.
+//
+// The request is encoded into a pooled buffer sized from the fragment
+// (transport.CallSizedContext), so a steady stream of large uploads
+// allocates no request bodies.
 func (a *AggregatorClient) Upload(ctx context.Context, round int, partyID string, frag tensor.Vector, index int, weight float64) error {
-	_, err := callAgg[UploadReq, UploadResp](ctx, a, MethodUpload, UploadReq{
-		Round: round, PartyID: partyID, Frag: index, Fragment: frag, Weight: weight,
-	})
+	c, err := a.client(ctx)
+	if err == nil {
+		req := UploadReq{Round: round, PartyID: partyID, Frag: index, Fragment: frag, Weight: weight}
+		size := transport.FragmentWireSize(partyID, len(frag))
+		if _, err = transport.CallSizedContext[UploadReq, UploadResp](ctx, c, MethodUpload, req, size); err != nil {
+			err = fromStatus(err)
+		}
+	}
 	if err != nil {
 		return fmt.Errorf("core: upload to %s: %w", a.ID, err)
 	}

@@ -405,8 +405,18 @@ func (r *perfEchoResp) DecodeWire(data []byte) error {
 	return nil
 }
 
-// perfTransportClient starts an in-memory server with a typed "echo" and a
-// raw "noop" method (no injected latency: these benches track CPU cost of
+// perfLenResp decodes a response by its length alone, so the large-body
+// bench times the transport's buffers rather than a copy of the echo.
+type perfLenResp struct{ n int }
+
+func (r *perfLenResp) DecodeWire(data []byte) error {
+	r.n = len(data)
+	return nil
+}
+
+// perfTransportClient starts an in-memory server with a typed "echo", a
+// raw "noop" and a raw "mirror" method, which answers with its request
+// body as read (no injected latency: these benches track CPU cost of
 // framing + body codec, not simulated WAN delay) and returns a connected
 // client.
 func perfTransportClient(b *testing.B) *transport.Client {
@@ -416,6 +426,7 @@ func perfTransportClient(b *testing.B) *transport.Client {
 		return perfEchoResp{Payload: r.Payload}, nil
 	})
 	s.Handle("noop", func([]byte) ([]byte, error) { return nil, nil })
+	s.Handle("mirror", func(body []byte) ([]byte, error) { return body, nil })
 	ln := transport.NewMemListener()
 	go func() { _ = s.Serve(ln) }()
 	conn, err := ln.Dial()
@@ -469,6 +480,29 @@ func transportBenches() []Bench {
 					if err != nil {
 						b.Fatal(err)
 					}
+				}
+			}
+		}},
+		// A bulk_tls-sized fragment each way, on the buffers an upload and a
+		// download take: the request is encoded into a pooled class buffer
+		// (CallSizedContext, as core's Upload does), the server reads it
+		// into one and answers from it, and the client reads the answer
+		// into one. In steady state no body allocates.
+		{Name: "transport/Call/seq,700KiB", F: func(b *testing.B) {
+			c := perfTransportClient(b)
+			req := perfEchoReq{Payload: make([]byte, 700<<10)}
+			for i := range req.Payload {
+				req.Payload[i] = byte(i)
+			}
+			b.SetBytes(2 * int64(len(req.Payload)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				resp, err := transport.CallSizedContext[perfEchoReq, perfLenResp](context.Background(), c, "mirror", req, len(req.Payload))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if resp.n != len(req.Payload) {
+					b.Fatalf("echo of %d bytes came back as %d", len(req.Payload), resp.n)
 				}
 			}
 		}},

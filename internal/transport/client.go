@@ -38,6 +38,7 @@ type pendingCall struct {
 	id     uint64
 	method string
 	body   []byte
+	big    *bigBody        // body's holder when it is a pooled class buffer
 	done   chan callResult // buffered; receives exactly one result
 }
 
@@ -66,38 +67,39 @@ func NewClient(conn net.Conn) *Client {
 // context ends, or the connection fails. A context timeout abandons the
 // call (a late response is discarded) without poisoning the connection.
 //
-// The caller keeps the returned body, so a body that arrived in a pooled
-// read buffer is copied out exact-size; a buffer grown for an oversized
-// frame is handed over as it is.
+// The caller keeps the returned body, so it is always copied out of the
+// pooled read buffer exact-size and the buffer recycled: no pooled buffer,
+// nor its slack, escapes to a caller.
 func (c *Client) CallContext(ctx context.Context, method string, body []byte) ([]byte, error) {
-	resp, err := c.roundTrip(ctx, method, body)
+	resp, err := c.roundTrip(ctx, method, body, nil)
 	if err != nil {
 		return nil, err
-	}
-	if cap(resp.buf) != bodySeed {
-		return resp.body, nil
 	}
 	var out []byte
 	if n := len(resp.body); n > 0 {
 		out = make([]byte, n)
 		copy(out, resp.body)
 	}
-	putBody(resp.buf)
+	resp.release()
 	return out, nil
 }
 
 // roundTrip is CallContext without the copy: the response body aliases the
-// read buffer, which the caller hands to putBody when done with it.
-func (c *Client) roundTrip(ctx context.Context, method string, body []byte) (frame, error) {
+// read buffer, which the caller releases when done with it. big is body's
+// holder when body is a pooled class buffer; the writer returns it to its
+// pool once the request frame is written.
+func (c *Client) roundTrip(ctx context.Context, method string, body []byte, big *bigBody) (frame, error) {
 	start := time.Now()
 	c.stats.callStarted()
-	resp, err := c.call(ctx, method, body)
+	resp, err := c.call(ctx, method, body, big)
 	c.stats.callDone(start, err, errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled))
 	return resp, err
 }
 
-func (c *Client) call(ctx context.Context, method string, body []byte) (frame, error) {
-	p := &pendingCall{method: method, body: body, done: make(chan callResult, 1)}
+// call queues the request for the writer. A call abandoned before the
+// writer takes it leaves big to the GC.
+func (c *Client) call(ctx context.Context, method string, body []byte, big *bigBody) (frame, error) {
+	p := &pendingCall{method: method, body: body, big: big, done: make(chan callResult, 1)}
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
@@ -147,7 +149,11 @@ func (c *Client) writeLoop() {
 	for {
 		select {
 		case p := <-c.writeq:
-			if err := writeFrame(c.conn, p.id, kindRequest, 0, p.method, p.body); err != nil {
+			err := writeFrame(c.conn, p.id, kindRequest, 0, p.method, p.body)
+			// An io.Writer must not retain the bytes it was passed, so the
+			// request buffer is free once writeFrame returns, and only then.
+			p.big.put()
+			if err != nil {
 				c.fail(fmt.Errorf("send: %w", err))
 				return
 			}
@@ -158,10 +164,11 @@ func (c *Client) writeLoop() {
 }
 
 func (c *Client) readLoop() {
+	pre := new([framePrefix]byte)
 	for {
-		resp, err := readFrame(c.conn)
+		resp, err := readFrame(c.conn, pre)
 		if err == nil && resp.kind != kindResponse {
-			putBody(resp.buf)
+			resp.release()
 			err = fmt.Errorf("transport: unexpected frame kind %d", resp.kind)
 		}
 		if err != nil {
@@ -174,10 +181,10 @@ func (c *Client) readLoop() {
 		c.mu.Unlock()
 		switch {
 		case !ok:
-			putBody(resp.buf) // abandoned (deadline), stale or a replay; discard
+			resp.release() // abandoned (deadline), stale or a replay; discard
 		case len(resp.text) != 0 || resp.code != 0:
 			p.done <- callResult{err: &RemoteError{Method: p.method, Msg: string(resp.text), Code: resp.code}}
-			putBody(resp.buf)
+			resp.release()
 		default:
 			p.done <- callResult{resp: resp}
 		}
@@ -269,13 +276,44 @@ func CallTypedContext[Req, Resp any](ctx context.Context, c *Client, method stri
 	if err != nil {
 		return zero, err
 	}
-	out, err := c.roundTrip(ctx, method, body)
+	out, err := c.roundTrip(ctx, method, body, nil)
 	if err != nil {
 		return zero, err
 	}
 	var resp Resp
 	err = Decode(out.body, &resp)
-	putBody(out.buf)
+	out.release()
+	if err != nil {
+		return zero, err
+	}
+	return resp, nil
+}
+
+// CallSizedContext is CallTypedContext for a request whose encoding is
+// size bytes long (a fragment upload). Above bodySeed the request is
+// encoded into a pooled class buffer, which the client's writer returns
+// to its pool once the frame is written; at or under it, this is
+// CallTypedContext.
+func CallSizedContext[Req WireAppender, Resp any](ctx context.Context, c *Client, method string, req Req, size int) (Resp, error) {
+	if size <= bodySeed {
+		return CallTypedContext[Req, Resp](ctx, c, method, req)
+	}
+	var zero Resp
+	big := getBig(size)
+	// Should the encoding outgrow size, body is a buffer of its own and
+	// big goes back unused.
+	body, err := req.AppendWire(big.b[:0])
+	if err != nil {
+		big.put()
+		return zero, err
+	}
+	out, err := c.roundTrip(ctx, method, body, big)
+	if err != nil {
+		return zero, err
+	}
+	var resp Resp
+	err = Decode(out.body, &resp)
+	out.release()
 	if err != nil {
 		return zero, err
 	}

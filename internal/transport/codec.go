@@ -90,7 +90,7 @@ func AppendFragment(dst []byte, f *Fragment) ([]byte, error) {
 	if len(f.PartyID) > math.MaxUint16 {
 		return nil, fmt.Errorf("transport: party ID of %d bytes exceeds uint16 length field", len(f.PartyID))
 	}
-	need := fragFixedLen + len(f.PartyID) + fragCountLen + 8*len(f.Values)
+	need := FragmentWireSize(f.PartyID, len(f.Values))
 	if need > MaxFrame {
 		return nil, fmt.Errorf("transport: fragment of %d bytes exceeds frame limit", need)
 	}
@@ -123,6 +123,12 @@ func AppendFragment(dst []byte, f *Fragment) ([]byte, error) {
 		at += 8
 	}
 	return dst, nil
+}
+
+// FragmentWireSize is the encoded length of a fragment from partyID
+// carrying n values.
+func FragmentWireSize(partyID string, n int) int {
+	return fragFixedLen + len(partyID) + fragCountLen + 8*n
 }
 
 // DecodeFragment parses a fixed-layout fragment into f. Every length

@@ -33,11 +33,11 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := readFrame(&buf)
+		out, err := readFrame(&buf, new([framePrefix]byte))
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer putBody(out.buf)
+		defer out.release()
 		if out.id != id || out.kind != kind || out.code != code || string(out.text) != text || !bytes.Equal(out.body, body) {
 			t.Fatalf("round trip mismatch: wrote (%d, %d, %d, %q, %d-byte body), read %+v", id, kind, code, text, len(body), out)
 		}
@@ -98,12 +98,17 @@ func FuzzFrameGarbage(f *testing.F) {
 	f.Add(frameWithLength(1<<28, nil))                             // exactly MaxFrame, zero bytes follow
 	f.Add(frameWithLength(1<<27, []byte("tiny")))                  // huge promise, 4 bytes arrive
 	f.Add(frameWithLength(1<<20, bytes.Repeat([]byte{0xAA}, 100))) // 1MiB promise, 100 arrive
+	// Honest frames at the edges of the pooled classes: one byte past the
+	// seed buffer, exactly the first doubling, and one byte past it.
+	for _, n := range []uint32{bodySeed + 1, 2 * bodySeed, 2*bodySeed + 1} {
+		f.Add(frameWithLength(n, make([]byte, n)))
+	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		out, err := readFrame(bytes.NewReader(raw)) // must not panic
+		out, err := readFrame(bytes.NewReader(raw), new([framePrefix]byte)) // must not panic
 		if err != nil {
 			return
 		}
-		defer putBody(out.buf)
+		defer out.release()
 		// The layout is canonical: a frame that parses re-encodes to the
 		// very bytes it was read from.
 		var buf bytes.Buffer
@@ -124,7 +129,7 @@ func TestHostilePrefixCostsOneSeedBuffer(t *testing.T) {
 	for i := 0; i < 5; i++ { // TotalAlloc is process-wide; the quietest run is the reader's own cost
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := readFrame(bytes.NewReader(raw))
+		_, err := readFrame(bytes.NewReader(raw), new([framePrefix]byte))
 		runtime.ReadMemStats(&after)
 		if err == nil {
 			t.Fatal("frame with no body behind its prefix was accepted")
@@ -135,6 +140,106 @@ func TestHostilePrefixCostsOneSeedBuffer(t *testing.T) {
 	}
 	if least > bodySeed+4096 {
 		t.Fatalf("a starved %d-byte prefix allocated %d bytes, want at most one %d-byte buffer", MaxFrame, least, bodySeed)
+	}
+}
+
+// With the class pools warm, a starved prefix may reuse a pooled buffer
+// but still allocates at most one seed buffer: a 700 KB prefix, whose
+// class has a pooled buffer, and a MaxFrame one, whose class has none.
+func TestHostilePrefixWarmPoolsCostsOneSeedBuffer(t *testing.T) {
+	getBig(1 << 20).put()
+	getBig(700_000).put()
+	for _, n := range []uint32{700_000, MaxFrame} {
+		raw := frameWithLength(n, nil)
+		least := uint64(math.MaxUint64)
+		for i := 0; i < 5; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := readFrame(bytes.NewReader(raw), new([framePrefix]byte))
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatal("frame with no body behind its prefix was accepted")
+			}
+			if d := after.TotalAlloc - before.TotalAlloc; d < least {
+				least = d
+			}
+		}
+		if least > bodySeed+4096 {
+			t.Fatalf("a starved %d-byte prefix allocated %d bytes, want at most one %d-byte buffer", n, least, bodySeed)
+		}
+	}
+}
+
+// largeFrame returns the wire bytes of a request frame with ID seed whose
+// body is n bytes of a pattern keyed by seed (see patterned).
+func largeFrame(tb testing.TB, n int, seed byte) []byte {
+	body := make([]byte, n)
+	for i := range body {
+		body[i] = seed + byte(i%251)
+	}
+	return rawFrame(tb, uint64(seed), kindRequest, 0, "deta.Upload", body)
+}
+
+// patterned reports whether f's body is largeFrame's pattern for its ID.
+func patterned(f frame) bool {
+	for i, b := range f.body {
+		if b != byte(f.id)+byte(i%251) {
+			return false
+		}
+	}
+	return true
+}
+
+// A large frame read in steady state allocates nothing: its body lands in
+// the class buffer the previous frame returned.
+func TestLargeFrameReadAllocatesNothing(t *testing.T) {
+	if raceBuild {
+		t.Skip("the race detector's sync.Pool drops puts at random")
+	}
+	raw := largeFrame(t, 700_000, 1)
+	r, pre := bytes.NewReader(raw), new([framePrefix]byte)
+	read := func() {
+		r.Reset(raw)
+		f, err := readFrame(r, pre)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.release()
+	}
+	read() // warm-up: grows through the classes and pools the last one
+	if allocs := testing.AllocsPerRun(50, read); allocs != 0 {
+		t.Fatalf("a %d-byte frame read in steady state made %.1f allocations, want 0", len(raw), allocs)
+	}
+}
+
+// A frame that starves mid-grow returns every step's buffer to the pools
+// and keeps none: the frames read next get the right bytes, each in a
+// buffer of its own.
+func TestStarvedGrowSharesNoBuffer(t *testing.T) {
+	full := largeFrame(t, 700_000, 3)
+	if _, err := readFrame(bytes.NewReader(full[:300_000]), new([framePrefix]byte)); err == nil {
+		t.Fatal("truncated frame was accepted")
+	}
+	var held []frame
+	defer func() {
+		for _, f := range held {
+			f.release()
+		}
+	}()
+	// Sizes in three classes, the last that of the starved frame; each
+	// frame stays held while the next is read, so a buffer handed out
+	// twice would be overwritten under its first reader.
+	for seed := byte(5); seed < 8; seed++ {
+		f, err := readFrame(bytes.NewReader(largeFrame(t, 200_000*int(seed-4)+100_000, seed)), new([framePrefix]byte))
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, f)
+	}
+	for _, f := range held {
+		if !patterned(f) {
+			t.Fatalf("frame %d does not hold its own bytes", f.id)
+		}
 	}
 }
 

@@ -28,7 +28,7 @@ func TestResponsesRoutedByID(t *testing.T) {
 		reqs := make([]frame, 2)
 		for i := range reqs {
 			var err error
-			if reqs[i], err = readFrame(serverConn); err != nil {
+			if reqs[i], err = readFrame(serverConn, new([framePrefix]byte)); err != nil {
 				served <- err
 				return
 			}
@@ -200,6 +200,117 @@ func TestEchoBodiesNeverCross(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// poolBody is a request or response body of
+// TestPooledBodiesNeverReusedInUse, sent through the pooled-request path.
+type poolBody []byte
+
+func (b poolBody) AppendWire(dst []byte) ([]byte, error) { return append(dst, b...), nil }
+func (b *poolBody) DecodeWire(data []byte) error {
+	*b = append(poolBody(nil), data...)
+	return nil
+}
+
+const poolTag = "pooled:"
+
+// poolPattern is call (g, i)'s n-byte body: the tag, g and i, then a fill
+// that differs per call. Every fill byte is at least 0x40, so a
+// duplicated write of any part of the body parses as a length prefix over
+// MaxFrame and the server drops the connection at once.
+func poolPattern(g, i, n int) poolBody {
+	b := make(poolBody, n)
+	at := copy(b, poolTag)
+	b[at], b[at+1] = byte(g), byte(i)
+	for j := at + 2; j < n; j++ {
+		b[j] = 0x40 + byte((g*31+i*7+j)%61)
+	}
+	return b
+}
+
+// TestPooledBodiesNeverReusedInUse: 16 callers share a connection, each
+// sending 300 KB bodies of its own pattern, which the client encodes into
+// pooled class buffers and the server reads into pooled class buffers and
+// echoes from them. A buffer recycled while a frame was still being
+// written from it, or handed to two frames at once, would put one call's
+// bytes into another's request or response. A FaultConn duplicates some
+// client writes: a repeated header turns a request into framing garbage
+// (no tag; answered with an error), then the connection drops and the
+// callers redial. Every call that succeeds must echo its own bytes.
+func TestPooledBodiesNeverReusedInUse(t *testing.T) {
+	srv := NewServer()
+	srv.Handle("pool", func(body []byte) ([]byte, error) {
+		if !bytes.HasPrefix(body, []byte(poolTag)) {
+			return nil, errors.New("framing garbage from a duplicated write")
+		}
+		g, i := int(body[len(poolTag)]), int(body[len(poolTag)+1])
+		if !bytes.Equal(body, poolPattern(g, i, len(body))) {
+			t.Errorf("request %d/%d arrived with bytes of another call", g, i)
+		}
+		return body, nil
+	})
+	ln := NewMemListener()
+	go srv.Serve(ln)
+	t.Cleanup(srv.Close)
+
+	var (
+		mu    sync.Mutex
+		cur   *Client
+		dials int64
+	)
+	client := func() (*Client, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if cur == nil || cur.Err() != nil {
+			conn, err := ln.Dial()
+			if err != nil {
+				return nil, err
+			}
+			dials++
+			cur = NewClient(NewFaultConn(conn, Faults{Seed: dials, DupProb: 0.01}))
+		}
+		return cur, nil
+	}
+	defer func() { cur.Close() }()
+
+	const callers, calls, size = 16, 20, 300_000
+	var (
+		wg                 sync.WaitGroup
+		countMu            sync.Mutex
+		okCount, failCount int
+	)
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				req := poolPattern(g, i, size)
+				c, err := client()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				resp, err := CallSizedContext[poolBody, poolBody](ctx, c, "pool", req, len(req))
+				cancel()
+				countMu.Lock()
+				if err != nil {
+					failCount++
+				} else {
+					okCount++
+				}
+				countMu.Unlock()
+				if err == nil && !bytes.Equal(resp, req) {
+					t.Errorf("call %d/%d: the response is not its own request", g, i)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if okCount < callers*calls/2 {
+		t.Fatalf("only %d of %d calls succeeded (%d failed, %d connections)", okCount, callers*calls, failCount, dials)
+	}
+	t.Logf("%d calls succeeded, %d failed over %d connections", okCount, failCount, dials)
 }
 
 // TestCallContextDeadline: a deadline abandons one call without poisoning

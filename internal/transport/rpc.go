@@ -73,8 +73,8 @@ const (
 )
 
 // frame is one parsed frame. text and body alias buf, the readBody buffer
-// the frame arrived in: whoever holds the frame hands buf to putBody once
-// both are dead.
+// the frame arrived in, and big is buf's holder when it is a class buffer
+// above bodySeed: whoever holds the frame calls release once both are dead.
 type frame struct {
 	id   uint64
 	kind byte
@@ -82,7 +82,13 @@ type frame struct {
 	text []byte
 	body []byte
 	buf  []byte
+	big  *bigBody
 }
+
+// release returns the frame's buffer to its pool.
+//
+//perf:hotpath
+func (f frame) release() { putBody(f.buf, f.big) }
 
 // frameBufPool recycles the buffers frames are assembled in: a frame is
 // fully written to the connection before writeFrame returns, so the
@@ -126,12 +132,14 @@ func writeFrame(w io.Writer, id uint64, kind byte, code uint8, text string, body
 	return err
 }
 
-// readFrame reads and parses one frame. The caller owns f.buf (see frame);
-// on error there is nothing to release.
+// readFrame reads and parses one frame. The caller owns its buffer (see
+// frame); on error there is nothing to release. pre is scratch for the
+// length prefix that the caller keeps for the connection's life: read into
+// a local, the prefix would escape through r and cost every frame an
+// allocation.
 //
 //perf:hotpath
-func readFrame(r io.Reader) (frame, error) {
-	var pre [framePrefix]byte
+func readFrame(r io.Reader, pre *[framePrefix]byte) (frame, error) {
 	if _, err := io.ReadFull(r, pre[:]); err != nil {
 		return frame{}, err
 	}
@@ -142,13 +150,13 @@ func readFrame(r io.Reader) (frame, error) {
 	if n < frameFixed {
 		return frame{}, fmt.Errorf("transport: incoming frame of %d bytes is shorter than its header", n)
 	}
-	buf, err := readBody(r, int(n))
+	buf, big, err := readBody(r, int(n))
 	if err != nil {
 		return frame{}, err
 	}
 	bodyAt := frameFixed + int(binary.BigEndian.Uint16(buf[10:12]))
 	if bodyAt > len(buf) {
-		putBody(buf)
+		putBody(buf, big)
 		return frame{}, fmt.Errorf("transport: frame text of %d bytes overruns %d-byte frame", bodyAt-frameFixed, len(buf))
 	}
 	return frame{
@@ -158,74 +166,88 @@ func readFrame(r io.Reader) (frame, error) {
 		text: buf[frameFixed:bodyAt],
 		body: buf[bodyAt:],
 		buf:  buf,
+		big:  big,
 	}, nil
 }
 
 // bodySeed is the pooled frame-body buffer size: every body at or under
-// it (all control traffic and typical fragment frames) is read into a
-// recycled buffer, and it doubles as the trust granularity for oversized
-// length prefixes (see readBody).
-const bodySeed = 64 << 10
+// it (all control traffic and small fragment frames) is read into a
+// recycled buffer of this size, and it doubles as the trust granularity for
+// oversized length prefixes (see readBody). Larger bodies use the class
+// pools of bufpool.go.
+const bodySeed = 1 << seedShift
 
 // bodyPool recycles the seed-sized body buffers. Fixed-size array
 // pointers rather than slices, so Put never allocates a slice header and
 // a shrunk or re-sliced buffer can't poison the pool.
 var bodyPool = sync.Pool{New: func() any { return new([bodySeed]byte) }}
 
-// readBody reads an n-byte frame body, growing the buffer geometrically
-// as bytes actually arrive instead of trusting the length prefix up
-// front. MaxFrame bounds n, but even a prefix just under the bound from
-// a hostile or corrupt peer can then cost at most one 64 KiB buffer
-// before the read starves and fails — never an up-front multi-hundred-MiB
-// allocation.
+// readBody reads an n-byte frame body. Up to bodySeed it lands in a
+// bodyPool buffer. Above it, a length prefix is trusted only to pick a
+// buffer the pools already hold: if class(n) has one, the body is read
+// straight into it. Otherwise the buffer grows geometrically as bytes
+// actually arrive, from a seed buffer through class buffers, each step
+// taken from its class pool or allocated and the previous one returned.
+// Memory is allocated only as bytes arrive, so even a prefix just under
+// MaxFrame from a hostile or corrupt peer costs at most one 64 KiB buffer
+// before the read starves and fails — never an up-front
+// multi-hundred-MiB allocation.
 //
-// Bodies up to bodySeed come from bodyPool; the caller must hand the
-// returned slice to putBody when done with it (oversized bodies are
-// allocated fresh and putBody ignores them).
+// big is the holder of a class buffer, nil for a seed buffer; the caller
+// hands both to putBody when done with the body. On error nothing is
+// left to release.
 //
 //perf:hotpath
-func readBody(r io.Reader, n int) ([]byte, error) {
-	buf := bodyPool.Get().(*[bodySeed]byte)
+func readBody(r io.Reader, n int) (body []byte, big *bigBody, err error) {
 	if n <= bodySeed {
-		body := buf[:n]
+		buf := bodyPool.Get().(*[bodySeed]byte)
+		body = buf[:n]
 		if _, err := io.ReadFull(r, body); err != nil {
 			bodyPool.Put(buf)
-			return nil, err
+			return nil, nil, err
 		}
-		return body, nil
+		return body, nil, nil
 	}
-	body := buf[:bodySeed]
+	if big = pooledBig(n); big != nil {
+		body = big.b[:n]
+		if _, err := io.ReadFull(r, body); err != nil {
+			big.put()
+			return nil, nil, err
+		}
+		return body, big, nil
+	}
+	seed := bodyPool.Get().(*[bodySeed]byte)
+	body = seed[:]
 	if _, err := io.ReadFull(r, body); err != nil {
-		bodyPool.Put(buf)
-		return nil, err
+		bodyPool.Put(seed)
+		return nil, nil, err
 	}
 	for len(body) < n {
-		next := 2 * len(body)
-		if next > n {
-			next = n
-		}
-		//lint:ignore allocfree oversized-frame grow path: >64 KiB bodies are rare, and the doubling is what keeps a hostile length prefix from costing a giant up-front allocation
-		grown := make([]byte, next)
-		read := copy(grown, body)
-		if read == bodySeed {
-			// The seed chunk has been copied out; recycle it now so an
-			// error mid-grow doesn't strand the pooled buffer.
-			bodyPool.Put(buf)
-		}
-		body = grown
+		next := min(2*len(body), n)
+		grown := getBig(next)
+		read := copy(grown.b, body)
+		// The previous step has been copied out; recycle it now so an
+		// error mid-grow strands no pooled buffer.
+		putBody(body, big)
+		big, body = grown, grown.b[:next]
 		if _, err := io.ReadFull(r, body[read:]); err != nil {
-			return nil, err
+			big.put()
+			return nil, nil, err
 		}
 	}
-	return body, nil
+	return body, big, nil
 }
 
-// putBody returns a readBody buffer to the pool. Only exactly seed-sized
-// backing arrays are pooled: oversized grow-path buffers (and anything
-// else) are left to the GC.
+// putBody returns a readBody buffer to its pool: a class buffer through
+// its holder big, a seed-sized one to bodyPool. Anything else is left to
+// the GC.
 //
 //perf:hotpath
-func putBody(b []byte) {
+func putBody(b []byte, big *bigBody) {
+	if big != nil {
+		big.put()
+		return
+	}
 	if cap(b) != bodySeed {
 		return
 	}
@@ -319,20 +341,21 @@ func (s *Server) serveConn(conn net.Conn) {
 			conn.Close()
 		}
 	}
+	pre := new([framePrefix]byte)
 	for {
-		f, err := readFrame(conn)
+		f, err := readFrame(conn, pre)
 		if err != nil {
 			// Malformed frame, peer close, or server close: drop the
 			// connection. Handler goroutines finish via the deferred wait.
 			return
 		}
 		if f.kind != kindRequest || f.code != 0 {
-			putBody(f.buf)
+			f.release()
 			return
 		}
 		if string(f.text) == MethodPing {
 			write(f.id, 0, "", nil)
-			putBody(f.buf)
+			f.release()
 			continue
 		}
 		s.mu.RLock()
@@ -340,7 +363,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.RUnlock()
 		if !ok {
 			write(f.id, 0, fmt.Sprintf("transport: unknown method %q", f.text), nil)
-			putBody(f.buf)
+			f.release()
 			continue
 		}
 		hwg.Add(1)
@@ -371,7 +394,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			}()
 			write(f.id, code, text, body)
 			// Only now: an echoing handler's response is its request body.
-			putBody(f.buf)
+			f.release()
 		}()
 	}
 }

@@ -270,7 +270,7 @@ func TestFrameLimit(t *testing.T) {
 		hdr := []byte{0xFF, 0xFF, 0xFF, 0xFF}
 		a.Write(hdr)
 	}()
-	if _, err := readFrame(b); err == nil {
+	if _, err := readFrame(b, new([framePrefix]byte)); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 }
