@@ -102,8 +102,8 @@ func main() {
 		if err != nil {
 			log.Fatalf("starting aggregation service: %v", err)
 		}
-		log.Printf("journal recovered: %d parties, %d rounds in memory (%d aggregated, last %d), %d fetches served, torn tail=%v",
-			info.Parties, info.Rounds, info.Aggregated, info.LastAggregated, info.FetchesServed, info.TornTail)
+		log.Printf("journal recovered: %d parties, %d rounds in memory (%d aggregated, last %d), torn tail=%v",
+			info.Parties, info.Rounds, info.Aggregated, info.LastAggregated, info.TornTail)
 	} else {
 		node, err = core.NewAggregatorNode(*id, alg, cvm)
 		if err != nil {

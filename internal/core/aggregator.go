@@ -238,7 +238,7 @@ func (a *AggregatorNode) UploadOwned(round int, partyID string, frag tensor.Vect
 // handler also sets rec.wire to the request body, which is then journaled
 // as it is. The allocations left on the path are acknowledged in place:
 // the liveness stamp here and, in commitLocked and appendLocked, the round
-// map, compaction and the WAL scratch buffer.
+// map and the WAL scratch buffer.
 //
 //perf:hotpath
 func (a *AggregatorNode) upload(rec record, owned bool) error {
@@ -325,8 +325,8 @@ func (a *AggregatorNode) SetRetention(n int) {
 }
 
 // SetCompactEvery tunes how many journal records accumulate before the
-// journal is compacted — rewritten as the node's current state (default
-// 1024; no-op without a journal).
+// next fused round compacts the journal — rewrites it as the node's
+// current state (default 512; no-op without a journal).
 func (a *AggregatorNode) SetCompactEvery(n int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -357,7 +357,9 @@ func (a *AggregatorNode) Complete(round int) bool {
 // Aggregating an already-fused round is a no-op, so an initiator that
 // restarted mid-sync can safely re-drive it. The fused vector is journaled
 // before Aggregate returns, so parties can still download it from a
-// recovered aggregator.
+// recovered aggregator. A fusion is where a round ends, so it is also
+// where the journal is compacted once its tail has grown past the
+// threshold.
 func (a *AggregatorNode) Aggregate(round int) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -402,6 +404,7 @@ func (a *AggregatorNode) Aggregate(round int) error {
 	if err := a.commitLocked(record{typ: recAggregate, n: round, wire: wire}); err != nil {
 		return fmt.Errorf("core: aggregator %s journaling round %d: %w", a.ID, round, err)
 	}
+	a.maybeCompactLocked()
 	return nil
 }
 
@@ -429,7 +432,8 @@ func (a *AggregatorNode) Download(round int, partyID string) (tensor.Vector, err
 // fused returns the round's aggregated bytes, the RPC handler's response
 // body as they are. Nothing mutates or pools them after Aggregate installs
 // them (eviction just drops the reference), so they may be read without
-// the lock.
+// the lock. A download changes no durable state and writes nothing to the
+// journal.
 func (a *AggregatorNode) fused(round int, partyID string) ([]byte, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -445,9 +449,6 @@ func (a *AggregatorNode) fused(round int, partyID string) ([]byte, error) {
 		}
 		return nil, fmt.Errorf("%w: round %d", ErrNotAggregated, round)
 	}
-	// Advisory fetch-served record (no fsync: its loss is harmless); it
-	// lets operators audit which rounds were actually delivered.
-	_ = a.commitLocked(record{typ: recFetch, n: round, party: partyID})
 	return rs.aggregated, nil
 }
 

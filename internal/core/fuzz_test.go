@@ -99,7 +99,7 @@ func FuzzDecodeRecord(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, typ := range []uint8{recRegister, recQuorum, recRetention, recFetch, recUpload, recAggregate, recEvict, recRejoin, 2, 4, 12} {
+	for _, typ := range []uint8{recRegister, recQuorum, recRetention, 7, recUpload, recAggregate, recEvict, recRejoin, 2, 4, 12} {
 		for _, payload := range [][]byte{upload, fused, event, event[:ctlFixedLen], nil} {
 			f.Add(typ, payload)
 		}

@@ -581,7 +581,7 @@ func TestRejoinAfterSnapshotCompaction(t *testing.T) {
 	dir := t.TempDir()
 	clk := NewFakeClock(lifecycleEpoch)
 	node, _ := recoverLifecycleNode(t, "agg-cmp", dir, clk)
-	node.SetCompactEvery(1) // compact on every mutation: evict lands in a compacted log
+	node.SetCompactEvery(1) // compact at every fused round: evict lands in a compacted log
 	node.SetLiveness(time.Second, 2*time.Second)
 	node.Register("P1")
 	node.Register("P2")
@@ -593,23 +593,37 @@ func TestRejoinAfterSnapshotCompaction(t *testing.T) {
 	if evicted := node.Tick(); len(evicted) != 1 || evicted[0] != "P2" {
 		t.Fatalf("evicted %v, want [P2]", evicted)
 	}
-	mustUpload(t, node, 1, "P1", 2) // forces a compaction cycle post-evict
+	mustUpload(t, node, 1, "P1", 2)
+	if err := node.Aggregate(1); err != nil { // compacts, post-evict
+		t.Fatal(err)
+	}
 	if err := node.CloseJournal(); err != nil {
 		t.Fatal(err)
+	}
+	if types := compactedLogTypes(t, dir); !slices.Contains(types, recEvict) {
+		t.Fatalf("compacted log %v lacks the eviction", types)
 	}
 
 	node2, info := recoverLifecycleNode(t, "agg-cmp", dir, NewFakeClock(lifecycleEpoch))
 	if info.Evicted != 1 || len(node2.EvictedParties()) != 1 {
 		t.Fatalf("eviction lost in compaction: info=%d evicted=%v", info.Evicted, node2.EvictedParties())
 	}
-	// Rejoin lands after the compacted records; another compaction folds it
-	// in.
+	node2.SetCompactEvery(1)
+	// Rejoin lands after the compacted records; the next fused round's
+	// compaction folds it into membership.
 	if rejoined, err := node2.Heartbeat("P2"); err != nil || !rejoined {
 		t.Fatalf("rejoin = (%v, %v)", rejoined, err)
 	}
-	mustUpload(t, node2, 1, "P2", 4)
+	mustUpload(t, node2, 2, "P1", 3)
+	mustUpload(t, node2, 2, "P2", 4)
+	if err := node2.Aggregate(2); err != nil {
+		t.Fatal(err)
+	}
 	if err := node2.CloseJournal(); err != nil {
 		t.Fatal(err)
+	}
+	if types := compactedLogTypes(t, dir); slices.Contains(types, recRejoin) || slices.Contains(types, recEvict) {
+		t.Fatalf("compacted log %v still holds the eviction or the rejoin", types)
 	}
 
 	node3, info := recoverLifecycleNode(t, "agg-cmp", dir, NewFakeClock(lifecycleEpoch))

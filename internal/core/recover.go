@@ -34,15 +34,15 @@ import (
 )
 
 // Journal record types (journal.Record.Type). The values are on-disk
-// format and are never reused: 2 and 3 were gob-payload fragment records
-// and 4 dropped a round; replay rejects all three as unknown.
+// format and are never reused: 2 and 3 were gob-payload fragment records,
+// 4 dropped a round and 7 recorded a download; replay rejects all four as
+// unknown.
 const (
 	// Event records: a round-control body (flags 0) whose u32 holds the
-	// round (fetch) or the new value (quorum, retention); see eventFields.
+	// new value (quorum, retention); see eventFields.
 	recRegister  uint8 = 1 // a party was admitted
 	recQuorum    uint8 = 5 // the party quorum changed
 	recRetention uint8 = 6 // the round-retention bound changed
-	recFetch     uint8 = 7 // advisory: an aggregated fragment was served
 
 	// Fragment-carrying records: their payload is a transport fragment
 	// encoding, the one the fragment arrived in. Replay ignores its
@@ -64,7 +64,6 @@ var eventFields = map[uint8]ctlFields{
 	recRegister:  {party: true},
 	recQuorum:    {round: true},
 	recRetention: {round: true},
-	recFetch:     {round: true, party: true},
 	recEvict:     {party: true},
 	recRejoin:    {party: true},
 }
@@ -76,7 +75,6 @@ type RecoveryInfo struct {
 	Rounds         int  // rounds held in memory after replay
 	Aggregated     int  // of those, rounds with a fused vector
 	LastAggregated int  // highest fused round (resume initiator sync here)
-	FetchesServed  int  // advisory fetch records seen in the log
 	TornTail       bool // a torn/corrupt log tail was discarded
 }
 
@@ -101,9 +99,6 @@ func RecoverAggregatorNode(id string, algorithm agg.Algorithm, cvm *sev.CVM, dir
 		if err != nil {
 			_ = j.Close() // recovery already failed; report the replay error
 			return nil, nil, fmt.Errorf("core: aggregator %s: replaying journal: %w", id, err)
-		}
-		if rc.typ == recFetch {
-			info.FetchesServed++
 		}
 		node.mu.Lock()
 		node.apply(rc)
@@ -154,7 +149,7 @@ func StateDirFor(stateDir, aggregatorID string) string {
 }
 
 // record is one durable change to a node, as a WAL record holds it. n is
-// the round (uploads, fused rounds, fetches) or the new value (quorum,
+// the round (uploads, fused rounds) or the new value (quorum,
 // retention); party, frag and weight are set where the type carries them.
 //
 // wire, when set, is the record's payload already encoded, journaled as it
@@ -226,8 +221,7 @@ func decodeRecord(r journal.Record) (record, error) {
 // apply makes the state change rec stands for. It is the only writer of
 // the node's durable state — membership, quorum, retention, the rounds,
 // their uploads and fused vectors — and the same code runs live (from
-// commitLocked) and on replay. A fetch record changes nothing: it is an
-// audit trail. Callers must hold a.mu.
+// commitLocked) and on replay. Callers must hold a.mu.
 func (a *AggregatorNode) apply(rec record) {
 	switch rec.typ {
 	case recUpload:
@@ -267,8 +261,8 @@ func (a *AggregatorNode) apply(rec record) {
 // durable state. A failed append of an upload or fused round returns the
 // error and changes nothing, since those are acknowledged only once
 // durable. Every other record applies even when its append fails:
-// membership and configuration records are self-healing after a crash,
-// and a fetch record is advisory. Callers must hold a.mu.
+// membership and configuration records are self-healing after a crash.
+// Callers must hold a.mu.
 //
 //perf:hotpath
 func (a *AggregatorNode) commitLocked(rec record) error {
@@ -278,17 +272,14 @@ func (a *AggregatorNode) commitLocked(rec record) error {
 	}
 	//lint:ignore allocfree a round's map is created once per round, sized for every party; the other writes overwrite or delete keys
 	a.apply(rec)
-	//lint:ignore allocfree compaction rewrites the log once per compactEvery (default 1024) records, amortised over them
-	a.maybeCompactLocked()
 	return err
 }
 
-// appendLocked appends rec to the journal, fsynced except for recFetch,
-// whose loss is harmless: rec.wire as it is when set, else rec encoded
-// into a.walBuf. The journal copies the record out before returning, which
-// is what makes reusing walBuf, and journaling a request body that
-// transport reuses, safe. With no journal attached it is a no-op. Callers
-// must hold a.mu.
+// appendLocked appends rec to the journal: rec.wire as it is when set,
+// else rec encoded into a.walBuf. The journal copies the record out
+// before returning, which is what makes reusing walBuf, and journaling a
+// request body that transport reuses, safe. With no journal attached it
+// is a no-op. Callers must hold a.mu.
 //
 //perf:hotpath
 func (a *AggregatorNode) appendLocked(rec record) error {
@@ -304,25 +295,27 @@ func (a *AggregatorNode) appendLocked(rec record) error {
 		}
 		a.walBuf = data
 	}
-	if rec.typ == recFetch {
-		return a.journal.AppendNoSync(rec.typ, data)
-	}
 	return a.journal.Append(rec.typ, data)
 }
 
 // maybeCompactLocked rewrites the journal as the node's current state once
 // its tail exceeds the compaction threshold, bounding disk usage and
-// restart replay time. Compaction failure is non-fatal: the log itself is
-// intact, and the next attempt waits for another threshold's worth of
-// records rather than re-encoding the whole state on every commit.
-// Callers must hold a.mu.
+// restart replay time. Aggregate calls it once per fused round, right
+// after retention has dropped a round, so the state it rewrites is at its
+// smallest and no upload of the deployed protocol is waiting on a.mu.
+// Compaction failure is non-fatal: the log itself is intact, and the next
+// attempt waits for another threshold's worth of records rather than
+// re-encoding the whole state at every fused round. Callers must hold
+// a.mu.
 func (a *AggregatorNode) maybeCompactLocked() {
 	if a.journal == nil {
 		return
 	}
 	threshold := a.compactEvery
 	if threshold <= 0 {
-		threshold = 1024
+		// A round writes N + 1 records (N uploads and the fusion), so 512
+		// compacts about every 512 / (N+1) rounds.
+		threshold = 512
 	}
 	tail := a.journal.TailLen()
 	if tail < max(threshold, a.compactRetryAt) {

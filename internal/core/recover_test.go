@@ -192,6 +192,36 @@ func TestRecoverAggregatorNode(t *testing.T) {
 	node2.CloseJournal()
 }
 
+// compactedLogTypes returns the record types of the closed journal in dir,
+// failing unless a compaction wrote it: dir holds only wal.log, and the
+// log starts with a quorum record, which only a compaction writes for a
+// node that never set one.
+func compactedLogTypes(t *testing.T, dir string) []uint8 {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "wal.log" {
+		t.Fatalf("journal directory holds %v, want only wal.log", entries)
+	}
+	j, rec, err := journal.Open(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	types := make([]uint8, len(rec.Records))
+	for i, r := range rec.Records {
+		types[i] = r.Type
+	}
+	if len(types) == 0 || types[0] != recQuorum {
+		t.Fatalf("log holds record types %v, not a compaction's rewrite", types)
+	}
+	return types
+}
+
 // Compaction must preserve recoverability while keeping the log short: a
 // node whose journal was rewritten many times over recovers every round,
 // from a directory holding nothing but wal.log.
@@ -215,26 +245,7 @@ func TestRecoverAfterCompaction(t *testing.T) {
 		}
 	}
 	node.CloseJournal()
-
-	// The log must have been rewritten along the way: only a compacted log
-	// starts with a quorum record (this node never set one).
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].Name() != "wal.log" {
-		t.Fatalf("journal directory holds %v, want only wal.log", entries)
-	}
-	j, rec, err := journal.Open(dir, journal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Records[0].Type != recQuorum {
-		t.Fatalf("log starts with record type %d, not a compaction's quorum record", rec.Records[0].Type)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
+	compactedLogTypes(t, dir) // the log was rewritten along the way
 
 	cvm2 := provisionCVM(t, proxy, vendor, "agg-c2")
 	node2, info, err := RecoverAggregatorNode("agg-c", agg.IterativeAverage{}, cvm2, dir, journal.Options{})
@@ -554,8 +565,8 @@ func TestSnapshotPartiesSorted(t *testing.T) {
 // upload of a new round leaves no phantom round, and an upload into an
 // open round stores no fragment the journal never saw. Membership and
 // configuration changes are self-healing after a crash, so they still
-// take effect in memory, and a download of a fused round, whose fetch
-// record is advisory, still succeeds.
+// take effect in memory, and a download of a fused round still succeeds,
+// because a download never touches the journal.
 func TestUploadJournalFailureLeavesNoPhantomRound(t *testing.T) {
 	proxy, vendor := testTrust(t)
 	// deadJournalNode: P1–P3 fused round 1, P1 and P2 filled round 2, P1
@@ -677,8 +688,8 @@ func TestUploadJournalFailureLeavesNoPhantomRound(t *testing.T) {
 // TestRecoverRejectsRetiredFragmentRecords: a journal written before the
 // fixed layouts fails recovery, naming the record type, rather than
 // replaying to a node that is silently missing state. Types 2 and 3
-// carried gob-encoded fragments and 4 dropped a round: none has a replay
-// path. The event types now carry the round-control layout, so the gob
+// carried gob-encoded fragments, 4 dropped a round and 7 recorded a
+// download: none has a replay path. The event types now carry the round-control layout, so the gob
 // walEvent they once held is a decode error.
 func TestRecoverRejectsRetiredFragmentRecords(t *testing.T) {
 	proxy, vendor := testTrust(t)
@@ -706,7 +717,7 @@ func TestRecoverRejectsRetiredFragmentRecords(t *testing.T) {
 		{recRegister, event, "record type 1: "},
 		{recQuorum, event, "record type 5: "},
 		{recRetention, event, "record type 6: "},
-		{recFetch, event, "record type 7: "},
+		{7, event, "unknown record type 7"},
 		{recEvict, event, "record type 10: "},
 		{recRejoin, event, "record type 11: "},
 		// The fragment records reject a gob body too; a fused round's is

@@ -99,18 +99,21 @@ func recoverCopy(t *testing.T, cvm *sev.CVM, src, dst string) durableState {
 // random schedules of every journalled mutation — registration, uploads
 // (stragglers below the retention horizon included), fusion, quorum and
 // retention changes, heartbeats, downloads, and clock advances that evict
-// silent parties — compacting every 1–4 records. After every step a node
-// recovered from the journal as it is on disk must hold the live node's
-// durable state bit for bit. The record order compaction writes is what
-// this pins: membership written before the uploads, or open rounds before
-// fused ones, recovers a different node. Every fifth seed never compacts,
-// so its recovery replays the records the live node committed, not
-// compaction's rewrite of them: that arm pins apply's live/replay
-// equality on its own.
+// silent parties — compacting at the first fused round after every 1–4
+// records. After every step a node recovered from the journal as it is on
+// disk must hold the live node's durable state bit for bit. The record
+// order compaction writes is what this pins: membership written before the
+// uploads, or open rounds before fused ones, recovers a different node.
+// Every seed meant to compact must compact at least once. Every fifth seed
+// never compacts, so its recovery replays the records the live node
+// committed, not compaction's rewrite of them: that arm pins apply's
+// live/replay equality on its own.
 func TestCompactionReplaysExactly(t *testing.T) {
 	proxy, vendor := testTrust(t)
 	cvm := provisionCVM(t, proxy, vendor, "agg-replay")
-	seeds, steps := 60, 80
+	// Compaction runs only at a fused round, and a schedule fuses a round
+	// every 30 steps or so: 160 steps make every compacting seed compact.
+	seeds, steps := 60, 160
 	if testing.Short() {
 		seeds = 10
 	}
@@ -124,10 +127,13 @@ func TestCompactionReplaysExactly(t *testing.T) {
 		}
 		clk := NewFakeClock(time.Unix(1_700_000_000, 0))
 		node.SetClock(clk)
+		compacts := seed%5 != 0
 		node.SetCompactEvery(1 + seed%4)
-		if seed%5 == 0 {
+		if !compacts {
 			node.SetCompactEvery(1 << 30)
 		}
+		// A compaction renames a new file over wal.log.
+		compactions, wal := 0, os.FileInfo(nil)
 		node.SetLiveness(2*time.Second, 4*time.Second)
 		if seed%2 == 0 {
 			node.SetLifecycle(5*time.Second, time.Second)
@@ -184,11 +190,22 @@ func TestCompactionReplaysExactly(t *testing.T) {
 				clk.Advance(d)
 				op = fmt.Sprintf("advance %v, evicted %v", d, node.Tick())
 			}
+			now, err := os.Stat(filepath.Join(dir, "live", "wal.log"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wal != nil && !os.SameFile(now, wal) {
+				compactions++
+			}
+			wal = now
 			want := durableStateOf(node)
 			got := recoverCopy(t, cvm, filepath.Join(dir, "live"), filepath.Join(dir, "recovered"))
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d step %d (%s): recovered state differs\n got: %+v\nwant: %+v", seed, step, op, got, want)
 			}
+		}
+		if compacts != (compactions > 0) {
+			t.Fatalf("seed %d compacted %d times; meant to compact: %v", seed, compactions, compacts)
 		}
 		if err := node.CloseJournal(); err != nil {
 			t.Fatal(err)

@@ -171,9 +171,63 @@ func TestDownloadRejectsOtherRound(t *testing.T) {
 	}
 }
 
+// TestRoundJournalsOneRecordPerUploadPlusFusion: with N parties, a round
+// of N uploads and its fusion appends exactly N + 1 records, and
+// downloads, in process and over deta.Download, write nothing to the
+// journal.
+func TestRoundJournalsOneRecordPerUploadPlusFusion(t *testing.T) {
+	proxy, vendor := testTrust(t)
+	dir := t.TempDir()
+	node, _, err := RecoverAggregatorNode("agg-records", agg.IterativeAverage{}, provisionCVM(t, proxy, vendor, "agg-records"), dir, journal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.CloseJournal()
+	client, ctx := serveNode(t, node), context.Background()
+	// journaled returns the records past the last compaction and wal.log's size.
+	journaled := func() (int, int64) {
+		t.Helper()
+		fi, err := os.Stat(filepath.Join(dir, "wal.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return node.journal.TailLen(), fi.Size()
+	}
+	parties := []string{"P0", "P1", "P2", "P3", "P4", "P5"}
+	n := len(parties)
+	for _, p := range parties {
+		node.Register(p)
+	}
+	before, _ := journaled()
+	for i, p := range parties {
+		if err := client.Upload(ctx, 1, p, tensor.Vector{float64(i), 1}, 0, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := client.Aggregate(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	tail, size := journaled()
+	if tail-before != n+1 {
+		t.Fatalf("a round of %d uploads and its fusion appended %d records, want %d", n, tail-before, n+1)
+	}
+	for _, p := range parties {
+		if _, err := node.Download(1, p); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := client.Download(ctx, 1, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if gotTail, gotSize := journaled(); gotTail != tail || gotSize != size {
+		t.Fatalf("%d downloads moved the journal: %d -> %d records, %d -> %d bytes", 2*n, tail, gotTail, size, gotSize)
+	}
+}
+
 // TestFailedCompactionWaitsForThreshold: a compaction that fails — here,
-// because a non-empty directory sits where wal.tmp goes — is retried once
-// another compactEvery records have accumulated, not on every commit.
+// because a non-empty directory sits where wal.tmp goes — is retried at
+// the first fused round after another compactEvery records have
+// accumulated, not at every fused round.
 func TestFailedCompactionWaitsForThreshold(t *testing.T) {
 	proxy, vendor := testTrust(t)
 	cvm := provisionCVM(t, proxy, vendor, "agg-compact")
@@ -183,7 +237,7 @@ func TestFailedCompactionWaitsForThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer node.CloseJournal()
-	node.SetCompactEvery(4)
+	node.SetCompactEvery(8)
 	node.Register("P0")
 	blocker := filepath.Join(dir, "wal.tmp")
 	if err := os.MkdirAll(filepath.Join(blocker, "sub"), 0o755); err != nil {
@@ -196,24 +250,27 @@ func TestFailedCompactionWaitsForThreshold(t *testing.T) {
 		defer node.mu.Unlock()
 		return node.compactRetryAt
 	}
-	const commits = 40
+	// A round is two records, an upload and its fusion. The blocker goes
+	// after round 40, and the next attempt, due four rounds later, succeeds.
+	const rounds = 40
 	attempts, mark := 0, retryAt()
-	for r := 1; r <= commits; r++ {
+	for r := 1; r <= rounds+4; r++ {
 		if err := node.Upload(r, "P0", tensor.Vector{float64(r)}, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := node.Aggregate(r); err != nil {
 			t.Fatal(err)
 		}
 		if m := retryAt(); m != mark {
 			attempts, mark = attempts+1, m
 		}
-	}
-	if attempts == 0 || attempts > commits/4 {
-		t.Fatalf("%d commits made %d failed compaction attempts, want 1..%d", commits, attempts, commits/4)
-	}
-	if err := os.RemoveAll(blocker); err != nil {
-		t.Fatal(err)
-	}
-	for r := commits + 1; r <= commits+4; r++ {
-		if err := node.Upload(r, "P0", tensor.Vector{float64(r)}, 1); err != nil {
+		if r != rounds {
+			continue
+		}
+		if attempts == 0 || attempts > rounds/4 {
+			t.Fatalf("%d fused rounds made %d failed compaction attempts, want 1..%d", rounds, attempts, rounds/4)
+		}
+		if err := os.RemoveAll(blocker); err != nil {
 			t.Fatal(err)
 		}
 	}

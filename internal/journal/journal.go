@@ -171,19 +171,6 @@ func (j *Journal) TailLen() int {
 //
 //perf:hotpath
 func (j *Journal) Append(typ uint8, data []byte) error {
-	return j.append(typ, data, !j.noSync)
-}
-
-// AppendNoSync commits one record without forcing it to disk, for advisory
-// records (e.g. fetch-served events) whose loss in a crash is harmless.
-func (j *Journal) AppendNoSync(typ uint8, data []byte) error {
-	return j.append(typ, data, false)
-}
-
-// append is Append, with the fsync optional.
-//
-//perf:hotpath
-func (j *Journal) append(typ uint8, data []byte, sync bool) error {
 	if len(data) > MaxRecord {
 		return fmt.Errorf("journal: record of %d bytes exceeds limit", len(data))
 	}
@@ -206,7 +193,7 @@ func (j *Journal) append(typ uint8, data []byte, sync bool) error {
 		j.log.Seek(j.off, io.SeekStart)
 		return fmt.Errorf("journal: append: %w", err)
 	}
-	if sync {
+	if !j.noSync {
 		if err := j.log.Sync(); err != nil {
 			j.log.Truncate(j.off)
 			j.log.Seek(j.off, io.SeekStart)
@@ -278,8 +265,8 @@ func writeRecords(w io.Writer, recs []Record) (int64, error) {
 }
 
 // Close fsyncs (unless NoSync) and closes the log file. A failed final
-// fsync is reported — records appended with AppendNoSync since the last
-// sync may not have reached the disk — but the file is closed either way.
+// fsync is reported, so a caller that sees nil knows the file reached the
+// disk whole, but the file is closed either way.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()

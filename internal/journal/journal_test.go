@@ -349,25 +349,6 @@ func TestCorruptTailDetected(t *testing.T) {
 	}
 }
 
-func TestAppendNoSyncCounts(t *testing.T) {
-	dir := t.TempDir()
-	j, _, err := Open(dir, Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.AppendNoSync(3, []byte("advisory")); err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-	_, rec, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Records) != 1 || rec.Records[0].Type != 3 {
-		t.Fatalf("recovered %+v", rec.Records)
-	}
-}
-
 func TestClosedJournalRejectsAppends(t *testing.T) {
 	j, _, err := Open(t.TempDir(), Options{})
 	if err != nil {
@@ -457,8 +438,8 @@ func FuzzRecoverTail(f *testing.F) {
 }
 
 // Regression: Close must report a failed final fsync instead of discarding
-// it — AppendNoSync records are only durable once that last Sync lands, so
-// a caller that sees Close() == nil is entitled to believe they survived.
+// it — a caller that sees Close() == nil is entitled to believe the log
+// reached the disk.
 func TestCloseReportsSyncError(t *testing.T) {
 	dir := t.TempDir()
 	j, _, err := Open(dir, Options{})

@@ -16,7 +16,7 @@ package lint
 //   - the permKey/token fields of KeyBroker, Shuffler, Token
 //
 // Sinks: fmt formatting/print family, errors.New/Join, the log package,
-// journal Append/AppendNoSync/Compact payloads, transport.Encode, and any
+// journal Append/Compact payloads, transport.Encode, and any
 // module wire struct named *Req/*Resp — except PermKeyReq/PermKeyResp,
 // the one sanctioned key-carrying message.
 //
@@ -633,7 +633,7 @@ func (env *taintEnv) checkSinkCall(f taintFact, call *ast.CallExpr, r *Reporter)
 		sink, kind = "errors."+name, "format"
 	case path == "log":
 		sink, kind = "log."+name, "format"
-	case path == journalPath && (name == "Append" || name == "AppendNoSync" || name == "Compact"):
+	case path == journalPath && (name == "Append" || name == "Compact"):
 		sink, kind = "journal."+name, "journal"
 	case path == "deta/internal/transport" && name == "Encode":
 		sink, kind = "transport.Encode", "wire"

@@ -5,7 +5,6 @@
 //
 // The enforced invariants (see DESIGN.md §10):
 //
-//   - cryptorand:     keyed/secret randomness must never come from math/rand
 //   - errdiscipline:  no silently dropped Sync/Close/Write/Commit errors on
 //     the durability path
 //   - ctxplumb:       RPC/fleet surfaces take a caller context, first, and
@@ -134,7 +133,6 @@ type Preparer interface {
 // All returns the full analyzer suite in stable order.
 func All() []Analyzer {
 	return []Analyzer{
-		CryptoRand{},
 		ErrDiscipline{},
 		CtxPlumb{},
 		&KeyTaint{},

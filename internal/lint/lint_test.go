@@ -73,7 +73,6 @@ func TestAnalyzerFixtures(t *testing.T) {
 		pose     string
 		analyzer Analyzer
 	}{
-		{"cryptorand", "deta/internal/rng", CryptoRand{}},
 		{"errdiscipline", "deta/internal/journal", ErrDiscipline{}},
 		{"ctxplumb", "deta/internal/core", CtxPlumb{}},
 		{"keytaint", "deta/internal/core", &KeyTaint{}},

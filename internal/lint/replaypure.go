@@ -171,7 +171,7 @@ var mapOrderScope = []string{
 // Order-sensitive sinks: the Journal's appends, and the aggregator's
 // helpers that append to it.
 var (
-	journalWriteMethods = map[string]bool{"Append": true, "AppendNoSync": true, "Compact": true}
+	journalWriteMethods = map[string]bool{"Append": true, "Compact": true}
 	coreJournalWrites   = map[string]bool{"appendLocked": true, "commitLocked": true}
 )
 
@@ -186,7 +186,7 @@ var (
 //   - compound accumulation (+= -= *= /=) into a float declared outside
 //     the loop (float addition is not associative, so the sum's bits
 //     depend on visit order);
-//   - writing journal records (Journal.Append/AppendNoSync/Compact or the
+//   - writing journal records (Journal.Append/Compact or the
 //     aggregator's appendLocked/commitLocked) — the WAL's record order
 //     would then differ between the original run and any re-execution.
 //

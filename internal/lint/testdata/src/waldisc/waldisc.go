@@ -5,14 +5,10 @@
 package core
 
 // Journal mirrors the WAL surface waldisc recognizes by receiver type.
-type Journal struct{ synced bool }
+type Journal struct{}
 
 func (j *Journal) Append(typ byte, data []byte) error { return nil }
-func (j *Journal) AppendNoSync(typ byte, data []byte) error {
-	j.synced = false
-	return nil
-}
-func (j *Journal) Compact() error { return nil }
+func (j *Journal) Compact() error                     { return nil }
 
 type roundState struct {
 	uploads    map[string]contribution

@@ -18,12 +18,12 @@ package lint
 //     Journal.Append with the returned error consumed. Required for the
 //     payload-bearing state replay rebuilds record-by-record — round
 //     creation, the per-party uploads and the fused vector.
-//   - strength 1, any journal append (AppendNoSync, Compact, or an
-//     unchecked strength-2 call). Enough for membership flags and
-//     counters that a compaction re-captures, and for ALL deletes: dropping
-//     state early at worst forgets what replay can rebuild, it never
-//     acknowledges phantom data (the rollback `delete` after a failed
-//     append is the canonical guarded delete).
+//   - strength 1, any journal write (Compact, or an unchecked strength-2
+//     call). Enough for membership flags and counters that a compaction
+//     re-captures, and for ALL deletes: dropping state early at worst
+//     forgets what replay can rebuild, it never acknowledges phantom data
+//     (the rollback `delete` after a failed append is the canonical
+//     guarded delete).
 //
 // Mutations reached through unexported helpers propagate to call sites via
 // summaries, at any helper depth, so `a.admit(p)` is as visible as
@@ -206,8 +206,8 @@ func walWrapperStrength(pkg *Package, wf *walFunc, ws map[*types.Func]int) int {
 
 // walAppendStrength returns the strongest append event inside one CFG
 // node: 2 for a checked appendLocked / Journal.Append (or a call to
-// a strength-2 wrapper, itself checked), 1 for best-effort appends and
-// unchecked strength-2 calls, 0 for none. Appends inside defer/go run
+// a strength-2 wrapper, itself checked), 1 for Compact and unchecked
+// strength-2 calls, 0 for none. Appends inside defer/go run
 // after (or concurrently with) the surrounding statements, so they guard
 // nothing; function literals are their own units.
 func walAppendStrength(pkg *Package, n ast.Node, ws map[*types.Func]int) int {
@@ -235,14 +235,11 @@ func walCallAppendStrength(pkg *Package, call *ast.CallExpr, ws map[*types.Func]
 		if s, ok := walGuardNames[sel.Sel.Name]; ok {
 			return s
 		}
-		switch name := sel.Sel.Name; name {
-		case "Append", "AppendNoSync", "Compact":
-			if isJournalWrite(pkg, sel) {
-				if name == "Append" {
-					return 2
-				}
-				return 1
+		if name := sel.Sel.Name; (name == "Append" || name == "Compact") && isJournalWrite(pkg, sel) {
+			if name == "Append" {
+				return 2
 			}
+			return 1
 		}
 	}
 	if fn := calleeFunc(pkg, call); fn != nil {
