@@ -106,10 +106,15 @@ type roundState struct {
 	quorumAt time.Time
 }
 
-// contribution is one party's accepted upload for a round.
+// contribution is one party's accepted upload for a round. During
+// recovery only, a replayed upload is unread: its values are still in the
+// journal record at offset at, and frag is nil until RecoverAggregatorNode
+// reads them back. A node that serves holds no unread contribution.
 type contribution struct {
 	frag   tensor.Vector
 	weight float64
+	unread bool
+	at     int64
 }
 
 // roundLocked returns the round's state, creating it — with room for an

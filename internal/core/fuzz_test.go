@@ -83,7 +83,8 @@ func FuzzMapperRoundTrip(f *testing.F) {
 // FuzzDecodeRecord feeds replay's record decoder arbitrary (type, payload)
 // pairs. It must never panic, and whatever it accepts must survive
 // re-encoding: decode, append, decode gives back the same record. A fused
-// round's payload is kept as a copy, never an alias of the log buffer.
+// round's payload is kept as a copy, never an alias of the log buffer. An
+// upload's values are decoded as recovery reads them back.
 func FuzzDecodeRecord(f *testing.F) {
 	upload, err := transport.AppendFragment(nil, &transport.Fragment{
 		Round: 3, Index: 2, PartyID: "P1", Weight: 0.5, Values: tensor.Vector{1, math.NaN(), -0.0},
@@ -104,8 +105,21 @@ func FuzzDecodeRecord(f *testing.F) {
 			f.Add(typ, payload)
 		}
 	}
+	// decode is replay's decode of one record, plus the read-back of an
+	// upload's values, which must succeed whenever its header decoded.
+	decode := func(t *testing.T, typ uint8, data []byte) (record, error) {
+		rec, err := decodeRecord(journal.Record{Type: typ, Data: data}, 0)
+		if err == nil && rec.unread {
+			var f transport.Fragment
+			if err := transport.DecodeFragment(data, &f); err != nil {
+				t.Fatalf("upload header decoded but its values did not: %v", err)
+			}
+			rec.frag, rec.unread = f.Values, false
+		}
+		return rec, err
+	}
 	f.Fuzz(func(t *testing.T, typ uint8, payload []byte) {
-		rec, err := decodeRecord(journal.Record{Type: typ, Data: payload})
+		rec, err := decode(t, typ, payload)
 		if err != nil {
 			return
 		}
@@ -118,7 +132,7 @@ func FuzzDecodeRecord(f *testing.F) {
 				t.Fatalf("re-encoding decoded record %+v: %v", rec, err)
 			}
 		}
-		again, err := decodeRecord(journal.Record{Type: typ, Data: data})
+		again, err := decode(t, typ, data)
 		if err != nil {
 			t.Fatalf("re-encoded record does not decode: %v", err)
 		}

@@ -8,7 +8,9 @@ package core
 // the only code that turns a record into state. Live mutators build the
 // record and hand it to commitLocked, which appends it and then applies
 // it; recovery decodes each record in wal.log, in order, and applies it.
-// Replay therefore runs the very writes the live node ran.
+// Replay therefore runs the very writes the live node ran; the one
+// difference is that a replayed upload's values are read back from the log
+// only once replay is done, and only if retention kept the upload.
 //
 // Every record type has one payload encoding: uploads and fused rounds
 // carry the transport fragment codec, the events the round-control layout
@@ -84,27 +86,42 @@ type RecoveryInfo struct {
 // round it had acknowledged before the crash. The CVM must be provisioned
 // and running (a restarted deployment re-runs Phase I attestation; the
 // journal restores round state, not trust state).
+//
+// Replay streams wal.log once and applies each record as it is scanned.
+// An upload is applied from its header alone, as an unread contribution
+// holding its record's offset, so the 7 of every 8 uploads that retention
+// drops before the log ends are never decoded. Before the journal is
+// attached, the uploads still held are read back from the log and decoded
+// (readBackLocked): recovery allocates in proportion to the state it
+// restores, not to the log.
 func RecoverAggregatorNode(id string, algorithm agg.Algorithm, cvm *sev.CVM, dir string, opts journal.Options) (*AggregatorNode, *RecoveryInfo, error) {
 	node, err := NewAggregatorNode(id, algorithm, cvm)
 	if err != nil {
 		return nil, nil, err
 	}
-	j, rec, err := journal.Open(dir, opts)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: aggregator %s: %w", id, err)
-	}
-	info := &RecoveryInfo{TornTail: rec.Truncated}
-	for _, r := range rec.Records {
-		rc, err := decodeRecord(r)
+	j, truncated, err := journal.OpenFunc(dir, opts, func(r journal.Record, at int64) error {
+		rc, err := decodeRecord(r, at)
 		if err != nil {
-			_ = j.Close() // recovery already failed; report the replay error
-			return nil, nil, fmt.Errorf("core: aggregator %s: replaying journal: %w", id, err)
+			return fmt.Errorf("replaying journal: %w", err)
 		}
 		node.mu.Lock()
 		node.apply(rc)
 		node.mu.Unlock()
+		return nil
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: aggregator %s: %w", id, err)
 	}
+	if testHookReplayed != nil {
+		testHookReplayed()
+	}
+	info := &RecoveryInfo{TornTail: truncated}
 	node.mu.Lock()
+	defer node.mu.Unlock()
+	if err := node.readBackLocked(j); err != nil {
+		_ = j.Close() // recovery already failed; report the replay error
+		return nil, nil, fmt.Errorf("core: aggregator %s: replaying journal: %w", id, err)
+	}
 	node.journal = j
 	info.Parties = len(node.parties)
 	info.Evicted = len(node.evicted)
@@ -115,8 +132,50 @@ func RecoverAggregatorNode(id string, algorithm agg.Algorithm, cvm *sev.CVM, dir
 			info.Aggregated++
 		}
 	}
-	node.mu.Unlock()
 	return node, info, nil
+}
+
+// testHookReplayed, when set, runs between replay's scan and its
+// read-back: a test damages the log in that window.
+var testHookReplayed func()
+
+// readBackLocked decodes the values of every unread contribution — the
+// uploads replay applied and retention kept — from its record in j, in log
+// order, into pooled vectors. A record that no longer reads back is an
+// error: it was committed once, so the log is damaged, not torn. Callers
+// must hold a.mu.
+func (a *AggregatorNode) readBackLocked(j *journal.Journal) error {
+	type unread struct {
+		round int
+		party string
+		at    int64
+	}
+	var pending []unread
+	for r, rs := range a.rounds {
+		for p, u := range rs.uploads {
+			if u.unread {
+				pending = append(pending, unread{r, p, u.at})
+			}
+		}
+	}
+	slices.SortFunc(pending, func(x, y unread) int { return cmp.Compare(x.at, y.at) })
+	var buf []byte
+	for _, u := range pending {
+		r, err := j.ReadAt(u.at, buf)
+		if err != nil {
+			return err
+		}
+		buf = r.Data
+		var f transport.Fragment
+		if err := transport.DecodeFragment(r.Data, &f); err != nil {
+			return fmt.Errorf("record at offset %d: %w", u.at, err)
+		}
+		uploads := a.rounds[u.round].uploads
+		c := uploads[u.party]
+		c.frag, c.unread = f.Values, false
+		uploads[u.party] = c
+	}
+	return nil
 }
 
 // CloseJournal flushes and closes the attached journal (no-op without
@@ -158,6 +217,10 @@ func StateDirFor(stateDir, aggregatorID string) string {
 // journal copies it, and apply never keeps it. A fused round always
 // carries its encoding and no frag: apply keeps wire as the round's
 // aggregated bytes.
+//
+// unread marks an upload replay decoded only as far as its header: frag
+// is nil, and at is the offset of its record in the journal, from which
+// RecoverAggregatorNode reads back the values if retention keeps it.
 type record struct {
 	typ    uint8
 	n      int
@@ -165,6 +228,8 @@ type record struct {
 	frag   tensor.Vector
 	weight float64
 	wire   []byte
+	unread bool
+	at     int64
 }
 
 // carriesFragment reports whether records of type typ carry the fragment
@@ -185,26 +250,26 @@ func appendRecord(dst []byte, rec record) ([]byte, error) {
 	return appendCtl(dst, 0, rec.n, rec.party)
 }
 
-// decodeRecord is appendRecord's inverse. An unknown type, or a body its
-// type does not carry, is an error naming the type. A fused round's
-// payload is validated but not decoded: the record carries a copy of it
-// as wire, so nothing it holds aliases r.Data.
-func decodeRecord(r journal.Record) (record, error) {
+// decodeRecord is appendRecord's inverse for the record at offset at of
+// the journal, whose Data is valid only for the call. An unknown type, or
+// a body its type does not carry, is an error naming the type. Neither
+// fragment record's values are decoded, and nothing the result holds
+// aliases r.Data: an upload is validated, header and length alike, and
+// comes back unread at its offset; a fused round carries a copy of its
+// payload as wire.
+func decodeRecord(r journal.Record, at int64) (record, error) {
 	rec := record{typ: r.Type}
-	if r.Type == recAggregate {
+	if carriesFragment(r.Type) {
 		var f transport.Fragment
 		if err := transport.DecodeFragmentHeader(r.Data, &f); err != nil {
 			return rec, fmt.Errorf("record type %d: %w", r.Type, err)
 		}
-		rec.n, rec.wire = f.Round, bytes.Clone(r.Data)
-		return rec, nil
-	}
-	if carriesFragment(r.Type) {
-		var f transport.Fragment
-		if err := transport.DecodeFragment(r.Data, &f); err != nil {
-			return rec, fmt.Errorf("record type %d: %w", r.Type, err)
+		rec.n = f.Round
+		if r.Type == recAggregate {
+			rec.wire = bytes.Clone(r.Data)
+			return rec, nil
 		}
-		rec.n, rec.party, rec.frag, rec.weight = f.Round, f.PartyID, f.Values, f.Weight
+		rec.party, rec.weight, rec.unread, rec.at = f.PartyID, f.Weight, true, at
 		return rec, nil
 	}
 	has, ok := eventFields[r.Type]
@@ -225,7 +290,7 @@ func decodeRecord(r journal.Record) (record, error) {
 func (a *AggregatorNode) apply(rec record) {
 	switch rec.typ {
 	case recUpload:
-		a.roundLocked(rec.n).uploads[rec.party] = contribution{rec.frag, rec.weight}
+		a.roundLocked(rec.n).uploads[rec.party] = contribution{frag: rec.frag, weight: rec.weight, unread: rec.unread, at: rec.at}
 		// An accepted upload implies registration and readmission, even if
 		// the best-effort record of either was lost.
 		fallthrough

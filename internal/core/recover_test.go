@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -309,6 +310,141 @@ func TestRecoverTornJournalTail(t *testing.T) {
 		t.Fatalf("unexpected: %v", err) // P2 never registered; sanity that serving continues
 	}
 	node2.CloseJournal()
+}
+
+// An upload that retention keeps is read back from the log after the scan.
+// If its bytes no longer check out by then, recovery fails as a replay
+// error naming the record's offset; it does not truncate the log, since
+// the scan already found the record committed.
+func TestRecoverFailsOnDamagedReadBack(t *testing.T) {
+	proxy, vendor := testTrust(t)
+	dir := t.TempDir()
+	node, _, err := RecoverAggregatorNode("agg-rb", agg.IterativeAverage{}, provisionCVM(t, proxy, vendor, "agg-rb"), dir, journal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	node.Register("P1")
+	if err := node.Upload(1, "P1", tensor.Vector{1, 2, 3}, 1); err != nil {
+		t.Fatal(err)
+	}
+	node.CloseJournal()
+	logPath := filepath.Join(dir, "wal.log")
+	before, err := os.Stat(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The upload is the last record; flip its final value byte.
+	testHookReplayed = func() {
+		f, err := os.OpenFile(logPath, os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		b := []byte{0}
+		if _, err := f.ReadAt(b, before.Size()-1); err != nil {
+			t.Fatal(err)
+		}
+		b[0] ^= 0x10
+		if _, err := f.WriteAt(b, before.Size()-1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer func() { testHookReplayed = nil }()
+	_, _, err = RecoverAggregatorNode("agg-rb", agg.IterativeAverage{}, provisionCVM(t, proxy, vendor, "agg-rb2"), dir, journal.Options{NoSync: true})
+	if err == nil || !strings.Contains(err.Error(), "replaying journal: ") || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("recovery over a damaged surviving upload: err = %v, want a replay checksum error", err)
+	}
+	after, err := os.Stat(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Size() != before.Size() {
+		t.Fatalf("wal.log is %d bytes after the failed recovery, was %d", after.Size(), before.Size())
+	}
+}
+
+// Recovery allocates in proportion to the state it restores, not to the
+// log: over a log of about 500 records at retention 4, the shape of the
+// wal_restart benchmark, it allocates at most twice the fragment bytes the
+// recovered node holds, plus a fixed slack. Replaying by decoding every
+// upload the log holds allocates about fifteen times that. Not parallel:
+// it reads the process-wide allocation counter.
+func TestRecoveryAllocatesForLiveState(t *testing.T) {
+	const (
+		parties = 12
+		params  = 4096
+		rounds  = 36 // fused, then one more round's uploads, as a crash leaves them
+		slack   = 256 << 10
+	)
+	proxy, vendor := testTrust(t)
+	dir := t.TempDir()
+	node, _, err := RecoverAggregatorNode("agg-alloc", agg.IterativeAverage{}, provisionCVM(t, proxy, vendor, "agg-alloc"), dir, journal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	node.SetRetention(4)
+	node.SetCompactEvery(1 << 30)
+	frag := make(tensor.Vector, params)
+	for p := 0; p < parties; p++ {
+		node.Register(fmt.Sprintf("P%02d", p))
+	}
+	for r := 1; r <= rounds+1; r++ {
+		for p := 0; p < parties; p++ {
+			for i := range frag {
+				frag[i] = float64(r*parties + p + i)
+			}
+			if err := node.Upload(r, fmt.Sprintf("P%02d", p), frag, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if r <= rounds {
+			if err := node.Aggregate(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	want := durableStateOf(t, node)
+	if err := node.CloseJournal(); err != nil {
+		t.Fatal(err)
+	}
+	j, rec, err := journal.Open(dir, journal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(rec.Records); n < 450 {
+		t.Fatalf("log holds %d records, want at least 450", n)
+	}
+	rec = nil
+
+	cvm := provisionCVM(t, proxy, vendor, "agg-alloc2")
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	node2, _, err := RecoverAggregatorNode("agg-alloc", agg.IterativeAverage{}, cvm, dir, journal.Options{NoSync: true})
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node2.CloseJournal()
+	if got := durableStateOf(t, node2); !reflect.DeepEqual(got, want) {
+		t.Fatal("recovered state differs from the live node's")
+	}
+	held := 0
+	node2.mu.Lock()
+	for _, rs := range node2.rounds {
+		held += len(rs.aggregated)
+		for _, u := range rs.uploads {
+			held += 8 * len(u.frag)
+		}
+	}
+	node2.mu.Unlock()
+	alloc := m1.TotalAlloc - m0.TotalAlloc
+	t.Logf("recovery allocated %d KiB for %d KiB of fragments held", alloc>>10, held>>10)
+	if alloc > uint64(2*held+slack) {
+		t.Fatalf("recovery allocated %d KiB for %d KiB of fragments held; bound 2x + %d KiB", alloc>>10, held>>10, slack>>10)
+	}
 }
 
 // Satellite: with a retention bound, the rounds map does not grow without
@@ -672,13 +808,13 @@ func TestUploadJournalFailureLeavesNoPhantomRound(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			node, clk := deadJournalNode(t, fmt.Sprintf("agg-wal-%d", i))
-			want := durableStateOf(node)
+			want := durableStateOf(t, node)
 			tc.want(&want)
 			err := tc.op(node, clk)
 			if !errors.Is(err, tc.wantErr) {
 				t.Fatalf("err = %v, want %v", err, tc.wantErr)
 			}
-			if got := durableStateOf(node); !reflect.DeepEqual(got, want) {
+			if got := durableStateOf(t, node); !reflect.DeepEqual(got, want) {
 				t.Fatalf("state after a dead-journal %s:\n got: %+v\nwant: %+v", tc.name, got, want)
 			}
 		})

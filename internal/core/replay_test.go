@@ -44,7 +44,11 @@ func vectorBits(v tensor.Vector) []uint64 {
 	return out
 }
 
-func durableStateOf(a *AggregatorNode) durableState {
+// durableStateOf images a's durable state. It fails the test if a holds a
+// contribution recovery has not read back: a node that serves must hold
+// every upload's values, not an offset into its journal.
+func durableStateOf(t *testing.T, a *AggregatorNode) durableState {
+	t.Helper()
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	st := durableState{
@@ -62,6 +66,9 @@ func durableStateOf(a *AggregatorNode) durableState {
 			Aggregated: rs.aggregated,
 		}
 		for p, u := range rs.uploads {
+			if u.unread {
+				t.Fatalf("round %d upload from %s is still unread at journal offset %d", r, p, u.at)
+			}
 			img.Fragments[p] = vectorBits(u.frag)
 			img.Weights[p] = math.Float64bits(u.weight)
 		}
@@ -92,7 +99,7 @@ func recoverCopy(t *testing.T, cvm *sev.CVM, src, dst string) durableState {
 		t.Fatal(err)
 	}
 	defer node.CloseJournal()
-	return durableStateOf(node)
+	return durableStateOf(t, node)
 }
 
 // TestCompactionReplaysExactly drives a journalled node through seeded
@@ -198,7 +205,7 @@ func TestCompactionReplaysExactly(t *testing.T) {
 				compactions++
 			}
 			wal = now
-			want := durableStateOf(node)
+			want := durableStateOf(t, node)
 			got := recoverCopy(t, cvm, filepath.Join(dir, "live"), filepath.Join(dir, "recovered"))
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d step %d (%s): recovered state differs\n got: %+v\nwant: %+v", seed, step, op, got, want)

@@ -2,8 +2,10 @@ package journal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -95,6 +97,23 @@ func TestAppendAllocatesNothing(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, func() { mustAppend(t, j, 8, data) }); allocs != 0 {
 		t.Fatalf("Append of a %d-byte record allocates %.1f times, want 0", len(data), allocs)
 	}
+}
+
+// decodeRecord parses one record from the front of b, returning the bytes
+// consumed. The record's Data aliases b.
+func decodeRecord(b []byte) (Record, int, error) {
+	if len(b) < headerSize {
+		return Record{}, 0, errors.New("torn header")
+	}
+	end := headerSize + int(binary.BigEndian.Uint32(b[1:5]))
+	if len(b) < end {
+		return Record{}, 0, errors.New("torn record")
+	}
+	data := b[headerSize:end:end]
+	if checksum(b, data) != binary.BigEndian.Uint32(b[5:9]) {
+		return Record{}, 0, errors.New("checksum mismatch")
+	}
+	return Record{Type: b[0], Data: data}, end, nil
 }
 
 // readLog decodes every record in dir's wal.log as it is on disk now.
@@ -434,7 +453,185 @@ func FuzzRecoverTail(f *testing.F) {
 		if n := len(rec2.Records); n != len(rec.Records)+1 {
 			t.Fatalf("post-recovery append lost: %d records, want %d", n, len(rec.Records)+1)
 		}
+		// The streaming scan hands out what Open copied, and every offset
+		// it hands out reads back through ReadAt to the same record.
+		var offs []int64
+		i := 0
+		j3, _, err := OpenFunc(dir, Options{NoSync: true}, func(r Record, at int64) error {
+			if i >= len(rec2.Records) || r.Type != rec2.Records[i].Type || !bytes.Equal(r.Data, rec2.Records[i].Data) {
+				t.Fatalf("scan record %d = {%d %q}, Open copied %d records", i, r.Type, r.Data, len(rec2.Records))
+			}
+			offs = append(offs, at)
+			i++
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j3.Close()
+		var buf []byte
+		for i, at := range offs {
+			r, err := j3.ReadAt(at, buf)
+			if err != nil {
+				t.Fatalf("record %d at offset %d: %v", i, at, err)
+			}
+			if r.Type != rec2.Records[i].Type || !bytes.Equal(r.Data, rec2.Records[i].Data) {
+				t.Fatalf("record %d at offset %d read back as {%d %q}", i, at, r.Type, r.Data)
+			}
+			buf = r.Data
+		}
 	})
+}
+
+// scanOffsets opens dir's journal with OpenFunc and returns the offset of
+// every record the scan handed out.
+func scanOffsets(t *testing.T, dir string) (*Journal, []int64) {
+	t.Helper()
+	var offs []int64
+	j, _, err := OpenFunc(dir, Options{NoSync: true}, func(_ Record, at int64) error {
+		offs = append(offs, at)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return j, offs
+}
+
+// A payload byte flipped on disk after the scan makes ReadAt fail naming
+// the offset, and wal.log keeps its length: a record that was committed
+// once is never truncated away.
+func TestReadAtDetectsCorruption(t *testing.T) {
+	dir := t.TempDir()
+	j, _, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		mustAppend(t, j, 8, bytes.Repeat([]byte{byte(i + 1)}, 40))
+	}
+	j.Close()
+	j, offs := scanOffsets(t, dir)
+	defer j.Close()
+	logPath := filepath.Join(dir, logName)
+	before, err := os.Stat(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(logPath, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{0xFF}, offs[1]+headerSize+7); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	_, err = j.ReadAt(offs[1], nil)
+	if want := fmt.Sprintf("offset %d", offs[1]); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("ReadAt of a flipped record: err = %v, want one naming %q", err, want)
+	}
+	for _, at := range []int64{offs[0], offs[2]} {
+		if _, err := j.ReadAt(at, nil); err != nil {
+			t.Fatalf("intact record at offset %d: %v", at, err)
+		}
+	}
+	after, err := os.Stat(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Size() != before.Size() {
+		t.Fatalf("wal.log is %d bytes after a failed read-back, was %d", after.Size(), before.Size())
+	}
+	for _, at := range []int64{-1, offs[2] + 1, before.Size()} {
+		if _, err := j.ReadAt(at, nil); err == nil {
+			t.Fatalf("ReadAt(%d) of a log of %d bytes succeeded", at, before.Size())
+		}
+	}
+}
+
+// The file Compact installs is read back through as well as appended to.
+func TestReadAtAfterCompact(t *testing.T) {
+	dir := t.TempDir()
+	j, _, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	mustAppend(t, j, 1, []byte("old"))
+	if err := j.Compact([]Record{{Type: 3, Data: []byte("state")}}); err != nil {
+		t.Fatal(err)
+	}
+	mustAppend(t, j, 2, []byte("after"))
+	for _, want := range []struct {
+		at   int64
+		typ  uint8
+		data string
+	}{{0, 3, "state"}, {headerSize + 5, 2, "after"}} {
+		r, err := j.ReadAt(want.at, nil)
+		if err != nil {
+			t.Fatalf("ReadAt(%d) after compaction: %v", want.at, err)
+		}
+		if r.Type != want.typ || string(r.Data) != want.data {
+			t.Fatalf("ReadAt(%d) = {%d %q}, want {%d %q}", want.at, r.Type, r.Data, want.typ, want.data)
+		}
+	}
+}
+
+// Append writes at the committed end the journal tracks, whatever the
+// file position: a position moved past the end — what a failed rollback
+// used to leave — must not put a hole in front of the next record.
+func TestAppendWritesAtCommittedEnd(t *testing.T) {
+	dir := t.TempDir()
+	j, _, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustAppend(t, j, 1, []byte("first"))
+	if _, err := j.log.Seek(100, io.SeekEnd); err != nil {
+		t.Fatal(err)
+	}
+	mustAppend(t, j, 1, []byte("second"))
+	j.Close()
+	_, rec, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Truncated {
+		t.Fatal("recovery truncated a log of two committed records")
+	}
+	wantRecords(t, rec.Records, "first", "second")
+}
+
+// An error from the callback stops the scan and is returned as it is; the
+// log is not truncated.
+func TestOpenFuncStopsOnCallbackError(t *testing.T) {
+	dir := t.TempDir()
+	j, _, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		mustAppend(t, j, 1, []byte{byte(i)})
+	}
+	j.Close()
+	stop := errors.New("stop")
+	seen := 0
+	if _, _, err := OpenFunc(dir, Options{NoSync: true}, func(Record, int64) error {
+		seen++
+		if seen == 2 {
+			return stop
+		}
+		return nil
+	}); err != stop || seen != 2 {
+		t.Fatalf("OpenFunc = %v after %d records, want the callback's error after 2", err, seen)
+	}
+	_, rec, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Records) != 3 {
+		t.Fatalf("log holds %d records after a stopped scan, want 3", len(rec.Records))
+	}
 }
 
 // Regression: Close must report a failed final fsync instead of discarding

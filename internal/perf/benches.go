@@ -148,6 +148,9 @@ func coreBenches() []Bench {
 				}
 			}
 		}},
+		// Recovery of one wal_restart aggregator after a crash in the
+		// upload phase, before compaction has rewritten its log.
+		{Name: "core/Recover/r4,500x44KB", F: coreRecoverBench},
 		{Name: "core/Upload/no-journal,n4096", F: func(b *testing.B) {
 			node := perfUploadNode(b)
 			frag := benchVector("upload", 1<<12)
@@ -163,9 +166,70 @@ func coreBenches() []Bench {
 	}
 }
 
+// coreRecoverBench writes the log, then times RecoverAggregatorNode over
+// it: 8 parties, wal_restart's per-aggregator fragment of 16 384 / 3
+// parameters, 54 fused rounds and one more round's uploads — 503 records.
+func coreRecoverBench(b *testing.B) {
+	const parties, params, rounds = 8, 5461, 54
+	dir, err := os.MkdirTemp("", "perf-recover")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() { _ = os.RemoveAll(dir) }()
+	cvm := perfCVM(b)
+	opts := journal.Options{NoSync: true}
+	node, _, err := core.RecoverAggregatorNode("perf-suite", agg.IterativeAverage{}, cvm, dir, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	node.SetRetention(4)
+	node.SetCompactEvery(1 << 30)
+	frag := benchVector("recover", params)
+	for p := 0; p < parties; p++ {
+		node.Register(fmt.Sprintf("P%d", p))
+	}
+	for r := 1; r <= rounds+1; r++ {
+		for p := 0; p < parties; p++ {
+			if err := node.Upload(r, fmt.Sprintf("P%d", p), frag, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if r <= rounds {
+			if err := node.Aggregate(r); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if err := node.CloseJournal(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		node, _, err := core.RecoverAggregatorNode("perf-suite", agg.IterativeAverage{}, cvm, dir, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := node.CloseJournal(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // perfUploadNode builds a provisioned in-memory aggregator with bounded
 // retention so long benchmark runs do not accumulate per-round state.
 func perfUploadNode(b *testing.B) *core.AggregatorNode {
+	b.Helper()
+	node, err := core.NewAggregatorNode("perf-suite", agg.IterativeAverage{}, perfCVM(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	node.Register("P1")
+	node.SetRetention(8)
+	return node
+}
+
+// perfCVM launches a CVM provisioned for the aggregator "perf-suite".
+func perfCVM(b *testing.B) *sev.CVM {
 	b.Helper()
 	vendor, err := sev.NewVendor()
 	if err != nil {
@@ -183,13 +247,7 @@ func perfUploadNode(b *testing.B) *core.AggregatorNode {
 	if _, err := proxy.Provision("perf-suite", platform, cvm); err != nil {
 		b.Fatal(err)
 	}
-	node, err := core.NewAggregatorNode("perf-suite", agg.IterativeAverage{}, cvm)
-	if err != nil {
-		b.Fatal(err)
-	}
-	node.Register("P1")
-	node.SetRetention(8)
-	return node
+	return cvm
 }
 
 // ---- journal: WAL append and recovery replay --------------------------
@@ -252,9 +310,12 @@ func journalBenches() []Bench {
 			if err := j.Close(); err != nil {
 				b.Fatal(err)
 			}
+			// The streaming scan recovery runs, with a callback that keeps
+			// nothing.
+			discard := func(journal.Record, int64) error { return nil }
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				j, _, err := journal.Open(dir, journal.Options{NoSync: true})
+				j, _, err := journal.OpenFunc(dir, journal.Options{NoSync: true}, discard)
 				if err != nil {
 					b.Fatal(err)
 				}

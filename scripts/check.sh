@@ -40,6 +40,9 @@ go test -race -count=1 -run 'TestChaosRestartBitIdenticalModel' -v ./internal/co
 echo "== churn chaos e2e (party death + evict + rejoin + aggregator restart, -race)"
 go test -race -count=1 -run 'TestChaosChurnEvictRejoinBitIdentical' -v ./internal/core
 
+echo "== replay: exact recovery and its allocation bound (-race)"
+go test -race -count=1 -run '^(TestCompactionReplaysExactly|TestRecoveryAllocatesForLiveState)$' -v ./internal/core
+
 echo "== perf vs tracked baselines: round-path areas (fusion kernels, transform, wire, crypto) gate hard"
 go run ./cmd/deta-bench -perf -perf-area agg,core,transport,paillier -perf-baseline .
 
