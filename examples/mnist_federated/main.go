@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -51,7 +52,7 @@ func main() {
 		InitSeed:     []byte("mnist-example-init"),
 		NewAlgorithm: newAlg,
 	}
-	hist, err := session.Run()
+	hist, err := session.Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -57,7 +58,7 @@ func main() {
 		InitSeed:     []byte("skew-example-init"),
 		NewAlgorithm: func() agg.Algorithm { return agg.IterativeAverage{} },
 	}
-	hist, err := session.Run()
+	hist, err := session.Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -47,7 +48,7 @@ func main() {
 		InitSeed:     []byte("quickstart-init"),
 		NewAlgorithm: func() agg.Algorithm { return agg.IterativeAverage{} },
 	}
-	histDeTA, err := deta.Run()
+	histDeTA, err := deta.Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -71,7 +71,9 @@ type ProvisionResult struct {
 // the trusted root, the expected measurement, and the challenge nonce;
 // on success it mints a fresh ECDSA authentication token, records its
 // public key under aggregatorID, and returns the serialized private key
-// (the launch blob to inject into the CVM).
+// (the launch blob to inject into the CVM). The sev.VerifyReport call is
+// the only step specific to the CC technology: the token, and Phase II
+// after it, would be the same for any other (paper §5).
 func (p *Proxy) VerifyAndIssueToken(aggregatorID string, report *sev.AttestationReport, nonce []byte) ([]byte, error) {
 	if err := sev.VerifyReport(report, p.root, p.measurement, nonce); err != nil {
 		return nil, fmt.Errorf("attest: report verification failed: %w", err)
@@ -143,17 +145,6 @@ func (p *Proxy) TokenPubKey(aggregatorID string) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownAggregator, aggregatorID)
 	}
 	return pub, nil
-}
-
-// AggregatorIDs lists every aggregator the proxy has provisioned.
-func (p *Proxy) AggregatorIDs() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]string, 0, len(p.tokens))
-	for id := range p.tokens {
-		out = append(out, id)
-	}
-	return out
 }
 
 // Token is the aggregator-side authentication token, reconstructed from the

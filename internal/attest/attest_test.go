@@ -55,9 +55,8 @@ func TestPhaseIProvisionsAndResumes(t *testing.T) {
 	if err != nil || len(pub) == 0 {
 		t.Fatalf("token pub key: %v", err)
 	}
-	ids := ap.AggregatorIDs()
-	if len(ids) != 1 || ids[0] != "agg-1" {
-		t.Fatalf("AggregatorIDs = %v", ids)
+	if _, err := ap.TokenPubKey("agg-2"); !errors.Is(err, ErrUnknownAggregator) {
+		t.Fatalf("token for an aggregator never provisioned: %v", err)
 	}
 }
 
@@ -78,6 +77,30 @@ func TestPhaseIRejectsTamperedFirmware(t *testing.T) {
 	}
 	if _, err := ap.TokenPubKey("agg-evil"); !errors.Is(err, ErrUnknownAggregator) {
 		t.Fatalf("token registered for rejected aggregator: %v", err)
+	}
+
+	// Evidence that is no report for this nonce — none at all, or a
+	// genuine CVM's report over another nonce — is refused the same way.
+	good, err := platform.LaunchCVM(ovmf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nonce, _ := NewNonce()
+	other, _ := NewNonce()
+	report, err := platform.AttestCVM(good, 0, other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		report *sev.AttestationReport
+	}{{"no report", nil}, {"a report over another nonce", report}} {
+		if _, err := ap.VerifyAndIssueToken("agg-x", c.report, nonce); err == nil {
+			t.Fatalf("%s accepted", c.name)
+		}
+		if _, err := ap.TokenPubKey("agg-x"); !errors.Is(err, ErrUnknownAggregator) {
+			t.Fatalf("token registered for %s: %v", c.name, err)
+		}
 	}
 }
 

@@ -347,16 +347,6 @@ func (a *AggregatorNode) required() int {
 	return len(a.parties)
 }
 
-// Complete reports whether the round is ready to fuse: with a lifecycle
-// configured (SetLifecycle), that means the round has sealed — quorum met
-// and the grace window (or deadline, or full participation) reached;
-// without one, simply that enough parties have uploaded (all registered
-// parties, or the configured quorum).
-func (a *AggregatorNode) Complete(round int) bool {
-	done, _ := a.RoundStatus(round)
-	return done
-}
-
 // Aggregate fuses the round's fragments with the node's algorithm. Called
 // by the initiator's sync protocol once all parties have uploaded.
 // Aggregating an already-fused round is a no-op, so an initiator that
@@ -373,10 +363,10 @@ func (a *AggregatorNode) Aggregate(round int) error {
 		return nil // idempotent re-sync after an initiator or node restart
 	}
 	// Aggregate fuses as soon as the quorum *count* is met — it does not
-	// wait out the grace window (Complete/RoundStatus is where grace
-	// gates): the explicit call is the initiator's decision to cut
-	// stragglers now, and Session's coordinator sends it as soon as every
-	// upload has been acknowledged.
+	// wait out the grace window (RoundStatus is where grace gates): the
+	// explicit call is the initiator's decision to cut stragglers now, and
+	// Session's coordinator sends it as soon as every upload has been
+	// acknowledged.
 	if ok && a.phaseLocked(rs, a.nowLocked()) == PhaseAbandoned {
 		return fmt.Errorf("%w: round %d has %d/%d uploads", ErrRoundAbandoned, round, len(rs.uploads), a.required())
 	}

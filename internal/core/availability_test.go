@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 )
 
@@ -12,7 +13,7 @@ func TestSessionWithFlakyParty(t *testing.T) {
 	s.Availability = func(partyID string, round int) bool {
 		return partyID != "B" || round%2 == 0
 	}
-	hist, err := s.Run()
+	hist, err := s.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +27,7 @@ func TestSessionAllPartiesAbsent(t *testing.T) {
 	s := newTinySession(t, 2, true)
 	s.Opts.Quorum = 1
 	s.Availability = func(string, int) bool { return false }
-	if _, err := s.Run(); err == nil {
+	if _, err := s.Run(context.Background()); err == nil {
 		t.Fatal("round with zero parties accepted")
 	}
 }

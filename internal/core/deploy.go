@@ -34,7 +34,6 @@ const (
 	MethodAPRegister    = "ap.RegisterParty"
 	MethodAPPermKey     = "ap.PermKey"
 	MethodAPRoundID     = "ap.RoundID"
-	MethodAPAggregators = "ap.Aggregators"
 )
 
 // Control-plane wire messages.
@@ -80,11 +79,6 @@ type (
 	RoundIDReq struct{ Round int }
 	// RoundIDResp carries it.
 	RoundIDResp struct{ ID []byte }
-
-	// AggregatorsReq lists provisioned aggregators.
-	AggregatorsReq struct{}
-	// AggregatorsResp carries their IDs.
-	AggregatorsResp struct{ IDs []string }
 )
 
 // APService is the deployable control plane: vendor + attestation proxy +
@@ -185,9 +179,6 @@ func (s *APService) Serve(srv *transport.Server) {
 		}
 		return RoundIDResp{ID: id}, nil
 	})
-	transport.HandleTyped(srv, MethodAPAggregators, func(AggregatorsReq) (AggregatorsResp, error) {
-		return AggregatorsResp{IDs: s.proxy.AggregatorIDs()}, nil
-	})
 }
 
 // APClient is the remote handle to the AP control plane.
@@ -259,15 +250,6 @@ func (a *APClient) RoundID(ctx context.Context, round int) ([]byte, error) {
 		return nil, err
 	}
 	return resp.ID, nil
-}
-
-// Aggregators lists provisioned aggregator IDs.
-func (a *APClient) Aggregators(ctx context.Context) ([]string, error) {
-	resp, err := transport.CallTypedContext[AggregatorsReq, AggregatorsResp](ctx, a.C, MethodAPAggregators, AggregatorsReq{})
-	if err != nil {
-		return nil, err
-	}
-	return resp.IDs, nil
 }
 
 // DialAggregators dials every entry of a comma-separated id=addr list over

@@ -113,9 +113,9 @@ func TestRemoteAttestationFlow(t *testing.T) {
 	if err := attest.VerifyChallenge(pub, nonce, sig); err != nil {
 		t.Fatalf("Phase II failed after remote Phase I: %v", err)
 	}
-	ids, err := ap.Aggregators(context.Background())
-	if err != nil || len(ids) != 1 || ids[0] != "agg-remote" {
-		t.Fatalf("aggregators = %v, %v", ids, err)
+	if _, err := ap.TokenPubKey(context.Background(), "agg-other"); err == nil ||
+		!strings.Contains(err.Error(), "not provisioned") {
+		t.Fatalf("token for an aggregator never provisioned: %v", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"deta/internal/agg"
@@ -14,7 +15,7 @@ import (
 func TestSingleAggregatorFallbackMode(t *testing.T) {
 	s := newTinySession(t, 2, false)
 	s.Opts = Options{NumAggregators: 1, Shuffle: false, MapperSeed: []byte("fallback")}
-	hist, err := s.Run()
+	hist, err := s.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestSingleAggregatorFallbackMode(t *testing.T) {
 func TestUnequalProportionsSession(t *testing.T) {
 	s := newTinySession(t, 2, true)
 	s.Opts.Proportions = []float64{0.7, 0.2, 0.1}
-	hist, err := s.Run()
+	hist, err := s.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestUnequalProportionsSession(t *testing.T) {
 func TestKrumSession(t *testing.T) {
 	s := newTinySession(t, 4, true)
 	s.NewAlgorithm = func() agg.Algorithm { return agg.Krum{F: 1} }
-	hist, err := s.Run()
+	hist, err := s.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -201,16 +201,14 @@ func (a *AggregatorNode) Phase(round int) RoundPhase {
 	return a.phaseLocked(a.rounds[round], a.nowLocked())
 }
 
-// Abandoned reports whether the round passed its deadline below quorum and
-// will never fuse.
-func (a *AggregatorNode) Abandoned(round int) bool {
-	return a.Phase(round) == PhaseAbandoned
-}
-
 // RoundStatus reports completion and abandonment in one lock acquisition —
-// the poll the initiator's sync loop drives. It also advances liveness
-// reaping, so a deployment polling RoundStatus evicts dead parties even
-// between heartbeat ticks.
+// the poll the initiator's sync loop drives. Complete means ready to fuse:
+// with a lifecycle configured (SetLifecycle), the round has sealed; without
+// one, enough parties have uploaded (all registered parties, or the
+// configured quorum). Abandoned means the round passed its deadline below
+// quorum and will never fuse. RoundStatus also advances liveness reaping,
+// so a deployment polling it evicts dead parties even between heartbeat
+// ticks.
 func (a *AggregatorNode) RoundStatus(round int) (complete, abandoned bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -67,7 +67,7 @@ func TestLifecycleAbandonBelowQuorum(t *testing.T) {
 	if ph := node.Phase(1); ph != PhaseOpen {
 		t.Fatalf("phase = %v, want open", ph)
 	}
-	if node.Complete(1) || node.Abandoned(1) {
+	if done, _ := node.RoundStatus(1); done || node.Phase(1) == PhaseAbandoned {
 		t.Fatal("round neither complete nor abandoned yet")
 	}
 
@@ -109,7 +109,7 @@ func TestLifecycleGraceAcceptsStragglerThenSealsFull(t *testing.T) {
 	if ph := node.Phase(1); ph != PhaseGrace {
 		t.Fatalf("phase at quorum = %v, want grace", ph)
 	}
-	if node.Complete(1) {
+	if done, _ := node.RoundStatus(1); done {
 		t.Fatal("round complete during grace; stragglers should still be welcome")
 	}
 	clk.Advance(time.Second) // inside the grace window
@@ -117,7 +117,7 @@ func TestLifecycleGraceAcceptsStragglerThenSealsFull(t *testing.T) {
 	if ph := node.Phase(1); ph != PhaseSealed {
 		t.Fatalf("phase at full participation = %v, want sealed", ph)
 	}
-	if !node.Complete(1) {
+	if done, _ := node.RoundStatus(1); !done {
 		t.Fatal("fully-uploaded round should be complete without waiting out grace")
 	}
 	if err := node.Aggregate(1); err != nil {
@@ -148,7 +148,7 @@ func TestLifecycleStragglerCutAfterGrace(t *testing.T) {
 	if ph := node.Phase(1); ph != PhaseSealed {
 		t.Fatalf("phase after grace = %v, want sealed", ph)
 	}
-	if !node.Complete(1) {
+	if done, _ := node.RoundStatus(1); !done {
 		t.Fatal("sealed round should report complete")
 	}
 	if err := node.Upload(1, "P3", tensor.Vector{9}, 1); !errors.Is(err, ErrStragglerCut) {
@@ -192,7 +192,7 @@ func TestLifecycleSealsAtDeadlineWithQuorum(t *testing.T) {
 	if ph := node.Phase(1); ph != PhaseSealed {
 		t.Fatalf("phase at deadline = %v, want sealed (quorum was met)", ph)
 	}
-	if !node.Complete(1) {
+	if done, _ := node.RoundStatus(1); !done {
 		t.Fatal("round with quorum should complete at the deadline")
 	}
 }
@@ -224,14 +224,14 @@ func TestLifecycleDisabledKeepsLegacyBehavior(t *testing.T) {
 	node.Register("P2")
 	mustUpload(t, node, 1, "P1", 2)
 	clk.Advance(240 * time.Hour)
-	if node.Abandoned(1) {
+	if node.Phase(1) == PhaseAbandoned {
 		t.Fatal("no deadline configured; round must never abandon")
 	}
-	if node.Complete(1) {
+	if done, _ := node.RoundStatus(1); done {
 		t.Fatal("1/2 uploads; round must not be complete")
 	}
 	mustUpload(t, node, 1, "P2", 4)
-	if !node.Complete(1) {
+	if done, _ := node.RoundStatus(1); !done {
 		t.Fatal("all uploaded; round complete under legacy semantics")
 	}
 }
@@ -326,7 +326,7 @@ func TestLivenessEvictionUnblocksRound(t *testing.T) {
 
 	mustUpload(t, node, 1, "P1", 2)
 	mustUpload(t, node, 1, "P2", 4)
-	if node.Complete(1) {
+	if done, _ := node.RoundStatus(1); done {
 		t.Fatal("2/3 with all-parties quorum: not complete")
 	}
 	// Keep P1/P2 alive just before the evict threshold, then cross it so
@@ -656,18 +656,18 @@ func TestRecoveredRoundGetsFreshDeadline(t *testing.T) {
 	clk2 := NewFakeClock(lifecycleEpoch.Add(time.Hour))
 	node2, _ := recoverLifecycleNode(t, "agg-fresh", dir, clk2)
 	node2.SetLifecycle(10*time.Second, time.Second)
-	if node2.Abandoned(1) {
+	if node2.Phase(1) == PhaseAbandoned {
 		t.Fatal("recovered round abandoned instantly; wanted a fresh deadline")
 	}
 	clk2.Advance(5 * time.Second)
 	mustUpload(t, node2, 1, "P2", 4) // completes within the fresh window
-	if !node2.Complete(1) {
+	if done, _ := node2.RoundStatus(1); !done {
 		t.Fatal("round should complete after recovery")
 	}
 	clk2.Advance(10 * time.Second)
 	mustUpload(t, node2, 2, "P1", 1)
 	clk2.Advance(10 * time.Second) // fresh deadline still enforced
-	if !node2.Abandoned(2) {
+	if node2.Phase(2) != PhaseAbandoned {
 		t.Fatal("post-recovery rounds must still abandon at the deadline")
 	}
 	if err := node2.CloseJournal(); err != nil {

@@ -27,13 +27,13 @@ func TestQuorumAggregatesWithoutStraggler(t *testing.T) {
 	if err := node.Upload(1, "P1", tensor.Vector{2}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if node.Complete(1) {
+	if done, _ := node.RoundStatus(1); done {
 		t.Fatal("complete below quorum")
 	}
 	if err := node.Upload(1, "P2", tensor.Vector{4}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if !node.Complete(1) {
+	if done, _ := node.RoundStatus(1); !done {
 		t.Fatal("quorum reached but round not complete")
 	}
 	if err := node.Aggregate(1); err != nil {
@@ -56,11 +56,11 @@ func TestQuorumResetToAllParties(t *testing.T) {
 	if err := node.Upload(1, "P1", tensor.Vector{1}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if !node.Complete(1) {
+	if done, _ := node.RoundStatus(1); !done {
 		t.Fatal("quorum of 1 not honored")
 	}
 	node.SetQuorum(0) // back to all-parties semantics
-	if node.Complete(1) {
+	if done, _ := node.RoundStatus(1); done {
 		t.Fatal("round complete with 1/2 uploads after quorum reset")
 	}
 	if err := node.Aggregate(1); !errors.Is(err, ErrRoundIncomplete) {
@@ -75,7 +75,7 @@ func TestQuorumLargerThanPartiesBehavesAsAll(t *testing.T) {
 	if err := node.Upload(1, "P1", tensor.Vector{1}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if !node.Complete(1) {
+	if done, _ := node.RoundStatus(1); !done {
 		t.Fatal("all parties uploaded; round should be complete regardless of oversize quorum")
 	}
 }

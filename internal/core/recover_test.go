@@ -175,7 +175,7 @@ func TestRecoverAggregatorNode(t *testing.T) {
 		t.Fatalf("recovered fused vector %v, want %v", got, wantFused)
 	}
 	// The in-flight round resumes: P1's fragment survived, P2 completes it.
-	if node2.Complete(2) {
+	if done, _ := node2.RoundStatus(2); done {
 		t.Fatal("half-uploaded round reported complete after recovery")
 	}
 	if err := node2.Upload(2, "P1", tensor.Vector{5, 6}, 1); err != nil {
@@ -506,7 +506,7 @@ func TestSessionStateDirAndRetention(t *testing.T) {
 			s.Opts.StateDir = t.TempDir()
 			s.Opts.JournalNoSync = true
 			s.Opts.RetainRounds = retain
-			if _, err := s.Run(); err != nil {
+			if _, err := s.Run(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 			want := max(retain, 1)

@@ -152,7 +152,7 @@ func TestInitiatorSkipsAbandonedRound(t *testing.T) {
 		return nodes[0].LastAggregatedRound() == 2 && nodes[1].LastAggregatedRound() == 2
 	})
 	for _, n := range nodes {
-		if !n.Abandoned(1) {
+		if n.Phase(1) != PhaseAbandoned {
 			t.Fatalf("%s: round 1 not abandoned", n.ID)
 		}
 		if got, err := n.Download(2, "P1"); err != nil || got[0] != 3 {

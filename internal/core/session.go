@@ -136,7 +136,6 @@ type Session struct {
 	FinalParams tensor.Vector
 
 	// The deployed path, built by Setup and torn down by Close.
-	ctx     context.Context // root of every RPC the session makes
 	servers []*transport.Server
 	fleet   *Fleet
 	step    *RoundStep
@@ -151,8 +150,9 @@ type Session struct {
 //     register,
 //  4. distribute the permutation key and build the shared model mapper.
 //
-// A Session that was set up but not Run must be Closed.
-func (s *Session) Setup() (err error) {
+// ctx bounds Phase II's RPCs. A Session that was set up but not Run must
+// be Closed.
+func (s *Session) Setup(ctx context.Context) (err error) {
 	start := orSystem(s.Clock).Now()
 	s.Opts.defaults()
 	if err := s.Cfg.Validate(); err != nil {
@@ -169,9 +169,6 @@ func (s *Session) Setup() (err error) {
 			s.Close()
 		}
 	}()
-	//lint:ignore ctxplumb the Session owns both ends of every connection it makes — the K in-memory servers started below — so Close, not a caller's deadline, is what ends its RPCs
-	s.ctx = context.Background()
-
 	// Vendor infrastructure and the party-controlled AP.
 	vendor, err := sev.NewVendor()
 	if err != nil {
@@ -232,7 +229,7 @@ func (s *Session) Setup() (err error) {
 
 	// Phase II: every party verifies every aggregator, then registers.
 	for _, p := range s.Parties {
-		if err := s.fleet.VerifyAndRegisterAll(s.ctx, p.ID, s.Proxy.TokenPubKey, attest.NewNonce, attest.VerifyChallenge); err != nil {
+		if err := s.fleet.VerifyAndRegisterAll(ctx, p.ID, s.Proxy.TokenPubKey, attest.NewNonce, attest.VerifyChallenge); err != nil {
 			return fmt.Errorf("core: party %s: %w", p.ID, err)
 		}
 	}
@@ -275,10 +272,11 @@ func (s *Session) Close() {
 }
 
 // Run executes training with the DeTA life cycle and returns the history.
-// Setup is invoked automatically if it has not been run.
-func (s *Session) Run() (*fl.History, error) {
+// Setup is invoked automatically, with ctx, if it has not been run; ctx
+// bounds every RPC the rounds make.
+func (s *Session) Run(ctx context.Context) (*fl.History, error) {
 	if s.Nodes == nil {
-		if err := s.Setup(); err != nil {
+		if err := s.Setup(ctx); err != nil {
 			return nil, err
 		}
 	}
@@ -313,7 +311,7 @@ func (s *Session) Run() (*fl.History, error) {
 				return nil, err
 			}
 			trainLoss += loss
-			frags, err := s.step.Upload(s.ctx, round, p.ID, roundID, update, float64(p.NumExamples()))
+			frags, err := s.step.Upload(ctx, round, p.ID, roundID, update, float64(p.NumExamples()))
 			if err != nil {
 				return nil, err
 			}
@@ -333,14 +331,14 @@ func (s *Session) Run() (*fl.History, error) {
 		// Initiator discover that by polling — a poll interval per round
 		// would be charged to every experiment's latency.
 		if _, _, err := s.fleet.fanOut(func(_ int, a *AggregatorClient) error {
-			ctx, cancel := s.fleet.callCtx(s.ctx)
+			cctx, cancel := s.fleet.callCtx(ctx)
 			defer cancel()
-			return a.Aggregate(ctx, round)
+			return a.Aggregate(cctx, round)
 		}); err != nil {
 			return nil, err
 		}
 
-		fused, err := s.step.Finish(s.ctx, round, finisher, roundID, own)
+		fused, err := s.step.Finish(ctx, round, finisher, roundID, own)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -54,7 +55,7 @@ func newTinySession(t *testing.T, parties int, shuffle bool) *Session {
 
 func TestSetupBootstrapsTrust(t *testing.T) {
 	s := newTinySession(t, 2, true)
-	if err := s.Setup(); err != nil {
+	if err := s.Setup(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
@@ -80,17 +81,17 @@ func TestSetupBootstrapsTrust(t *testing.T) {
 func TestSetupValidation(t *testing.T) {
 	s := newTinySession(t, 2, true)
 	s.Parties = nil
-	if err := s.Setup(); err == nil {
+	if err := s.Setup(context.Background()); err == nil {
 		t.Fatal("no-party session accepted")
 	}
 	s = newTinySession(t, 2, true)
 	s.NewAlgorithm = nil
-	if err := s.Setup(); err == nil {
+	if err := s.Setup(context.Background()); err == nil {
 		t.Fatal("missing algorithm accepted")
 	}
 	s = newTinySession(t, 2, true)
 	s.Cfg.Rounds = 0
-	if err := s.Setup(); err == nil {
+	if err := s.Setup(context.Background()); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }
@@ -123,7 +124,7 @@ func TestDeTAMatchesCentralizedExactly(t *testing.T) {
 		InitSeed:     []byte("shared-init"),
 		NewAlgorithm: func() agg.Algorithm { return agg.IterativeAverage{} },
 	}
-	histDeTA, err := deta.Run()
+	histDeTA, err := deta.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestDeTAMedianMatchesCentralized(t *testing.T) {
 		InitSeed:     []byte("shared-init"),
 		NewAlgorithm: func() agg.Algorithm { return agg.CoordinateMedian{} },
 	}
-	histDeTA, err := deta.Run()
+	histDeTA, err := deta.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestDeTAFedSGD(t *testing.T) {
 		InitSeed:     []byte("sgd-init"),
 		NewAlgorithm: func() agg.Algorithm { return agg.IterativeAverage{} },
 	}
-	hist, err := s.Run()
+	hist, err := s.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +215,7 @@ func TestAggregatorNodeProtocolErrors(t *testing.T) {
 
 	node.Register("P1")
 	node.Register("P2")
-	if node.Complete(1) {
+	if done, _ := node.RoundStatus(1); done {
 		t.Fatal("round complete before any upload")
 	}
 	if err := node.Upload(1, "P1", tensor.Vector{1, 2}, 1); err != nil {
@@ -235,7 +236,7 @@ func TestAggregatorNodeProtocolErrors(t *testing.T) {
 	if err := node.Upload(1, "P2", tensor.Vector{3, 4}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if !node.Complete(1) {
+	if done, _ := node.RoundStatus(1); !done {
 		t.Fatal("round should be complete")
 	}
 	if err := node.Aggregate(1); err != nil {
@@ -272,7 +273,7 @@ func TestNodeRequiresProvisionedCVM(t *testing.T) {
 // shuffling on, the fragment differs from the plain partition.
 func TestBreachedAggregatorSeesShuffledFragment(t *testing.T) {
 	s := newTinySession(t, 2, true)
-	if err := s.Setup(); err != nil {
+	if err := s.Setup(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
@@ -304,7 +305,7 @@ func TestSessionLatencyDeterministicUnderFakeClock(t *testing.T) {
 		clk := NewFakeClock(time.Unix(1_000_000, 0))
 		clk.SetAutoAdvance(time.Millisecond)
 		s.Clock = clk
-		hist, err := s.Run()
+		hist, err := s.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -335,7 +336,7 @@ func TestSessionThreadsLifecycleIntoNodes(t *testing.T) {
 	s.Clock = clk
 	s.Opts.RoundDeadline = 30 * time.Second
 	s.Opts.RoundGrace = time.Second
-	if err := s.Setup(); err != nil {
+	if err := s.Setup(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
@@ -347,7 +348,7 @@ func TestSessionThreadsLifecycleIntoNodes(t *testing.T) {
 	}
 	clk.Advance(30 * time.Second)
 	for _, n := range s.Nodes {
-		if !n.Abandoned(1) {
+		if n.Phase(1) != PhaseAbandoned {
 			t.Fatalf("node %s ignored the session round deadline", n.ID)
 		}
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -100,7 +101,7 @@ func AblationAggregatorCount(sc Scale) (*Table, error) {
 			InitSeed:     []byte("ablation-init"),
 			NewAlgorithm: func() agg.Algorithm { return agg.IterativeAverage{} },
 		}
-		hist, err := s.Run()
+		hist, err := s.Run(context.Background())
 		if err != nil {
 			return nil, err
 		}

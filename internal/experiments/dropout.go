@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"deta/internal/agg"
@@ -43,7 +44,7 @@ func AblationDropout(sc Scale) (*Table, error) {
 				return partyID != "P4" || round%2 == 0
 			}
 		}
-		return s.Run()
+		return s.Run(context.Background())
 	}
 
 	full, err := run(false)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"deta/internal/agg"
@@ -47,7 +48,7 @@ func runPair(cfg fl.Config, build func() *nn.Network, train, test *dataset.Datas
 		Build: build, Parties: makeParties(), Test: test,
 		InitSeed: []byte("figure-init"), NewAlgorithm: newAlg,
 	}
-	histDeTA, err := deta.Run()
+	histDeTA, err := deta.Run(context.Background())
 	if err != nil {
 		return nil, fmt.Errorf("experiments: DeTA run: %w", err)
 	}

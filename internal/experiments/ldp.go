@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"deta/internal/agg"
@@ -39,7 +40,7 @@ func AblationLDP(sc Scale) (*Table, error) {
 			InitSeed:     []byte("ldp-abl-init"),
 			NewAlgorithm: func() agg.Algorithm { return agg.IterativeAverage{} },
 		}
-		return s.Run()
+		return s.Run(context.Background())
 	}
 
 	t := &Table{

@@ -17,7 +17,7 @@ import (
 // seeded math/rand on purpose, where reproducibility is the point.
 func TestKeyPackagesAvoidMathRand(t *testing.T) {
 	allowed := map[string]bool{"transport/fault.go": true, "transport/latency.go": true, "transport/dial.go": true}
-	for _, pkg := range []string{"rng", "paillier", "attest", "sev", "tdx", "core", "transport"} {
+	for _, pkg := range []string{"rng", "paillier", "attest", "sev", "core", "transport"} {
 		files, err := filepath.Glob(filepath.Join("..", pkg, "*.go"))
 		if err != nil || len(files) == 0 {
 			t.Fatalf("no Go files in internal/%s (%v)", pkg, err)
