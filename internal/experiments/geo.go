@@ -79,14 +79,14 @@ func runGeoRound(parties, params int, delay time.Duration) (time.Duration, error
 		srv := transport.NewServer()
 		core.ServeAggregator(node, srv)
 		ln := transport.NewMemListener()
-		go srv.Serve(transport.WithListenerLatency(ln, delay))
+		go srv.Serve(transport.WithListenerJitter(ln, delay, delay, 0))
 		conn, err := ln.Dial()
 		if err != nil {
 			return 0, err
 		}
 		handles[j] = &aggHandle{
 			node:   node,
-			client: &core.AggregatorClient{ID: id, C: transport.NewClient(transport.WithLatency(conn, delay))},
+			client: &core.AggregatorClient{ID: id, C: transport.NewClient(transport.WithJitter(conn, delay, delay, 0))},
 			srv:    srv,
 		}
 	}

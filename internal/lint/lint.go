@@ -22,9 +22,9 @@
 //   - allocfree:      functions annotated //perf:hotpath (and their
 //     synchronous callees) perform no allocations beyond the sanctioned,
 //     acknowledged sites
-//   - waldisc:        every durable aggregator state mutation is dominated
-//     on all CFG paths by a journal append of sufficient strength
-//     (WAL-before-ack)
+//   - waldisc:        only apply writes durable aggregator state, only
+//     replay and commitLocked call it, and commitLocked appends to the
+//     journal first (WAL-before-ack)
 //   - replaypure:     no nondeterminism source (wall clock, global rand,
 //     goroutines, observable map order) is reachable from replay roots or
 //     fusion kernels, and no observable map order in the deterministic
@@ -39,16 +39,15 @@
 // function unit of every loaded package and one superset call graph. The
 // analyzers that reason across functions receive it through the Preparer
 // hook, and every call-graph summary they need — transitive I/O,
-// class-keyed lock effects and acquisitions, allocation, blocking, WAL
-// wrappers, key taint — is solved on it by one solver, solve: callees
+// class-keyed lock effects and acquisitions, allocation, blocking, key
+// taint — is solved on it by one solver, solve: callees
 // first, so acyclic helper chains settle at any depth in one pass, and
 // only recursive cycles iterate. A cycle that does not settle is reported
 // as a finding of the pseudo-analyzer "lintsolver", never used as if it
 // were final. keytaint, lockregion, ctxflow, lockorder, goleak, and
 // allocfree then run on per-function control-flow graphs (cfg.go,
-// dataflow.go); waldisc and replaypure on the must-analysis engine
-// (dom.go, mustflow.go): dominance and every-path-append facts that the
-// forward may-solver cannot express.
+// dataflow.go); replaypure walks the call graph from the replay roots;
+// waldisc and clockdisc are syntactic.
 //
 // A finding on a line can be acknowledged — never silently — with a
 // comment on that line or the line above:
@@ -141,7 +140,7 @@ func All() []Analyzer {
 		&LockOrder{},
 		&GoLeak{},
 		&AllocFree{},
-		&WalDisc{},
+		WalDisc{},
 		&ReplayPure{},
 		ClockDisc{},
 	}

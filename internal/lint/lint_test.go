@@ -81,7 +81,7 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{"lockorder", "deta/internal/core", &LockOrder{}},
 		{"goleak", "deta/internal/core", &GoLeak{}},
 		{"allocfree", "deta/internal/core", &AllocFree{}},
-		{"waldisc", "deta/internal/core", &WalDisc{}},
+		{"waldisc", "deta/internal/core", WalDisc{}},
 		{"replaypure", "deta/internal/core", &ReplayPure{}},
 		{"maporder", "deta/internal/core", &ReplayPure{}}, // replaypure's map-order checks, no replay root
 		{"clockdisc", "deta/internal/core", ClockDisc{}},
@@ -210,11 +210,12 @@ func TestLockOrderRealTreeEdge(t *testing.T) {
 }
 
 // TestCoreNamesExist pins the names waldisc and replaypure hard-code for
-// deta/internal/core to the real tree: every guard, exempt function, replay
-// root and journal-write helper must be a function declared there, and
-// every durable field a field of its type. Matching is by name, so a
-// rename the tables miss would otherwise drop a guard, an exemption or a
-// replay root without a single finding.
+// deta/internal/core to the real tree: every sanctioned writer and caller,
+// the commit seam and its append, exempt function, replay root and
+// journal-write helper must be a function declared there, and every
+// durable field a field of its type. Matching is by name, so a rename the
+// tables miss would otherwise drop a writer, an exemption or a replay root
+// without a single finding.
 func TestCoreNamesExist(t *testing.T) {
 	wd, err := os.Getwd()
 	if err != nil {
@@ -238,9 +239,14 @@ func TestCoreNamesExist(t *testing.T) {
 			t.Errorf("%s names %s, which %s does not declare", table, name, pkg.Path)
 		}
 	}
-	for name := range walGuardNames {
-		check("waldisc walGuardNames", name)
+	for writer, callers := range walCallers {
+		check("waldisc walCallers", writer)
+		for _, name := range callers {
+			check("waldisc walCallers", name)
+		}
 	}
+	check("waldisc walCommit", walCommit)
+	check("waldisc walAppend", walAppend)
 	for name := range walExemptFuncs {
 		check("waldisc walExemptFuncs", name)
 	}

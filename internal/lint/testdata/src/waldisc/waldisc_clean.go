@@ -1,67 +1,9 @@
-// Clean shapes for the waldisc fixture: appends that genuinely dominate
-// their mutations, ephemeral writes, guarded deletes, and the
-// log-then-apply seam. No want markers in this file.
+// Clean shapes for the waldisc fixture: the log-then-apply seam, the one
+// writer and its helper, replay, and ephemeral writes. No want markers in
+// this file.
 package core
 
-// SetQuorum is the canonical discipline: append first, mutate in the same
-// block.
-func (a *AggregatorNode) SetQuorum(n int) {
-	a.appendLocked(record{typ: 2, n: n})
-	a.quorum = n
-}
-
-// ReapIdle mirrors the real reap loop: the per-iteration append precedes
-// the deletes and the eviction flag inside the same loop-body block.
-func (a *AggregatorNode) ReapIdle(idle []string) {
-	for _, p := range idle {
-		a.appendLocked(record{typ: 3, party: p})
-		delete(a.parties, p)
-		a.evicted[p] = true
-	}
-}
-
-// SealRounds appends once before the loop: the append block dominates
-// every iteration.
-func (a *AggregatorNode) SealRounds(last int) error {
-	if err := a.appendLocked(record{typ: 9, n: last}); err != nil {
-		return err
-	}
-	for r := range a.rounds {
-		if r < last {
-			delete(a.rounds, r)
-		}
-	}
-	a.lastAggregated = last
-	return nil
-}
-
-// Touch writes only ephemeral fields: no journal append required.
-func (a *AggregatorNode) Touch(round int, now int64) {
-	a.clock = now
-	if rs := a.rounds[round]; rs != nil {
-		rs.openedAt = now
-	}
-}
-
-// UploadGuarded keeps the required order: the checked durable append
-// dominates the round insert, the payload writes, and the rollback delete
-// on the error branch (a guarded delete needs only strength 1).
-func (a *AggregatorNode) UploadGuarded(party string, round int, frag []float64, weight float64) error {
-	if err := a.appendLocked(record{typ: 1, n: round, party: party, frag: frag, weight: weight}); err != nil {
-		delete(a.rounds, round)
-		return err
-	}
-	rs, ok := a.rounds[round]
-	if !ok {
-		rs = newRoundState()
-		a.rounds[round] = rs
-	}
-	rs.uploads[party] = contribution{frag, weight}
-	return nil
-}
-
-// commitLocked is the log-then-apply seam: the checked append dominates
-// apply, so apply's writes are guarded here and surface nowhere above.
+// commitLocked is the seam: a checked append, then apply.
 func (a *AggregatorNode) commitLocked(rec record) error {
 	if err := a.appendLocked(rec); err != nil {
 		return err
@@ -70,16 +12,33 @@ func (a *AggregatorNode) commitLocked(rec record) error {
 	return nil
 }
 
-// apply is the one state writer, which replay also runs. It is not
-// exempt: its writes surface at any call commitLocked does not guard.
+// apply is the one state writer, which replay also runs.
 func (a *AggregatorNode) apply(rec record) {
 	switch rec.typ {
+	case 1:
+		a.roundLocked(rec.n).uploads[rec.party] = contribution{rec.frag, rec.weight}
+		a.parties[rec.party] = true
+	case 2:
+		a.quorum = rec.n
 	case 3:
 		delete(a.parties, rec.party)
 		a.evicted[rec.party] = true
 	case 7:
 		delete(a.rounds, rec.n)
+	case 9:
+		a.lastAggregated = rec.n
+		a.retention++
 	}
+}
+
+// roundLocked is apply's helper: it may write, and only apply calls it.
+func (a *AggregatorNode) roundLocked(round int) *roundState {
+	rs, ok := a.rounds[round]
+	if !ok {
+		rs = newRoundState()
+		a.rounds[round] = rs
+	}
+	return rs
 }
 
 // Evict changes state only through the seam.
@@ -87,35 +46,45 @@ func (a *AggregatorNode) Evict(party string) error {
 	return a.commitLocked(record{typ: 3, party: party})
 }
 
-// AggregateDeep is guarded by a checked append twenty wrappers down
-// (declared callee-first): every wrapper appends on every path, so the
-// strength-2 guard reaches the call site and the write is clean.
-func (a *AggregatorNode) journalDeep20(typ byte) error { return a.journal.Append(typ, nil) }
-func (a *AggregatorNode) journalDeep19(typ byte) error { return a.journalDeep20(typ) }
-func (a *AggregatorNode) journalDeep18(typ byte) error { return a.journalDeep19(typ) }
-func (a *AggregatorNode) journalDeep17(typ byte) error { return a.journalDeep18(typ) }
-func (a *AggregatorNode) journalDeep16(typ byte) error { return a.journalDeep17(typ) }
-func (a *AggregatorNode) journalDeep15(typ byte) error { return a.journalDeep16(typ) }
-func (a *AggregatorNode) journalDeep14(typ byte) error { return a.journalDeep15(typ) }
-func (a *AggregatorNode) journalDeep13(typ byte) error { return a.journalDeep14(typ) }
-func (a *AggregatorNode) journalDeep12(typ byte) error { return a.journalDeep13(typ) }
-func (a *AggregatorNode) journalDeep11(typ byte) error { return a.journalDeep12(typ) }
-func (a *AggregatorNode) journalDeep10(typ byte) error { return a.journalDeep11(typ) }
-func (a *AggregatorNode) journalDeep9(typ byte) error  { return a.journalDeep10(typ) }
-func (a *AggregatorNode) journalDeep8(typ byte) error  { return a.journalDeep9(typ) }
-func (a *AggregatorNode) journalDeep7(typ byte) error  { return a.journalDeep8(typ) }
-func (a *AggregatorNode) journalDeep6(typ byte) error  { return a.journalDeep7(typ) }
-func (a *AggregatorNode) journalDeep5(typ byte) error  { return a.journalDeep6(typ) }
-func (a *AggregatorNode) journalDeep4(typ byte) error  { return a.journalDeep5(typ) }
-func (a *AggregatorNode) journalDeep3(typ byte) error  { return a.journalDeep4(typ) }
-func (a *AggregatorNode) journalDeep2(typ byte) error  { return a.journalDeep3(typ) }
-func (a *AggregatorNode) journalDeep1(typ byte) error  { return a.journalDeep2(typ) }
-
-func (a *AggregatorNode) AggregateDeep(round int, out []float64) error {
-	rs := a.rounds[round]
-	if err := a.journalDeep1(9); err != nil {
-		return err
+// Touch writes only ephemeral fields.
+func (a *AggregatorNode) Touch(round int, now int64) {
+	a.clock = now
+	if rs := a.rounds[round]; rs != nil {
+		rs.openedAt = now
 	}
-	rs.aggregated = out
+}
+
+// openFunc stands in for journal.OpenFunc: it hands each record to fn.
+func openFunc(recs []record, fn func(record) error) error {
+	for _, rec := range recs {
+		if err := fn(rec); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// RecoverAggregatorNode is replay: it applies every logged record from
+// the literal it passes to openFunc, and its own writes are the log's.
+func RecoverAggregatorNode(recs []record) (*AggregatorNode, error) {
+	node := &AggregatorNode{parties: map[string]bool{}, rounds: map[int]*roundState{}, evicted: map[string]bool{}}
+	err := openFunc(recs, func(rec record) error {
+		node.apply(rec)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	node.quorum = max(node.quorum, 1)
+	return node, node.readBackLocked(recs)
+}
+
+// readBackLocked is replay too: it fills the uploads replay applied.
+func (a *AggregatorNode) readBackLocked(recs []record) error {
+	for _, rec := range recs {
+		if rs := a.rounds[rec.n]; rs != nil && rec.typ == 1 {
+			rs.uploads[rec.party] = contribution{rec.frag, rec.weight}
+		}
+	}
 	return nil
 }

@@ -331,9 +331,9 @@ func journalBenches() []Bench {
 
 // lintBenchState caches the loaded, type-checked module tree across
 // iterations and runs: go-list + type-checking is one-time setup cost,
-// while the baseline tracks the analysis cost — the part the
-// protocol-invariant tier (CFG + dominators + must-flow + call-graph
-// summaries) made meaningfully more expensive and worth pinning.
+// while the baseline tracks the analysis cost: the per-function CFGs and
+// call-graph summaries make it grow with the tree, so it is worth
+// pinning.
 var lintBenchState struct {
 	once sync.Once
 	pkgs []*lint.Package

@@ -6,14 +6,11 @@
 // noise-tolerant rules so a regression on any kernel fails loudly instead
 // of landing invisibly in EXPERIMENTS.md prose.
 //
-// Two front doors feed the same comparator:
-//
-//   - cmd/deta-bench -perf drives the suite programmatically via
-//     testing.Benchmark (best-of-N runs, bounded benchtime), mirroring the
-//     deta-lint -baseline/-baseline-write workflow; and
-//   - Parse ingests ordinary `go test -bench -benchmem` output, whose
-//     BenchmarkPerfSuite wrappers in each area package emit the same
-//     stable names the baselines record.
+// cmd/deta-bench -perf drives the suite programmatically via
+// testing.Benchmark (best-of-N runs, bounded benchtime), mirroring the
+// deta-lint -baseline/-baseline-write workflow. The BenchmarkPerfSuite
+// wrapper in each area package runs the same benches under
+// `go test -bench`, with the stable names the baselines record.
 package perf
 
 import (

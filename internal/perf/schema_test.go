@@ -7,75 +7,6 @@ import (
 	"testing"
 )
 
-func TestCanonicalName(t *testing.T) {
-	cases := map[string]string{
-		"BenchmarkPerfSuite/agg/Krum/p8,n4096-8":  "agg/Krum/p8,n4096",
-		"BenchmarkPerfSuite/journal/Append/256B":  "journal/Append/256B",
-		"BenchmarkAppend/sync/256B-8":             "Append/sync/256B",
-		"BenchmarkUpload-16":                      "Upload",
-		"BenchmarkFanOutParallel/K=3-8":           "FanOutParallel/K=3",
-		"BenchmarkNoProcsSuffix":                  "NoProcsSuffix",
-		"BenchmarkTrailingDash/x-y":               "TrailingDash/x-y",
-		"BenchmarkPerfSuite/core/Upload/n4096-32": "core/Upload/n4096",
-	}
-	for in, want := range cases {
-		if got := CanonicalName(in); got != want {
-			t.Errorf("CanonicalName(%q) = %q, want %q", in, got, want)
-		}
-	}
-}
-
-func TestParseBenchOutput(t *testing.T) {
-	f, err := os.Open(filepath.Join("testdata", "benchout.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	parsed, err := Parse(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parsed.OS != "linux" || parsed.Arch != "amd64" {
-		t.Errorf("env = %s/%s, want linux/amd64", parsed.OS, parsed.Arch)
-	}
-	if len(parsed.Results) != 4 {
-		t.Fatalf("%d results, want 4: %+v", len(parsed.Results), parsed.Results)
-	}
-	byName := map[string]Result{}
-	for _, r := range parsed.Results {
-		byName[r.Bench] = r
-	}
-	krum, ok := byName["agg/Krum/p8,n4096"]
-	if !ok {
-		t.Fatalf("PerfSuite wrapper name not canonicalized: %v", byName)
-	}
-	if krum.NsPerOp != 18231002 || krum.AllocsPerOp != 24 || krum.BytesPerOp != 393216 || krum.Iterations != 64 {
-		t.Errorf("krum = %+v", krum)
-	}
-	// The MB/s column must be skipped without corrupting B/op parsing.
-	app := byName["Append/sync/256B"]
-	if app.BytesPerOp != 12 || app.AllocsPerOp != 0 {
-		t.Errorf("append = %+v", app)
-	}
-	// A line without -benchmem columns still yields ns/op.
-	up := byName["Upload/no-journal"]
-	if up.NsPerOp != 231456 || up.Iterations != 5000 {
-		t.Errorf("upload = %+v", up)
-	}
-}
-
-func TestParseMalformed(t *testing.T) {
-	for _, bad := range []string{
-		"BenchmarkX notanumber 5 ns/op",
-		"BenchmarkX 100 xyz ns/op",
-		"BenchmarkX 100 5",
-	} {
-		if _, err := Parse(strings.NewReader(bad)); err == nil {
-			t.Errorf("malformed line %q accepted", bad)
-		}
-	}
-}
-
 func TestSchemaRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, BaselineName("agg"))

@@ -22,13 +22,13 @@ func startBenchFleet(b *testing.B, k int) []*Client {
 		s := NewServer()
 		HandleTyped(s, "echo", func(r echoReq) (echoResp, error) { return echoResp{Msg: r.Msg}, nil })
 		ln := NewMemListener()
-		go s.Serve(WithListenerLatency(ln, benchDelay))
+		go s.Serve(WithListenerJitter(ln, benchDelay, benchDelay, 0))
 		b.Cleanup(s.Close)
 		conn, err := ln.Dial()
 		if err != nil {
 			b.Fatal(err)
 		}
-		c := NewClient(WithLatency(conn, benchDelay))
+		c := NewClient(WithJitter(conn, benchDelay, benchDelay, 0))
 		b.Cleanup(func() { c.Close() })
 		clients[j] = c
 	}

@@ -7,54 +7,13 @@ import (
 	"time"
 )
 
-// LatencyConn wraps a net.Conn and injects a fixed one-way delay before
-// every write, simulating WAN round-trip times. DeTA deploys aggregators
-// at different geo-locations (paper §4.1); the geo-distribution ablation
-// uses this wrapper to measure how inter-site latency scales the round
-// cost.
-type LatencyConn struct {
-	net.Conn
-	Delay time.Duration
-}
-
-// Write implements net.Conn with the injected delay.
-func (c *LatencyConn) Write(p []byte) (int, error) {
-	if c.Delay > 0 {
-		time.Sleep(c.Delay)
-	}
-	return c.Conn.Write(p)
-}
-
-// WithLatency wraps conn with a one-way write delay.
-func WithLatency(conn net.Conn, delay time.Duration) net.Conn {
-	return &LatencyConn{Conn: conn, Delay: delay}
-}
-
-// LatencyListener wraps a listener so every accepted connection carries
-// the delay (server-side sends are delayed symmetrically).
-type LatencyListener struct {
-	net.Listener
-	Delay time.Duration
-}
-
-// Accept implements net.Listener.
-func (l *LatencyListener) Accept() (net.Conn, error) {
-	conn, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return WithLatency(conn, l.Delay), nil
-}
-
-// WithListenerLatency wraps ln so accepted connections delay their writes.
-func WithListenerLatency(ln net.Listener, delay time.Duration) net.Listener {
-	return &LatencyListener{Listener: ln, Delay: delay}
-}
-
-// JitterConn injects a uniformly random per-write delay in [Min, Max],
-// modeling the variable service times the race and fault-injection tests
-// need: with randomized delays, responses on a multiplexed connection
-// genuinely come back out of order.
+// JitterConn injects a per-write delay drawn uniformly from [Min, Max].
+// With Min == Max it is a fixed one-way delay and draws nothing: DeTA
+// deploys aggregators at different geo-locations (paper §4.1), and the
+// geo-distribution ablation uses it to measure how inter-site latency
+// scales the round cost. With a span it models the variable service
+// times the race and fault-injection tests need: responses on a
+// multiplexed connection genuinely come back out of order.
 type JitterConn struct {
 	net.Conn
 	Min, Max time.Duration

@@ -10,14 +10,14 @@ func TestLatencyConnDelaysCalls(t *testing.T) {
 	s := NewServer()
 	HandleTyped(s, "echo", func(x int) (int, error) { return x, nil })
 	ln := NewMemListener()
-	go s.Serve(&LatencyListener{Listener: ln, Delay: 2 * time.Millisecond})
+	go s.Serve(&JitterListener{Listener: ln, Min: 2 * time.Millisecond, Max: 2 * time.Millisecond})
 	defer s.Close()
 
 	conn, err := ln.Dial()
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewClient(WithLatency(conn, 2*time.Millisecond))
+	c := NewClient(WithJitter(conn, 2*time.Millisecond, 2*time.Millisecond, 0))
 	defer c.Close()
 
 	start := time.Now()
@@ -38,7 +38,7 @@ func TestLatencyConnDelaysCalls(t *testing.T) {
 func TestZeroLatencyPassthrough(t *testing.T) {
 	ln := NewMemListener()
 	defer ln.Close()
-	wrapped := WithListenerLatency(ln, 0)
+	wrapped := WithListenerJitter(ln, 0, 0, 0)
 	go func() {
 		conn, _ := ln.Dial()
 		if conn != nil {

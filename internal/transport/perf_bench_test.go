@@ -8,9 +8,7 @@ import (
 
 // BenchmarkPerfSuite runs the transport area of the tracked perf suite
 // (internal/perf) under `go test -bench`, emitting the same stable bench
-// names the BENCH_transport.json baseline records, so
+// names the BENCH_transport.json baseline records:
 //
 //	go test -bench PerfSuite -benchmem ./internal/transport
-//
-// output feeds perf.Parse and the regression comparator directly.
 func BenchmarkPerfSuite(b *testing.B) { perf.RunAreaBenchmarks(b, "transport") }

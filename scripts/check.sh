@@ -1,9 +1,10 @@
 #!/bin/sh
 # check.sh — the repo's full verification gate: vet, build, the whole test
 # suite under the race detector, internal/experiments again without it (at
-# full test scale), and the chaos end-to-end test (injected
-# faults + aggregator kill/restart, fixed seed 0xDE7A in chaos_test.go)
-# run explicitly so its pass/fail is visible on its own line.
+# full test scale), and the chaos end-to-end tests (injected
+# faults + aggregator kill/restart, fixed seed 0xDE7A in chaos_test.go),
+# the replay tests and the lint guard tests, each run explicitly so its
+# pass/fail is visible on its own line.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -42,6 +43,9 @@ go test -race -count=1 -run 'TestChaosChurnEvictRejoinBitIdentical' -v ./interna
 
 echo "== replay: exact recovery and its allocation bound (-race)"
 go test -race -count=1 -run '^(TestCompactionReplaysExactly|TestRecoveryAllocatesForLiveState)$' -v ./internal/core
+
+echo "== lint guards: analyzer fixtures, core's pinned names, waldisc on a reordered commit seam"
+go test -count=1 -run '^(TestAnalyzerFixtures|TestCoreNamesExist|TestWalDiscFlagsSeamReorder)$' -v ./internal/lint
 
 echo "== perf vs tracked baselines: round-path areas (fusion kernels, transform, wire, crypto) gate hard"
 go run ./cmd/deta-bench -perf -perf-area agg,core,transport,paillier -perf-baseline .
