@@ -40,7 +40,7 @@ func main() {
 	initiator := flag.Bool("initiator", false, "act as the round-sync initiator")
 	peers := flag.String("peers", "", "comma-separated follower list id=addr (initiator only)")
 	dialTimeout := flag.Duration("dial-timeout", 30*time.Second, "total budget for dialing the AP and each follower (with backoff)")
-	peerTimeout := flag.Duration("peer-timeout", 2*time.Minute, "deadline for synchronizing one follower's round fusion")
+	peerTimeout := flag.Duration("peer-timeout", 2*time.Minute, "deadline for synchronizing one follower's round fusion (0 = none)")
 	stateDir := flag.String("state-dir", "", "directory for the durable round journal; a restarted aggregator recovers its rounds from it (empty = in-memory only)")
 	retain := flag.Int("retain", 0, "evict aggregated rounds older than N from memory (0 = keep all; the journal stays the durable copy)")
 	noFsync := flag.Bool("journal-no-fsync", false, "skip the per-record journal fsync (survives process crashes only; benchmarking)")
@@ -61,7 +61,7 @@ func main() {
 		log.Fatalf("loading TLS materials: %v", err)
 	}
 	dialCtx, cancelDial := context.WithTimeout(context.Background(), *dialTimeout)
-	apConn, err := mat.DialTLSBackoff(dialCtx, *apAddr, *tlsName, transport.Backoff{Attempts: transport.UnlimitedAttempts})
+	apConn, err := mat.DialTLSBackoff(dialCtx, *apAddr, *tlsName)
 	if err != nil {
 		cancelDial()
 		log.Fatalf("dialing AP: %v", err)

@@ -54,9 +54,8 @@ func main() {
 	noShuffle := flag.Bool("no-shuffle", false, "disable parameter shuffling (partition only)")
 	callTimeout := flag.Duration("call-timeout", 30*time.Second, "deadline for each aggregator RPC attempt (0 = none)")
 	dialTimeout := flag.Duration("dial-timeout", 30*time.Second, "total budget for dialing the AP and each aggregator (with backoff)")
-	roundTimeout := flag.Duration("round-timeout", 5*time.Minute, "deadline for one full round's download phase")
+	roundTimeout := flag.Duration("round-timeout", 5*time.Minute, "deadline for each step, re-driven until it expires: Phase II, each round's upload, each round's download")
 	aggQuorum := flag.Int("agg-quorum", 0, "minimum aggregators that must answer per round (0 = all); below K degrades, never hangs")
-	keepalive := flag.Duration("keepalive", 0, "aggregator link health-check interval (0 = off)")
 	heartbeat := flag.Duration("heartbeat", 0, "liveness heartbeat interval to every aggregator (match the fleet's -heartbeat; 0 = off)")
 	flag.Parse()
 
@@ -84,11 +83,6 @@ func main() {
 	cancelDial()
 	if err != nil {
 		log.Fatal(err)
-	}
-	if *keepalive > 0 {
-		for _, a := range clients {
-			a.C.EnableKeepAlive(*keepalive, *callTimeout)
-		}
 	}
 	fleet := &core.Fleet{Clients: clients, Quorum: *aggQuorum, Timeout: *callTimeout, Clock: clk}
 	// Every step below is re-driven as a whole until -round-timeout.
@@ -208,7 +202,7 @@ func heartbeatLoop(ctx context.Context, fleet *core.Fleet, id string, interval t
 }
 
 func dialAP(ctx context.Context, mat *transport.TLSMaterials, addr, tlsName string) (*core.APClient, error) {
-	c, err := mat.DialTLSBackoff(ctx, addr, tlsName, transport.Backoff{Attempts: transport.UnlimitedAttempts})
+	c, err := mat.DialTLSBackoff(ctx, addr, tlsName)
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"crypto/tls"
 	"errors"
 	"fmt"
 	"net"
@@ -252,12 +251,13 @@ func (a *APClient) RoundID(ctx context.Context, round int) ([]byte, error) {
 	return resp.ID, nil
 }
 
-// DialAggregators dials every entry of a comma-separated id=addr list over
-// TLS — with backoff, since peers may still be starting — and returns the
-// clients sorted by ID, the fleet order all parties share. Each client's
-// Redial repairs its link after the aggregator crashes or restarts; the
-// retry of the interrupted call stays with the round loop (uploads and
-// fusion are idempotent server-side). An empty list is no aggregators.
+// DialAggregators dials every entry of a comma-separated id=addr list with
+// the boot dial — peers may still be starting — and returns the clients
+// sorted by ID, the fleet order all parties share. Each client's Redial,
+// one Dial attempt, repairs its link after the aggregator crashes or
+// restarts; the retry of the interrupted call stays with the round loop
+// (uploads and fusion are idempotent server-side). An empty list is no
+// aggregators.
 func DialAggregators(ctx context.Context, mat *transport.TLSMaterials, spec, tlsName string) ([]*AggregatorClient, error) {
 	if spec == "" {
 		return nil, nil
@@ -268,13 +268,12 @@ func DialAggregators(ctx context.Context, mat *transport.TLSMaterials, spec, tls
 		if !ok {
 			return nil, fmt.Errorf("core: bad aggregator entry %q (want id=addr)", entry)
 		}
-		c, err := mat.DialTLSBackoff(ctx, addr, tlsName, transport.Backoff{Attempts: transport.UnlimitedAttempts})
+		c, err := mat.DialTLSBackoff(ctx, addr, tlsName)
 		if err != nil {
 			return nil, fmt.Errorf("core: dialing %s at %s: %w", id, addr, err)
 		}
 		out = append(out, &AggregatorClient{ID: id, C: c, Redial: func(ctx context.Context) (net.Conn, error) {
-			d := &tls.Dialer{Config: mat.ClientConfig(tlsName)}
-			return d.DialContext(ctx, "tcp", addr)
+			return mat.Dial(ctx, addr, tlsName)
 		}})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })

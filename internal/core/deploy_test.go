@@ -194,10 +194,11 @@ func TestTLSMaterialsSaveLoad(t *testing.T) {
 	transport.HandleTyped(srv, "ping", func(s string) (string, error) { return s, nil })
 	go srv.Serve(ln)
 	defer srv.Close()
-	c, err := m.DialTLSContext(context.Background(), ln.Addr().String(), "127.0.0.1")
+	conn, err := m.Dial(context.Background(), ln.Addr().String(), "127.0.0.1")
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := transport.NewClient(conn)
 	defer c.Close()
 	got, err := transport.CallTypedContext[string, string](context.Background(), c, "ping", "ok")
 	if err != nil || got != "ok" {

@@ -63,13 +63,6 @@ type Fleet struct {
 	// down for this fan-out without waiting out the whole round deadline.
 	Timeout time.Duration
 
-	// Poll schedules DownloadAll's not-yet-aggregated retries: jittered
-	// capped-exponential backoff instead of a fixed busy-poll, so a slow
-	// round costs a handful of RPCs, not thousands, while an about-to-
-	// finish one is picked up within milliseconds. Zero-value fields
-	// default to 2ms initial delay, 250ms cap, factor 2, ±20% jitter.
-	Poll transport.Backoff
-
 	// Clock schedules the poll waits (nil = SystemClock); tests inject a
 	// FakeClock so polling is deterministic.
 	Clock Clock
@@ -86,24 +79,19 @@ func (f *Fleet) required() int {
 }
 
 func (f *Fleet) callCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	if f.Timeout > 0 {
-		return context.WithTimeout(ctx, f.Timeout)
+	return withTimeout(ctx, f.Timeout)
+}
+
+// withTimeout bounds ctx by d, where 0 means only ctx bounds it: the rule
+// of Fleet.Timeout and Initiator.PeerTimeout.
+func withTimeout(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
+	if d > 0 {
+		return context.WithTimeout(ctx, d)
 	}
 	return context.WithCancel(ctx)
 }
 
 func (f *Fleet) clk() Clock { return orSystem(f.Clock) }
-
-func (f *Fleet) pollBackoff() transport.Backoff {
-	b := f.Poll
-	if b.Initial <= 0 {
-		b.Initial = 2 * time.Millisecond
-	}
-	if b.Max <= 0 {
-		b.Max = 250 * time.Millisecond
-	}
-	return b
-}
 
 // fanOut runs op for every aggregator concurrently and applies quorum
 // accounting: err is nil when at least required() succeeded, otherwise
@@ -197,7 +185,6 @@ func (f *Fleet) DownloadAll(ctx context.Context, round int, partyID string, fall
 		return nil, fmt.Errorf("core: %d fallback fragments for %d aggregators", len(fallback), len(f.Clients))
 	}
 	frags := make([]tensor.Vector, len(f.Clients))
-	backoff := f.pollBackoff()
 	clk := f.clk()
 	ok, _, err := f.fanOut(func(j int, a *AggregatorClient) error {
 		for attempt := 0; ; attempt++ {
@@ -219,7 +206,7 @@ func (f *Fleet) DownloadAll(ctx context.Context, round int, partyID string, fall
 			select {
 			case <-ctx.Done():
 				return fmt.Errorf("waiting for round %d fragment: %w", round, ctx.Err())
-			case <-clk.After(backoff.Delay(attempt)):
+			case <-clk.After(downloadPoll.Delay(attempt)):
 			}
 		}
 	})

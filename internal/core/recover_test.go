@@ -536,10 +536,7 @@ func TestDownloadAllCancellationPrompt(t *testing.T) {
 	node.Register("P1")
 	// Never aggregated: DownloadAll will poll until cancelled.
 	client := serveNode(t, node)
-	fleet := &Fleet{
-		Clients: []*AggregatorClient{client},
-		Poll:    transport.Backoff{Initial: 50 * time.Millisecond, Max: 10 * time.Second},
-	}
+	fleet := &Fleet{Clients: []*AggregatorClient{client}}
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(30 * time.Millisecond)

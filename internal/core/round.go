@@ -41,6 +41,11 @@ type RoundStep struct {
 
 var stepBackoff = transport.Backoff{Initial: 20 * time.Millisecond, Max: time.Second}
 
+// downloadPoll paces DownloadAll's polls of an aggregator that has not
+// fused the round yet: a slow round costs a handful of RPCs, not thousands,
+// while an about-to-finish one is picked up within milliseconds.
+var downloadPoll = transport.Backoff{Initial: 2 * time.Millisecond, Max: 250 * time.Millisecond}
+
 // redrive runs op until it succeeds, the step deadline expires, or it
 // returns a verdict no retry can change: a round the fleet abandoned is
 // skipped by the caller, an unverifiable aggregator is an adversary.
@@ -140,7 +145,8 @@ func putFragments(frags []tensor.Vector) {
 type Initiator struct {
 	Node      *AggregatorNode
 	Followers []*AggregatorClient
-	// PeerTimeout bounds one follower's exchange for one round.
+	// PeerTimeout bounds one follower's exchange for one round (0 = only
+	// Run's ctx bounds it).
 	PeerTimeout time.Duration
 	// Clock paces the polls (nil = SystemClock).
 	Clock Clock
@@ -207,7 +213,7 @@ func (in *Initiator) follow(ctx context.Context, f *AggregatorClient, next int, 
 	for failures := 0; ; {
 		wait := syncPoll
 		if int64(next) <= latest.Load() {
-			callCtx, cancel := context.WithTimeout(ctx, in.PeerTimeout)
+			callCtx, cancel := withTimeout(ctx, in.PeerTimeout)
 			err := in.syncFollower(callCtx, f, next)
 			cancel()
 			if err == nil {

@@ -161,6 +161,30 @@ func TestInitiatorSkipsAbandonedRound(t *testing.T) {
 	}
 }
 
+// PeerTimeout 0 leaves a follower's exchange bounded by Run's ctx alone, as
+// Fleet.Timeout 0 does a party's calls. An already-expired exchange would
+// fail every attempt (bar the rare one whose response beats the expired
+// ctx), so the healthy follower must fuse without a single failure.
+func TestInitiatorZeroPeerTimeoutFusesFollower(t *testing.T) {
+	clk := newTickClock()
+	proxy, vendor := testTrust(t)
+	local := newProvisionedNode(t, proxy, vendor, "agg-1")
+	follower := newProvisionedNode(t, proxy, vendor, "agg-2")
+	for _, n := range []*AggregatorNode{local, follower} {
+		n.Register("P1")
+		mustUpload(t, n, 1, "P1", 1)
+	}
+	log := &logLines{}
+	defer startInitiator(&Initiator{
+		Node: local, Followers: []*AggregatorClient{serveNode(t, follower)}, Clock: clk, Logf: log.logf,
+	})()
+	failed := func() bool { return log.has("follower %s") }
+	clk.stepUntil(t, func() bool { return follower.LastAggregatedRound() == 1 || failed() })
+	if failed() {
+		t.Fatal("an exchange with the healthy follower failed")
+	}
+}
+
 // A local fuse that keeps failing is retried every poll but reported like a
 // failing follower: the first failure of the streak and every 50th — not
 // 50 lines a second for as long as the fault lasts.

@@ -153,8 +153,8 @@ var netVerbs = map[string]map[string]bool{
 	// Hardcoded so fixture packages (which see transport api-only) and
 	// single-package runs still classify transport calls correctly.
 	"deta/internal/transport": {
-		"Call": true, "CallContext": true, "CallTypedContext": true,
-		"Ping": true, "Serve": true, "Accept": true, "Redial": true,
+		"CallContext": true, "CallTypedContext": true, "CallSizedContext": true,
+		"Serve": true, "Accept": true, "Redial": true,
 	},
 }
 

@@ -6,11 +6,13 @@
 package core
 
 import (
+	"context"
 	"net"
 	"os"
 	"sync"
 
 	"deta/internal/journal"
+	"deta/internal/transport"
 )
 
 type peer struct {
@@ -55,6 +57,21 @@ func (p *peer) badDial(addr string) error {
 	}
 	p.conn = conn
 	return nil
+}
+
+// frag stands in for a fragment upload's request.
+type frag []byte
+
+func (f frag) AppendWire(dst []byte) ([]byte, error) { return append(dst, f...), nil }
+
+// badSizedUpload holds the lock across a fragment upload. Seen from this
+// package alone transport's bodies are not analyzed, so the I/O table has
+// to name the call.
+func (p *peer) badSizedUpload(ctx context.Context, c *transport.Client, f frag) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	_, err := transport.CallSizedContext[frag, struct{}](ctx, c, "upload", f, len(f)) // want lockregion
+	return err
 }
 
 // badBranchMayHold unlocks on only one branch: the write still executes

@@ -11,47 +11,38 @@ import (
 // grows monotonically with the failure count until the cap.
 
 // envelope returns the hard bounds for attempt i: the un-jittered delay
-// scaled by (1 ± jitter).
-func envelope(initial, max time.Duration, factor, jitter float64, i int) (lo, hi time.Duration) {
+// scaled by (1 ± 0.2).
+func envelope(initial, max time.Duration, i int) (lo, hi time.Duration) {
 	d := float64(initial)
 	for k := 0; k < i && d < float64(max); k++ {
-		d *= factor
+		d *= 2
 	}
 	if d > float64(max) {
 		d = float64(max)
 	}
+	jitter := 0.2 // a variable, so 1 ± jitter rounds as in delayRand
 	return time.Duration(d * (1 - jitter)), time.Duration(d * (1 + jitter))
 }
 
 func TestDelayStaysWithinEnvelope(t *testing.T) {
 	schedules := []Backoff{
-		{}, // zero value: 50ms initial, 2s cap, factor 2, jitter 0.2
+		{}, // zero value: 50ms initial, 2s cap
 		{Initial: time.Millisecond, Max: 64 * time.Millisecond},
-		{Initial: 10 * time.Millisecond, Max: time.Second, Factor: 3, Jitter: 0.5},
-		{Initial: 5 * time.Millisecond, Max: 5 * time.Millisecond},         // cap == base
-		{Initial: time.Millisecond, Max: 32 * time.Millisecond, Jitter: 7}, // clamped to 1
+		{Initial: 5 * time.Millisecond, Max: 5 * time.Millisecond}, // cap == base
 	}
 	for si, b := range schedules {
-		// The effective (defaulted, clamped) parameters delayRand uses.
-		initial, max, factor, jitter := b.Initial, b.Max, b.Factor, b.Jitter
+		// The effective (defaulted) parameters delayRand uses.
+		initial, max := b.Initial, b.Max
 		if initial <= 0 {
 			initial = 50 * time.Millisecond
 		}
 		if max <= 0 {
 			max = 2 * time.Second
 		}
-		if factor < 1 {
-			factor = 2
-		}
-		if jitter <= 0 {
-			jitter = 0.2
-		} else if jitter > 1 {
-			jitter = 1
-		}
 		for seed := int64(1); seed <= 5; seed++ {
 			rnd := rand.New(rand.NewSource(seed))
 			for i := 0; i < 24; i++ {
-				lo, hi := envelope(initial, max, factor, jitter, i)
+				lo, hi := envelope(initial, max, i)
 				for trial := 0; trial < 64; trial++ {
 					d := b.delayRand(i, rnd.Float64)
 					if d < lo || d > hi {
@@ -68,7 +59,7 @@ func TestDelayStaysWithinEnvelope(t *testing.T) {
 // samples, the delay after failure i+1 is no smaller than after failure i
 // (strictly larger until the cap absorbs the growth).
 func TestDelayGrowsMonotonicallyInExpectation(t *testing.T) {
-	b := Backoff{Initial: time.Millisecond, Max: 256 * time.Millisecond, Jitter: 0.2}
+	b := Backoff{Initial: time.Millisecond, Max: 256 * time.Millisecond}
 	rnd := rand.New(rand.NewSource(0xDE7A))
 	const samples = 2000
 	mean := func(i int) float64 {
@@ -101,7 +92,7 @@ func TestDelayGrowsMonotonicallyInExpectation(t *testing.T) {
 func TestDelayPublicAPI(t *testing.T) {
 	b := Backoff{Initial: 2 * time.Millisecond, Max: 16 * time.Millisecond}
 	for i := 0; i < 10; i++ {
-		lo, hi := envelope(2*time.Millisecond, 16*time.Millisecond, 2, 0.2, i)
+		lo, hi := envelope(2*time.Millisecond, 16*time.Millisecond, i)
 		for trial := 0; trial < 32; trial++ {
 			if d := b.Delay(i); d < lo || d > hi {
 				t.Fatalf("Delay(%d) = %v outside [%v, %v]", i, d, lo, hi)

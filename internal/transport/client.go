@@ -30,8 +30,7 @@ type Client struct {
 	nextID  uint64
 	err     error // sticky failure
 
-	stats  Stats
-	kaOnce sync.Once
+	stats Stats
 }
 
 type pendingCall struct {
@@ -218,45 +217,6 @@ func (c *Client) Err() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.err
-}
-
-// Ping round-trips the server's built-in health method.
-func (c *Client) Ping(ctx context.Context) error {
-	_, err := c.CallContext(ctx, MethodPing, nil)
-	return err
-}
-
-// EnableKeepAlive starts a background health check that pings the server
-// every interval and fails the connection if a ping takes longer than
-// timeout. Safe to call once per client; later calls are no-ops.
-func (c *Client) EnableKeepAlive(interval, timeout time.Duration) {
-	if interval <= 0 {
-		return
-	}
-	if timeout <= 0 {
-		timeout = interval
-	}
-	c.kaOnce.Do(func() {
-		go func() {
-			t := time.NewTicker(interval)
-			defer t.Stop()
-			for {
-				select {
-				case <-c.dead:
-					return
-				case <-t.C:
-					//lint:ignore ctxplumb the keepalive loop outlives any single caller by design; its pings are bounded by the explicit timeout instead
-					ctx, cancel := context.WithTimeout(context.Background(), timeout)
-					err := c.Ping(ctx)
-					cancel()
-					if err != nil && c.Err() == nil {
-						c.fail(fmt.Errorf("keepalive: %w", err))
-						return
-					}
-				}
-			}
-		}()
-	})
 }
 
 // Stats exposes this connection's call counters.

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"context"
+	"crypto/tls"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -9,123 +10,69 @@ import (
 	"time"
 )
 
-// UnlimitedAttempts as Backoff.Attempts makes Retry and DialBackoff try
-// until the context ends — the right schedule for deployment-start dials
-// where the caller's dial budget, not an attempt count, is the limit.
-const UnlimitedAttempts = -1
-
-// Backoff is a capped exponential backoff schedule with jitter, shared by
-// DialBackoff (connection establishment) and Retry (bounded call retry).
-// The zero value is usable: 4 attempts starting at 50ms, doubling to a 2s
-// cap, with ±20% jitter.
+// Backoff is a capped exponential backoff schedule: the delay doubles from
+// Initial up to Max, each one jittered by ±20%. The zero value starts at
+// 50ms and caps at 2s.
 type Backoff struct {
-	// Attempts is the total number of tries (first try included); 0 means
-	// 4, negative means unlimited (bounded only by the context).
-	Attempts int
 	// Initial is the delay after the first failure; <= 0 means 50ms.
 	Initial time.Duration
 	// Max caps the delay; <= 0 means 2s.
 	Max time.Duration
-	// Factor is the per-failure growth; < 1 means 2.
-	Factor float64
-	// Jitter is the fraction of each delay randomized symmetrically
-	// around it; <= 0 means 0.2, > 1 is clamped to 1.
-	Jitter float64
-}
-
-func (b Backoff) attempts() int {
-	if b.Attempts == 0 {
-		return 4
-	}
-	return b.Attempts // negative: unlimited
 }
 
 // Delay returns the jittered sleep before attempt i+1 (i counts failures
-// so far, starting at 0) — exported for callers running their own retry
-// loops over the schedule (e.g. Fleet.DownloadAll's poll).
-func (b Backoff) Delay(i int) time.Duration { return b.delay(i) }
-
-// delay returns the jittered sleep before attempt i+1 (i counts failures
 // so far, starting at 0).
-func (b Backoff) delay(i int) time.Duration { return b.delayRand(i, rand.Float64) }
+func (b Backoff) Delay(i int) time.Duration { return b.delayRand(i, rand.Float64) }
 
-// delayRand is delay with an injectable uniform-[0,1) source, so the
+// delayRand is Delay with an injectable uniform-[0,1) source, so the
 // schedule's bounds and growth are testable under a seeded RNG.
 func (b Backoff) delayRand(i int, randFloat func() float64) time.Duration {
-	initial, max, factor, jitter := b.Initial, b.Max, b.Factor, b.Jitter
+	initial, max := b.Initial, b.Max
 	if initial <= 0 {
 		initial = 50 * time.Millisecond
 	}
 	if max <= 0 {
 		max = 2 * time.Second
 	}
-	if factor < 1 {
-		factor = 2
-	}
-	if jitter <= 0 {
-		jitter = 0.2
-	} else if jitter > 1 {
-		jitter = 1
-	}
 	d := float64(initial)
 	for ; i > 0 && d < float64(max); i-- {
-		d *= factor
+		d *= 2
 	}
-	if d > float64(max) {
-		d = float64(max)
-	}
+	d = min(d, float64(max))
 	// Symmetric jitter decorrelates fleets of clients reconnecting at once.
-	d *= 1 + jitter*(2*randFloat()-1)
+	d *= 1 + 0.2*(2*randFloat()-1)
 	return time.Duration(d)
 }
 
-// Retry runs attempt up to b.Attempts times, sleeping the backoff schedule
-// between failures. It stops early when attempt succeeds, the context
-// ends, or the failure is a *RemoteError (the server answered; retrying a
-// rejected application call cannot help). Re-attempts are counted into
-// stats when it is non-nil.
-func Retry(ctx context.Context, b Backoff, stats *Stats, attempt func(ctx context.Context) error) error {
-	n := b.attempts()
-	var last error
-	for i := 0; n < 0 || i < n; i++ {
-		if i > 0 {
-			stats.AddRetry()
+// Dial makes one TLS connection to addr, trusting only the minted CA and
+// pinning serverName; ctx bounds both the TCP connect and the handshake.
+func (m *TLSMaterials) Dial(ctx context.Context, addr, serverName string) (net.Conn, error) {
+	d := &tls.Dialer{Config: m.ClientConfig(serverName)}
+	return d.DialContext(ctx, "tcp", addr)
+}
+
+// DialTLSBackoff is the boot dial, for peers that may not be listening yet
+// when this process starts: it retries Dial on the zero-value Backoff until
+// a connection is made or ctx ends. A certificate these materials do not
+// trust ends it at once, since waiting will not make a peer from another
+// deployment trustworthy. Each failed attempt counts as one of the
+// returned client's Stats retries.
+func (m *TLSMaterials) DialTLSBackoff(ctx context.Context, addr, serverName string) (*Client, error) {
+	for failed := 0; ; failed++ {
+		conn, err := m.Dial(ctx, addr, serverName)
+		if err == nil {
+			c := NewClient(conn)
+			c.stats.retries.Add(int64(failed))
+			return c, nil
 		}
-		if err := ctx.Err(); err != nil {
-			return errors.Join(err, last)
-		}
-		last = attempt(ctx)
-		if last == nil {
-			return nil
-		}
-		var re *RemoteError
-		if errors.As(last, &re) {
-			return last
-		}
-		if n > 0 && i == n-1 {
-			break
+		var untrusted *tls.CertificateVerificationError
+		if errors.As(err, &untrusted) {
+			return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 		}
 		select {
 		case <-ctx.Done():
-			return errors.Join(ctx.Err(), last)
-		case <-time.After(b.delay(i)):
+			return nil, fmt.Errorf("transport: dial %s: %w", addr, errors.Join(ctx.Err(), err))
+		case <-time.After(Backoff{}.Delay(failed)):
 		}
 	}
-	return fmt.Errorf("transport: %d attempts failed: %w", n, last)
-}
-
-// DialBackoff establishes a connection with capped exponential backoff and
-// jitter, for peers that may not be up yet (aggregators racing parties at
-// deployment start) or that drop transiently.
-func DialBackoff(ctx context.Context, b Backoff, stats *Stats, dial func(ctx context.Context) (net.Conn, error)) (net.Conn, error) {
-	var conn net.Conn
-	err := Retry(ctx, b, stats, func(ctx context.Context) error {
-		var err error
-		conn, err = dial(ctx)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return conn, nil
 }

@@ -379,127 +379,6 @@ func TestStickyFailure(t *testing.T) {
 	}
 }
 
-func TestPingAndKeepAlive(t *testing.T) {
-	s := NewServer() // no handlers at all: ping is built in
-	ln := NewMemListener()
-	go s.Serve(ln)
-	c := memClient(t, ln)
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	if err := c.Ping(ctx); err != nil {
-		t.Fatalf("ping: %v", err)
-	}
-	c.EnableKeepAlive(5*time.Millisecond, 50*time.Millisecond)
-	time.Sleep(20 * time.Millisecond)
-	if c.Err() != nil {
-		t.Fatalf("keepalive failed a healthy connection: %v", c.Err())
-	}
-	s.Close()
-	deadline := time.Now().Add(2 * time.Second)
-	for c.Err() == nil && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if c.Err() == nil {
-		t.Fatal("keepalive did not detect the dead server")
-	}
-}
-
-func TestDialBackoffRecovers(t *testing.T) {
-	ln := NewMemListener()
-	defer ln.Close()
-	var attempts int
-	dial := func(ctx context.Context) (net.Conn, error) {
-		attempts++
-		if attempts < 3 {
-			return nil, errors.New("connection refused")
-		}
-		return ln.Dial()
-	}
-	b := Backoff{Attempts: 5, Initial: time.Millisecond, Max: 4 * time.Millisecond}
-	var stats Stats
-	conn, err := DialBackoff(context.Background(), b, &stats, dial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn.Close()
-	if attempts != 3 {
-		t.Fatalf("dialed %d times, want 3", attempts)
-	}
-	if got := stats.Snapshot().Retries; got != 2 {
-		t.Fatalf("stats retries = %d, want 2", got)
-	}
-}
-
-func TestDialBackoffHonorsContext(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err := DialBackoff(ctx, Backoff{Attempts: 100, Initial: 5 * time.Millisecond}, nil,
-		func(ctx context.Context) (net.Conn, error) { return nil, errors.New("down") })
-	if err == nil {
-		t.Fatal("dial to dead endpoint succeeded")
-	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want deadline", err)
-	}
-	if time.Since(start) > time.Second {
-		t.Fatal("backoff ignored the context deadline")
-	}
-}
-
-func TestRetryStopsOnRemoteError(t *testing.T) {
-	var attempts int
-	err := Retry(context.Background(), Backoff{Attempts: 5, Initial: time.Millisecond}, nil,
-		func(ctx context.Context) error {
-			attempts++
-			return &RemoteError{Method: "m", Msg: "rejected"}
-		})
-	var re *RemoteError
-	if !errors.As(err, &re) {
-		t.Fatalf("err = %v, want RemoteError", err)
-	}
-	if attempts != 1 {
-		t.Fatalf("retried an application rejection %d times", attempts)
-	}
-}
-
-func TestRetryBounded(t *testing.T) {
-	var attempts int
-	err := Retry(context.Background(), Backoff{Attempts: 3, Initial: time.Millisecond}, nil,
-		func(ctx context.Context) error {
-			attempts++
-			return errors.New("transient")
-		})
-	if err == nil || attempts != 3 {
-		t.Fatalf("attempts = %d, err = %v; want 3 bounded attempts", attempts, err)
-	}
-	if !strings.Contains(err.Error(), "3 attempts") {
-		t.Fatalf("error does not report attempt count: %v", err)
-	}
-}
-
-// TestRetryUnlimitedRunsUntilContext: UnlimitedAttempts must outlast the
-// default 4-attempt cap and stop only when the context ends — the
-// deployment-start dial contract (the -dial-timeout budget is the limit).
-func TestRetryUnlimitedRunsUntilContext(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var attempts int
-	err := Retry(ctx, Backoff{Attempts: UnlimitedAttempts, Initial: time.Millisecond, Max: time.Millisecond}, nil,
-		func(ctx context.Context) error {
-			attempts++
-			if attempts == 10 {
-				cancel()
-			}
-			return errors.New("still down")
-		})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("expected context cancellation, got: %v", err)
-	}
-	if attempts < 10 {
-		t.Fatalf("attempts = %d; unlimited retry gave up before the context ended", attempts)
-	}
-}
-
 // TestHandlerPanicIsAnswered: a panicking handler must produce an error
 // response, not kill the server or the connection's other requests.
 func TestHandlerPanicIsAnswered(t *testing.T) {

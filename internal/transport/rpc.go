@@ -28,10 +28,11 @@
 // responses are routed back to their callers by request ID, in whatever
 // order the server produces them. The server handles each request on its
 // own goroutine, so a slow handler does not block other requests on the
-// same connection. Per-call deadlines (CallContext), keepalive health
-// checks (EnableKeepAlive), dial/backoff helpers (DialBackoff, Retry), and
-// per-connection counters (Stats) make the layer deadline-aware end to
-// end: a hung peer costs one timed-out call, never a wedged party.
+// same connection. Every call carries its caller's context (CallContext
+// and its typed forms), so a hung peer costs one timed-out call, never a
+// wedged party. Connections are made by one TLS dial (TLSMaterials.Dial);
+// at process start DialTLSBackoff retries it until the peer is up, and
+// per-connection counters (Stats) record calls, failures and those retries.
 //
 // Duplicate delivery: a frame leaves in one Write, so a link that repeats a
 // Write replays a well-formed frame. TLS rejects replayed records beneath
@@ -57,10 +58,6 @@ import (
 // MaxFrame bounds a single message (guards against corrupt length
 // prefixes). Model fragments for the largest zoo models fit comfortably.
 const MaxFrame = 1 << 28 // 256 MiB
-
-// MethodPing is the built-in health-check method every Server answers
-// without a registered handler; Client.Ping and keepalive use it.
-const MethodPing = "transport.Ping"
 
 const (
 	kindRequest  = 1
@@ -352,11 +349,6 @@ func (s *Server) serveConn(conn net.Conn) {
 		if f.kind != kindRequest || f.code != 0 {
 			f.release()
 			return
-		}
-		if string(f.text) == MethodPing {
-			write(f.id, 0, "", nil)
-			f.release()
-			continue
 		}
 		s.mu.RLock()
 		h, ok := s.handlers[string(f.text)]

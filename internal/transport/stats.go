@@ -30,8 +30,9 @@ type StatsSnapshot struct {
 	// Timeouts is the subset of failures caused by a context deadline or
 	// cancellation.
 	Timeouts int64
-	// Retries counts re-attempts performed by Retry / DialBackoff on top
-	// of first tries.
+	// Retries is the number of failed attempts the boot dial
+	// (TLSMaterials.DialTLSBackoff) made before this connection; it is 0
+	// for a connection made any other way, a redial's included.
 	Retries int64
 	// MaxInFlight is the high-water mark of concurrent calls.
 	MaxInFlight int64
@@ -60,13 +61,6 @@ func (s *Stats) callDone(start time.Time, err error, timedOut bool) {
 		return
 	}
 	s.latencyNS.Add(int64(time.Since(start)))
-}
-
-// AddRetry records one re-attempt (used by Retry and DialBackoff).
-func (s *Stats) AddRetry() {
-	if s != nil {
-		s.retries.Add(1)
-	}
 }
 
 // Snapshot returns a consistent-enough copy for reporting.

@@ -1,14 +1,12 @@
 package transport
 
 import (
-	"context"
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/rand"
 	"crypto/tls"
 	"crypto/x509"
 	"crypto/x509/pkix"
-	"fmt"
 	"math/big"
 	"net"
 	"time"
@@ -103,28 +101,4 @@ func (m *TLSMaterials) ClientConfig(serverName string) *tls.Config {
 // port).
 func (m *TLSMaterials) ListenTLS(addr string) (net.Listener, error) {
 	return tls.Listen("tcp", addr, m.ServerConfig())
-}
-
-// DialTLSContext connects a client to a TLS server at addr, honoring the
-// context's deadline for both the TCP connect and the TLS handshake.
-func (m *TLSMaterials) DialTLSContext(ctx context.Context, addr, serverName string) (*Client, error) {
-	d := &tls.Dialer{Config: m.ClientConfig(serverName)}
-	conn, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
-	}
-	return NewClient(conn), nil
-}
-
-// DialTLSBackoff dials with the capped exponential backoff schedule b, for
-// peers that may not be listening yet when this process starts.
-func (m *TLSMaterials) DialTLSBackoff(ctx context.Context, addr, serverName string, b Backoff) (*Client, error) {
-	conn, err := DialBackoff(ctx, b, nil, func(ctx context.Context) (net.Conn, error) {
-		d := &tls.Dialer{Config: m.ClientConfig(serverName)}
-		return d.DialContext(ctx, "tcp", addr)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return NewClient(conn), nil
 }

@@ -2,11 +2,13 @@ package transport
 
 import (
 	"context"
+	"crypto/tls"
 	"errors"
 	"fmt"
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -201,10 +203,11 @@ func TestTLSEndToEnd(t *testing.T) {
 	go s.Serve(ln)
 	defer s.Close()
 
-	c, err := mat.DialTLSContext(context.Background(), ln.Addr().String(), "127.0.0.1")
+	conn, err := mat.Dial(context.Background(), ln.Addr().String(), "127.0.0.1")
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := NewClient(conn)
 	defer c.Close()
 	resp, err := CallTypedContext[echoReq, echoResp](context.Background(), c, "echo", echoReq{Msg: "secure"})
 	if err != nil {
@@ -233,13 +236,163 @@ func TestTLSRejectsUntrustedClientPool(t *testing.T) {
 	defer s.Close()
 	// Client trusting a different CA must fail the handshake. The TLS
 	// client error surfaces on first use of the connection.
-	c, err := other.DialTLSContext(context.Background(), ln.Addr().String(), "127.0.0.1")
+	conn, err := other.Dial(context.Background(), ln.Addr().String(), "127.0.0.1")
 	if err == nil {
+		c := NewClient(conn)
 		_, err = c.CallContext(context.Background(), "echo", nil)
 		c.Close()
 	}
 	if err == nil {
 		t.Fatal("handshake with untrusted CA succeeded")
+	}
+}
+
+// lateListener is a TLS server's listener whose server comes up late: until
+// time up it accepts each TCP connection and drops it, so every failed dial
+// attempt before then is counted here.
+type lateListener struct {
+	net.Listener
+	up      time.Time
+	cfg     *tls.Config
+	dropped atomic.Int64
+}
+
+func (l *lateListener) Accept() (net.Conn, error) {
+	for {
+		conn, err := l.Listener.Accept()
+		if err != nil {
+			return nil, err
+		}
+		if !time.Now().Before(l.up) {
+			return tls.Server(conn, l.cfg), nil
+		}
+		l.dropped.Add(1)
+		conn.Close()
+	}
+}
+
+// serveLate starts an echo server behind a lateListener that comes up
+// after delay.
+func serveLate(t *testing.T, mat *TLSMaterials, delay time.Duration) *lateListener {
+	t.Helper()
+	tcp, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("cannot listen on loopback: %v", err)
+	}
+	ln := &lateListener{Listener: tcp, up: time.Now().Add(delay), cfg: mat.ServerConfig()}
+	s := NewServer()
+	HandleTyped(s, "echo", func(r echoReq) (echoResp, error) { return echoResp{Msg: r.Msg}, nil })
+	go s.Serve(ln)
+	t.Cleanup(s.Close)
+	return ln
+}
+
+// The boot dial reaches a server that comes up after it starts, and the
+// client's Stats count exactly the attempts that failed on the way.
+func TestDialBackoffRecovers(t *testing.T) {
+	mat, err := NewTLSMaterials("agg-1", []string{"127.0.0.1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := serveLate(t, mat, 150*time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	c, err := mat.DialTLSBackoff(ctx, ln.Addr().String(), "127.0.0.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	resp, err := CallTypedContext[echoReq, echoResp](ctx, c, "echo", echoReq{Msg: "late"})
+	if err != nil || resp.Msg != "late" {
+		t.Fatalf("call after boot dial: %q, %v", resp.Msg, err)
+	}
+	dropped := ln.dropped.Load()
+	if dropped == 0 {
+		t.Fatal("no attempt failed: the server was up before the dial")
+	}
+	if got := c.Stats().Snapshot().Retries; got != dropped {
+		t.Fatalf("Stats retries = %d, want the %d failed attempts", got, dropped)
+	}
+}
+
+// The boot dial has no attempt cap: against a peer that never comes up it
+// keeps trying until ctx ends, then fails promptly with the ctx's error.
+func TestDialBackoffHonorsContext(t *testing.T) {
+	mat, err := NewTLSMaterials("agg-1", []string{"127.0.0.1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dial := func(t *testing.T, addr string, budget time.Duration) {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), budget)
+		defer cancel()
+		start := time.Now()
+		c, err := mat.DialTLSBackoff(ctx, addr, "127.0.0.1")
+		if err == nil {
+			c.Close()
+			t.Fatal("dial to a dead endpoint succeeded")
+		}
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+		}
+		if late := time.Since(start) - budget; late > 500*time.Millisecond {
+			t.Fatalf("dial returned %v after its context ended", late)
+		}
+	}
+
+	t.Run("refused", func(t *testing.T) {
+		tcp, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Skipf("cannot listen on loopback: %v", err)
+		}
+		addr := tcp.Addr().String()
+		tcp.Close()
+		dial(t, addr, 200*time.Millisecond)
+	})
+	t.Run("never-up", func(t *testing.T) {
+		ln := serveLate(t, mat, time.Hour)
+		dial(t, ln.Addr().String(), 1500*time.Millisecond)
+		// The schedule reaches its fifth attempt by 0.9s at the latest.
+		if n := ln.dropped.Load(); n < 5 {
+			t.Fatalf("%d attempts before the context ended, want at least 5", n)
+		}
+	})
+}
+
+// A certificate the dialer does not trust ends the boot dial at once: a
+// stale server from another deployment will not start trusting our CA,
+// so re-dialing it until the deadline only delays the error.
+func TestDialBackoffStopsOnUntrustedCertificate(t *testing.T) {
+	server, err := NewTLSMaterials("agg-1", []string{"127.0.0.1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := NewTLSMaterials("agg-1", []string{"127.0.0.1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := server.ListenTLS("127.0.0.1:0")
+	if err != nil {
+		t.Skipf("cannot listen on loopback: %v", err)
+	}
+	s := NewServer()
+	go s.Serve(ln)
+	defer s.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	start := time.Now()
+	c, err := other.DialTLSBackoff(ctx, ln.Addr().String(), "127.0.0.1")
+	if err == nil {
+		c.Close()
+		t.Fatal("boot dial to a server with an untrusted certificate succeeded")
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("boot dial took %v to give up on an untrusted certificate", took)
+	}
+	var untrusted *tls.CertificateVerificationError
+	if !errors.As(err, &untrusted) {
+		t.Fatalf("err = %v, want a *tls.CertificateVerificationError", err)
 	}
 }
 

@@ -1,10 +1,10 @@
 #!/bin/sh
 # check.sh — the repo's full verification gate: vet, build, the whole test
 # suite under the race detector, internal/experiments again without it (at
-# full test scale), and the chaos end-to-end tests (injected
-# faults + aggregator kill/restart, fixed seed 0xDE7A in chaos_test.go),
-# the replay tests and the lint guard tests, each run explicitly so its
-# pass/fail is visible on its own line.
+# full test scale), the chaos end-to-end tests (injected faults +
+# aggregator kill/restart, fixed seed 0xDE7A in chaos_test.go), the CLI
+# smoke run of the three daemons, the replay tests and the lint guard
+# tests, each run explicitly so its pass/fail is visible on its own line.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -40,6 +40,9 @@ go test -race -count=1 -run 'TestChaosRestartBitIdenticalModel' -v ./internal/co
 
 echo "== churn chaos e2e (party death + evict + rejoin + aggregator restart, -race)"
 go test -race -count=1 -run 'TestChaosChurnEvictRejoinBitIdentical' -v ./internal/core
+
+echo "== CLI smoke: AP, 3 aggregators and 2 parties over loopback TLS, one party started first"
+bash scripts/cli_smoke.sh
 
 echo "== replay: exact recovery and its allocation bound (-race)"
 go test -race -count=1 -run '^(TestCompactionReplaysExactly|TestRecoveryAllocatesForLiveState)$' -v ./internal/core
