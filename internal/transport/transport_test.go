@@ -315,48 +315,68 @@ func TestDialBackoffRecovers(t *testing.T) {
 	}
 }
 
-// The boot dial has no attempt cap: against a peer that never comes up it
-// keeps trying until ctx ends, then fails promptly with the ctx's error.
+// The boot dial fails promptly with the ctx's error once ctx ends, even
+// while the peer keeps refusing connections.
 func TestDialBackoffHonorsContext(t *testing.T) {
 	mat, err := NewTLSMaterials("agg-1", []string{"127.0.0.1"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dial := func(t *testing.T, addr string, budget time.Duration) {
-		t.Helper()
-		ctx, cancel := context.WithTimeout(context.Background(), budget)
-		defer cancel()
-		start := time.Now()
-		c, err := mat.DialTLSBackoff(ctx, addr, "127.0.0.1")
-		if err == nil {
-			c.Close()
-			t.Fatal("dial to a dead endpoint succeeded")
-		}
-		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-		}
-		if late := time.Since(start) - budget; late > 500*time.Millisecond {
-			t.Fatalf("dial returned %v after its context ended", late)
-		}
+	tcp, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("cannot listen on loopback: %v", err)
 	}
+	addr := tcp.Addr().String()
+	tcp.Close()
 
-	t.Run("refused", func(t *testing.T) {
-		tcp, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Skipf("cannot listen on loopback: %v", err)
+	const budget = 200 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), budget)
+	defer cancel()
+	start := time.Now()
+	c, err := mat.DialTLSBackoff(ctx, addr, "127.0.0.1")
+	if err == nil {
+		c.Close()
+		t.Fatal("dial to a dead endpoint succeeded")
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if late := time.Since(start) - budget; late > 500*time.Millisecond {
+		t.Fatalf("dial returned %v after its context ended", late)
+	}
+}
+
+// The boot dial has no attempt cap: against a peer that never comes up it
+// outlasts any fixed number of attempts and stops only when ctx ends — the
+// deployment-start contract, where the -dial-timeout budget is the limit.
+func TestRetryUnlimitedRunsUntilContext(t *testing.T) {
+	mat, err := NewTLSMaterials("agg-1", []string{"127.0.0.1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := serveLate(t, mat, time.Hour)
+	// The timeout only stops a dial that ignores cancellation; the
+	// schedule reaches its sixth attempt by 1.9s at the latest.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	const want = 6
+	go func() {
+		for ln.dropped.Load() < want && ctx.Err() == nil {
+			time.Sleep(5 * time.Millisecond)
 		}
-		addr := tcp.Addr().String()
-		tcp.Close()
-		dial(t, addr, 200*time.Millisecond)
-	})
-	t.Run("never-up", func(t *testing.T) {
-		ln := serveLate(t, mat, time.Hour)
-		dial(t, ln.Addr().String(), 1500*time.Millisecond)
-		// The schedule reaches its fifth attempt by 0.9s at the latest.
-		if n := ln.dropped.Load(); n < 5 {
-			t.Fatalf("%d attempts before the context ended, want at least 5", n)
-		}
-	})
+		cancel()
+	}()
+	c, err := mat.DialTLSBackoff(ctx, ln.Addr().String(), "127.0.0.1")
+	if err == nil {
+		c.Close()
+		t.Fatal("dial to a server that never comes up succeeded")
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if n := ln.dropped.Load(); n < want {
+		t.Fatalf("%d attempts before the context ended, want at least %d", n, want)
+	}
 }
 
 // A certificate the dialer does not trust ends the boot dial at once: a
