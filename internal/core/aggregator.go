@@ -19,12 +19,12 @@ import (
 // holds only fragmentary, shuffled views of model updates: it never learns
 // the model architecture, the mapper, or the permutation key.
 //
-// With a Journal attached (RecoverAggregatorNode, or Session's StateDir),
-// every state mutation is committed to the write-ahead log before it is
-// acknowledged, so a crashed-and-restarted aggregator resumes the round
-// exactly where it left off instead of stalling the federation. Durable
-// state changes only through apply, fed by commitLocked live and by the
-// journal on replay (recover.go).
+// With a Journal attached (RecoverAggregatorNode), every state mutation is
+// committed to the write-ahead log before it is acknowledged, so a
+// crashed-and-restarted aggregator resumes the round exactly where it left
+// off instead of stalling the federation. Durable state changes only
+// through apply, fed by commitLocked live and by the journal on replay
+// (recover.go).
 type AggregatorNode struct {
 	ID        string
 	Algorithm agg.Algorithm
@@ -132,7 +132,7 @@ func (a *AggregatorNode) roundLocked(round int) *roundState {
 // Aggregator-node errors.
 var (
 	ErrNotRegistered   = errors.New("core: party not registered with aggregator")
-	ErrRoundIncomplete = errors.New("core: round is missing uploads")
+	ErrRoundIncomplete = errors.New("core: round is missing uploads or not sealed yet")
 	ErrNotAggregated   = errors.New("core: round not aggregated yet")
 	ErrDuplicateUpload = errors.New("core: conflicting duplicate upload for round")
 )
@@ -347,31 +347,33 @@ func (a *AggregatorNode) required() int {
 	return len(a.parties)
 }
 
-// Aggregate fuses the round's fragments with the node's algorithm. Called
-// by the initiator's sync protocol once all parties have uploaded.
-// Aggregating an already-fused round is a no-op, so an initiator that
-// restarted mid-sync can safely re-drive it. The fused vector is journaled
-// before Aggregate returns, so parties can still download it from a
-// recovered aggregator. A fusion is where a round ends, so it is also
-// where the journal is compacted once its tail has grown past the
-// threshold.
+// Aggregate is the one call that decides and fuses a round, the poll of
+// the initiator's sync loop (round.go). It reaps liveness, refreshes the
+// quorum instant and evaluates the round's phase, then acts on it:
+//   - fused: nil, so an initiator that restarted mid-sync can safely
+//     re-drive it;
+//   - abandoned: ErrRoundAbandoned, the round will never fuse;
+//   - open or grace: ErrRoundIncomplete, not sealed yet — poll again;
+//   - sealed: fuse with the node's algorithm.
+//
+// The fused vector is journaled before Aggregate returns, so parties can
+// still download it from a recovered aggregator. A fusion is where a round
+// ends, so it is also where the journal is compacted once its tail has
+// grown past the threshold.
 func (a *AggregatorNode) Aggregate(round int) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	rs, ok := a.rounds[round]
-	if ok && rs.aggregated != nil {
-		return nil // idempotent re-sync after an initiator or node restart
-	}
-	// Aggregate fuses as soon as the quorum *count* is met — it does not
-	// wait out the grace window (RoundStatus is where grace gates): the
-	// explicit call is the initiator's decision to cut stragglers now, and
-	// Session's coordinator sends it as soon as every upload has been
-	// acknowledged.
-	if ok && a.phaseLocked(rs, a.nowLocked()) == PhaseAbandoned {
+	now := a.nowLocked()
+	a.reapLocked(now)
+	rs := a.rounds[round]
+	a.refreshQuorumLocked(rs, now)
+	switch ph := a.phaseLocked(rs, now); ph {
+	case PhaseFused:
+		return nil
+	case PhaseAbandoned:
 		return fmt.Errorf("%w: round %d has %d/%d uploads", ErrRoundAbandoned, round, len(rs.uploads), a.required())
-	}
-	if !ok || len(rs.uploads) < a.required() {
-		return fmt.Errorf("%w: round %d has %d/%d uploads", ErrRoundIncomplete, round, uploadCount(rs), a.required())
+	case PhaseOpen, PhaseGrace:
+		return fmt.Errorf("%w: round %d is %s with %d/%d uploads", ErrRoundIncomplete, round, ph, uploadCount(rs), a.required())
 	}
 	// Deterministic party order: sort IDs.
 	ids := sortedKeys(rs.uploads)

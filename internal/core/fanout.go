@@ -99,7 +99,8 @@ func (f *Fleet) clk() Clock { return orSystem(f.Clock) }
 // either way, so callers can refuse to tolerate specific failure classes
 // even under a met quorum. The joined error wraps each aggregator's typed
 // verdict: errors.Is(err, ErrRoundAbandoned) on a failed UploadAll or
-// DownloadAll means skip the round, not retry it.
+// DownloadAll means skip the round, not retry it, and ErrStragglerCut on
+// a failed UploadAll means the round sealed without the party.
 func (f *Fleet) fanOut(op func(j int, a *AggregatorClient) error) (ok []bool, errs []error, err error) {
 	ok = make([]bool, len(f.Clients))
 	errs = make([]error, len(f.Clients))

@@ -63,7 +63,7 @@ func stalledClient(t *testing.T, id string) (*AggregatorClient, chan struct{}) {
 		return nil, errors.New("stalled aggregator released")
 	}
 	for _, m := range []string{MethodChallenge, MethodRegister, MethodUpload,
-		MethodComplete, MethodAggregate, MethodDownload} {
+		MethodAggregate, MethodDownload} {
 		srv.Handle(m, stall)
 	}
 	ln := transport.NewMemListener()

@@ -201,30 +201,6 @@ func (a *AggregatorNode) Phase(round int) RoundPhase {
 	return a.phaseLocked(a.rounds[round], a.nowLocked())
 }
 
-// RoundStatus reports completion and abandonment in one lock acquisition —
-// the poll the initiator's sync loop drives. Complete means ready to fuse:
-// with a lifecycle configured (SetLifecycle), the round has sealed; without
-// one, enough parties have uploaded (all registered parties, or the
-// configured quorum). Abandoned means the round passed its deadline below
-// quorum and will never fuse. RoundStatus also advances liveness reaping,
-// so a deployment polling it evicts dead parties even between heartbeat
-// ticks.
-func (a *AggregatorNode) RoundStatus(round int) (complete, abandoned bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	now := a.nowLocked()
-	a.reapLocked(now)
-	rs := a.rounds[round]
-	a.refreshQuorumLocked(rs, now)
-	switch a.phaseLocked(rs, now) {
-	case PhaseSealed, PhaseFused:
-		return true, false
-	case PhaseAbandoned:
-		return false, true
-	}
-	return false, false
-}
-
 // Heartbeat records a liveness signal from a party. A heartbeat from an
 // evicted party readmits it (journaled as recRejoin) and reports
 // rejoined=true; one from a never-registered party is rejected.

@@ -67,16 +67,16 @@ func TestLifecycleAbandonBelowQuorum(t *testing.T) {
 	if ph := node.Phase(1); ph != PhaseOpen {
 		t.Fatalf("phase = %v, want open", ph)
 	}
-	if done, _ := node.RoundStatus(1); done || node.Phase(1) == PhaseAbandoned {
-		t.Fatal("round neither complete nor abandoned yet")
+	if err := node.Aggregate(1); !errors.Is(err, ErrRoundIncomplete) {
+		t.Fatalf("aggregate at 1/2 = %v, want ErrRoundIncomplete: neither sealed nor abandoned yet", err)
 	}
 
 	clk.Advance(10 * time.Second)
 	if ph := node.Phase(1); ph != PhaseAbandoned {
 		t.Fatalf("phase after deadline = %v, want abandoned", ph)
 	}
-	if done, abandoned := node.RoundStatus(1); done || !abandoned {
-		t.Fatalf("RoundStatus = (%v, %v), want (false, true)", done, abandoned)
+	if err := node.Aggregate(1); !errors.Is(err, ErrRoundAbandoned) {
+		t.Fatalf("aggregate at deadline = %v, want ErrRoundAbandoned", err)
 	}
 	if err := node.Upload(1, "P2", tensor.Vector{4}, 1); !errors.Is(err, ErrRoundAbandoned) {
 		t.Fatalf("late upload err = %v, want ErrRoundAbandoned", err)
@@ -109,17 +109,44 @@ func TestLifecycleGraceAcceptsStragglerThenSealsFull(t *testing.T) {
 	if ph := node.Phase(1); ph != PhaseGrace {
 		t.Fatalf("phase at quorum = %v, want grace", ph)
 	}
-	if done, _ := node.RoundStatus(1); done {
-		t.Fatal("round complete during grace; stragglers should still be welcome")
+	if err := node.Aggregate(1); !errors.Is(err, ErrRoundIncomplete) {
+		t.Fatalf("aggregate during grace = %v, want ErrRoundIncomplete; stragglers should still be welcome", err)
 	}
 	clk.Advance(time.Second) // inside the grace window
 	mustUpload(t, node, 1, "P3", 5)
 	if ph := node.Phase(1); ph != PhaseSealed {
 		t.Fatalf("phase at full participation = %v, want sealed", ph)
 	}
-	if done, _ := node.RoundStatus(1); !done {
-		t.Fatal("fully-uploaded round should be complete without waiting out grace")
+	if err := node.Aggregate(1); err != nil {
+		t.Fatalf("fully-uploaded round should fuse without waiting out grace: %v", err)
 	}
+	got, err := node.Download(1, "P1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(got[0]-3) > 1e-12 {
+		t.Fatalf("fused = %v, want 3 (mean of 1,3,5)", got)
+	}
+}
+
+// Aggregate fuses only a sealed round: a quorum met in the middle of the
+// grace window is not yet a verdict, so the call fails typed and the
+// straggler still gets in.
+func TestAggregateWaitsForSeal(t *testing.T) {
+	node, clk := lifecycleNode(t, "agg-seal")
+	for _, p := range []string{"P1", "P2", "P3"} {
+		node.Register(p)
+	}
+	node.SetQuorum(2)
+	node.SetLifecycle(time.Minute, time.Second)
+
+	mustUpload(t, node, 1, "P1", 1)
+	mustUpload(t, node, 1, "P2", 3)
+	if err := node.Aggregate(1); !errors.Is(err, ErrRoundIncomplete) {
+		t.Fatalf("aggregate at quorum, mid-grace = %v, want ErrRoundIncomplete", err)
+	}
+	clk.Advance(time.Second / 2) // still inside the grace window
+	mustUpload(t, node, 1, "P3", 5)
 	if err := node.Aggregate(1); err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +155,7 @@ func TestLifecycleGraceAcceptsStragglerThenSealsFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	if math.Abs(got[0]-3) > 1e-12 {
-		t.Fatalf("fused = %v, want 3 (mean of 1,3,5)", got)
+		t.Fatalf("fused = %v, want 3 (mean of 1,3,5: all three parties)", got)
 	}
 }
 
@@ -147,9 +174,6 @@ func TestLifecycleStragglerCutAfterGrace(t *testing.T) {
 	clk.Advance(time.Second) // grace expires
 	if ph := node.Phase(1); ph != PhaseSealed {
 		t.Fatalf("phase after grace = %v, want sealed", ph)
-	}
-	if done, _ := node.RoundStatus(1); !done {
-		t.Fatal("sealed round should report complete")
 	}
 	if err := node.Upload(1, "P3", tensor.Vector{9}, 1); !errors.Is(err, ErrStragglerCut) {
 		t.Fatalf("straggler err = %v, want ErrStragglerCut", err)
@@ -192,8 +216,8 @@ func TestLifecycleSealsAtDeadlineWithQuorum(t *testing.T) {
 	if ph := node.Phase(1); ph != PhaseSealed {
 		t.Fatalf("phase at deadline = %v, want sealed (quorum was met)", ph)
 	}
-	if done, _ := node.RoundStatus(1); !done {
-		t.Fatal("round with quorum should complete at the deadline")
+	if err := node.Aggregate(1); err != nil {
+		t.Fatalf("round with quorum should fuse at the deadline: %v", err)
 	}
 }
 
@@ -227,12 +251,12 @@ func TestLifecycleDisabledKeepsLegacyBehavior(t *testing.T) {
 	if node.Phase(1) == PhaseAbandoned {
 		t.Fatal("no deadline configured; round must never abandon")
 	}
-	if done, _ := node.RoundStatus(1); done {
-		t.Fatal("1/2 uploads; round must not be complete")
+	if err := node.Aggregate(1); !errors.Is(err, ErrRoundIncomplete) {
+		t.Fatalf("1/2 uploads: aggregate = %v, want ErrRoundIncomplete", err)
 	}
 	mustUpload(t, node, 1, "P2", 4)
-	if done, _ := node.RoundStatus(1); !done {
-		t.Fatal("all uploaded; round complete under legacy semantics")
+	if err := node.Aggregate(1); err != nil {
+		t.Fatalf("all uploaded; round fuses under legacy semantics: %v", err)
 	}
 }
 
@@ -326,8 +350,8 @@ func TestLivenessEvictionUnblocksRound(t *testing.T) {
 
 	mustUpload(t, node, 1, "P1", 2)
 	mustUpload(t, node, 1, "P2", 4)
-	if done, _ := node.RoundStatus(1); done {
-		t.Fatal("2/3 with all-parties quorum: not complete")
+	if err := node.Aggregate(1); !errors.Is(err, ErrRoundIncomplete) {
+		t.Fatalf("2/3 with all-parties quorum: aggregate = %v, want ErrRoundIncomplete", err)
 	}
 	// Keep P1/P2 alive just before the evict threshold, then cross it so
 	// only P3 is stale when the reaper runs.
@@ -342,11 +366,8 @@ func TestLivenessEvictionUnblocksRound(t *testing.T) {
 		t.Fatalf("Tick evicted %v, want [P3]", evicted)
 	}
 	// Membership is now {P1, P2}, both uploaded: sealed, ready to fuse.
-	if done, abandoned := node.RoundStatus(1); !done || abandoned {
-		t.Fatalf("RoundStatus after evict = (%v, %v), want (true, false)", done, abandoned)
-	}
 	if err := node.Aggregate(1); err != nil {
-		t.Fatal(err)
+		t.Fatalf("aggregate after evict = %v, want the round fused", err)
 	}
 }
 
@@ -437,6 +458,7 @@ func TestCrashBetweenSuspectAndEvictReplaysSameState(t *testing.T) {
 		n.SetQuorum(2)
 		mustUpload(t, n, 1, "P1", 2)
 		mustUpload(t, n, 1, "P2", 4)
+		c.Advance(time.Second) // the grace window closes: the round seals
 		if err := n.Aggregate(1); err != nil {
 			t.Fatal(err)
 		}
@@ -661,8 +683,8 @@ func TestRecoveredRoundGetsFreshDeadline(t *testing.T) {
 	}
 	clk2.Advance(5 * time.Second)
 	mustUpload(t, node2, 1, "P2", 4) // completes within the fresh window
-	if done, _ := node2.RoundStatus(1); !done {
-		t.Fatal("round should complete after recovery")
+	if ph := node2.Phase(1); ph != PhaseSealed {
+		t.Fatalf("phase after recovery = %v, want sealed", ph)
 	}
 	clk2.Advance(10 * time.Second)
 	mustUpload(t, node2, 2, "P1", 1)

@@ -9,6 +9,7 @@ import (
 	"net"
 	"slices"
 	"sync"
+	"time"
 
 	"deta/internal/tensor"
 	"deta/internal/transport"
@@ -20,7 +21,6 @@ const (
 	MethodChallenge = "deta.Challenge"
 	MethodRegister  = "deta.Register"
 	MethodUpload    = "deta.Upload"
-	MethodComplete  = "deta.Complete"
 	MethodAggregate = "deta.Aggregate"
 	MethodDownload  = "deta.Download"
 	MethodHeartbeat = "deta.Heartbeat"
@@ -50,15 +50,6 @@ type (
 	// UploadResp acknowledges an upload.
 	UploadResp struct{ OK bool }
 
-	// CompleteReq polls round completeness.
-	CompleteReq struct{ Round int }
-	// CompleteResp reports it. Abandoned flags a round past its deadline
-	// below quorum, so pollers skip it instead of waiting forever.
-	CompleteResp struct {
-		Complete  bool
-		Abandoned bool
-	}
-
 	// HeartbeatReq is a party's lightweight liveness signal.
 	HeartbeatReq struct{ PartyID string }
 	// HeartbeatResp acknowledges it; Rejoined reports that the heartbeat
@@ -68,8 +59,9 @@ type (
 		Rejoined bool
 	}
 
-	// AggregateReq instructs a follower to fuse a round (sent by the
-	// initiator's sync protocol).
+	// AggregateReq asks a follower to fuse a round once it has sealed: the
+	// initiator's one sync message, which it re-sends while the follower
+	// answers ErrRoundIncomplete.
 	AggregateReq struct{ Round int }
 	// AggregateResp acknowledges fusion.
 	AggregateResp struct{ OK bool }
@@ -89,7 +81,7 @@ type (
 )
 
 // The two fragment-bearing messages ride transport's fragment codec; the
-// other eight round-loop messages share the round-control layout further
+// other six round-loop messages share the round-control layout further
 // down. Both are the message's only encoding (transport.Encode/Decode).
 
 // AppendWire implements transport.WireAppender.
@@ -121,7 +113,7 @@ func (r *DownloadResp) DecodeWire(data []byte) error {
 	return nil
 }
 
-// Round-control body, the one layout of the eight small messages exchanged
+// Round-control body, the one layout of the six small messages exchanged
 // every round (little-endian, like the fragment codec):
 //
 //	offset  size  field
@@ -179,7 +171,7 @@ func flag(set bool, bit byte) byte {
 }
 
 // AppendWire and DecodeWire below implement transport.WireAppender and
-// transport.WireDecoder for the eight round-control messages.
+// transport.WireDecoder for the six round-control messages.
 
 func (r UploadResp) AppendWire(dst []byte) ([]byte, error) {
 	return appendCtl(dst, flag(r.OK, 1), 0, "")
@@ -188,23 +180,6 @@ func (r UploadResp) AppendWire(dst []byte) ([]byte, error) {
 func (r *UploadResp) DecodeWire(data []byte) error {
 	flags, _, _, err := decodeCtl(data, ctlFields{flags: 1})
 	r.OK = flags&1 != 0
-	return err
-}
-
-func (r CompleteReq) AppendWire(dst []byte) ([]byte, error) { return appendCtl(dst, 0, r.Round, "") }
-
-func (r *CompleteReq) DecodeWire(data []byte) (err error) {
-	_, r.Round, _, err = decodeCtl(data, ctlFields{round: true})
-	return err
-}
-
-func (r CompleteResp) AppendWire(dst []byte) ([]byte, error) {
-	return appendCtl(dst, flag(r.Complete, 1)|flag(r.Abandoned, 2), 0, "")
-}
-
-func (r *CompleteResp) DecodeWire(data []byte) error {
-	flags, _, _, err := decodeCtl(data, ctlFields{flags: 1 | 2})
-	r.Complete, r.Abandoned = flags&1 != 0, flags&2 != 0
 	return err
 }
 
@@ -329,10 +304,6 @@ func ServeAggregator(node *AggregatorNode, srv *transport.Server) {
 		}
 		return uploadOK, nil
 	})
-	handle(srv, MethodComplete, func(r CompleteReq) (CompleteResp, error) {
-		done, abandoned := node.RoundStatus(r.Round)
-		return CompleteResp{Complete: done, Abandoned: abandoned}, nil
-	})
 	handle(srv, MethodHeartbeat, func(r HeartbeatReq) (HeartbeatResp, error) {
 		rejoined, err := node.Heartbeat(r.PartyID)
 		if err != nil {
@@ -381,7 +352,11 @@ type AggregatorClient struct {
 	// in-flight call's context.
 	Redial func(ctx context.Context) (net.Conn, error)
 
-	mu sync.Mutex // guards C swaps during redial
+	mu sync.Mutex // guards C swaps during redial, and retired
+	// retired sums the counters of the connections a redial replaced, so
+	// Stats covers the link's whole life and not just its latest
+	// connection.
+	retired transport.StatsSnapshot
 }
 
 // client returns a healthy transport client, re-dialing if the previous
@@ -405,6 +380,7 @@ func (a *AggregatorClient) client(ctx context.Context) (*transport.Client, error
 	}
 	if a.C != nil {
 		_ = a.C.Close() // the old connection already failed; its close error is noise
+		a.retired = addStats(a.retired, a.C.Stats().Snapshot())
 	}
 	a.C = transport.NewClient(conn)
 	return a.C, nil
@@ -423,14 +399,33 @@ func callAgg[Req, Resp any](ctx context.Context, a *AggregatorClient, method str
 	return resp, nil
 }
 
-// Stats exposes the current connection's transport counters.
+// Stats exposes the link's transport counters: those of the current
+// connection plus those of every connection a redial replaced.
 func (a *AggregatorClient) Stats() transport.StatsSnapshot {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.C == nil {
-		return transport.StatsSnapshot{}
+		return a.retired
 	}
-	return a.C.Stats().Snapshot()
+	return addStats(a.retired, a.C.Stats().Snapshot())
+}
+
+// addStats folds two connections' counters into one: counts add up, the
+// high-water mark is the larger one, and the mean latency is weighted by
+// each side's successful calls.
+func addStats(x, y transport.StatsSnapshot) transport.StatsSnapshot {
+	sum := transport.StatsSnapshot{
+		Calls:       x.Calls + y.Calls,
+		Failures:    x.Failures + y.Failures,
+		Timeouts:    x.Timeouts + y.Timeouts,
+		Retries:     x.Retries + y.Retries,
+		MaxInFlight: max(x.MaxInFlight, y.MaxInFlight),
+	}
+	okX, okY := x.Calls-x.Failures, y.Calls-y.Failures
+	if ok := okX + okY; ok > 0 {
+		sum.AvgLatency = (x.AvgLatency*time.Duration(okX) + y.AvgLatency*time.Duration(okY)) / time.Duration(ok)
+	}
+	return sum
 }
 
 // Challenge runs the Phase II nonce exchange.
@@ -474,17 +469,6 @@ func (a *AggregatorClient) Upload(ctx context.Context, round int, partyID string
 	return nil
 }
 
-// Complete polls whether the round is ready to fuse, or abandoned — so
-// sync loops skip a round the aggregator gave up on instead of polling it
-// until their deadline.
-func (a *AggregatorClient) Complete(ctx context.Context, round int) (complete, abandoned bool, err error) {
-	resp, err := callAgg[CompleteReq, CompleteResp](ctx, a, MethodComplete, CompleteReq{Round: round})
-	if err != nil {
-		return false, false, err
-	}
-	return resp.Complete, resp.Abandoned, nil
-}
-
 // Heartbeat sends a liveness signal; rejoined reports that this heartbeat
 // readmitted the (previously evicted) party.
 func (a *AggregatorClient) Heartbeat(ctx context.Context, partyID string) (rejoined bool, err error) {
@@ -495,8 +479,10 @@ func (a *AggregatorClient) Heartbeat(ctx context.Context, partyID string) (rejoi
 	return resp.Rejoined, nil
 }
 
-// Aggregate instructs the aggregator to fuse a round (idempotent on the
-// server, so re-driving sync after a restart is safe).
+// Aggregate asks the aggregator to fuse a round. It fails with
+// ErrRoundIncomplete while the round has not sealed and ErrRoundAbandoned
+// once it never will; a fused round answers nil, so re-driving sync after a
+// restart is safe.
 func (a *AggregatorClient) Aggregate(ctx context.Context, round int) error {
 	_, err := callAgg[AggregateReq, AggregateResp](ctx, a, MethodAggregate, AggregateReq{Round: round})
 	if err != nil {

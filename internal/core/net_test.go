@@ -43,19 +43,11 @@ func TestNetPhaseIIAndRound(t *testing.T) {
 	if err := client.Upload(context.Background(), 1, "P1", tensor.Vector{1, 2, 3}, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	done, _, err := client.Complete(context.Background(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if done {
-		t.Fatal("round complete with one of two uploads")
+	if err := client.Aggregate(context.Background(), 1); !errors.Is(err, ErrRoundIncomplete) {
+		t.Fatalf("aggregate with one of two uploads = %v, want ErrRoundIncomplete", err)
 	}
 	if err := client.Upload(context.Background(), 1, "P2", tensor.Vector{3, 4, 5}, 0, 1); err != nil {
 		t.Fatal(err)
-	}
-	done, _, err = client.Complete(context.Background(), 1)
-	if err != nil || !done {
-		t.Fatalf("complete = %v, %v", done, err)
 	}
 	if err := client.Aggregate(context.Background(), 1); err != nil {
 		t.Fatal(err)
@@ -164,7 +156,7 @@ func TestFragmentMessagesHaveOneEncoding(t *testing.T) {
 	}
 }
 
-// ctlMessage is one of the eight round-control messages, every field set,
+// ctlMessage is one of the six round-control messages, every field set,
 // and which of the shared layout's fields it carries.
 type ctlMessage struct {
 	msg   any
@@ -177,11 +169,9 @@ func (m ctlMessage) fresh() any { return reflect.New(reflect.TypeOf(m.msg)).Inte
 
 var ctlMessages = []ctlMessage{
 	{msg: UploadResp{OK: true}},
-	{msg: CompleteReq{Round: 1<<32 - 1}, round: true},
-	{msg: CompleteResp{Complete: true, Abandoned: true}},
 	{msg: HeartbeatReq{PartyID: "party-7"}, party: true},
 	{msg: HeartbeatResp{OK: true, Rejoined: true}},
-	{msg: AggregateReq{Round: 17}, round: true},
+	{msg: AggregateReq{Round: 1<<32 - 1}, round: true},
 	{msg: AggregateResp{OK: true}},
 	{msg: DownloadReq{Round: 3, PartyID: "party-7"}, round: true, party: true},
 }
@@ -240,7 +230,7 @@ func TestRoundControlBodies(t *testing.T) {
 			}
 		}
 	}
-	if _, err := transport.Encode(CompleteReq{Round: -1}); err == nil {
+	if _, err := transport.Encode(AggregateReq{Round: -1}); err == nil {
 		t.Error("negative round encoded")
 	}
 }

@@ -27,17 +27,14 @@ func TestQuorumAggregatesWithoutStraggler(t *testing.T) {
 	if err := node.Upload(1, "P1", tensor.Vector{2}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if done, _ := node.RoundStatus(1); done {
-		t.Fatal("complete below quorum")
+	if err := node.Aggregate(1); !errors.Is(err, ErrRoundIncomplete) {
+		t.Fatalf("aggregate below quorum = %v, want ErrRoundIncomplete", err)
 	}
 	if err := node.Upload(1, "P2", tensor.Vector{4}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if done, _ := node.RoundStatus(1); !done {
-		t.Fatal("quorum reached but round not complete")
-	}
 	if err := node.Aggregate(1); err != nil {
-		t.Fatal(err)
+		t.Fatalf("quorum reached but round not fused: %v", err)
 	}
 	got, err := node.Download(1, "P1")
 	if err != nil {
@@ -56,12 +53,12 @@ func TestQuorumResetToAllParties(t *testing.T) {
 	if err := node.Upload(1, "P1", tensor.Vector{1}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if done, _ := node.RoundStatus(1); !done {
-		t.Fatal("quorum of 1 not honored")
+	if ph := node.Phase(1); ph != PhaseSealed {
+		t.Fatalf("quorum of 1 not honored: phase = %v", ph)
 	}
 	node.SetQuorum(0) // back to all-parties semantics
-	if done, _ := node.RoundStatus(1); done {
-		t.Fatal("round complete with 1/2 uploads after quorum reset")
+	if ph := node.Phase(1); ph != PhaseOpen {
+		t.Fatalf("phase with 1/2 uploads after quorum reset = %v, want open", ph)
 	}
 	if err := node.Aggregate(1); !errors.Is(err, ErrRoundIncomplete) {
 		t.Fatalf("err = %v", err)
@@ -75,7 +72,7 @@ func TestQuorumLargerThanPartiesBehavesAsAll(t *testing.T) {
 	if err := node.Upload(1, "P1", tensor.Vector{1}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if done, _ := node.RoundStatus(1); !done {
-		t.Fatal("all parties uploaded; round should be complete regardless of oversize quorum")
+	if err := node.Aggregate(1); err != nil {
+		t.Fatalf("all parties uploaded; round should fuse regardless of oversize quorum: %v", err)
 	}
 }

@@ -175,8 +175,8 @@ func TestRecoverAggregatorNode(t *testing.T) {
 		t.Fatalf("recovered fused vector %v, want %v", got, wantFused)
 	}
 	// The in-flight round resumes: P1's fragment survived, P2 completes it.
-	if done, _ := node2.RoundStatus(2); done {
-		t.Fatal("half-uploaded round reported complete after recovery")
+	if err := node2.Aggregate(2); !errors.Is(err, ErrRoundIncomplete) {
+		t.Fatalf("half-uploaded round after recovery: aggregate = %v, want ErrRoundIncomplete", err)
 	}
 	if err := node2.Upload(2, "P1", tensor.Vector{5, 6}, 1); err != nil {
 		t.Fatalf("identical re-upload after recovery: %v", err)
@@ -496,38 +496,6 @@ func TestRetentionBoundsMemoryOver100Rounds(t *testing.T) {
 	node2.CloseJournal()
 }
 
-// Session-level wiring: a StateDir session journals every aggregator and a
-// retention bound keeps their memory flat across the run. RetainRounds <= 0
-// keeps one round, the last fused.
-func TestSessionStateDirAndRetention(t *testing.T) {
-	for _, retain := range []int{0, 2} {
-		t.Run(fmt.Sprintf("retain=%d", retain), func(t *testing.T) {
-			s := newTinySession(t, 2, true)
-			s.Opts.StateDir = t.TempDir()
-			s.Opts.JournalNoSync = true
-			s.Opts.RetainRounds = retain
-			if _, err := s.Run(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-			want := max(retain, 1)
-			if s.Cfg.Rounds <= want {
-				t.Fatalf("%d rounds cannot show retention %d", s.Cfg.Rounds, want)
-			}
-			for _, node := range s.Nodes {
-				if node.JournalDir() == "" {
-					t.Fatalf("aggregator %s has no journal", node.ID)
-				}
-				if held := node.RoundsHeld(); held != want {
-					t.Fatalf("aggregator %s holds %d rounds, want %d", node.ID, held, want)
-				}
-				if _, err := os.Stat(filepath.Join(node.JournalDir(), "wal.log")); err != nil {
-					t.Fatalf("aggregator %s journal missing: %v", node.ID, err)
-				}
-			}
-		})
-	}
-}
-
 // Satellite: DownloadAll's backoff poll honors context cancellation — a
 // cancelled party returns promptly instead of sleeping out its schedule.
 func TestDownloadAllCancellationPrompt(t *testing.T) {
@@ -606,9 +574,12 @@ func TestAggregatorClientRedial(t *testing.T) {
 		},
 	}
 	ctx := context.Background()
-	// First call dials lazily.
+	// First call dials lazily. The second fails on the live connection.
 	if err := client.Upload(ctx, 1, "P1", tensor.Vector{1}, 0, 1); err != nil {
 		t.Fatal(err)
+	}
+	if err := client.Upload(ctx, 1, "ghost", tensor.Vector{1}, 0, 1); !errors.Is(err, ErrNotRegistered) {
+		t.Fatalf("ghost upload = %v, want ErrNotRegistered", err)
 	}
 	// Kill and restart the aggregator server.
 	srv.Close()
@@ -621,13 +592,22 @@ func TestAggregatorClientRedial(t *testing.T) {
 	// The old connection is dead; the call may fail once while the sticky
 	// error is discovered, then the redial path must succeed.
 	var err error
+	failed := 0
 	for attempt := 0; attempt < 3; attempt++ {
 		if err = client.Upload(ctx, 1, "P1", tensor.Vector{1}, 0, 1); err == nil {
 			break
 		}
+		failed++
 	}
 	if err != nil {
 		t.Fatalf("upload after restart (with redial): %v", err)
+	}
+	// The link's counters outlive its connections: the two calls before
+	// the restart, the attempts that failed on the dead connection and the
+	// one that succeeded on the fresh one.
+	st := client.Stats()
+	if st.Calls != int64(3+failed) || st.Failures != int64(1+failed) {
+		t.Fatalf("after redial: calls=%d failures=%d, want %d and %d", st.Calls, st.Failures, 3+failed, 1+failed)
 	}
 	client.C.Close()
 }

@@ -48,7 +48,8 @@ var downloadPoll = transport.Backoff{Initial: 2 * time.Millisecond, Max: 250 * t
 
 // redrive runs op until it succeeds, the step deadline expires, or it
 // returns a verdict no retry can change: a round the fleet abandoned is
-// skipped by the caller, an unverifiable aggregator is an adversary.
+// skipped by the caller, a round that sealed without the party's upload
+// is only downloaded (Round), an unverifiable aggregator is an adversary.
 func (s *RoundStep) redrive(ctx context.Context, what string, op func(context.Context) error) error {
 	if s.Deadline <= 0 {
 		return op(ctx)
@@ -57,7 +58,7 @@ func (s *RoundStep) redrive(ctx context.Context, what string, op func(context.Co
 	defer cancel()
 	for i := 0; ; i++ {
 		err := op(ctx)
-		if err == nil || errors.Is(err, ErrRoundAbandoned) || errors.Is(err, ErrVerificationFailed) {
+		if err == nil || errors.Is(err, ErrRoundAbandoned) || errors.Is(err, ErrStragglerCut) || errors.Is(err, ErrVerificationFailed) {
 			return err
 		}
 		if s.Logf != nil {
@@ -120,9 +121,11 @@ func (s *RoundStep) Finish(ctx context.Context, round int, partyID string, round
 }
 
 // Round is Upload then Finish, for a driver with nothing to do in between.
+// A party whose upload came after the round sealed is a straggler the
+// round was fused without: it still downloads the fused model.
 func (s *RoundStep) Round(ctx context.Context, round int, partyID string, roundID []byte, update tensor.Vector, weight float64) (tensor.Vector, error) {
 	own, err := s.Upload(ctx, round, partyID, roundID, update, weight)
-	if err != nil {
+	if err != nil && !errors.Is(err, ErrStragglerCut) {
 		return nil, err
 	}
 	return s.Finish(ctx, round, partyID, roundID, own)
@@ -136,12 +139,12 @@ func putFragments(frags []tensor.Vector) {
 
 // Initiator drives inter-aggregator training synchronization from the
 // aggregator designated initiator: it fuses the local node as soon as each
-// round has its uploads, and every follower then catches up on its own
-// goroutine, so a slow or dead follower never stalls the healthy ones
-// (parties degrade through their own aggregator quorum), while a follower
-// that crashes and restarts is re-driven — not abandoned — until it has
-// fused every round (fusion is idempotent on both sides, and the restarted
-// follower recovers its uploads from its journal).
+// round seals, and every follower then catches up on its own goroutine, so
+// a slow or dead follower never stalls the healthy ones (parties degrade
+// through their own aggregator quorum), while a follower that crashes and
+// restarts is re-driven — not abandoned — until it has fused every round
+// (fusion is idempotent on both sides, and the restarted follower recovers
+// its uploads from its journal).
 type Initiator struct {
 	Node      *AggregatorNode
 	Followers []*AggregatorClient
@@ -155,16 +158,16 @@ type Initiator struct {
 }
 
 const (
-	syncPoll  = 20 * time.Millisecond  // completeness polls, local-fuse retries
+	syncPoll  = 20 * time.Millisecond  // seal polls, local-fuse retries
 	syncRetry = 200 * time.Millisecond // after a failed follower exchange
 )
 
 // Run synchronizes rounds until ctx ends, then returns once every goroutine
 // it started has exited. It resumes past the rounds a journal-recovered
-// node already fused: evicted rounds would otherwise never report complete
-// and wedge the sync at round 1. Followers resume one round earlier: an
-// initiator that crashed right after fusing that round locally may not
-// have told them yet, and re-driving a fused round is a no-op.
+// node already fused: evicted rounds would otherwise never seal and wedge
+// the sync at round 1. Followers resume one round earlier: an initiator
+// that crashed right after fusing that round locally may not have told
+// them yet, and re-driving a fused round is a no-op.
 func (in *Initiator) Run(ctx context.Context) {
 	start := in.Node.LastAggregatedRound() + 1
 	var latest atomic.Int64 // last round fused (or abandoned) locally
@@ -181,9 +184,14 @@ func (in *Initiator) Run(ctx context.Context) {
 	}
 
 	for round, failures := start, 0; ; {
-		complete, abandoned := in.Node.RoundStatus(round)
+		err := in.Node.Aggregate(round)
 		switch {
-		case abandoned:
+		case err == nil:
+			latest.Store(int64(round))
+			in.logf(0, "round %d fused locally; followers syncing", round)
+			round, failures = round+1, 0
+			continue
+		case errors.Is(err, ErrRoundAbandoned):
 			// Deadline passed below quorum: give up on this round and let
 			// followers (whose own lifecycle reached the same verdict) and
 			// parties (typed ErrRoundAbandoned) skip it.
@@ -191,14 +199,9 @@ func (in *Initiator) Run(ctx context.Context) {
 			in.logf(0, "round %d abandoned below quorum; skipping", round)
 			round++
 			continue
-		case complete:
-			err := in.Node.Aggregate(round)
-			if err == nil {
-				latest.Store(int64(round))
-				in.logf(0, "round %d fused locally; followers syncing", round)
-				round, failures = round+1, 0
-				continue
-			}
+		case errors.Is(err, ErrRoundIncomplete):
+			// Not sealed yet: poll again.
+		default:
 			failures++
 			in.logf(failures, "round %d: local aggregate: %v (retrying)", round, err)
 		}
@@ -230,20 +233,20 @@ func (in *Initiator) follow(ctx context.Context, f *AggregatorClient, next int, 
 	}
 }
 
-// syncFollower waits for the follower to have all uploads, then triggers
-// its fusion; ctx bounds the whole exchange. A round the follower's own
+// syncFollower asks the follower to fuse the round until it has sealed
+// there; ctx bounds the whole exchange. A round the follower's own
 // lifecycle abandoned is skipped, not re-driven.
 func (in *Initiator) syncFollower(ctx context.Context, f *AggregatorClient, round int) error {
 	for {
-		done, abandoned, err := f.Complete(ctx, round)
-		if err != nil || abandoned {
+		err := f.Aggregate(ctx, round)
+		if errors.Is(err, ErrRoundAbandoned) {
+			return nil
+		}
+		if !errors.Is(err, ErrRoundIncomplete) {
 			return err
 		}
-		if done {
-			return f.Aggregate(ctx, round)
-		}
 		if !in.pace(ctx, syncPoll) {
-			return fmt.Errorf("waiting for follower uploads: %w", ctx.Err())
+			return fmt.Errorf("waiting for the follower's round to seal: %w", ctx.Err())
 		}
 	}
 }

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"context"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"deta/internal/agg"
+	"deta/internal/tensor"
 )
 
 // tickClock is a FakeClock that reports every waiter armed on it, so a test
@@ -207,5 +210,41 @@ func TestInitiatorLogsFailureStreaksSparsely(t *testing.T) {
 	// 120 or 121 attempts were made: failures 1, 50 and 100 are reported.
 	if len(log.lines) != 3 {
 		t.Fatalf("%d log lines for ~120 failed attempts, want 3: %q", len(log.lines), log.lines)
+	}
+}
+
+// A party whose upload arrives after the round sealed is cut; Round still
+// hands it the fused model instead of re-driving the upload until its
+// step deadline.
+func TestRoundStragglerDownloadsFusedModel(t *testing.T) {
+	node, _ := lifecycleNode(t, "agg-cut")
+	node.Register("P1")
+	node.Register("P2")
+	node.SetQuorum(1)
+	node.SetLifecycle(time.Minute, 0) // seals the instant P2 uploads
+	mapper, err := NewMapper(2, EqualProportions(1), []byte("cut-mapper"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := &RoundStep{Fleet: &Fleet{Clients: []*AggregatorClient{serveNode(t, node)}}, Mapper: mapper, Deadline: 5 * time.Second}
+	ctx := context.Background()
+	own, err := step.Upload(ctx, 1, "P2", nil, tensor.Vector{2, 4}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	putFragments(own)
+	if err := node.Aggregate(1); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	got, err := step.Round(ctx, 1, "P1", nil, tensor.Vector{6, 8}, 1)
+	if err != nil {
+		t.Fatalf("straggler round: %v", err)
+	}
+	if !slices.Equal(got, tensor.Vector{2, 4}) {
+		t.Fatalf("straggler got %v, want the model fused without it, [2 4]", got)
+	}
+	if waited := time.Since(start); waited > time.Second {
+		t.Fatalf("straggler took %v: the cut upload was re-driven", waited)
 	}
 }

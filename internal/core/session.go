@@ -11,7 +11,6 @@ import (
 	"deta/internal/attest"
 	"deta/internal/dataset"
 	"deta/internal/fl"
-	"deta/internal/journal"
 	"deta/internal/nn"
 	"deta/internal/sev"
 	"deta/internal/tensor"
@@ -35,8 +34,6 @@ type Options struct {
 	Shuffle bool
 	// MapperSeed seeds the shared model mapper; all parties must agree.
 	MapperSeed []byte
-	// PermKeyBytes sizes the broker's permutation key (default 32).
-	PermKeyBytes int
 	// Quorum, when positive, lets each aggregator fuse a round once that
 	// many parties have uploaded, tolerating stragglers and dropouts
 	// (paper §8.2 contrasts this flexibility with SMC cohort formation).
@@ -51,30 +48,6 @@ type Options struct {
 	// CallTimeout bounds each party→aggregator RPC attempt (0 = no
 	// per-call deadline): Fleet.Timeout, deta-party's -call-timeout.
 	CallTimeout time.Duration
-	// StateDir, when non-empty, gives every aggregator a durable round
-	// journal under StateDir/<agg-id>: each accepted mutation is
-	// committed to the write-ahead log before it is acknowledged, and
-	// Setup recovers any existing journal so a restarted deployment
-	// resumes its rounds instead of losing them.
-	StateDir string
-	// JournalNoSync skips the per-record fsync (process-crash durability
-	// only; for tests and benchmarks).
-	JournalNoSync bool
-	// RetainRounds is how many fused rounds each aggregator keeps in
-	// memory: older ones are evicted after every fusion (the journal stays
-	// the durable copy). Values below 1 keep one, the round just fused.
-	RetainRounds int
-	// RoundDeadline, when positive, arms the per-round lifecycle state
-	// machine on every aggregator: a round still below quorum after this
-	// long is abandoned (typed ErrRoundAbandoned) instead of waiting
-	// forever, and a round with quorum seals at the deadline without its
-	// stragglers. See AggregatorNode.SetLifecycle.
-	RoundDeadline time.Duration
-	// RoundGrace is the post-quorum straggler window: once quorum is
-	// reached, the round seals after min(RoundGrace, remaining deadline),
-	// or immediately when every registered party has uploaded. Only
-	// meaningful with RoundDeadline set.
-	RoundGrace time.Duration
 }
 
 func (o *Options) defaults() {
@@ -83,9 +56,6 @@ func (o *Options) defaults() {
 	}
 	if o.Proportions == nil {
 		o.Proportions = EqualProportions(o.NumAggregators)
-	}
-	if o.PermKeyBytes == 0 {
-		o.PermKeyBytes = 32
 	}
 	if o.MapperSeed == nil {
 		o.MapperSeed = []byte("deta-default-mapper-seed")
@@ -194,22 +164,15 @@ func (s *Session) Setup(ctx context.Context) (err error) {
 		if _, err := s.Proxy.Provision(id, platform, cvm); err != nil {
 			return fmt.Errorf("core: provisioning %s: %w", id, err)
 		}
-		var node *AggregatorNode
-		if s.Opts.StateDir != "" {
-			node, _, err = RecoverAggregatorNode(id, s.NewAlgorithm(), cvm,
-				StateDirFor(s.Opts.StateDir, id), journal.Options{NoSync: s.Opts.JournalNoSync})
-		} else {
-			node, err = NewAggregatorNode(id, s.NewAlgorithm(), cvm)
-		}
+		node, err := NewAggregatorNode(id, s.NewAlgorithm(), cvm)
 		if err != nil {
 			return err
 		}
-		node.SetRetention(max(s.Opts.RetainRounds, 1))
+		// A session keeps only the round just fused: Run is done with a
+		// round once it has downloaded it.
+		node.SetRetention(1)
 		if s.Clock != nil {
 			node.SetClock(s.Clock)
-		}
-		if s.Opts.RoundDeadline > 0 {
-			node.SetLifecycle(s.Opts.RoundDeadline, s.Opts.RoundGrace)
 		}
 		if s.Opts.Quorum > 0 {
 			node.SetQuorum(s.Opts.Quorum)
@@ -235,7 +198,7 @@ func (s *Session) Setup(ctx context.Context) (err error) {
 	}
 
 	// Key broker: permutation key for all parties.
-	s.Broker, err = attest.NewKeyBroker(s.Opts.PermKeyBytes)
+	s.Broker, err = attest.NewKeyBroker(32) // a 256-bit permutation key
 	if err != nil {
 		return err
 	}

@@ -215,8 +215,8 @@ func TestAggregatorNodeProtocolErrors(t *testing.T) {
 
 	node.Register("P1")
 	node.Register("P2")
-	if done, _ := node.RoundStatus(1); done {
-		t.Fatal("round complete before any upload")
+	if err := node.Aggregate(1); !errors.Is(err, ErrRoundIncomplete) {
+		t.Fatalf("aggregate before any upload: %v", err)
 	}
 	if err := node.Upload(1, "P1", tensor.Vector{1, 2}, 1); err != nil {
 		t.Fatal(err)
@@ -236,11 +236,8 @@ func TestAggregatorNodeProtocolErrors(t *testing.T) {
 	if err := node.Upload(1, "P2", tensor.Vector{3, 4}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if done, _ := node.RoundStatus(1); !done {
-		t.Fatal("round should be complete")
-	}
 	if err := node.Aggregate(1); err != nil {
-		t.Fatal(err)
+		t.Fatalf("round should fuse: %v", err)
 	}
 	got, err := node.Download(1, "P2")
 	if err != nil {
@@ -329,27 +326,19 @@ func TestSessionLatencyDeterministicUnderFakeClock(t *testing.T) {
 	}
 }
 
-// A session configured with a round deadline threads it into every node.
-func TestSessionThreadsLifecycleIntoNodes(t *testing.T) {
+// A session node keeps only the round it fused last, so its memory stays
+// flat across the run.
+func TestSessionRetainsOneRound(t *testing.T) {
 	s := newTinySession(t, 2, true)
-	clk := NewFakeClock(time.Unix(1_000_000, 0))
-	s.Clock = clk
-	s.Opts.RoundDeadline = 30 * time.Second
-	s.Opts.RoundGrace = time.Second
-	if err := s.Setup(context.Background()); err != nil {
+	if _, err := s.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	for _, n := range s.Nodes {
-		n.Register("ghost") // only ghost uploads; others never show up
-		if err := n.Upload(1, "ghost", tensor.Vector{1}, 1); err != nil {
-			t.Fatal(err)
-		}
+	if s.Cfg.Rounds <= 1 {
+		t.Fatalf("%d rounds cannot show retention 1", s.Cfg.Rounds)
 	}
-	clk.Advance(30 * time.Second)
-	for _, n := range s.Nodes {
-		if n.Phase(1) != PhaseAbandoned {
-			t.Fatalf("node %s ignored the session round deadline", n.ID)
+	for _, node := range s.Nodes {
+		if held := node.RoundsHeld(); held != 1 {
+			t.Fatalf("aggregator %s holds %d rounds, want 1", node.ID, held)
 		}
 	}
 }

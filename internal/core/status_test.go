@@ -18,16 +18,15 @@ import (
 func callStatus(t *testing.T, fail func(round int) error) func(round int) error {
 	t.Helper()
 	srv := transport.NewServer()
-	handle(srv, MethodComplete, func(r CompleteReq) (CompleteResp, error) {
-		return CompleteResp{}, fail(r.Round)
+	handle(srv, MethodAggregate, func(r AggregateReq) (AggregateResp, error) {
+		return AggregateResp{}, fail(r.Round)
 	})
 	ln := transport.NewMemListener()
 	go srv.Serve(ln)
 	t.Cleanup(func() { srv.Close() })
 	client := dialClient(t, ln, "agg-status")
 	return func(round int) error {
-		_, _, err := client.Complete(context.Background(), round)
-		return err
+		return client.Aggregate(context.Background(), round)
 	}
 }
 

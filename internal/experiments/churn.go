@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -102,21 +103,15 @@ func churnCell(parties int, dropout float64, rounds int) (full, degraded, abando
 			uploaded++
 		}
 		clk.Advance(deadline) // the round hits its deadline
-		done, gaveUp := node.RoundStatus(round)
-		switch {
-		case gaveUp:
+		switch err := node.Aggregate(round); {
+		case errors.Is(err, core.ErrRoundAbandoned):
 			abandoned++
-		case done:
-			if err := node.Aggregate(round); err != nil {
-				return 0, 0, 0, fmt.Errorf("experiments: churn aggregate: %w", err)
-			}
-			if uploaded == parties {
-				full++
-			} else {
-				degraded++
-			}
+		case err != nil:
+			return 0, 0, 0, fmt.Errorf("experiments: churn round %d at deadline: %w", round, err)
+		case uploaded == parties:
+			full++
 		default:
-			return 0, 0, 0, fmt.Errorf("experiments: churn round %d neither complete nor abandoned at deadline", round)
+			degraded++
 		}
 	}
 	return full, degraded, abandoned, nil

@@ -5,8 +5,11 @@
 # and runs the AP, three aggregators (one initiator, two followers) and two
 # parties for two rounds on fixed ports 17400-17403. Party P1 starts before
 # any aggregator, so its boot dial has to retry until they listen; the run
-# checks that P1's link stats count those retries. It passes when both
-# parties log "training complete" within 60 s of the first launch.
+# checks that P1's link stats count those retries. Every aggregator runs
+# with the round lifecycle armed (-round-deadline 30s -grace 200ms), so the
+# initiator's follower sync polls deta.Aggregate until each follower's round
+# has sealed; with both parties uploading, a round seals at once. It passes
+# when both parties log "training complete" within 60 s of the first launch.
 #
 # Every process it starts is killed by PID on exit, pass or fail. A port
 # that is already taken fails the run before anything is launched.
@@ -90,12 +93,13 @@ party P1 0
 sleep 1
 
 echo "== aggregators on ${ports[1]}-${ports[3]}"
+lifecycle=(-round-deadline 30s -grace 200ms)
 start agg-1 "$work/deta-aggregator" -id agg-1 -listen "127.0.0.1:${ports[1]}" \
-	-ap "127.0.0.1:${ports[0]}" -tls-dir "$tls" -initiator \
+	-ap "127.0.0.1:${ports[0]}" -tls-dir "$tls" "${lifecycle[@]}" -initiator \
 	-peers "agg-2=127.0.0.1:${ports[2]},agg-3=127.0.0.1:${ports[3]}"
 for i in 2 3; do
 	start "agg-$i" "$work/deta-aggregator" -id "agg-$i" -listen "127.0.0.1:${ports[$i]}" \
-		-ap "127.0.0.1:${ports[0]}" -tls-dir "$tls"
+		-ap "127.0.0.1:${ports[0]}" -tls-dir "$tls" "${lifecycle[@]}"
 done
 
 echo "== party P2"
