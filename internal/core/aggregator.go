@@ -90,11 +90,14 @@ type AggregatorNode struct {
 }
 
 type roundState struct {
+	// uploads holds each party's fragment in a pooled buffer the node
+	// owns; apply returns them to the pool when retention evicts the round.
 	uploads map[string]contribution // by party
 	// aggregated is the fused round as its recAggregate payload: the
 	// fragment encoding of the fused vector, which the WAL, compaction and
-	// every download body share. It is immutable once apply installs it:
-	// eviction only drops the reference, and nothing pools it.
+	// every download body share. It is immutable once apply installs it,
+	// and never pooled: a download writes it out without the lock, so
+	// eviction only drops the reference.
 	aggregated []byte
 
 	// openedAt is when this node first saw the round (zero for rounds that
@@ -231,7 +234,8 @@ func (a *AggregatorNode) Upload(round int, partyID string, frag tensor.Vector, w
 
 // UploadOwned is Upload for callers relinquishing frag, decoded into a
 // buffer that exists only for this request. The node stores frag without
-// the defensive clone; the caller must not touch it afterwards.
+// the defensive clone and, stored or not, hands it to tensor.PutVector
+// once done with it; the caller must not touch it afterwards.
 //
 //perf:hotpath
 func (a *AggregatorNode) UploadOwned(round int, partyID string, frag tensor.Vector, weight float64) error {
@@ -241,15 +245,40 @@ func (a *AggregatorNode) UploadOwned(round int, partyID string, frag tensor.Vect
 // upload is the steady-state ingest path, hence //perf:hotpath: it admits
 // rec, a recUpload, taking ownership of rec.frag when owned. The RPC
 // handler also sets rec.wire to the request body, which is then journaled
-// as it is. The allocations left on the path are acknowledged in place:
-// the liveness stamp here and, in commitLocked and appendLocked, the round
+// as it is. The node owns the fragment from here on, the defensive copy
+// included: a stored fragment goes back to the pool when retention evicts
+// its round (apply), and one the node does not store — an identical retry,
+// a refused upload, a failed journal append — goes back here. The
+// allocations left on the path are acknowledged in place: the liveness
+// stamp in uploadLocked and, in commitLocked and appendLocked, the round
 // map and the WAL scratch buffer.
 //
 //perf:hotpath
 func (a *AggregatorNode) upload(rec record, owned bool) error {
-	round, partyID := rec.n, rec.party
+	if !owned {
+		// Defensive copy into pooled storage: GetVector reuses retired
+		// fragment buffers, where Clone allocated a fresh slab per upload.
+		buf := tensor.GetVector(len(rec.frag))
+		copy(buf, rec.frag)
+		rec.frag = buf
+	}
 	a.mu.Lock()
-	defer a.mu.Unlock()
+	stored, err := a.uploadLocked(rec)
+	a.mu.Unlock()
+	if !stored {
+		tensor.PutVector(rec.frag)
+	}
+	return err
+}
+
+// uploadLocked admits rec and reports whether the round now holds
+// rec.frag. It is stored only when the upload commits; an identical retry
+// is acknowledged with nil but keeps the copy already held. Callers must
+// hold a.mu.
+//
+//perf:hotpath
+func (a *AggregatorNode) uploadLocked(rec record) (stored bool, err error) {
+	round, partyID := rec.n, rec.party
 	now := a.nowLocked()
 	if a.evicted[partyID] {
 		// A returning party's first upload readmits it — the same
@@ -257,7 +286,7 @@ func (a *AggregatorNode) upload(rec record, owned bool) error {
 		_ = a.commitLocked(record{typ: recRejoin, party: partyID})
 	}
 	if !a.parties[partyID] {
-		return fmt.Errorf("%w: %q", ErrNotRegistered, partyID)
+		return false, fmt.Errorf("%w: %q", ErrNotRegistered, partyID)
 	}
 	//lint:ignore allocfree one entry per registered party: past its first signal this overwrites a key that exists
 	a.lastSeen[partyID] = now
@@ -267,42 +296,32 @@ func (a *AggregatorNode) upload(rec record, owned bool) error {
 			// Identical retries stay idempotent even after the round seals, so
 			// a party that hit an ambiguous failure pre-seal can still confirm.
 			if slices.Equal(prev.frag, rec.frag) && prev.weight == rec.weight {
-				return nil // identical retry: already committed
+				return false, nil // identical retry: already committed
 			}
-			return fmt.Errorf("%w %d from %q", ErrDuplicateUpload, round, partyID)
+			return false, fmt.Errorf("%w %d from %q", ErrDuplicateUpload, round, partyID)
 		}
 		if a.lifecycleOnLocked(rs) {
 			switch ph := a.phaseLocked(rs, now); ph {
 			case PhaseAbandoned:
-				return fmt.Errorf("%w: round %d", ErrRoundAbandoned, round)
+				return false, fmt.Errorf("%w: round %d", ErrRoundAbandoned, round)
 			case PhaseSealed, PhaseFused:
-				return fmt.Errorf("%w: round %d is %s", ErrStragglerCut, round, ph)
+				return false, fmt.Errorf("%w: round %d is %s", ErrStragglerCut, round, ph)
 			}
 		}
-	}
-	if !owned {
-		// Defensive copy into pooled storage: GetVector reuses retired
-		// fragment buffers, where Clone allocated a fresh slab per upload.
-		buf := tensor.GetVector(len(rec.frag))
-		copy(buf, rec.frag)
-		rec.frag = buf
 	}
 	// WAL before ack: a failed append stores nothing, so no phantom round
 	// is left to roll back. A brand-new round needs no duplicate or
 	// lifecycle check: it has no uploads, and a round opening right now is
 	// by definition in PhaseOpen.
 	if err := a.commitLocked(rec); err != nil {
-		if !owned {
-			tensor.PutVector(rec.frag)
-		}
-		return fmt.Errorf("core: aggregator %s journaling upload: %w", a.ID, err)
+		return false, fmt.Errorf("core: aggregator %s journaling upload: %w", a.ID, err)
 	}
 	if !ok {
 		rs = a.rounds[round]
 		rs.openedAt = now
 	}
 	a.refreshQuorumLocked(rs, now)
-	return nil
+	return true, nil
 }
 
 // SetQuorum configures partial participation: rounds may aggregate once n
@@ -389,8 +408,10 @@ func (a *AggregatorNode) Aggregate(round int) error {
 	}
 	// Encode the fused vector once, into an exact-size buffer the node
 	// owns: it is the WAL record, what compaction rewrites and every
-	// download's body. The vector itself is left to the collector, never
-	// pooled: a kernel may return an alias of one of its inputs.
+	// download's body, so it is never pooled. The vector itself is left to
+	// the collector too: a kernel may return an alias of one of its
+	// inputs, the round's pooled uploads, which stay held until retention
+	// evicts the round and only then go back to the pool.
 	wire, err := transport.AppendFragment(nil, &transport.Fragment{Round: round, Values: fused})
 	if err != nil {
 		return fmt.Errorf("core: aggregator %s round %d: %w", a.ID, round, err)

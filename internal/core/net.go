@@ -296,8 +296,9 @@ func ServeAggregator(node *AggregatorNode, srv *transport.Server) {
 			return nil, fmt.Errorf("decoding request: %w", err)
 		}
 		// The decoded fragment was materialized for this request, so the
-		// node takes ownership instead of paying a defensive clone; the
-		// body itself is the upload's WAL record.
+		// node takes ownership instead of paying a defensive clone, and
+		// returns it to the pool when it does not or no longer stores it;
+		// the body itself is the upload's WAL record.
 		rec := record{typ: recUpload, n: r.Round, party: r.PartyID, frag: r.Fragment, weight: r.Weight, wire: body}
 		if err := node.upload(rec, true); err != nil {
 			return nil, withStatus(err)
@@ -452,8 +453,8 @@ func (a *AggregatorClient) Register(ctx context.Context, partyID string) error {
 // identical retries, so re-sending after an ambiguous failure is safe.
 //
 // The request is encoded into a pooled buffer sized from the fragment
-// (transport.CallSizedContext), so a steady stream of large uploads
-// allocates no request bodies.
+// (transport.CallSizedContext), so a steady stream of uploads, small or
+// large, allocates no request bodies.
 func (a *AggregatorClient) Upload(ctx context.Context, round int, partyID string, frag tensor.Vector, index int, weight float64) error {
 	c, err := a.client(ctx)
 	if err == nil {

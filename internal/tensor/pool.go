@@ -1,15 +1,25 @@
 package tensor
 
-// pool.go: sync.Pool-backed reusable Vector buffers for the hot
-// data-plane paths (wire-codec decode, the fused transform gather). The
-// pool trades a small bookkeeping cost for eliminating the per-message
-// float64-slab allocation that dominated the gob-era upload path.
+// pool.go: sync.Pool-backed reusable Vector buffers for the data plane.
+// Every fragment-sized buffer on the upload path cycles through here:
+// the party's fused transform gathers into one, the wire codec decodes
+// into one on the aggregator, and the aggregator returns each upload's
+// buffer once it stops holding it (a rejected or retried upload at once,
+// a stored one when retention evicts its round).
 
 import "sync"
 
-// vecPool holds *Vector so Get/Put avoid boxing a fresh slice header
-// allocation on every cycle.
-var vecPool sync.Pool
+// A vecBox holds one pooled buffer. vecPool stores boxes, not slices: a
+// slice put into a sync.Pool is boxed into a fresh header on every Put.
+// GetVector empties the box it takes and parks it in boxPool, and
+// PutVector fills a parked box, so a warm GetVector/PutVector cycle
+// allocates nothing.
+type vecBox struct{ v Vector }
+
+var (
+	vecPool sync.Pool // *vecBox holding a buffer
+	boxPool sync.Pool // empty *vecBox
+)
 
 // GetVector returns a Vector of length n, reusing pooled backing storage
 // when a large-enough buffer is available. The contents are NOT zeroed:
@@ -19,9 +29,12 @@ var vecPool sync.Pool
 //
 //perf:hotpath
 func GetVector(n int) Vector {
-	if p, ok := vecPool.Get().(*Vector); ok {
-		if cap(*p) >= n {
-			return (*p)[:n]
+	if b, ok := vecPool.Get().(*vecBox); ok {
+		v := b.v
+		b.v = nil
+		boxPool.Put(b)
+		if cap(v) >= n {
+			return v[:n]
 		}
 		// Too small for this request; drop it and let GC reclaim.
 	}
@@ -38,6 +51,11 @@ func PutVector(v Vector) {
 	if cap(v) == 0 {
 		return
 	}
-	v = v[:cap(v)]
-	vecPool.Put(&v)
+	b, ok := boxPool.Get().(*vecBox)
+	if !ok {
+		//lint:ignore allocfree box-pool miss: a box is taken by every GetVector hit and parked again, so a warm cycle reuses it
+		b = new(vecBox)
+	}
+	b.v = v[:cap(v)]
+	vecPool.Put(b)
 }

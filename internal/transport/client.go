@@ -33,11 +33,15 @@ type Client struct {
 	stats Stats
 }
 
+// A pendingCall's buf is the pooled buffer its body was encoded into, nil
+// when the caller owns body, and big is buf's holder when it is a class
+// buffer: the writer hands both to putBody once the frame is written.
 type pendingCall struct {
 	id     uint64
 	method string
 	body   []byte
-	big    *bigBody        // body's holder when it is a pooled class buffer
+	buf    []byte
+	big    *bigBody
 	done   chan callResult // buffered; receives exactly one result
 }
 
@@ -70,7 +74,7 @@ func NewClient(conn net.Conn) *Client {
 // pooled read buffer exact-size and the buffer recycled: no pooled buffer,
 // nor its slack, escapes to a caller.
 func (c *Client) CallContext(ctx context.Context, method string, body []byte) ([]byte, error) {
-	resp, err := c.roundTrip(ctx, method, body, nil)
+	resp, err := c.roundTrip(ctx, method, body, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -84,21 +88,21 @@ func (c *Client) CallContext(ctx context.Context, method string, body []byte) ([
 }
 
 // roundTrip is CallContext without the copy: the response body aliases the
-// read buffer, which the caller releases when done with it. big is body's
-// holder when body is a pooled class buffer; the writer returns it to its
-// pool once the request frame is written.
-func (c *Client) roundTrip(ctx context.Context, method string, body []byte, big *bigBody) (frame, error) {
+// read buffer, which the caller releases when done with it. buf and big,
+// when set, are the pooled buffer body was encoded into (see pendingCall);
+// the writer returns it to its pool once the request frame is written.
+func (c *Client) roundTrip(ctx context.Context, method string, body, buf []byte, big *bigBody) (frame, error) {
 	start := time.Now()
 	c.stats.callStarted()
-	resp, err := c.call(ctx, method, body, big)
+	resp, err := c.call(ctx, method, body, buf, big)
 	c.stats.callDone(start, err, errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled))
 	return resp, err
 }
 
 // call queues the request for the writer. A call abandoned before the
-// writer takes it leaves big to the GC.
-func (c *Client) call(ctx context.Context, method string, body []byte, big *bigBody) (frame, error) {
-	p := &pendingCall{method: method, body: body, big: big, done: make(chan callResult, 1)}
+// writer takes it leaves buf to the GC.
+func (c *Client) call(ctx context.Context, method string, body, buf []byte, big *bigBody) (frame, error) {
+	p := &pendingCall{method: method, body: body, buf: buf, big: big, done: make(chan callResult, 1)}
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
@@ -151,7 +155,7 @@ func (c *Client) writeLoop() {
 			err := writeFrame(c.conn, p.id, kindRequest, 0, p.method, p.body)
 			// An io.Writer must not retain the bytes it was passed, so the
 			// request buffer is free once writeFrame returns, and only then.
-			p.big.put()
+			putBody(p.buf, p.big)
 			if err != nil {
 				c.fail(fmt.Errorf("send: %w", err))
 				return
@@ -236,7 +240,7 @@ func CallTypedContext[Req, Resp any](ctx context.Context, c *Client, method stri
 	if err != nil {
 		return zero, err
 	}
-	out, err := c.roundTrip(ctx, method, body, nil)
+	out, err := c.roundTrip(ctx, method, body, nil, nil)
 	if err != nil {
 		return zero, err
 	}
@@ -250,24 +254,21 @@ func CallTypedContext[Req, Resp any](ctx context.Context, c *Client, method stri
 }
 
 // CallSizedContext is CallTypedContext for a request whose encoding is
-// size bytes long (a fragment upload). Above bodySeed the request is
-// encoded into a pooled class buffer, which the client's writer returns
-// to its pool once the frame is written; at or under it, this is
-// CallTypedContext.
+// size bytes long (a fragment upload). The request is encoded into a
+// pooled buffer, a seed buffer at or under bodySeed and a class buffer
+// above it, which the client's writer returns to its pool once the frame
+// is written.
 func CallSizedContext[Req WireAppender, Resp any](ctx context.Context, c *Client, method string, req Req, size int) (Resp, error) {
-	if size <= bodySeed {
-		return CallTypedContext[Req, Resp](ctx, c, method, req)
-	}
 	var zero Resp
-	big := getBig(size)
+	buf, big := getBody(size)
 	// Should the encoding outgrow size, body is a buffer of its own and
-	// big goes back unused.
-	body, err := req.AppendWire(big.b[:0])
+	// buf goes back unused.
+	body, err := req.AppendWire(buf[:0])
 	if err != nil {
-		big.put()
+		putBody(buf, big)
 		return zero, err
 	}
-	out, err := c.roundTrip(ctx, method, body, big)
+	out, err := c.roundTrip(ctx, method, body, buf, big)
 	if err != nil {
 		return zero, err
 	}

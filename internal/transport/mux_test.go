@@ -229,15 +229,25 @@ func poolPattern(g, i, n int) poolBody {
 }
 
 // TestPooledBodiesNeverReusedInUse: 16 callers share a connection, each
-// sending 300 KB bodies of its own pattern, which the client encodes into
-// pooled class buffers and the server reads into pooled class buffers and
-// echoes from them. A buffer recycled while a frame was still being
-// written from it, or handed to two frames at once, would put one call's
-// bytes into another's request or response. A FaultConn duplicates some
-// client writes: a repeated header turns a request into framing garbage
-// (no tag; answered with an error), then the connection drops and the
-// callers redial. Every call that succeeds must echo its own bytes.
+// sending bodies of its own pattern, which the client encodes into pooled
+// buffers and the server reads into pooled buffers and echoes from them.
+// It runs at two sizes: the client encodes 300 KB bodies into class
+// buffers and bodySeed ones into seed buffers, and a bodySeed body's frame
+// is too large to stage, so either body is written straight from its
+// pooled buffer after the header. A buffer recycled while a frame was
+// still being written from it, or handed to two frames at once, would put
+// one call's bytes into another's request or response. A FaultConn
+// duplicates some client writes: a repeated header turns a request into
+// framing garbage (no tag; answered with an error), then the connection
+// drops and the callers redial. Every call that succeeds must echo its
+// own bytes.
 func TestPooledBodiesNeverReusedInUse(t *testing.T) {
+	for _, size := range []int{300_000, bodySeed} {
+		t.Run(fmt.Sprintf("%dB", size), func(t *testing.T) { testPooledBodies(t, size) })
+	}
+}
+
+func testPooledBodies(t *testing.T, size int) {
 	srv := NewServer()
 	srv.Handle("pool", func(body []byte) ([]byte, error) {
 		if !bytes.HasPrefix(body, []byte(poolTag)) {
@@ -273,7 +283,7 @@ func TestPooledBodiesNeverReusedInUse(t *testing.T) {
 	}
 	defer func() { cur.Close() }()
 
-	const callers, calls, size = 16, 20, 300_000
+	const callers, calls = 16, 20
 	var (
 		wg                 sync.WaitGroup
 		countMu            sync.Mutex

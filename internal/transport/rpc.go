@@ -235,7 +235,20 @@ func readBody(r io.Reader, n int) (body []byte, big *bigBody, err error) {
 	return body, big, nil
 }
 
-// putBody returns a readBody buffer to its pool: a class buffer through
+// getBody returns a pooled buffer that holds n bytes: a seed buffer at or
+// under bodySeed, a class buffer above it, with its holder big. The
+// caller hands both to putBody when done with it.
+//
+//perf:hotpath
+func getBody(n int) (buf []byte, big *bigBody) {
+	if n <= bodySeed {
+		return bodyPool.Get().(*[bodySeed]byte)[:], nil
+	}
+	big = getBig(n)
+	return big.b, big
+}
+
+// putBody returns a readBody or getBody buffer to its pool: a class buffer through
 // its holder big, a seed-sized one to bodyPool. Anything else is left to
 // the GC.
 //
