@@ -4,8 +4,26 @@ import (
 	"testing"
 
 	"deta/internal/core"
+	"deta/internal/rng"
 	"deta/internal/tensor"
 )
+
+// esaShuffleUpdates implements the Encode-Shuffle-Analyze style shuffler
+// the paper contrasts with DeTA in §4.2: it permutes the ORDER OF WHOLE
+// MODEL UPDATES across parties (breaking the linkage between an update and
+// its owner, i.e. anonymity) but leaves every update's internal content
+// pristine. DeTA's shuffler instead permutes parameters WITHIN each
+// update. The two serve different security goals: an ESA-shuffled batch
+// still hands an adversary complete, in-order model updates to invert.
+func esaShuffleUpdates(updates []tensor.Vector, key, roundID []byte) []tensor.Vector {
+	seed := rng.DeriveSeed(key, roundID, []byte("esa-update-shuffle"))
+	perm := rng.NewStream(seed, "esa").Perm(len(updates))
+	out := make([]tensor.Vector, len(updates))
+	for i, src := range perm {
+		out[i] = updates[src].Clone()
+	}
+	return out
+}
 
 // The paper's §4.2 comparison: ESA-style shuffling permutes whole updates
 // across parties (anonymity), so a breached aggregator still holds
@@ -31,7 +49,7 @@ func TestESAShufflingDoesNotStopReconstruction(t *testing.T) {
 	}
 
 	// ESA: the aggregator sees the batch in randomized owner order.
-	shuffled := core.ESAShuffleUpdates(grads, []byte("esa-key-0123456789abcdef012345"), []byte("round-1"))
+	shuffled := esaShuffleUpdates(grads, []byte("esa-key-0123456789abcdef012345"), []byte("round-1"))
 
 	// The adversary attacks each anonymous update; every one reconstructs
 	// *some* victim's input even though ownership is hidden.
@@ -84,7 +102,7 @@ func TestESAShufflingDoesNotStopReconstruction(t *testing.T) {
 
 func TestESAShufflePreservesMultiset(t *testing.T) {
 	updates := []tensor.Vector{{1, 1}, {2, 2}, {3, 3}, {4, 4}}
-	out := core.ESAShuffleUpdates(updates, []byte("key-0123456789abcdef"), []byte("r"))
+	out := esaShuffleUpdates(updates, []byte("key-0123456789abcdef"), []byte("r"))
 	if len(out) != len(updates) {
 		t.Fatalf("len = %d", len(out))
 	}

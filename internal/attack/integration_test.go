@@ -43,16 +43,9 @@ func TestEndToEndAggregatorBreach(t *testing.T) {
 	ap := attest.NewProxy(vendor.RAS(), core.OVMF)
 	nodes := make([]*core.AggregatorNode, 2)
 	for j := range nodes {
-		platform, err := sev.NewPlatform("host", vendor)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cvm, err := platform.LaunchCVM(core.OVMF)
-		if err != nil {
-			t.Fatal(err)
-		}
 		id := []string{"agg-1", "agg-2"}[j]
-		if _, err := ap.Provision(id, platform, cvm); err != nil {
+		cvm, err := core.BootAggregatorCVM(vendor, ap, id)
+		if err != nil {
 			t.Fatal(err)
 		}
 		nodes[j], err = core.NewAggregatorNode(id, agg.IterativeAverage{}, cvm)

@@ -60,12 +60,6 @@ func NewProxy(ras *sev.RAS, expectedOVMF []byte) *Proxy {
 	}
 }
 
-// ProvisionResult reports a successful Phase I launch.
-type ProvisionResult struct {
-	AggregatorID string
-	TokenPubKey  []byte // PKIX-marshaled ECDSA public key
-}
-
 // VerifyAndIssueToken is the AP's core Phase I step, usable both locally
 // and behind an RPC boundary: it verifies the attestation report against
 // the trusted root, the expected measurement, and the challenge nonce;
@@ -99,9 +93,9 @@ func (p *Proxy) VerifyAndIssueToken(aggregatorID string, report *sev.Attestation
 
 // Provision performs Phase I for one aggregator CVM hosted in-process: it
 // attests the paused CVM, and on success injects a fresh ECDSA
-// authentication token and resumes the launch. The token public key is
-// recorded under aggregatorID.
-func (p *Proxy) Provision(aggregatorID string, platform *sev.Platform, cvm *sev.CVM) (*ProvisionResult, error) {
+// authentication token and resumes the launch. It returns the token
+// public key (PKIX), which it also records under aggregatorID.
+func (p *Proxy) Provision(aggregatorID string, platform *sev.Platform, cvm *sev.CVM) ([]byte, error) {
 	nonce := make([]byte, 32)
 	if _, err := rand.Read(nonce); err != nil {
 		return nil, err
@@ -122,11 +116,7 @@ func (p *Proxy) Provision(aggregatorID string, platform *sev.Platform, cvm *sev.
 		p.forget(aggregatorID)
 		return nil, fmt.Errorf("attest: resume: %w", err)
 	}
-	pub, err := p.TokenPubKey(aggregatorID)
-	if err != nil {
-		return nil, err
-	}
-	return &ProvisionResult{AggregatorID: aggregatorID, TokenPubKey: pub}, nil
+	return p.TokenPubKey(aggregatorID)
 }
 
 func (p *Proxy) forget(aggregatorID string) {

@@ -221,8 +221,10 @@ func (a *AggregatorNode) LastAggregatedRound() int {
 // the party's local dataset size. Uploads are idempotent: re-sending the
 // identical (fragment, weight) for the same (party, round) succeeds
 // silently, so a party that hit an ambiguous network failure can safely
-// retry; only a *conflicting* re-upload returns ErrDuplicateUpload. The
-// fragment is journaled (fsynced) before the upload is acknowledged.
+// retry; only a *conflicting* re-upload returns ErrDuplicateUpload. Any
+// other upload into a fused round returns ErrStragglerCut, lifecycle armed
+// or not. The fragment is journaled (fsynced) before the upload is
+// acknowledged.
 //
 // The node clones frag before storing it, so the caller may keep using its
 // buffer. Callers that hand over ownership should use UploadOwned.
@@ -300,11 +302,16 @@ func (a *AggregatorNode) uploadLocked(rec record) (stored bool, err error) {
 			}
 			return false, fmt.Errorf("%w %d from %q", ErrDuplicateUpload, round, partyID)
 		}
+		if rs.aggregated != nil {
+			// Lifecycle armed or not: the fused model cannot take this
+			// upload in, so acknowledging it would lose it silently.
+			return false, fmt.Errorf("%w: round %d is %s", ErrStragglerCut, round, PhaseFused)
+		}
 		if a.lifecycleOnLocked(rs) {
 			switch ph := a.phaseLocked(rs, now); ph {
 			case PhaseAbandoned:
 				return false, fmt.Errorf("%w: round %d", ErrRoundAbandoned, round)
-			case PhaseSealed, PhaseFused:
+			case PhaseSealed:
 				return false, fmt.Errorf("%w: round %d is %s", ErrStragglerCut, round, ph)
 			}
 		}

@@ -50,7 +50,6 @@ type chaosAgg struct {
 	followers []*chaosAgg
 
 	mu            sync.Mutex
-	gen           int
 	node          *AggregatorNode
 	srv           *transport.Server
 	ln            *transport.MemListener
@@ -132,16 +131,8 @@ func trainParty(ctx context.Context, step *RoundStep, party *fl.Party, global te
 func (c *chaosAgg) start() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.gen++
-	platform, err := sev.NewPlatform(fmt.Sprintf("host/%s/gen%d", c.id, c.gen), c.vendor)
+	cvm, err := BootAggregatorCVM(c.vendor, c.proxy, c.id)
 	if err != nil {
-		return err
-	}
-	cvm, err := platform.LaunchCVM(OVMF)
-	if err != nil {
-		return err
-	}
-	if _, err := c.proxy.Provision(c.id, platform, cvm); err != nil {
 		return err
 	}
 	node, _, err := RecoverAggregatorNode(c.id, agg.IterativeAverage{}, cvm, c.dir, journal.Options{})

@@ -16,22 +16,10 @@ import (
 )
 
 // newProvisionedNode builds one attested aggregator node the way
-// session.Setup does: fresh platform under the shared vendor, CVM launch,
-// AP provisioning (which seals the token into encrypted memory).
+// Session.Setup does.
 func newProvisionedNode(t *testing.T, proxy *attest.Proxy, vendor *sev.Vendor, id string) *AggregatorNode {
 	t.Helper()
-	platform, err := sev.NewPlatform("host/"+id, vendor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cvm, err := platform.LaunchCVM(OVMF)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := proxy.Provision(id, platform, cvm); err != nil {
-		t.Fatal(err)
-	}
-	node, err := NewAggregatorNode(id, agg.IterativeAverage{}, cvm)
+	node, err := NewAggregatorNode(id, agg.IterativeAverage{}, provisionCVM(t, proxy, vendor, id))
 	if err != nil {
 		t.Fatal(err)
 	}

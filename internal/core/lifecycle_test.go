@@ -6,6 +6,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -257,6 +258,49 @@ func TestLifecycleDisabledKeepsLegacyBehavior(t *testing.T) {
 	mustUpload(t, node, 1, "P2", 4)
 	if err := node.Aggregate(1); err != nil {
 		t.Fatalf("all uploaded; round fuses under legacy semantics: %v", err)
+	}
+}
+
+// A fused round takes no new upload in either mode: a party registered
+// after the fusion gets ErrStragglerCut, nothing is journaled or held, and
+// the fused model stands. An identical retry of a committed upload still
+// returns nil.
+func TestUploadIntoFusedRoundCut(t *testing.T) {
+	for _, armed := range []bool{false, true} {
+		t.Run(fmt.Sprintf("lifecycle=%v", armed), func(t *testing.T) {
+			dir := t.TempDir()
+			clk := NewFakeClock(lifecycleEpoch)
+			node, _ := recoverLifecycleNode(t, "agg-fused", dir, clk)
+			if armed {
+				node.SetLifecycle(10*time.Second, time.Second)
+			}
+			node.Register("P1")
+			node.Register("P2")
+			mustUpload(t, node, 1, "P1", 2)
+			mustUpload(t, node, 1, "P2", 4)
+			if err := node.Aggregate(1); err != nil {
+				t.Fatal(err)
+			}
+			node.Register("P3")
+			if err := node.Upload(1, "P3", tensor.Vector{9}, 1); !errors.Is(err, ErrStragglerCut) {
+				t.Fatalf("upload into fused round: err = %v, want ErrStragglerCut", err)
+			}
+			if err := node.Upload(1, "P1", tensor.Vector{2}, 1); err != nil {
+				t.Fatalf("identical retry into fused round: %v", err)
+			}
+			if n := len(node.LeakRoundFragments(1)); n != 2 {
+				t.Fatalf("fused round holds %d fragments, want 2", n)
+			}
+			if got, err := node.Download(1, "P3"); err != nil || got[0] != 3 {
+				t.Fatalf("fused = %v, %v; want 3", got, err)
+			}
+			node.CloseJournal()
+			re, _ := recoverLifecycleNode(t, "agg-fused", dir, clk)
+			defer re.CloseJournal()
+			if n := len(re.LeakRoundFragments(1)); n != 2 {
+				t.Fatalf("recovered fused round holds %d fragments, want 2: the cut upload was journaled", n)
+			}
+		})
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"deta/internal/attest"
-	"deta/internal/sev"
 	"deta/internal/tensor"
 	"deta/internal/transport"
 )
@@ -67,11 +66,8 @@ func TestNetPhaseIIAndRound(t *testing.T) {
 func TestNetPhaseIIRejectsWrongKey(t *testing.T) {
 	client, _ := startNetAggregator(t)
 	// A second, unrelated provisioning yields a different token key.
-	vendor, _ := sev.NewVendor()
-	platform, _ := sev.NewPlatform("other", vendor)
-	otherAP := attest.NewProxy(vendor.RAS(), OVMF)
-	cvm, _ := platform.LaunchCVM(OVMF)
-	if _, err := otherAP.Provision("agg-other", platform, cvm); err != nil {
+	otherAP, vendor := testTrust(t)
+	if _, err := BootAggregatorCVM(vendor, otherAP, "agg-other"); err != nil {
 		t.Fatal(err)
 	}
 	wrongPub, _ := otherAP.TokenPubKey("agg-other")

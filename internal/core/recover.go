@@ -191,16 +191,6 @@ func (a *AggregatorNode) CloseJournal() error {
 	return j.Close()
 }
 
-// JournalDir returns the attached journal's directory ("" without one).
-func (a *AggregatorNode) JournalDir() string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.journal == nil {
-		return ""
-	}
-	return a.journal.Dir()
-}
-
 // StateDirFor is the per-aggregator journal directory convention shared by
 // Session.Setup and cmd/deta-aggregator: <stateDir>/<aggregatorID>.
 func StateDirFor(stateDir, aggregatorID string) string {

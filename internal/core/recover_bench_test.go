@@ -19,16 +19,8 @@ func benchUploadNode(b *testing.B, mode string) *AggregatorNode {
 	if err != nil {
 		b.Fatal(err)
 	}
-	proxy := attest.NewProxy(vendor.RAS(), OVMF)
-	platform, err := sev.NewPlatform("host/agg-bench", vendor)
+	cvm, err := BootAggregatorCVM(vendor, attest.NewProxy(vendor.RAS(), OVMF), "agg-bench")
 	if err != nil {
-		b.Fatal(err)
-	}
-	cvm, err := platform.LaunchCVM(OVMF)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := proxy.Provision("agg-bench", platform, cvm); err != nil {
 		b.Fatal(err)
 	}
 	var node *AggregatorNode

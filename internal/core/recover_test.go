@@ -24,20 +24,12 @@ import (
 	"deta/internal/transport"
 )
 
-// provisionCVM launches and provisions one CVM the way Session.Setup does,
-// returning it so a "restarted process" can build a fresh node against the
-// same journal.
+// provisionCVM boots one CVM through BootAggregatorCVM, returning it so a
+// "restarted process" can build a fresh node against the same journal.
 func provisionCVM(t *testing.T, proxy *attest.Proxy, vendor *sev.Vendor, id string) *sev.CVM {
 	t.Helper()
-	platform, err := sev.NewPlatform("host/"+id, vendor)
+	cvm, err := BootAggregatorCVM(vendor, proxy, id)
 	if err != nil {
-		t.Fatal(err)
-	}
-	cvm, err := platform.LaunchCVM(OVMF)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := proxy.Provision(id, platform, cvm); err != nil {
 		t.Fatal(err)
 	}
 	return cvm

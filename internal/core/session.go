@@ -21,6 +21,26 @@ import (
 // reproduction; the AP expects its measurement.
 var OVMF = []byte("deta-aggregator-firmware-v1: attested aggregation service build")
 
+// BootAggregatorCVM runs Phase I for one in-process aggregator: it
+// manufactures a fresh platform endorsed by vendor (each aggregator may run
+// on its own host, §4.1), launches a CVM booting OVMF on it, and has proxy
+// attest and provision it as id. It returns the CVM, not a node, so a
+// caller can build the node fresh or recover it from a journal.
+func BootAggregatorCVM(vendor *sev.Vendor, proxy *attest.Proxy, id string) (*sev.CVM, error) {
+	platform, err := sev.NewPlatform("host/"+id, vendor)
+	if err != nil {
+		return nil, err
+	}
+	cvm, err := platform.LaunchCVM(OVMF)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := proxy.Provision(id, platform, cvm); err != nil {
+		return nil, fmt.Errorf("core: provisioning %s: %w", id, err)
+	}
+	return cvm, nil
+}
+
 // Options configures a DeTA deployment.
 type Options struct {
 	// NumAggregators is K, the decentralization factor (the paper deploys
@@ -43,11 +63,10 @@ type Options struct {
 	// aggregator beyond the quorum degrades the round (missing fragments
 	// fall back to the party's own update) instead of hanging it. 0
 	// requires all K. A Session's fleet applies it as Fleet.Quorum, like
-	// deta-party's -agg-quorum.
+	// deta-party's -agg-quorum. No caller sets it yet; it stays because the
+	// in-process fault tests of the fuse manifest (ROADMAP item 1) drive
+	// the aggregator quorum through it.
 	AggQuorum int
-	// CallTimeout bounds each party→aggregator RPC attempt (0 = no
-	// per-call deadline): Fleet.Timeout, deta-party's -call-timeout.
-	CallTimeout time.Duration
 }
 
 func (o *Options) defaults() {
@@ -150,19 +169,10 @@ func (s *Session) Setup(ctx context.Context) (err error) {
 	s.Nodes = make([]*AggregatorNode, s.Opts.NumAggregators)
 	clients := make([]*AggregatorClient, s.Opts.NumAggregators)
 	for j := 0; j < s.Opts.NumAggregators; j++ {
-		// Each aggregator may run on its own physical platform
-		// (geo-distributed per §4.1).
-		platform, err := sev.NewPlatform(fmt.Sprintf("host-%d", j+1), vendor)
-		if err != nil {
-			return err
-		}
-		cvm, err := platform.LaunchCVM(OVMF)
-		if err != nil {
-			return err
-		}
 		id := fmt.Sprintf("agg-%d", j+1)
-		if _, err := s.Proxy.Provision(id, platform, cvm); err != nil {
-			return fmt.Errorf("core: provisioning %s: %w", id, err)
+		cvm, err := BootAggregatorCVM(vendor, s.Proxy, id)
+		if err != nil {
+			return err
 		}
 		node, err := NewAggregatorNode(id, s.NewAlgorithm(), cvm)
 		if err != nil {
@@ -188,7 +198,7 @@ func (s *Session) Setup(ctx context.Context) (err error) {
 		// restart.
 		clients[j] = &AggregatorClient{ID: id, Redial: func(context.Context) (net.Conn, error) { return ln.Dial() }}
 	}
-	s.fleet = &Fleet{Clients: clients, Quorum: s.Opts.AggQuorum, Timeout: s.Opts.CallTimeout, Clock: s.Clock}
+	s.fleet = &Fleet{Clients: clients, Quorum: s.Opts.AggQuorum, Clock: s.Clock}
 
 	// Phase II: every party verifies every aggregator, then registers.
 	for _, p := range s.Parties {

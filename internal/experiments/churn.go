@@ -64,16 +64,8 @@ func churnCell(parties int, dropout float64, rounds int) (full, degraded, abando
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	proxy := attest.NewProxy(vendor.RAS(), core.OVMF)
-	platform, err := sev.NewPlatform("host/churn", vendor)
+	cvm, err := core.BootAggregatorCVM(vendor, attest.NewProxy(vendor.RAS(), core.OVMF), "agg-churn")
 	if err != nil {
-		return 0, 0, 0, err
-	}
-	cvm, err := platform.LaunchCVM(core.OVMF)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	if _, err := proxy.Provision("agg-churn", platform, cvm); err != nil {
 		return 0, 0, 0, err
 	}
 	node, err := core.NewAggregatorNode("agg-churn", agg.IterativeAverage{}, cvm)

@@ -60,16 +60,9 @@ func runGeoRound(parties, params int, delay time.Duration) (time.Duration, error
 	}
 	handles := make([]*aggHandle, 3)
 	for j := range handles {
-		platform, err := sev.NewPlatform("geo-host", vendor)
-		if err != nil {
-			return 0, err
-		}
-		cvm, err := platform.LaunchCVM(core.OVMF)
-		if err != nil {
-			return 0, err
-		}
 		id := fmt.Sprintf("agg-%d", j+1)
-		if _, err := ap.Provision(id, platform, cvm); err != nil {
+		cvm, err := core.BootAggregatorCVM(vendor, ap, id)
+		if err != nil {
 			return 0, err
 		}
 		node, err := core.NewAggregatorNode(id, agg.IterativeAverage{}, cvm)

@@ -243,9 +243,6 @@ func (j *Journal) ReadAt(at int64, buf []byte) (Record, error) {
 	return Record{Type: h[0], Data: data}, nil
 }
 
-// Dir returns the journal's directory.
-func (j *Journal) Dir() string { return j.dir }
-
 // TailLen returns the number of records in the log that the last Compact
 // did not write (recovered ones included) — how far the log has grown past
 // the state it was last compacted to. Callers compact when it passes their

@@ -235,16 +235,8 @@ func perfCVM(b *testing.B) *sev.CVM {
 	if err != nil {
 		b.Fatal(err)
 	}
-	proxy := attest.NewProxy(vendor.RAS(), core.OVMF)
-	platform, err := sev.NewPlatform("host/perf-suite", vendor)
+	cvm, err := core.BootAggregatorCVM(vendor, attest.NewProxy(vendor.RAS(), core.OVMF), "perf-suite")
 	if err != nil {
-		b.Fatal(err)
-	}
-	cvm, err := platform.LaunchCVM(core.OVMF)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := proxy.Provision("perf-suite", platform, cvm); err != nil {
 		b.Fatal(err)
 	}
 	return cvm

@@ -15,6 +15,7 @@ import (
 
 // GenerateVCEK creates a fresh platform endorsement key pair, returning the
 // private key and its PKIX-marshaled public half to send to the vendor.
+// The vendor's own ARK and ASK pairs are made the same way.
 func GenerateVCEK() (*ecdsa.PrivateKey, []byte, error) {
 	key, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
 	if err != nil {
@@ -33,12 +34,10 @@ func (v *Vendor) Endorse(platformName string, vcekPub []byte) (CertChain, error)
 	if len(vcekPub) == 0 {
 		return CertChain{}, errors.New("sev: empty VCEK public key")
 	}
-	vcek := Cert{Subject: "VCEK/" + platformName, PubKey: vcekPub}
-	sig, err := ecdsa.SignASN1(rand.Reader, v.askKey, vcek.digest())
+	vcek, err := signCert("VCEK/"+platformName, vcekPub, v.askKey)
 	if err != nil {
 		return CertChain{}, err
 	}
-	vcek.Sig = sig
 	return CertChain{ARK: v.ark, ASK: v.ask, VCEK: vcek}, nil
 }
 

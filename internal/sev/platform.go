@@ -15,7 +15,6 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/ecdsa"
-	"crypto/elliptic"
 	"crypto/rand"
 	"crypto/sha256"
 	"crypto/x509"
@@ -107,26 +106,15 @@ type Platform struct {
 // vendor. In production the ARK/ASK live at AMD; here the Vendor value
 // plays that role.
 func NewPlatform(name string, vendor *Vendor) (*Platform, error) {
-	vcekKey, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
+	vcekKey, vcekPub, err := GenerateVCEK()
 	if err != nil {
 		return nil, err
 	}
-	vcekPub, err := x509.MarshalPKIXPublicKey(&vcekKey.PublicKey)
+	chain, err := vendor.Endorse(name, vcekPub)
 	if err != nil {
 		return nil, err
 	}
-	vcek := Cert{Subject: "VCEK/" + name, PubKey: vcekPub}
-	sig, err := ecdsa.SignASN1(rand.Reader, vendor.askKey, vcek.digest())
-	if err != nil {
-		return nil, err
-	}
-	vcek.Sig = sig
-	return &Platform{
-		Name:    name,
-		chain:   CertChain{ARK: vendor.ark, ASK: vendor.ask, VCEK: vcek},
-		vcekKey: vcekKey,
-		cvms:    make(map[int]*CVM),
-	}, nil
+	return NewEndorsedPlatform(name, chain, vcekKey)
 }
 
 // Chain returns the platform's endorsement certificate chain.
@@ -144,37 +132,35 @@ type Vendor struct {
 
 // NewVendor generates a fresh vendor key hierarchy.
 func NewVendor() (*Vendor, error) {
-	arkKey, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
+	arkKey, arkPub, err := GenerateVCEK()
 	if err != nil {
 		return nil, err
 	}
-	arkPub, err := x509.MarshalPKIXPublicKey(&arkKey.PublicKey)
+	ark, err := signCert("ARK", arkPub, arkKey)
 	if err != nil {
 		return nil, err
 	}
-	ark := Cert{Subject: "ARK", PubKey: arkPub}
-	arkSig, err := ecdsa.SignASN1(rand.Reader, arkKey, ark.digest())
+	askKey, askPub, err := GenerateVCEK()
 	if err != nil {
 		return nil, err
 	}
-	ark.Sig = arkSig
-
-	askKey, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
+	ask, err := signCert("ASK", askPub, arkKey)
 	if err != nil {
 		return nil, err
 	}
-	askPub, err := x509.MarshalPKIXPublicKey(&askKey.PublicKey)
-	if err != nil {
-		return nil, err
-	}
-	ask := Cert{Subject: "ASK", PubKey: askPub}
-	askSig, err := ecdsa.SignASN1(rand.Reader, arkKey, ask.digest())
-	if err != nil {
-		return nil, err
-	}
-	ask.Sig = askSig
-
 	return &Vendor{ark: ark, ask: ask, arkKey: arkKey, askKey: askKey}, nil
+}
+
+// signCert issues the certificate for subject's public key, signed by
+// parent: ARK by itself, ASK by ARK, and each VCEK by ASK.
+func signCert(subject string, pub []byte, parent *ecdsa.PrivateKey) (Cert, error) {
+	c := Cert{Subject: subject, PubKey: pub}
+	sig, err := ecdsa.SignASN1(rand.Reader, parent, c.digest())
+	if err != nil {
+		return Cert{}, err
+	}
+	c.Sig = sig
+	return c, nil
 }
 
 // RAS is the vendor's remote attestation service: the trusted distribution

@@ -32,14 +32,6 @@ func (v Vector) Clone() Vector {
 	return out
 }
 
-// Fill sets every element of v to x and returns v.
-func (v Vector) Fill(x float64) Vector {
-	for i := range v {
-		v[i] = x
-	}
-	return v
-}
-
 // Add returns a + b.
 func Add(a, b Vector) (Vector, error) {
 	if len(a) != len(b) {

@@ -23,9 +23,17 @@ type TLSMaterials struct {
 // NewTLSMaterials mints a fresh CA and a server certificate valid for the
 // given DNS names and loopback IPs.
 func NewTLSMaterials(commonName string, hosts []string) (*TLSMaterials, error) {
+	m, _, err := mintMaterials(commonName, hosts)
+	return m, err
+}
+
+// mintMaterials is the one place TLS credentials are made: it mints a CA
+// and a server certificate issued under it, and also returns the CA's DER
+// so SaveTLSMaterials can persist it (the CA key is never returned).
+func mintMaterials(commonName string, hosts []string) (*TLSMaterials, []byte, error) {
 	caKey, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	caTpl := &x509.Certificate{
 		SerialNumber:          big.NewInt(1),
@@ -38,16 +46,16 @@ func NewTLSMaterials(commonName string, hosts []string) (*TLSMaterials, error) {
 	}
 	caDER, err := x509.CreateCertificate(rand.Reader, caTpl, caTpl, &caKey.PublicKey, caKey)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	caCert, err := x509.ParseCertificate(caDER)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	srvKey, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	srvTpl := &x509.Certificate{
 		SerialNumber: big.NewInt(2),
@@ -66,7 +74,7 @@ func NewTLSMaterials(commonName string, hosts []string) (*TLSMaterials, error) {
 	}
 	srvDER, err := x509.CreateCertificate(rand.Reader, srvTpl, caCert, &srvKey.PublicKey, caKey)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	pool := x509.NewCertPool()
 	pool.AddCert(caCert)
@@ -76,7 +84,7 @@ func NewTLSMaterials(commonName string, hosts []string) (*TLSMaterials, error) {
 			Certificate: [][]byte{srvDER},
 			PrivateKey:  srvKey,
 		},
-	}, nil
+	}, caDER, nil
 }
 
 // ServerConfig returns a TLS config for the aggregator side.

@@ -2,19 +2,13 @@ package transport
 
 import (
 	"crypto/ecdsa"
-	"crypto/elliptic"
-	"crypto/rand"
 	"crypto/tls"
 	"crypto/x509"
-	"crypto/x509/pkix"
 	"encoding/pem"
 	"errors"
 	"fmt"
-	"math/big"
-	"net"
 	"os"
 	"path/filepath"
-	"time"
 )
 
 // On-disk TLS material support for multi-process deployments: the AP mints
@@ -31,11 +25,10 @@ const (
 // ca.pem, server-cert.pem, server-key.pem into dir (created if needed).
 // The CA private key is intentionally not persisted.
 func SaveTLSMaterials(dir, commonName string, hosts []string) error {
-	m, caDER, srvDER, srvKey, err := newMaterialsDER(commonName, hosts)
+	m, caDER, err := mintMaterials(commonName, hosts)
 	if err != nil {
 		return err
 	}
-	_ = m
 	if err := os.MkdirAll(dir, 0o700); err != nil {
 		return err
 	}
@@ -50,10 +43,10 @@ func SaveTLSMaterials(dir, commonName string, hosts []string) error {
 	if err := write(caFile, "CERTIFICATE", caDER); err != nil {
 		return err
 	}
-	if err := write(certFile, "CERTIFICATE", srvDER); err != nil {
+	if err := write(certFile, "CERTIFICATE", m.ServerCert.Certificate[0]); err != nil {
 		return err
 	}
-	keyDER, err := x509.MarshalECPrivateKey(srvKey)
+	keyDER, err := x509.MarshalECPrivateKey(m.ServerCert.PrivateKey.(*ecdsa.PrivateKey))
 	if err != nil {
 		return err
 	}
@@ -83,60 +76,4 @@ func LoadTLSMaterials(dir string) (*TLSMaterials, error) {
 		return nil, fmt.Errorf("transport: parsing server key pair: %w", err)
 	}
 	return &TLSMaterials{CAPEMPool: pool, ServerCert: cert}, nil
-}
-
-// newMaterialsDER mints CA + server credentials and returns the DER forms
-// for persistence alongside the assembled TLSMaterials.
-func newMaterialsDER(commonName string, hosts []string) (*TLSMaterials, []byte, []byte, *ecdsa.PrivateKey, error) {
-	caKey, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	caTpl := &x509.Certificate{
-		SerialNumber:          big.NewInt(1),
-		Subject:               pkix.Name{CommonName: "deta-ca"},
-		NotBefore:             time.Now().Add(-time.Hour),
-		NotAfter:              time.Now().Add(24 * time.Hour * 365),
-		IsCA:                  true,
-		KeyUsage:              x509.KeyUsageCertSign | x509.KeyUsageDigitalSignature,
-		BasicConstraintsValid: true,
-	}
-	caDER, err := x509.CreateCertificate(rand.Reader, caTpl, caTpl, &caKey.PublicKey, caKey)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	caCert, err := x509.ParseCertificate(caDER)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	srvKey, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	srvTpl := &x509.Certificate{
-		SerialNumber: big.NewInt(2),
-		Subject:      pkix.Name{CommonName: commonName},
-		NotBefore:    time.Now().Add(-time.Hour),
-		NotAfter:     time.Now().Add(24 * time.Hour * 365),
-		KeyUsage:     x509.KeyUsageDigitalSignature,
-		ExtKeyUsage:  []x509.ExtKeyUsage{x509.ExtKeyUsageServerAuth},
-	}
-	for _, h := range hosts {
-		if ip := net.ParseIP(h); ip != nil {
-			srvTpl.IPAddresses = append(srvTpl.IPAddresses, ip)
-		} else {
-			srvTpl.DNSNames = append(srvTpl.DNSNames, h)
-		}
-	}
-	srvDER, err := x509.CreateCertificate(rand.Reader, srvTpl, caCert, &srvKey.PublicKey, caKey)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	pool := x509.NewCertPool()
-	pool.AddCert(caCert)
-	m := &TLSMaterials{
-		CAPEMPool:  pool,
-		ServerCert: tls.Certificate{Certificate: [][]byte{srvDER}, PrivateKey: srvKey},
-	}
-	return m, caDER, srvDER, srvKey, nil
 }
