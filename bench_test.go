@@ -38,7 +38,7 @@ func benchExperiment(b *testing.B, id string) {
 	sc := benchScale()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := experiments.Run(id, sc, io.Discard); err != nil {
+		if err := experiments.Run(id, sc, experiments.FormatText, io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -132,8 +132,6 @@ type benchFlags struct {
 	perfRuns      *int
 	perfBenchtime *time.Duration
 	perfFreshDir  *string
-	perfMaxNsPct  *float64
-	perfMaxAllocs *int64
 }
 
 func newBenchFlags() *benchFlags {
@@ -154,7 +152,7 @@ func newBenchFlags() *benchFlags {
 	b.aggregators = fs.Int("aggregators", 0, "number of DeTA aggregators")
 	b.timeout = fs.Duration("timeout", 0, "abort the whole run after this long (0 = no watchdog); exit code 3")
 
-	// Perf-baseline workflow (mirrors deta-lint -baseline/-baseline-write).
+	// Perf-baseline workflow.
 	b.perfRun = fs.Bool("perf", false, "run the tracked perf suite instead of experiments")
 	b.perfArea = fs.String("perf-area", "", "comma-separated perf areas (default: all of "+strings.Join(perf.Areas(), ", ")+")")
 	b.perfBaseline = fs.String("perf-baseline", ".", "directory holding the BENCH_<area>.json baselines")
@@ -162,8 +160,6 @@ func newBenchFlags() *benchFlags {
 	b.perfRuns = fs.Int("perf-runs", 3, "best-of-N runs per bench")
 	b.perfBenchtime = fs.Duration("perf-benchtime", 100*time.Millisecond, "target benchtime per run")
 	b.perfFreshDir = fs.String("perf-fresh-dir", "", "also write the fresh results as BENCH_<area>.json into this directory (e.g. for CI artifacts)")
-	b.perfMaxNsPct = fs.Float64("perf-max-ns-pct", 0, "override the allowed ns/op growth in percent (0 = default gate)")
-	b.perfMaxAllocs = fs.Int64("perf-max-allocs", 0, "override the allowed allocs/op growth (0 = default gate; allocs jitter at very short benchtimes)")
 	return b
 }
 
@@ -188,14 +184,6 @@ func runPerf(b *benchFlags, out *lockedWriter, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "deta-bench: -perf-area selected no areas")
 			return 2
 		}
-	}
-
-	th := perf.DefaultThresholds()
-	if *b.perfMaxNsPct > 0 {
-		th.MaxNsPct = *b.perfMaxNsPct
-	}
-	if *b.perfMaxAllocs > 0 {
-		th.MaxAllocsDelta = *b.perfMaxAllocs
 	}
 
 	logf := func(format string, args ...any) {
@@ -229,7 +217,7 @@ func runPerf(b *benchFlags, out *lockedWriter, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "deta-bench: %v (run -perf -perf-baseline-write to create baselines)\n", err)
 			return 2
 		}
-		deltas := perf.Compare(base.Results, fresh.Results, th)
+		deltas := perf.Compare(base.Results, fresh.Results, perf.DefaultThresholds())
 		perf.RenderDeltas(out, area, deltas)
 		regressions += perf.Regressions(deltas)
 	}
@@ -301,23 +289,14 @@ func runExperiments(b *benchFlags, out *lockedWriter, stderr io.Writer) int {
 
 	var err error
 	if *b.exp == "all" {
-		if fm != experiments.FormatText {
-			for _, id := range experiments.IDs() {
-				fmt.Fprintf(out, "### experiment %s\n", id)
-				if err = experiments.RunFormatted(id, sc, fm, out); err != nil {
-					break
-				}
-			}
-		} else {
-			err = experiments.RunAll(sc, out)
-		}
+		err = experiments.RunAll(sc, fm, out)
 	} else {
 		if _, ok := experiments.Registry[*b.exp]; !ok {
 			fmt.Fprintf(stderr, "deta-bench: unknown experiment %q (want all, %s)\n",
 				*b.exp, strings.Join(experiments.IDs(), ", "))
 			return 2
 		}
-		err = experiments.RunFormatted(*b.exp, sc, fm, out)
+		err = experiments.Run(*b.exp, sc, fm, out)
 	}
 	if err != nil {
 		fmt.Fprintf(stderr, "deta-bench: %v\n", err)

@@ -129,9 +129,9 @@ func TestUsageErrors(t *testing.T) {
 }
 
 // TestPerfBaselineWorkflow drives the full -perf lifecycle in-process:
-// baseline-write creates BENCH_agg.json, an unchanged rerun passes the
-// gate, and a baseline tampered to look 10x faster (i.e. the fresh run is
-// a ~900% slowdown) fails it with exit code 4.
+// baseline-write creates BENCH_agg.json, a rerun against that baseline
+// slowed 10x passes the gate, and a baseline tampered to look 10x faster
+// (i.e. the fresh run is a ~900% slowdown) fails it with exit code 4.
 func TestPerfBaselineWorkflow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real benchmarks")
@@ -153,16 +153,26 @@ func TestPerfBaselineWorkflow(t *testing.T) {
 		t.Fatalf("baseline malformed: %+v", base)
 	}
 
-	// Unchanged rerun passes. The generous ns and allocs gates keep this
-	// robust to scheduler noise at a 1ms benchtime (one-iteration benches
-	// jitter a few allocs/op run to run); the structural checks (missing
-	// benches) still apply.
+	// A rerun against a baseline made 10x slower, with 64 allocs/op of
+	// headroom, passes the default gate. The slack absorbs scheduler noise
+	// at a 1ms benchtime (one-iteration benches jitter a few allocs/op run
+	// to run) without loosening the gate itself; the structural checks
+	// (every baselined bench present in the fresh run) still apply.
+	slow := *base
+	slow.Results = append([]perf.Result(nil), base.Results...)
+	for i := range slow.Results {
+		slow.Results[i].NsPerOp *= 10
+		slow.Results[i].AllocsPerOp += 64
+	}
+	if err := perf.WriteFile(path, &slow); err != nil {
+		t.Fatal(err)
+	}
 	out.Reset()
 	errb.Reset()
 	freshDir := filepath.Join(dir, "fresh")
-	code := run(append(quick, "-perf-max-ns-pct", "5000", "-perf-max-allocs", "64", "-perf-fresh-dir", freshDir), &out, &errb)
+	code := run(append(quick, "-perf-fresh-dir", freshDir), &out, &errb)
 	if code != 0 {
-		t.Fatalf("unchanged rerun exit %d, want 0\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
+		t.Fatalf("rerun against a slowed baseline exit %d, want 0\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
 	}
 	if !strings.Contains(out.String(), "area agg") {
 		t.Errorf("delta table missing:\n%s", out.String())

@@ -6,8 +6,9 @@ import (
 	"io"
 )
 
-// CSV export so results can feed external plotting tools; cmd/deta-bench
-// exposes it via -format csv.
+// CSV export so results can feed external plotting tools; the registry
+// runners render it for FormatCSV, which cmd/deta-bench exposes via
+// -format csv.
 
 // RenderCSV writes the table as CSV rows (header first). Notes become
 // trailing comment-style rows prefixed with "#".
@@ -71,87 +72,4 @@ func (f *Figure) RenderCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// Format selects a rendering for the registry runners.
-type Format int
-
-// Output formats.
-const (
-	FormatText Format = iota
-	FormatCSV
-)
-
-// tableRunnerFmt and figureRunnerFmt build runners honoring a format.
-func tableRunnerFmt(f func(Scale) (*Table, error), format Format) Runner {
-	return func(sc Scale, w io.Writer) error {
-		t, err := f(sc)
-		if err != nil {
-			return err
-		}
-		if format == FormatCSV {
-			return t.RenderCSV(w)
-		}
-		t.Render(w)
-		return nil
-	}
-}
-
-func figureRunnerFmt(f func(Scale) (*Figure, *Figure, error), format Format) Runner {
-	return func(sc Scale, w io.Writer) error {
-		lossAcc, latency, err := f(sc)
-		if err != nil {
-			return err
-		}
-		if format == FormatCSV {
-			if err := lossAcc.RenderCSV(w); err != nil {
-				return err
-			}
-			return latency.RenderCSV(w)
-		}
-		lossAcc.Render(w)
-		latency.Render(w)
-		return nil
-	}
-}
-
-// RunFormatted executes an experiment with the chosen output format.
-// Experiments without a CSV form (the ASCII reconstruction grids) fall
-// back to text.
-func RunFormatted(id string, sc Scale, format Format, w io.Writer) error {
-	if format == FormatText {
-		return Run(id, sc, w)
-	}
-	if t, ok := tableBuilders[id]; ok {
-		return tableRunnerFmt(t, format)(sc, w)
-	}
-	if f, ok := figureBuilders[id]; ok {
-		return figureRunnerFmt(f, format)(sc, w)
-	}
-	return Run(id, sc, w)
-}
-
-// Builder registries mirror Registry for format-aware rendering.
-var tableBuilders = map[string]func(Scale) (*Table, error){
-	"table1":               Table1,
-	"table2":               Table2,
-	"table3":               Table3,
-	"ablation-shuffle":     AblationShuffleCost,
-	"ablation-aggs":        AblationAggregatorCount,
-	"ablation-auth":        AblationAuthCost,
-	"ablation-keyspace":    AblationKeySpace,
-	"ablation-knownmapper": AblationKnownMapper,
-	"ablation-dropout":     AblationDropout,
-	"ablation-geo":         AblationGeoLatency,
-	"ablation-labels":      AblationLabelInference,
-	"ablation-ldp":         AblationLDP,
-	"churn":                ChurnSweep,
-}
-
-var figureBuilders = map[string]func(Scale) (*Figure, *Figure, error){
-	"fig5a": Fig5a,
-	"fig5b": Fig5b,
-	"fig5c": Fig5c,
-	"fig6":  Fig6,
-	"fig7":  Fig7,
 }

@@ -399,12 +399,12 @@ func TestRegistry(t *testing.T) {
 			t.Fatal("IDs not sorted")
 		}
 	}
-	if err := Run("nope", FastScale(), io.Discard); err == nil {
+	if err := Run("nope", FastScale(), FormatText, io.Discard); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 	// A cheap registered experiment must run end to end through Run.
 	var buf bytes.Buffer
-	if err := Run("ablation-keyspace", FastScale(), &buf); err != nil {
+	if err := Run("ablation-keyspace", FastScale(), FormatText, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "KeyBits") {
@@ -484,17 +484,17 @@ func TestCSVRendering(t *testing.T) {
 	}
 }
 
-func TestRunFormattedCSV(t *testing.T) {
+// TestRunFormats: one Run renders a table in either format.
+func TestRunFormats(t *testing.T) {
 	var buf bytes.Buffer
-	if err := RunFormatted("ablation-keyspace", FastScale(), FormatCSV, &buf); err != nil {
+	if err := Run("ablation-keyspace", FastScale(), FormatCSV, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "KeyBits,KeySpace") {
 		t.Fatalf("CSV output unexpected:\n%s", buf.String())
 	}
-	// Text fallback path.
 	buf.Reset()
-	if err := RunFormatted("ablation-keyspace", FastScale(), FormatText, &buf); err != nil {
+	if err := Run("ablation-keyspace", FastScale(), FormatText, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "== Ablation") {

@@ -82,9 +82,8 @@ var smokeWant = map[string][]string{
 	"churn":                {"Parties,Dropout,Rounds,FusedFull,FusedDegraded,Abandoned"},
 }
 
-// TestSmokeRegistryPinned checks the three registries agree: every
-// experiment ID has labels pinned in smokeWant (and vice versa), and
-// every format-aware builder corresponds to a registered runner.
+// TestSmokeRegistryPinned checks every experiment ID has labels pinned
+// in smokeWant, and every smokeWant entry names a registered experiment.
 func TestSmokeRegistryPinned(t *testing.T) {
 	for _, id := range IDs() {
 		if _, ok := smokeWant[id]; !ok {
@@ -96,26 +95,11 @@ func TestSmokeRegistryPinned(t *testing.T) {
 			t.Errorf("smokeWant entry %q does not match any registered experiment", id)
 		}
 	}
-	for id := range tableBuilders {
-		if _, ok := Registry[id]; !ok {
-			t.Errorf("tableBuilders entry %q not in Registry", id)
-		}
-	}
-	for id := range figureBuilders {
-		if _, ok := Registry[id]; !ok {
-			t.Errorf("figureBuilders entry %q not in Registry", id)
-		}
-	}
-	for id := range tableBuilders {
-		if _, ok := figureBuilders[id]; ok {
-			t.Errorf("experiment %q is registered as both table and figure", id)
-		}
-	}
 }
 
 // TestSmokeAllExperiments table-drives every experiments.IDs() entry
-// through RunFormatted at tinyScale, in both CSV and the text fallback,
-// checking the pinned labels appear.
+// through Run at tinyScale in CSV mode (the text-only Figures 3 and 4
+// render text there), checking the pinned labels appear.
 func TestSmokeAllExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full experiment grid (tiny scale, still seconds per entry)")
@@ -125,7 +109,7 @@ func TestSmokeAllExperiments(t *testing.T) {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			var buf bytes.Buffer
-			if err := RunFormatted(id, sc, FormatCSV, &buf); err != nil {
+			if err := Run(id, sc, FormatCSV, &buf); err != nil {
 				t.Fatalf("experiment %s failed at tiny scale: %v", id, err)
 			}
 			out := buf.String()

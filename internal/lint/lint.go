@@ -84,12 +84,12 @@ type Package struct {
 
 // Finding is one analyzer hit, position-resolved for file:line output.
 type Finding struct {
-	Analyzer string         `json:"analyzer"`
-	Pos      token.Position `json:"-"`
-	File     string         `json:"file"`
-	Line     int            `json:"line"`
-	Col      int            `json:"col"`
-	Message  string         `json:"message"`
+	Analyzer string
+	Pos      token.Position
+	File     string
+	Line     int
+	Col      int
+	Message  string
 }
 
 func (f Finding) String() string {

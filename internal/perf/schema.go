@@ -7,8 +7,7 @@
 // of landing invisibly in EXPERIMENTS.md prose.
 //
 // cmd/deta-bench -perf drives the suite programmatically via
-// testing.Benchmark (best-of-N runs, bounded benchtime), mirroring the
-// deta-lint -baseline/-baseline-write workflow. The BenchmarkPerfSuite
+// testing.Benchmark (best-of-N runs, bounded benchtime). The BenchmarkPerfSuite
 // wrapper in each area package runs the same benches under
 // `go test -bench`, with the stable names the baselines record.
 package perf
