@@ -9,9 +9,9 @@
 //	deta-ap -listen 127.0.0.1:7000 -tls-dir ./tls
 //
 // The AP speaks only control-plane RPCs (registration, attestation,
-// key/round dispatch), which are gob-encoded; the fixed-layout fragment
-// codec that parties and aggregators exchange never appears on this
-// daemon's connections. Round lifecycle and party liveness are likewise
+// key/round dispatch), each body its one field raw or a fixed layout
+// (core/deploy.go); the fragment codec that parties and aggregators
+// exchange never appears on this daemon's connections. Round lifecycle and party liveness are likewise
 // aggregator-side concerns
 // (-round-deadline/-grace/-heartbeat on deta-aggregator, -heartbeat on
 // deta-party): the AP is stateless about rounds beyond issuing their IDs,

@@ -35,50 +35,19 @@ const (
 	MethodAPRoundID     = "ap.RoundID"
 )
 
-// Control-plane wire messages.
-type (
-	// EndorseReq asks the vendor role to endorse a platform VCEK.
-	EndorseReq struct {
-		PlatformName string
-		VCEKPub      []byte
-	}
-	// EndorseResp carries the endorsed chain.
-	EndorseResp struct{ Chain sev.CertChain }
-
-	// NonceReq starts an attestation exchange for an aggregator.
-	NonceReq struct{ AggregatorID string }
-	// NonceResp carries the AP's challenge nonce.
-	NonceResp struct{ Nonce []byte }
-
-	// AttestReq submits the attestation report for verification.
-	AttestReq struct {
-		AggregatorID string
-		Report       *sev.AttestationReport
-	}
-	// AttestResp carries the launch blob (the serialized ECDSA token) on
-	// success.
-	AttestResp struct{ LaunchBlob []byte }
-
-	// TokenPubKeyReq fetches an aggregator's provisioned token key.
-	TokenPubKeyReq struct{ AggregatorID string }
-	// TokenPubKeyResp carries it.
-	TokenPubKeyResp struct{ PubKey []byte }
-
-	// RegisterPartyReq registers a party with the key broker.
-	RegisterPartyReq struct{ PartyID string }
-	// RegisterPartyResp acknowledges.
-	RegisterPartyResp struct{ OK bool }
-
-	// PermKeyReq fetches the shared permutation key.
-	PermKeyReq struct{ PartyID string }
-	// PermKeyResp carries it.
-	PermKeyResp struct{ Key []byte }
-
-	// RoundIDReq fetches a round's training identifier.
-	RoundIDReq struct{ Round int }
-	// RoundIDResp carries it.
-	RoundIDResp struct{ ID []byte }
-)
+// Control-plane bodies. A method with one field sends that field as its
+// body, raw, and an empty body is an "OK". The rest carry an ID field
+// (sev.AppendField) ahead of a payload, and the endorsement chain and the
+// attestation report have one layout each, sev's (sev/wire.go):
+//
+//	method            request                           response
+//	ap.Endorse        platform name field, VCEK key     certificate chain
+//	ap.Nonce          aggregator ID                     nonce
+//	ap.Attest         aggregator ID field, report       launch blob
+//	ap.TokenPubKey    aggregator ID                     token public key
+//	ap.RegisterParty  party ID                          empty
+//	ap.PermKey        party ID                          permutation key
+//	ap.RoundID        round-control layout, round only  round ID
 
 // APService is the deployable control plane: vendor + attestation proxy +
 // key broker.
@@ -115,68 +84,69 @@ func (s *APService) Vendor() *sev.Vendor { return s.vendor }
 
 // Serve registers the control-plane methods on an RPC server.
 func (s *APService) Serve(srv *transport.Server) {
-	transport.HandleTyped(srv, MethodAPEndorse, func(r EndorseReq) (EndorseResp, error) {
-		chain, err := s.vendor.Endorse(r.PlatformName, r.VCEKPub)
+	srv.Handle(MethodAPEndorse, func(body []byte) ([]byte, error) {
+		name, pub, err := sev.CutField(body)
 		if err != nil {
-			return EndorseResp{}, err
+			return nil, fmt.Errorf("decoding request: %w", err)
 		}
-		return EndorseResp{Chain: chain}, nil
+		// pub aliases the request body, which outlives the call:
+		// Endorse signs it into the chain, encoded here, and keeps none.
+		chain, err := s.vendor.Endorse(string(name), pub)
+		return sev.AppendChain(nil, chain), err
 	})
-	transport.HandleTyped(srv, MethodAPNonce, func(r NonceReq) (NonceResp, error) {
-		if r.AggregatorID == "" {
-			return NonceResp{}, errors.New("empty aggregator ID")
+	srv.Handle(MethodAPNonce, func(body []byte) ([]byte, error) {
+		if len(body) == 0 {
+			return nil, errors.New("empty aggregator ID")
 		}
 		nonce, err := attest.NewNonce()
 		if err != nil {
-			return NonceResp{}, err
+			return nil, err
 		}
 		s.mu.Lock()
-		s.nonces[r.AggregatorID] = nonce
+		s.nonces[string(body)] = nonce
 		s.mu.Unlock()
-		return NonceResp{Nonce: nonce}, nil
+		return nonce, nil
 	})
-	transport.HandleTyped(srv, MethodAPAttest, func(r AttestReq) (AttestResp, error) {
+	srv.Handle(MethodAPAttest, func(body []byte) ([]byte, error) {
+		id, rest, err := sev.CutField(body)
+		var report *sev.AttestationReport
+		if err == nil {
+			report, err = sev.DecodeReport(rest)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("decoding request: %w", err)
+		}
+		aggregatorID := string(id)
 		s.mu.Lock()
-		nonce, ok := s.nonces[r.AggregatorID]
-		delete(s.nonces, r.AggregatorID)
+		nonce, ok := s.nonces[aggregatorID]
+		delete(s.nonces, aggregatorID)
 		s.mu.Unlock()
 		if !ok {
-			return AttestResp{}, fmt.Errorf("no pending nonce for %q; call %s first", r.AggregatorID, MethodAPNonce)
-		}
-		blob, err := s.proxy.VerifyAndIssueToken(r.AggregatorID, r.Report, nonce)
-		if err != nil {
-			return AttestResp{}, err
+			return nil, fmt.Errorf("no pending nonce for %q; call %s first", aggregatorID, MethodAPNonce)
 		}
 		//lint:ignore keytaint the launch blob rides the TLS-protected attestation response by design — in real SEV it would be encrypted to the platform's transport keys (see file header)
-		return AttestResp{LaunchBlob: blob}, nil
+		return s.proxy.VerifyAndIssueToken(aggregatorID, report, nonce)
 	})
-	transport.HandleTyped(srv, MethodAPTokenPubKey, func(r TokenPubKeyReq) (TokenPubKeyResp, error) {
-		pub, err := s.proxy.TokenPubKey(r.AggregatorID)
+	srv.Handle(MethodAPTokenPubKey, func(body []byte) ([]byte, error) {
+		return s.proxy.TokenPubKey(string(body))
+	})
+	srv.Handle(MethodAPRegister, func(body []byte) ([]byte, error) {
+		if len(body) == 0 {
+			return nil, errors.New("empty party ID")
+		}
+		s.broker.RegisterParty(string(body))
+		return nil, nil
+	})
+	srv.Handle(MethodAPPermKey, func(body []byte) ([]byte, error) {
+		//lint:ignore keytaint releasing the permutation key to a registered party is this method's purpose, over the AP's TLS channel
+		return s.broker.PermutationKey(string(body))
+	})
+	srv.Handle(MethodAPRoundID, func(body []byte) ([]byte, error) {
+		_, round, _, err := decodeCtl(body, ctlFields{round: true})
 		if err != nil {
-			return TokenPubKeyResp{}, err
+			return nil, fmt.Errorf("decoding request: %w", err)
 		}
-		return TokenPubKeyResp{PubKey: pub}, nil
-	})
-	transport.HandleTyped(srv, MethodAPRegister, func(r RegisterPartyReq) (RegisterPartyResp, error) {
-		if r.PartyID == "" {
-			return RegisterPartyResp{}, errors.New("empty party ID")
-		}
-		s.broker.RegisterParty(r.PartyID)
-		return RegisterPartyResp{OK: true}, nil
-	})
-	transport.HandleTyped(srv, MethodAPPermKey, func(r PermKeyReq) (PermKeyResp, error) {
-		key, err := s.broker.PermutationKey(r.PartyID)
-		if err != nil {
-			return PermKeyResp{}, err
-		}
-		return PermKeyResp{Key: key}, nil
-	})
-	transport.HandleTyped(srv, MethodAPRoundID, func(r RoundIDReq) (RoundIDResp, error) {
-		id, err := s.broker.RoundID(r.Round)
-		if err != nil {
-			return RoundIDResp{}, err
-		}
-		return RoundIDResp{ID: id}, nil
+		return s.broker.RoundID(round)
 	})
 }
 
@@ -185,32 +155,30 @@ type APClient struct{ C *transport.Client }
 
 // Endorse asks the vendor role to endorse a platform key.
 func (a *APClient) Endorse(ctx context.Context, platformName string, vcekPub []byte) (sev.CertChain, error) {
-	resp, err := transport.CallTypedContext[EndorseReq, EndorseResp](ctx, a.C, MethodAPEndorse,
-		EndorseReq{PlatformName: platformName, VCEKPub: vcekPub})
+	body, err := a.C.CallContext(ctx, MethodAPEndorse, append(sev.AppendField(nil, platformName), vcekPub...))
 	if err != nil {
 		return sev.CertChain{}, err
 	}
-	return resp.Chain, nil
+	return sev.DecodeChain(body)
 }
 
 // AttestCVM runs the aggregator-side Phase I against the remote AP: fetch a
 // nonce, produce the report, submit it, and inject the returned launch blob
 // into the paused CVM before resuming.
 func (a *APClient) AttestCVM(ctx context.Context, aggregatorID string, platform *sev.Platform, cvm *sev.CVM) error {
-	nresp, err := transport.CallTypedContext[NonceReq, NonceResp](ctx, a.C, MethodAPNonce, NonceReq{AggregatorID: aggregatorID})
+	nonce, err := a.C.CallContext(ctx, MethodAPNonce, []byte(aggregatorID))
 	if err != nil {
 		return err
 	}
-	report, err := platform.AttestCVM(cvm, 0, nresp.Nonce)
+	report, err := platform.AttestCVM(cvm, 0, nonce)
 	if err != nil {
 		return err
 	}
-	aresp, err := transport.CallTypedContext[AttestReq, AttestResp](ctx, a.C, MethodAPAttest,
-		AttestReq{AggregatorID: aggregatorID, Report: report})
+	blob, err := a.C.CallContext(ctx, MethodAPAttest, sev.AppendReport(sev.AppendField(nil, aggregatorID), report))
 	if err != nil {
 		return err
 	}
-	if err := cvm.InjectLaunchSecret(aresp.LaunchBlob); err != nil {
+	if err := cvm.InjectLaunchSecret(blob); err != nil {
 		return err
 	}
 	return cvm.Resume()
@@ -218,37 +186,27 @@ func (a *APClient) AttestCVM(ctx context.Context, aggregatorID string, platform 
 
 // TokenPubKey fetches the provisioned token key for an aggregator.
 func (a *APClient) TokenPubKey(ctx context.Context, aggregatorID string) ([]byte, error) {
-	resp, err := transport.CallTypedContext[TokenPubKeyReq, TokenPubKeyResp](ctx, a.C, MethodAPTokenPubKey,
-		TokenPubKeyReq{AggregatorID: aggregatorID})
-	if err != nil {
-		return nil, err
-	}
-	return resp.PubKey, nil
+	return a.C.CallContext(ctx, MethodAPTokenPubKey, []byte(aggregatorID))
 }
 
 // RegisterParty registers with the key broker.
 func (a *APClient) RegisterParty(ctx context.Context, partyID string) error {
-	_, err := transport.CallTypedContext[RegisterPartyReq, RegisterPartyResp](ctx, a.C, MethodAPRegister,
-		RegisterPartyReq{PartyID: partyID})
+	_, err := a.C.CallContext(ctx, MethodAPRegister, []byte(partyID))
 	return err
 }
 
 // PermKey fetches the shared permutation key.
 func (a *APClient) PermKey(ctx context.Context, partyID string) ([]byte, error) {
-	resp, err := transport.CallTypedContext[PermKeyReq, PermKeyResp](ctx, a.C, MethodAPPermKey, PermKeyReq{PartyID: partyID})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Key, nil
+	return a.C.CallContext(ctx, MethodAPPermKey, []byte(partyID))
 }
 
 // RoundID fetches a round's training identifier.
 func (a *APClient) RoundID(ctx context.Context, round int) ([]byte, error) {
-	resp, err := transport.CallTypedContext[RoundIDReq, RoundIDResp](ctx, a.C, MethodAPRoundID, RoundIDReq{Round: round})
+	body, err := appendCtl(nil, 0, round, "")
 	if err != nil {
 		return nil, err
 	}
-	return resp.ID, nil
+	return a.C.CallContext(ctx, MethodAPRoundID, body)
 }
 
 // DialAggregators dials every entry of a comma-separated id=addr list with

@@ -145,8 +145,7 @@ func TestRemoteAttestationRequiresNonce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = transport.CallTypedContext[AttestReq, AttestResp](context.Background(), ap.C, MethodAPAttest,
-		AttestReq{AggregatorID: "agg-x", Report: report})
+	_, err = ap.C.CallContext(context.Background(), MethodAPAttest, sev.AppendReport(sev.AppendField(nil, "agg-x"), report))
 	if err == nil {
 		t.Fatal("attestation without AP nonce accepted")
 	}
@@ -191,7 +190,7 @@ func TestTLSMaterialsSaveLoad(t *testing.T) {
 		t.Skipf("loopback unavailable: %v", err)
 	}
 	srv := transport.NewServer()
-	transport.HandleTyped(srv, "ping", func(s string) (string, error) { return s, nil })
+	srv.Handle("ping", func(body []byte) ([]byte, error) { return body, nil })
 	go srv.Serve(ln)
 	defer srv.Close()
 	conn, err := m.Dial(context.Background(), ln.Addr().String(), "127.0.0.1")
@@ -200,8 +199,8 @@ func TestTLSMaterialsSaveLoad(t *testing.T) {
 	}
 	c := transport.NewClient(conn)
 	defer c.Close()
-	got, err := transport.CallTypedContext[string, string](context.Background(), c, "ping", "ok")
-	if err != nil || got != "ok" {
+	got, err := c.CallContext(context.Background(), "ping", []byte("ok"))
+	if err != nil || string(got) != "ok" {
 		t.Fatalf("ping over loaded TLS: %v, %v", got, err)
 	}
 	if _, err := transport.LoadTLSMaterials(t.TempDir()); err == nil {

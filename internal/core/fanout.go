@@ -106,7 +106,6 @@ func (f *Fleet) fanOut(op func(j int, a *AggregatorClient) error) (ok []bool, er
 	errs = make([]error, len(f.Clients))
 	var g Group
 	for j, a := range f.Clients {
-		j, a := j, a
 		g.Go(func() error {
 			if e := op(j, a); e != nil {
 				errs[j] = fmt.Errorf("core: aggregator %s: %w", a.ID, e)
@@ -242,27 +241,22 @@ func (f *Fleet) Stats() map[string]transport.StatsSnapshot {
 // fan-outs it never fails on quorum; it reports how many aggregators
 // acknowledged and which of them readmitted the party (sorted).
 func (f *Fleet) HeartbeatAll(ctx context.Context, partyID string) (acked int, rejoinedAt []string) {
-	var mu sync.Mutex
-	var g Group
-	for _, a := range f.Clients {
-		a := a
-		g.Go(func() error {
-			cctx, cancel := f.callCtx(ctx)
-			defer cancel()
-			rejoined, err := a.Heartbeat(cctx, partyID)
-			if err != nil {
-				return nil // best-effort: silence is the signal
-			}
-			mu.Lock()
+	rejoined := make([]bool, len(f.Clients))
+	ok, _, _ := f.fanOut(func(j int, a *AggregatorClient) error {
+		cctx, cancel := f.callCtx(ctx)
+		defer cancel()
+		var err error
+		rejoined[j], err = a.Heartbeat(cctx, partyID)
+		return err
+	})
+	for j, a := range f.Clients {
+		if ok[j] {
 			acked++
-			if rejoined {
+			if rejoined[j] {
 				rejoinedAt = append(rejoinedAt, a.ID)
 			}
-			mu.Unlock()
-			return nil
-		})
+		}
 	}
-	g.Wait()
 	sort.Strings(rejoinedAt)
 	return acked, rejoinedAt
 }

@@ -85,6 +85,20 @@ func dialClient(t *testing.T, ln *transport.MemListener, id string) *AggregatorC
 	return c
 }
 
+// heartbeatClient returns a client whose server answers only
+// deta.Heartbeat, acknowledging it with the given readmission verdict.
+func heartbeatClient(t *testing.T, id string, rejoined bool) *AggregatorClient {
+	t.Helper()
+	srv := transport.NewServer()
+	handle(srv, MethodHeartbeat, func(HeartbeatReq) (HeartbeatResp, error) {
+		return HeartbeatResp{OK: true, Rejoined: rejoined}, nil
+	})
+	ln := transport.NewMemListener()
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+	return dialClient(t, ln, id)
+}
+
 // testFrags fabricates one distinct fragment per aggregator.
 func testFrags(k int) []tensor.Vector {
 	frags := make([]tensor.Vector, k)
@@ -318,5 +332,20 @@ func TestVerifyAndRegisterAllRejectsUnverifiableAggregator(t *testing.T) {
 	if err := fleet.VerifyAndRegisterAll(context.Background(), "P1",
 		proxy.TokenPubKey, attest.NewNonce, attest.VerifyChallenge); err != nil {
 		t.Fatalf("honest bootstrap failed: %v", err)
+	}
+}
+
+// TestHeartbeatAllIsBestEffort: of three aggregators one is down and one
+// readmits the party. The heartbeat still counts the two that answered and
+// names the one that readmitted, with no quorum to stop it.
+func TestHeartbeatAllIsBestEffort(t *testing.T) {
+	f := &Fleet{Clients: []*AggregatorClient{
+		heartbeatClient(t, "agg-3", true),
+		{ID: "agg-2"}, // down: no connection and no redial
+		heartbeatClient(t, "agg-1", false),
+	}, Timeout: 5 * time.Second}
+	acked, rejoinedAt := f.HeartbeatAll(context.Background(), "P1")
+	if acked != 2 || fmt.Sprint(rejoinedAt) != "[agg-3]" {
+		t.Fatalf("HeartbeatAll = %d acked, rejoined at %v; want 2 acked, rejoined at [agg-3]", acked, rejoinedAt)
 	}
 }

@@ -2,10 +2,13 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"runtime/metrics"
 	"testing"
 
 	"deta/internal/journal"
+	"deta/internal/sev"
 	"deta/internal/tensor"
 	"deta/internal/transport"
 )
@@ -155,4 +158,124 @@ func slicesEqualBits(a, b tensor.Vector) bool {
 		}
 	}
 	return true
+}
+
+// controlCodec decodes one kind of control-plane body the way its handler
+// or caller does, and returns the re-encoding of what it decoded.
+// prefixed says the body opens with a u32 length.
+type controlCodec struct {
+	name     string
+	prefixed bool
+	decode   func(body []byte) (encode func() []byte, err error)
+}
+
+var controlCodecs = []controlCodec{
+	// One field, raw: both ways of ap.Nonce, ap.TokenPubKey,
+	// ap.RegisterParty, ap.PermKey, deta.Challenge and deta.Register, and
+	// the responses of ap.Attest and ap.RoundID.
+	{name: "raw", decode: func(b []byte) (func() []byte, error) {
+		s := string(b)
+		return func() []byte { return []byte(s) }, nil
+	}},
+	{name: "ap.Endorse request", prefixed: true, decode: func(b []byte) (func() []byte, error) {
+		name, pub, err := sev.CutField(b)
+		n, p := string(name), bytes.Clone(pub)
+		return func() []byte { return append(sev.AppendField(nil, n), p...) }, err
+	}},
+	{name: "ap.Endorse response", prefixed: true, decode: func(b []byte) (func() []byte, error) {
+		ch, err := sev.DecodeChain(b)
+		return func() []byte { return sev.AppendChain(nil, ch) }, err
+	}},
+	{name: "ap.Attest request", prefixed: true, decode: func(b []byte) (func() []byte, error) {
+		id, rest, err := sev.CutField(b)
+		rep := new(sev.AttestationReport)
+		if err == nil {
+			rep, err = sev.DecodeReport(rest)
+		}
+		n := string(id)
+		return func() []byte { return sev.AppendReport(sev.AppendField(nil, n), rep) }, err
+	}},
+	{name: "ap.RoundID request", decode: func(b []byte) (func() []byte, error) {
+		_, round, _, err := decodeCtl(b, ctlFields{round: true})
+		return func() []byte {
+			body, _ := appendCtl(nil, 0, round, "")
+			return body
+		}, err
+	}},
+}
+
+// FuzzControlBodies feeds every control-plane decoder arbitrary bodies,
+// seeded with real ones. No body may panic a decoder; one that decodes
+// re-encodes to the same bytes, and what was decoded does not alias the
+// body. Then a length of 2^32-1 is written into the body at a fuzzed
+// offset: decoding must not allocate anything near that length, and where
+// the offset is the body's leading length it must be refused.
+func FuzzControlBodies(f *testing.F) {
+	vendor, err := sev.NewVendor()
+	if err != nil {
+		f.Fatal(err)
+	}
+	platform, err := sev.NewPlatform("host-1", vendor)
+	if err != nil {
+		f.Fatal(err)
+	}
+	cvm, err := platform.LaunchCVM(OVMF)
+	if err != nil {
+		f.Fatal(err)
+	}
+	nonce := bytes.Repeat([]byte{0x5a}, 32)
+	report, err := platform.AttestCVM(cvm, 0, nonce)
+	if err != nil {
+		f.Fatal(err)
+	}
+	_, vcekPub, err := sev.GenerateVCEK()
+	if err != nil {
+		f.Fatal(err)
+	}
+	roundID, err := appendCtl(nil, 0, 7, "")
+	if err != nil {
+		f.Fatal(err)
+	}
+	// Indexed like controlCodecs.
+	seeds := [][][]byte{
+		{[]byte("agg-1"), nonce, []byte("P1"), nil},
+		{append(sev.AppendField(nil, "host-1"), vcekPub...)},
+		{sev.AppendChain(nil, platform.Chain())},
+		{sev.AppendReport(sev.AppendField(nil, "agg-1"), report)},
+		{roundID},
+	}
+	for kind, bodies := range seeds {
+		for _, body := range bodies {
+			f.Add(uint8(kind), uint16(0), body)
+		}
+	}
+	f.Fuzz(func(t *testing.T, kind uint8, at uint16, body []byte) {
+		c := controlCodecs[int(kind)%len(controlCodecs)]
+		work := bytes.Clone(body)
+		if encode, err := c.decode(work); err == nil {
+			for i := range work {
+				work[i] ^= 0xff
+			}
+			if got := encode(); !bytes.Equal(got, body) {
+				t.Fatalf("%s: %x re-encodes as %x", c.name, body, got)
+			}
+		}
+		if len(body) < 4 {
+			return
+		}
+		off := int(at) % (len(body) - 3)
+		huge := bytes.Clone(body)
+		binary.LittleEndian.PutUint32(huge[off:], math.MaxUint32)
+		allocated := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+		metrics.Read(allocated)
+		before := allocated[0].Value.Uint64()
+		_, err := c.decode(huge)
+		metrics.Read(allocated)
+		if grew := allocated[0].Value.Uint64() - before; grew > uint64(8*len(huge))+1<<20 {
+			t.Fatalf("%s: a 2^32-1 length at offset %d cost %d bytes of allocation", c.name, off, grew)
+		}
+		if c.prefixed && off == 0 && err == nil {
+			t.Fatalf("%s: a leading length of 2^32-1 over %d bytes decoded", c.name, len(huge))
+		}
+	})
 }

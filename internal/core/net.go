@@ -26,19 +26,11 @@ const (
 	MethodHeartbeat = "deta.Heartbeat"
 )
 
-// Wire messages. Challenge and Register run once per connection and are
-// gob; every message of the round loop has a fixed layout (below).
+// Wire messages. Challenge and Register, run once per connection, send
+// their one field as the body, raw: the nonce and the signature over it,
+// then the party ID and an empty "OK". Every message of the round loop has
+// a fixed layout (below).
 type (
-	// ChallengeReq asks the aggregator to prove token possession.
-	ChallengeReq struct{ Nonce []byte }
-	// ChallengeResp carries the token signature over the nonce.
-	ChallengeResp struct{ Sig []byte }
-
-	// RegisterReq admits a party.
-	RegisterReq struct{ PartyID string }
-	// RegisterResp acknowledges registration.
-	RegisterResp struct{ OK bool }
-
 	// UploadReq carries one transformed fragment.
 	UploadReq struct {
 		Round    int
@@ -255,8 +247,12 @@ func withStatus(err error) error {
 
 // fromStatus is withStatus's inverse on the calling side: a remote error
 // with a known code also wraps that code's sentinel. An unknown code (a
-// newer peer) stays a plain RemoteError.
+// newer peer) stays a plain RemoteError. Success returns before the
+// errors.As target exists, so it costs no allocation.
 func fromStatus(err error) error {
+	if err == nil {
+		return nil
+	}
 	var re *transport.RemoteError
 	if errors.As(err, &re) && re.Code != 0 && int(re.Code) < len(statusCodes) {
 		return fmt.Errorf("%w (%w)", statusCodes[re.Code], err)
@@ -265,8 +261,8 @@ func fromStatus(err error) error {
 }
 
 // handle registers one aggregator method with its errors status-stamped.
-func handle[Req, Resp any](srv *transport.Server, method string, h func(Req) (Resp, error)) {
-	transport.HandleTyped(srv, method, func(r Req) (Resp, error) {
+func handle[Req any, Resp transport.WireAppender, PReq transport.Decodes[Req]](srv *transport.Server, method string, h func(Req) (Resp, error)) {
+	transport.HandleTyped[Req, Resp, PReq](srv, method, func(r Req) (Resp, error) {
 		resp, err := h(r)
 		return resp, withStatus(err)
 	})
@@ -274,19 +270,16 @@ func handle[Req, Resp any](srv *transport.Server, method string, h func(Req) (Re
 
 // ServeAggregator binds an AggregatorNode's protocol onto an RPC server.
 func ServeAggregator(node *AggregatorNode, srv *transport.Server) {
-	handle(srv, MethodChallenge, func(r ChallengeReq) (ChallengeResp, error) {
-		sig, err := node.SignChallenge(r.Nonce)
-		if err != nil {
-			return ChallengeResp{}, err
-		}
-		return ChallengeResp{Sig: sig}, nil
+	srv.Handle(MethodChallenge, func(body []byte) ([]byte, error) {
+		sig, err := node.SignChallenge(body)
+		return sig, withStatus(err)
 	})
-	handle(srv, MethodRegister, func(r RegisterReq) (RegisterResp, error) {
-		if r.PartyID == "" {
-			return RegisterResp{}, errors.New("empty party ID")
+	srv.Handle(MethodRegister, func(body []byte) ([]byte, error) {
+		if len(body) == 0 {
+			return nil, errors.New("empty party ID")
 		}
-		node.Register(r.PartyID)
-		return RegisterResp{OK: true}, nil
+		node.Register(string(body))
+		return nil, nil
 	})
 	// The two fragment-bearing methods see raw bodies, so that the node
 	// encodes no fragment it already holds encoded.
@@ -387,17 +380,28 @@ func (a *AggregatorClient) client(ctx context.Context) (*transport.Client, error
 	return a.C, nil
 }
 
-func callAgg[Req, Resp any](ctx context.Context, a *AggregatorClient, method string, req Req) (Resp, error) {
+// callAgg performs a typed call on the link, redialing a dead connection
+// first, with a remote error re-wrapped for its status code. size is the
+// request's encoded size when it may not fit a seed buffer, else 0 (see
+// transport.CallSizedContext).
+func callAgg[Req transport.WireAppender, Resp any, PResp transport.Decodes[Resp]](ctx context.Context, a *AggregatorClient, method string, req Req, size int) (Resp, error) {
 	c, err := a.client(ctx)
 	if err != nil {
 		var zero Resp
 		return zero, err
 	}
-	resp, err := transport.CallTypedContext[Req, Resp](ctx, c, method, req)
-	if err != nil { // not fromStatus(nil): its errors.As target would cost the success path an allocation
-		return resp, fromStatus(err)
+	resp, err := transport.CallSizedContext[Req, Resp, PResp](ctx, c, method, req, size)
+	return resp, fromStatus(err)
+}
+
+// callRaw is callAgg for a method whose body is its one field, raw.
+func (a *AggregatorClient) callRaw(ctx context.Context, method string, body []byte) ([]byte, error) {
+	c, err := a.client(ctx)
+	if err != nil {
+		return nil, err
 	}
-	return resp, nil
+	out, err := c.CallContext(ctx, method, body)
+	return out, fromStatus(err)
 }
 
 // Stats exposes the link's transport counters: those of the current
@@ -431,17 +435,16 @@ func addStats(x, y transport.StatsSnapshot) transport.StatsSnapshot {
 
 // Challenge runs the Phase II nonce exchange.
 func (a *AggregatorClient) Challenge(ctx context.Context, nonce []byte) ([]byte, error) {
-	resp, err := callAgg[ChallengeReq, ChallengeResp](ctx, a, MethodChallenge, ChallengeReq{Nonce: nonce})
+	sig, err := a.callRaw(ctx, MethodChallenge, nonce)
 	if err != nil {
 		return nil, fmt.Errorf("core: challenge %s: %w", a.ID, err)
 	}
-	return resp.Sig, nil
+	return sig, nil
 }
 
 // Register admits the party at this aggregator.
 func (a *AggregatorClient) Register(ctx context.Context, partyID string) error {
-	_, err := callAgg[RegisterReq, RegisterResp](ctx, a, MethodRegister, RegisterReq{PartyID: partyID})
-	if err != nil {
+	if _, err := a.callRaw(ctx, MethodRegister, []byte(partyID)); err != nil {
 		return fmt.Errorf("core: register at %s: %w", a.ID, err)
 	}
 	return nil
@@ -456,15 +459,8 @@ func (a *AggregatorClient) Register(ctx context.Context, partyID string) error {
 // (transport.CallSizedContext), so a steady stream of uploads, small or
 // large, allocates no request bodies.
 func (a *AggregatorClient) Upload(ctx context.Context, round int, partyID string, frag tensor.Vector, index int, weight float64) error {
-	c, err := a.client(ctx)
-	if err == nil {
-		req := UploadReq{Round: round, PartyID: partyID, Frag: index, Fragment: frag, Weight: weight}
-		size := transport.FragmentWireSize(partyID, len(frag))
-		if _, err = transport.CallSizedContext[UploadReq, UploadResp](ctx, c, MethodUpload, req, size); err != nil {
-			err = fromStatus(err)
-		}
-	}
-	if err != nil {
+	req := UploadReq{Round: round, PartyID: partyID, Frag: index, Fragment: frag, Weight: weight}
+	if _, err := callAgg[UploadReq, UploadResp](ctx, a, MethodUpload, req, transport.FragmentWireSize(partyID, len(frag))); err != nil {
 		return fmt.Errorf("core: upload to %s: %w", a.ID, err)
 	}
 	return nil
@@ -473,7 +469,7 @@ func (a *AggregatorClient) Upload(ctx context.Context, round int, partyID string
 // Heartbeat sends a liveness signal; rejoined reports that this heartbeat
 // readmitted the (previously evicted) party.
 func (a *AggregatorClient) Heartbeat(ctx context.Context, partyID string) (rejoined bool, err error) {
-	resp, err := callAgg[HeartbeatReq, HeartbeatResp](ctx, a, MethodHeartbeat, HeartbeatReq{PartyID: partyID})
+	resp, err := callAgg[HeartbeatReq, HeartbeatResp](ctx, a, MethodHeartbeat, HeartbeatReq{PartyID: partyID}, 0)
 	if err != nil {
 		return false, fmt.Errorf("core: heartbeat to %s: %w", a.ID, err)
 	}
@@ -485,7 +481,7 @@ func (a *AggregatorClient) Heartbeat(ctx context.Context, partyID string) (rejoi
 // once it never will; a fused round answers nil, so re-driving sync after a
 // restart is safe.
 func (a *AggregatorClient) Aggregate(ctx context.Context, round int) error {
-	_, err := callAgg[AggregateReq, AggregateResp](ctx, a, MethodAggregate, AggregateReq{Round: round})
+	_, err := callAgg[AggregateReq, AggregateResp](ctx, a, MethodAggregate, AggregateReq{Round: round}, 0)
 	if err != nil {
 		return fmt.Errorf("core: aggregate at %s: %w", a.ID, err)
 	}
@@ -495,9 +491,7 @@ func (a *AggregatorClient) Aggregate(ctx context.Context, round int) error {
 // Download fetches the aggregated fragment. A response fused for any
 // other round is an error, never a fragment of the wrong model.
 func (a *AggregatorClient) Download(ctx context.Context, round int, partyID string) (tensor.Vector, error) {
-	resp, err := callAgg[DownloadReq, DownloadResp](ctx, a, MethodDownload, DownloadReq{
-		Round: round, PartyID: partyID,
-	})
+	resp, err := callAgg[DownloadReq, DownloadResp](ctx, a, MethodDownload, DownloadReq{Round: round, PartyID: partyID}, 0)
 	if err != nil {
 		return nil, fmt.Errorf("core: download from %s: %w", a.ID, err)
 	}

@@ -124,7 +124,7 @@ func TestFragmentMessagesHaveOneEncoding(t *testing.T) {
 		{"truncated header", valid[:10], "truncated"},
 		{"truncated slab", valid[:len(valid)-3], "disagrees"},
 	} {
-		for _, dst := range []any{new(UploadReq), new(DownloadResp)} {
+		for _, dst := range []transport.WireDecoder{new(UploadReq), new(DownloadResp)} {
 			err := transport.Decode(tc.body, dst)
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Errorf("%s into %T: err = %v, want one mentioning %q", tc.name, dst, err, tc.wantErr)
@@ -144,7 +144,7 @@ func TestFragmentMessagesHaveOneEncoding(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, dst := range []any{new(UploadReq), new(DownloadResp)} {
+		for _, dst := range []transport.WireDecoder{new(UploadReq), new(DownloadResp)} {
 			if err := transport.Decode(ctl, dst); err == nil {
 				t.Errorf("%T body decoded into %T", m.msg, dst)
 			}
@@ -155,13 +155,15 @@ func TestFragmentMessagesHaveOneEncoding(t *testing.T) {
 // ctlMessage is one of the six round-control messages, every field set,
 // and which of the shared layout's fields it carries.
 type ctlMessage struct {
-	msg   any
+	msg   transport.WireAppender
 	round bool
 	party bool
 }
 
 // fresh returns a pointer to a zero value of the message's type.
-func (m ctlMessage) fresh() any { return reflect.New(reflect.TypeOf(m.msg)).Interface() }
+func (m ctlMessage) fresh() transport.WireDecoder {
+	return reflect.New(reflect.TypeOf(m.msg)).Interface().(transport.WireDecoder)
+}
 
 var ctlMessages = []ctlMessage{
 	{msg: UploadResp{OK: true}},
@@ -187,7 +189,7 @@ func TestRoundControlBodies(t *testing.T) {
 		if back := reflect.ValueOf(got).Elem().Interface(); !reflect.DeepEqual(back, m.msg) {
 			t.Fatalf("round trip %+v -> %+v", m.msg, back)
 		}
-		zero, err := transport.Encode(reflect.Zero(reflect.TypeOf(m.msg)).Interface())
+		zero, err := transport.Encode(reflect.Zero(reflect.TypeOf(m.msg)).Interface().(transport.WireAppender))
 		if err != nil || len(zero) != ctlFixedLen {
 			t.Fatalf("zero %T encodes to %d bytes, %v; want the %d fixed ones", m.msg, len(zero), err, ctlFixedLen)
 		}

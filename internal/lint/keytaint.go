@@ -16,9 +16,12 @@ package lint
 //   - the permKey/token fields of KeyBroker, Shuffler, Token
 //
 // Sinks: fmt formatting/print family, errors.New/Join, the log package,
-// journal Append/Compact payloads, transport.Encode, and any
-// module wire struct named *Req/*Resp — except PermKeyReq/PermKeyResp,
-// the one sanctioned key-carrying message.
+// journal Append/Compact payloads, and the wire: transport.Encode, the body
+// argument of (*transport.Client).CallContext, the value a handler literal
+// registered with (*transport.Server).Handle returns, and any module wire
+// struct named *Req/*Resp except PermKeyReq/PermKeyResp. The AP's own
+// PermKey and launch-blob responses are raw handler returns, acknowledged
+// in code with //lint:ignore.
 //
 // Sanitizers: rng.Fingerprint, SHA-2 digests, HMAC construction, and the
 // builtins (len of a key is not the key). Assigning a sanitized value
@@ -100,7 +103,7 @@ func (a *KeyTaint) Run(pkg *Package, r *Reporter) {
 	if a.g == nil {
 		return // the fixpoint did not settle; solve has reported it
 	}
-	env := &taintEnv{pkg: pkg, g: a.g}
+	env := &taintEnv{pkg: pkg, g: a.g, handlers: make(map[*ast.FuncLit]bool)}
 	for _, u := range a.ix.units[pkg] {
 		if u.lit != nil && u.parent != nil {
 			// Nested literals are checked in context by the enclosing
@@ -281,13 +284,14 @@ func seedParams(env *taintEnv, u *funcUnit, f taintFact) {
 func checkTaintUnit(env *taintEnv, u *funcUnit, r *Reporter) {
 	entry := make(taintFact)
 	seedParams(env, u, entry)
-	checkTaintBody(env, u.body(), entry, r)
+	checkTaintBody(env, u.body(), entry, false, r)
 }
 
 // checkTaintBody solves taint over one body's CFG from the given entry
 // fact and reports sink reaches — shared by declared units (empty entry
 // plus parameter seeds) and closures (the enclosing fact at creation).
-func checkTaintBody(env *taintEnv, body *ast.BlockStmt, entry taintFact, r *Reporter) {
+// In a handler's body the returned response is a wire sink too.
+func checkTaintBody(env *taintEnv, body *ast.BlockStmt, entry taintFact, handler bool, r *Reporter) {
 	c := buildCFG(body)
 	transfer := func(f taintFact, n ast.Node) { env.transfer(f, n) }
 	in := solveForward(c, entry, transfer)
@@ -295,6 +299,11 @@ func checkTaintBody(env *taintEnv, body *ast.BlockStmt, entry taintFact, r *Repo
 		f := cloneFact(in[blk])
 		for _, n := range blk.nodes {
 			env.checkSinks(f, n, r)
+			if ret, ok := n.(*ast.ReturnStmt); ok && handler && len(ret.Results) > 0 {
+				if label, tainted := env.exprTaint(f, ret.Results[0]); tainted {
+					r.Reportf(ret.Pos(), wireLeak, label, "a transport.Handler's response")
+				}
+			}
 			env.transfer(f, n)
 		}
 	}
@@ -320,7 +329,7 @@ func (env *taintEnv) checkFuncLit(f taintFact, lit *ast.FuncLit, r *Reporter) {
 	u := &funcUnit{pkg: env.pkg, lit: lit}
 	entry := cloneFact(f)
 	seedParams(env, u, entry)
-	checkTaintBody(env, lit.Body, entry, r)
+	checkTaintBody(env, lit.Body, entry, env.handlers[lit], r)
 }
 
 // taintEnv carries the shared context of the taint passes. weak mode
@@ -331,6 +340,9 @@ type taintEnv struct {
 	local        taintFact // persistent env for weak mode only
 	weak         bool
 	localChanged bool
+	// handlers are the literals registered with Server.Handle, marked at
+	// the call before the literal's body is checked.
+	handlers map[*ast.FuncLit]bool
 }
 
 // transfer applies one node's effect on the taint fact.
@@ -618,9 +630,20 @@ func (env *taintEnv) checkSinks(f taintFact, n ast.Node, r *Reporter) {
 	})
 }
 
+// wireLeak is the finding for key material on the wire.
+const wireLeak = "key material (%s) reaches %s: key bytes go on the wire only in the AP's PermKey and launch-blob responses, acknowledged in code"
+
 func (env *taintEnv) checkSinkCall(f taintFact, call *ast.CallExpr, r *Reporter) {
 	callee := calleeFunc(env.pkg, call)
 	if callee == nil || callee.Pkg() == nil {
+		return
+	}
+	if funcKey(callee) == "deta/internal/transport.Server.Handle" {
+		// The literal's returns are checked with its body. Every handler
+		// in the module is a literal at its Handle call.
+		if lit, ok := unparen(call.Args[1]).(*ast.FuncLit); ok {
+			env.handlers[lit] = true
+		}
 		return
 	}
 	path, name := callee.Pkg().Path(), callee.Name()
@@ -635,8 +658,8 @@ func (env *taintEnv) checkSinkCall(f taintFact, call *ast.CallExpr, r *Reporter)
 		sink, kind = "log."+name, "format"
 	case path == journalPath && (name == "Append" || name == "Compact"):
 		sink, kind = "journal."+name, "journal"
-	case path == "deta/internal/transport" && name == "Encode":
-		sink, kind = "transport.Encode", "wire"
+	case path == "deta/internal/transport" && (name == "Encode" || name == "CallContext"):
+		sink, kind = "transport."+name, "wire"
 	default:
 		return
 	}
@@ -653,8 +676,7 @@ func (env *taintEnv) checkSinkCall(f taintFact, call *ast.CallExpr, r *Reporter)
 			r.Reportf(call.Pos(),
 				"key material (%s) reaches %s: the WAL is plaintext on disk and must never record key bytes", label, sink)
 		case "wire":
-			r.Reportf(call.Pos(),
-				"key material (%s) reaches %s: only the AP PermKey response may carry key bytes", label, sink)
+			r.Reportf(call.Pos(), wireLeak, label, sink)
 		}
 		return
 	}

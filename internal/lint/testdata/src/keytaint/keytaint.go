@@ -7,12 +7,14 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log"
 
 	"deta/internal/journal"
 	"deta/internal/rng"
+	"deta/internal/transport"
 )
 
 // UploadReq is a module wire message: carrying key bytes in it is a leak.
@@ -243,3 +245,33 @@ func chainLog3(b []byte)         { chainLog4(b) }
 func chainLog2(b []byte)         { chainLog3(b) }
 func chainLog1(b []byte)         { chainLog2(b) }
 func badDeepChain(master []byte) { chainLog1(rng.DeriveSeed(master)) }
+
+// badHandlerReturn answers a raw RPC with a derived key: what a handler
+// registered with Server.Handle returns is a wire message.
+func badHandlerReturn(srv *transport.Server, master []byte) {
+	srv.Handle("leak", func(body []byte) ([]byte, error) {
+		return rng.DeriveSeed(master, body), nil // want keytaint
+	})
+}
+
+// badCallBody sends a derived key as a raw request body.
+func badCallBody(ctx context.Context, c *transport.Client, master []byte) error {
+	_, err := c.CallContext(ctx, "leak", rng.DeriveSeed(master)) // want keytaint
+	return err
+}
+
+// goodAckHandlerReturn returns a key acknowledged in code, the way the AP
+// acknowledges its PermKey response.
+func goodAckHandlerReturn(srv *transport.Server, master []byte) {
+	srv.Handle("key", func(body []byte) ([]byte, error) {
+		//lint:ignore keytaint the fixture's sanctioned key response
+		return rng.DeriveSeed(master), nil
+	})
+}
+
+// goodCleanCall: a request body and a response with no key material.
+func goodCleanCall(ctx context.Context, srv *transport.Server, c *transport.Client, id string) error {
+	srv.Handle("echo", func(body []byte) ([]byte, error) { return body, nil })
+	_, err := c.CallContext(ctx, "echo", []byte(id))
+	return err
+}

@@ -64,13 +64,18 @@ type frag []byte
 
 func (f frag) AppendWire(dst []byte) ([]byte, error) { return append(dst, f...), nil }
 
+// ack stands in for its empty response.
+type ack struct{}
+
+func (*ack) DecodeWire([]byte) error { return nil }
+
 // badSizedUpload holds the lock across a fragment upload. Seen from this
 // package alone transport's bodies are not analyzed, so the I/O table has
 // to name the call.
 func (p *peer) badSizedUpload(ctx context.Context, c *transport.Client, f frag) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	_, err := transport.CallSizedContext[frag, struct{}](ctx, c, "upload", f, len(f)) // want lockregion
+	_, err := transport.CallSizedContext[frag, ack](ctx, c, "upload", f, len(f)) // want lockregion
 	return err
 }
 

@@ -32,12 +32,11 @@ type Cert struct {
 	Sig     []byte // ASN.1 ECDSA signature by the parent key
 }
 
+// digest is what the parent key signs: the certificate's encoding up to
+// its Sig field (wire.go).
 func (c Cert) digest() []byte {
-	h := sha256.New()
-	h.Write([]byte(c.Subject))
-	h.Write([]byte{0})
-	h.Write(c.PubKey)
-	return h.Sum(nil)
+	d := sha256.Sum256(appendCertBody(nil, c))
+	return d[:]
 }
 
 // PublicKey unmarshals the certificate's key.

@@ -4,7 +4,6 @@ import (
 	"crypto/ecdsa"
 	"crypto/rand"
 	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 )
 
@@ -21,25 +20,11 @@ type AttestationReport struct {
 	Signature    []byte
 }
 
+// digest is what the VCEK signs: the report's encoding up to its Signature
+// field (wire.go), which binds the whole endorsement chain with it.
 func (r *AttestationReport) digest() []byte {
-	h := sha256.New()
-	h.Write([]byte(r.PlatformName))
-	h.Write([]byte{0})
-	var asid [8]byte
-	binary.BigEndian.PutUint64(asid[:], uint64(r.ASID))
-	h.Write(asid[:])
-	h.Write(r.Measurement[:])
-	var pol [8]byte
-	binary.BigEndian.PutUint64(pol[:], r.Policy)
-	h.Write(pol[:])
-	var n [8]byte
-	binary.BigEndian.PutUint64(n[:], uint64(len(r.ReportData)))
-	h.Write(n[:])
-	h.Write(r.ReportData)
-	// The chain is bound by hashing the VCEK cert (its parents are
-	// validated separately during chain verification).
-	h.Write(r.Chain.VCEK.digest())
-	return h.Sum(nil)
+	d := sha256.Sum256(appendReportBody(nil, r))
+	return d[:]
 }
 
 // AttestCVM asks the platform's secure processor to produce a signed

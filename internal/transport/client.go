@@ -232,33 +232,20 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// CallTypedContext performs a call with the request run through Encode and
-// the response through Decode, straight from the read buffer.
-func CallTypedContext[Req, Resp any](ctx context.Context, c *Client, method string, req Req) (Resp, error) {
-	var zero Resp
-	body, err := Encode(req)
-	if err != nil {
-		return zero, err
-	}
-	out, err := c.roundTrip(ctx, method, body, nil, nil)
-	if err != nil {
-		return zero, err
-	}
-	var resp Resp
-	err = Decode(out.body, &resp)
-	out.release()
-	if err != nil {
-		return zero, err
-	}
-	return resp, nil
+// CallTypedContext performs a call with the request encoded in its fixed
+// layout and the response decoded from its own, straight from the read
+// buffer. The request is encoded into a pooled seed buffer (see
+// CallSizedContext).
+func CallTypedContext[Req WireAppender, Resp any, PResp Decodes[Resp]](ctx context.Context, c *Client, method string, req Req) (Resp, error) {
+	return CallSizedContext[Req, Resp, PResp](ctx, c, method, req, 0)
 }
 
 // CallSizedContext is CallTypedContext for a request whose encoding is
-// size bytes long (a fragment upload). The request is encoded into a
+// about size bytes long (a fragment upload). The request is encoded into a
 // pooled buffer, a seed buffer at or under bodySeed and a class buffer
 // above it, which the client's writer returns to its pool once the frame
 // is written.
-func CallSizedContext[Req WireAppender, Resp any](ctx context.Context, c *Client, method string, req Req, size int) (Resp, error) {
+func CallSizedContext[Req WireAppender, Resp any, PResp Decodes[Resp]](ctx context.Context, c *Client, method string, req Req, size int) (Resp, error) {
 	var zero Resp
 	buf, big := getBody(size)
 	// Should the encoding outgrow size, body is a buffer of its own and
@@ -273,7 +260,7 @@ func CallSizedContext[Req WireAppender, Resp any](ctx context.Context, c *Client
 		return zero, err
 	}
 	var resp Resp
-	err = Decode(out.body, &resp)
+	err = PResp(&resp).DecodeWire(out.body)
 	out.release()
 	if err != nil {
 		return zero, err

@@ -5,8 +5,9 @@ package transport
 // per-element varint encoding dominated the upload path; they travel as a
 // fixed-layout binary message, decoded straight into pooled tensor buffers.
 // The small messages of the round loop have a fixed layout of their own
-// (core/net.go); gob is left to the bodies sent once per connection or per
-// deployment (attestation, registration).
+// (core/net.go), and a control-plane body is its one field, raw, or an ID
+// field ahead of sev's layout of a certificate chain or an attestation
+// report (core/deploy.go, sev/wire.go).
 //
 // Fragment wire layout, version 1 (all multi-byte fields little-endian):
 //
@@ -46,6 +47,13 @@ type WireAppender interface {
 // WireDecoder is the decoding half, implemented on pointer receivers.
 type WireDecoder interface {
 	DecodeWire(data []byte) error
+}
+
+// Decodes is the typed calls' constraint on a message's pointer type: *M
+// decodes an M.
+type Decodes[M any] interface {
+	*M
+	WireDecoder
 }
 
 const (

@@ -8,7 +8,7 @@ import (
 
 func TestLatencyConnDelaysCalls(t *testing.T) {
 	s := NewServer()
-	HandleTyped(s, "echo", func(x int) (int, error) { return x, nil })
+	HandleTyped(s, "echo", func(x num) (num, error) { return x, nil })
 	ln := NewMemListener()
 	go s.Serve(&JitterListener{Listener: ln, Min: 2 * time.Millisecond, Max: 2 * time.Millisecond})
 	defer s.Close()
@@ -22,8 +22,8 @@ func TestLatencyConnDelaysCalls(t *testing.T) {
 
 	start := time.Now()
 	const calls = 5
-	for i := 0; i < calls; i++ {
-		got, err := CallTypedContext[int, int](context.Background(), c, "echo", i)
+	for i := num(0); i < calls; i++ {
+		got, err := CallTypedContext[num, num](context.Background(), c, "echo", i)
 		if err != nil || got != i {
 			t.Fatalf("call %d: %v, %v", i, got, err)
 		}

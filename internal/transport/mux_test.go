@@ -76,7 +76,7 @@ func TestResponsesRoutedByID(t *testing.T) {
 // one and both land at the right waiter.
 func TestOutOfOrderViaSlowHandler(t *testing.T) {
 	s := NewServer()
-	HandleTyped(s, "sleep", func(ms int) (int, error) {
+	HandleTyped(s, "sleep", func(ms num) (num, error) {
 		time.Sleep(time.Duration(ms) * time.Millisecond)
 		return ms, nil
 	})
@@ -87,7 +87,7 @@ func TestOutOfOrderViaSlowHandler(t *testing.T) {
 
 	slowDone := make(chan error, 1)
 	go func() {
-		got, err := CallTypedContext[int, int](context.Background(), c, "sleep", 80)
+		got, err := CallTypedContext[num, num](context.Background(), c, "sleep", 80)
 		if err == nil && got != 80 {
 			err = fmt.Errorf("slow call got %d", got)
 		}
@@ -95,7 +95,7 @@ func TestOutOfOrderViaSlowHandler(t *testing.T) {
 	}()
 	time.Sleep(10 * time.Millisecond) // let the slow request hit the wire first
 	start := time.Now()
-	got, err := CallTypedContext[int, int](context.Background(), c, "sleep", 1)
+	got, err := CallTypedContext[num, num](context.Background(), c, "sleep", 1)
 	if err != nil || got != 1 {
 		t.Fatalf("fast call: %d, %v", got, err)
 	}
@@ -328,11 +328,11 @@ func testPooledBodies(t *testing.T, size int) {
 func TestCallContextDeadline(t *testing.T) {
 	release := make(chan struct{})
 	s := NewServer()
-	HandleTyped(s, "stall", func(x int) (int, error) {
+	HandleTyped(s, "stall", func(x num) (num, error) {
 		<-release
 		return x, nil
 	})
-	HandleTyped(s, "echo", func(x int) (int, error) { return x, nil })
+	HandleTyped(s, "echo", func(x num) (num, error) { return x, nil })
 	ln := NewMemListener()
 	go s.Serve(ln)
 	t.Cleanup(s.Close)
@@ -342,7 +342,7 @@ func TestCallContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := CallTypedContext[int, int](ctx, c, "stall", 1)
+	_, err := CallTypedContext[num, num](ctx, c, "stall", 1)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}
@@ -352,7 +352,7 @@ func TestCallContextDeadline(t *testing.T) {
 	if c.Err() != nil {
 		t.Fatalf("client poisoned by per-call deadline: %v", c.Err())
 	}
-	got, err := CallTypedContext[int, int](context.Background(), c, "echo", 7)
+	got, err := CallTypedContext[num, num](context.Background(), c, "echo", 7)
 	if err != nil || got != 7 {
 		t.Fatalf("follow-up call after timeout: %d, %v", got, err)
 	}
@@ -366,11 +366,11 @@ func TestCallContextDeadline(t *testing.T) {
 // fail fast with the same error instead of hanging.
 func TestStickyFailure(t *testing.T) {
 	s := NewServer()
-	HandleTyped(s, "echo", func(x int) (int, error) { return x, nil })
+	HandleTyped(s, "echo", func(x num) (num, error) { return x, nil })
 	ln := NewMemListener()
 	go s.Serve(ln)
 	c := memClient(t, ln)
-	if _, err := CallTypedContext[int, int](context.Background(), c, "echo", 1); err != nil {
+	if _, err := CallTypedContext[num, num](context.Background(), c, "echo", 1); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -394,7 +394,7 @@ func TestStickyFailure(t *testing.T) {
 func TestHandlerPanicIsAnswered(t *testing.T) {
 	s := NewServer()
 	s.Handle("boom", func(body []byte) ([]byte, error) { panic("kaboom") })
-	HandleTyped(s, "echo", func(x int) (int, error) { return x, nil })
+	HandleTyped(s, "echo", func(x num) (num, error) { return x, nil })
 	ln := NewMemListener()
 	go s.Serve(ln)
 	t.Cleanup(s.Close)
@@ -405,7 +405,7 @@ func TestHandlerPanicIsAnswered(t *testing.T) {
 	if !errors.As(err, &re) || !strings.Contains(re.Msg, "panic") {
 		t.Fatalf("err = %v, want remote panic error", err)
 	}
-	got, err := CallTypedContext[int, int](context.Background(), c, "echo", 5)
+	got, err := CallTypedContext[num, num](context.Background(), c, "echo", 5)
 	if err != nil || got != 5 {
 		t.Fatalf("connection unusable after handler panic: %d, %v", got, err)
 	}

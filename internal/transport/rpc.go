@@ -19,9 +19,11 @@
 //	16+t    ...   body, to the end of the frame
 //
 // Every length is checked against the bytes actually present before it is
-// used. Bodies have exactly one encoding per message type (Encode/Decode):
-// a fixed layout for every message exchanged per round (codec.go and the
-// messages' own AppendWire/DecodeWire), gob for the rest.
+// used. Every body has exactly one fixed layout. A message with one field
+// sends that field raw (Server.Handle, Client.CallContext); any other
+// implements WireAppender and WireDecoder (the fragment codec in codec.go,
+// the messages' own AppendWire/DecodeWire), which Encode, Decode and the
+// typed calls require, so a message without a layout does not compile.
 //
 // Concurrency: one Client multiplexes any number of concurrent Calls over
 // its single connection — requests are pipelined by a writer goroutine and
@@ -46,7 +48,6 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -445,42 +446,25 @@ type StatusError struct {
 func (e *StatusError) Error() string { return e.Err.Error() }
 func (e *StatusError) Unwrap() error { return e.Err }
 
-// Encode encodes v for use as a request or response body: its own fixed
-// layout for a message implementing WireAppender (every message exchanged
-// per round), gob for everything else (attestation, registration).
-func Encode(v any) ([]byte, error) {
-	if wa, ok := v.(WireAppender); ok {
-		return wa.AppendWire(nil)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
+// Encode returns v's fixed layout, for use as a request or response body.
+func Encode(v WireAppender) ([]byte, error) { return v.AppendWire(nil) }
 
-// Decode decodes body into v, by the same rule as Encode: a WireDecoder
-// takes its fixed layout and nothing else — a body in another encoding is
-// its decode error, not a gob retry. Nothing decoded aliases body.
-func Decode(body []byte, v any) error {
-	if wd, ok := v.(WireDecoder); ok {
-		return wd.DecodeWire(body)
-	}
-	return gob.NewDecoder(bytes.NewReader(body)).Decode(v)
-}
+// Decode decodes body into v from its fixed layout and nothing else: a
+// body in another layout is v's decode error. Nothing decoded aliases body.
+func Decode(body []byte, v WireDecoder) error { return v.DecodeWire(body) }
 
-// HandleTyped registers a handler whose request is run through Decode and
-// whose response through Encode.
-func HandleTyped[Req, Resp any](s *Server, method string, h func(Req) (Resp, error)) {
+// HandleTyped registers a handler whose request is decoded from its fixed
+// layout and whose response is encoded into its own.
+func HandleTyped[Req any, Resp WireAppender, PReq Decodes[Req]](s *Server, method string, h func(Req) (Resp, error)) {
 	s.Handle(method, func(body []byte) ([]byte, error) {
 		var req Req
-		if err := Decode(body, &req); err != nil {
+		if err := PReq(&req).DecodeWire(body); err != nil {
 			return nil, fmt.Errorf("decoding request: %w", err)
 		}
 		resp, err := h(req)
 		if err != nil {
 			return nil, err
 		}
-		return Encode(resp)
+		return resp.AppendWire(nil)
 	})
 }

@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"crypto/tls"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -13,8 +14,41 @@ import (
 	"time"
 )
 
+// echoReq and echoResp are the typed calls' test messages. Their layout
+// is a u16 text length and the text, with nothing after it.
 type echoReq struct{ Msg string }
 type echoResp struct{ Msg string }
+
+func (r echoReq) AppendWire(dst []byte) ([]byte, error)  { return appendMsg(dst, r.Msg), nil }
+func (r *echoReq) DecodeWire(data []byte) (err error)    { r.Msg, err = decodeMsg(data); return err }
+func (r echoResp) AppendWire(dst []byte) ([]byte, error) { return appendMsg(dst, r.Msg), nil }
+func (r *echoResp) DecodeWire(data []byte) (err error)   { r.Msg, err = decodeMsg(data); return err }
+
+func appendMsg(dst []byte, msg string) []byte {
+	return append(binary.LittleEndian.AppendUint16(dst, uint16(len(msg))), msg...)
+}
+
+func decodeMsg(data []byte) (string, error) {
+	if len(data) < 2 || int(binary.LittleEndian.Uint16(data)) != len(data)-2 {
+		return "", fmt.Errorf("echo body of %d bytes does not hold its text", len(data))
+	}
+	return string(data[2:]), nil
+}
+
+// num is the mux and latency tests' message: an int as 8 bytes.
+type num int
+
+func (n num) AppendWire(dst []byte) ([]byte, error) {
+	return binary.LittleEndian.AppendUint64(dst, uint64(n)), nil
+}
+
+func (n *num) DecodeWire(data []byte) error {
+	if len(data) != 8 {
+		return fmt.Errorf("num body of %d bytes, want 8", len(data))
+	}
+	*n = num(binary.LittleEndian.Uint64(data))
+	return nil
+}
 
 func startEchoServer(t *testing.T) (*Server, *MemListener) {
 	t.Helper()
