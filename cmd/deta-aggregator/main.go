@@ -21,7 +21,6 @@ import (
 	"deta/internal/agg"
 	"deta/internal/core"
 	"deta/internal/journal"
-	"deta/internal/sev"
 	"deta/internal/transport"
 )
 
@@ -66,31 +65,12 @@ func main() {
 		cancelDial()
 		log.Fatalf("dialing AP: %v", err)
 	}
-	ap := &core.APClient{C: apConn}
 
-	// Manufacture this host's platform: generate a VCEK locally, have the
-	// vendor role endorse it.
-	vcekKey, vcekPub, err := sev.GenerateVCEK()
+	// Phase I: have the AP endorse this host's platform, launch the CVM
+	// paused, attest it, receive the token into encrypted memory, resume.
+	cvm, err := core.BootAggregatorCVM(dialCtx, &core.APClient{C: apConn}, *id)
 	if err != nil {
-		log.Fatalf("generating VCEK: %v", err)
-	}
-	chain, err := ap.Endorse(dialCtx, "host/"+*id, vcekPub)
-	if err != nil {
-		log.Fatalf("endorsement: %v", err)
-	}
-	platform, err := sev.NewEndorsedPlatform("host/"+*id, chain, vcekKey)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// Phase I: launch the CVM paused, attest against the AP, receive the
-	// token into encrypted memory, resume.
-	cvm, err := platform.LaunchCVM(core.OVMF)
-	if err != nil {
-		log.Fatalf("launching CVM: %v", err)
-	}
-	if err := ap.AttestCVM(dialCtx, *id, platform, cvm); err != nil {
-		log.Fatalf("attestation failed (refusing to serve): %v", err)
+		log.Fatalf("phase I failed (refusing to serve): %v", err)
 	}
 	log.Printf("CVM attested and provisioned; state=%s", cvm.State())
 

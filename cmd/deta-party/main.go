@@ -1,6 +1,7 @@
 // Command deta-party runs one FL participant against a deployed DeTA
-// fleet: it registers with the key broker, verifies every aggregator via
-// the Phase II challenge-response, and then trains for the configured
+// fleet: it enrols (core.RoundStep.Join: it verifies every aggregator via
+// the Phase II challenge-response, registers with the key broker and
+// fetches the permutation key), and then trains for the configured
 // number of rounds, uploading partitioned+shuffled fragments and merging
 // the aggregated results. All per-aggregator RPCs fan out concurrently
 // through a core.Fleet with per-call deadlines; -agg-quorum lets rounds
@@ -22,12 +23,10 @@ import (
 	"log"
 	"time"
 
-	"deta/internal/attest"
 	"deta/internal/core"
 	"deta/internal/dataset"
 	"deta/internal/fl"
 	"deta/internal/nn"
-	"deta/internal/rng"
 	"deta/internal/transport"
 )
 
@@ -71,11 +70,12 @@ func main() {
 		log.Fatalf("loading TLS materials: %v", err)
 	}
 	dialCtx, cancelDial := context.WithTimeout(context.Background(), *dialTimeout)
-	ap, err := dialAP(dialCtx, mat, *apAddr, *tlsName)
+	apConn, err := mat.DialTLSBackoff(dialCtx, *apAddr, *tlsName)
 	if err != nil {
 		cancelDial()
 		log.Fatalf("dialing AP: %v", err)
 	}
+	ap := &core.APClient{C: apConn}
 
 	// Dial every aggregator (with backoff — peers may still be starting),
 	// in a stable order.
@@ -88,14 +88,18 @@ func main() {
 	// Every step below is re-driven as a whole until -round-timeout.
 	step := &core.RoundStep{Fleet: fleet, Shuffle: !*noShuffle, Deadline: *roundTimeout, Logf: log.Printf}
 
-	// Phase II: verify every aggregator's token in parallel before
-	// registering. A failed *verification* aborts even under quorum.
+	// Enrolment: verify every aggregator's token in parallel (Phase II; a
+	// failed *verification* aborts even under quorum), then register with
+	// the key broker and fetch the permutation key.
 	ctx := context.Background()
-	tokenPubKey := func(aggID string) ([]byte, error) { return ap.TokenPubKey(ctx, aggID) }
-	if err := step.Join(ctx, *id, tokenPubKey, attest.NewNonce, attest.VerifyChallenge); err != nil {
+	if err := step.Join(ctx, ap, *id); err != nil {
 		log.Fatalf("refusing to train: %v", err)
 	}
-	log.Printf("verified and registered with %d aggregators", fleet.K())
+	// Fingerprint, never the key: parties can compare fp lines across logs
+	// to confirm the broker issued everyone the same key, without any log
+	// ever containing key bytes (enforced by the keytaint analyzer).
+	log.Printf("verified and registered with %d aggregators; permutation key received (fp %s)",
+		fleet.K(), step.Shuffler.Fingerprint())
 
 	if *heartbeat > 0 {
 		// Background liveness heartbeats: training (and its long local-
@@ -105,23 +109,6 @@ func main() {
 		// loop an escape edge (goleak): main never cancels it today, but
 		// the goroutine must not be structurally unstoppable.
 		go heartbeatLoop(ctx, fleet, *id, *heartbeat)
-	}
-
-	// Key broker: register and fetch the shared permutation key.
-	if err := ap.RegisterParty(ctx, *id); err != nil {
-		log.Fatalf("broker registration: %v", err)
-	}
-	permKey, err := ap.PermKey(ctx, *id)
-	if err != nil {
-		log.Fatalf("fetching permutation key: %v", err)
-	}
-	// Fingerprint, never the key: parties can compare fp lines across logs
-	// to confirm the broker issued everyone the same key, without any log
-	// ever containing key bytes (enforced by the keytaint analyzer).
-	log.Printf("permutation key received (fp %s)", rng.Fingerprint(permKey))
-	step.Shuffler, err = core.NewShuffler(permKey)
-	if err != nil {
-		log.Fatal(err)
 	}
 
 	// Local data: shard index of a shared synthetic MNIST-like dataset.
@@ -199,12 +186,4 @@ func heartbeatLoop(ctx context.Context, fleet *core.Fleet, id string, interval t
 			}
 		}
 	}
-}
-
-func dialAP(ctx context.Context, mat *transport.TLSMaterials, addr, tlsName string) (*core.APClient, error) {
-	c, err := mat.DialTLSBackoff(ctx, addr, tlsName)
-	if err != nil {
-		return nil, err
-	}
-	return &core.APClient{C: c}, nil
 }

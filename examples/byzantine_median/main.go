@@ -9,14 +9,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"deta/internal/agg"
-	"deta/internal/attest"
 	"deta/internal/core"
 	"deta/internal/rng"
-	"deta/internal/sev"
 	"deta/internal/tensor"
 )
 
@@ -62,24 +61,18 @@ func runDeTARound(algName string, updates map[string]tensor.Vector) (tensor.Vect
 		return agg.IterativeAverage{}
 	}
 
-	// Trust bootstrap: vendor, platform, AP, three provisioned CVMs.
-	vendor, err := sev.NewVendor()
+	// Trust bootstrap: an in-process AP and three CVMs booted through it.
+	_, ap, stop, err := core.ServeAP()
 	if err != nil {
 		return nil, err
 	}
-	ap := attest.NewProxy(vendor.RAS(), core.OVMF)
+	defer stop()
+	ctx := context.Background()
 	nodes := make([]*core.AggregatorNode, 3)
 	for j := range nodes {
-		platform, err := sev.NewPlatform(fmt.Sprintf("host-%d", j+1), vendor)
-		if err != nil {
-			return nil, err
-		}
-		cvm, err := platform.LaunchCVM(core.OVMF)
-		if err != nil {
-			return nil, err
-		}
 		id := fmt.Sprintf("agg-%d", j+1)
-		if _, err := ap.Provision(id, platform, cvm); err != nil {
+		cvm, err := core.BootAggregatorCVM(ctx, ap, id)
+		if err != nil {
 			return nil, err
 		}
 		nodes[j], err = core.NewAggregatorNode(id, newAlg(), cvm)
@@ -93,12 +86,10 @@ func runDeTARound(algName string, updates map[string]tensor.Vector) (tensor.Vect
 	if err != nil {
 		return nil, err
 	}
-	broker, err := attest.NewKeyBroker(32)
-	if err != nil {
+	if err := ap.RegisterParty(ctx, "any"); err != nil {
 		return nil, err
 	}
-	broker.RegisterParty("any")
-	permKey, err := broker.PermutationKey("any")
+	permKey, err := ap.PermKey(ctx, "any")
 	if err != nil {
 		return nil, err
 	}
@@ -106,7 +97,7 @@ func runDeTARound(algName string, updates map[string]tensor.Vector) (tensor.Vect
 	if err != nil {
 		return nil, err
 	}
-	roundID, err := broker.RoundID(1)
+	roundID, err := ap.RoundID(ctx, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -1,14 +1,13 @@
 package attack
 
 import (
+	"context"
 	"testing"
 
 	"deta/internal/agg"
-	"deta/internal/attest"
 	"deta/internal/core"
 	"deta/internal/dataset"
 	"deta/internal/nn"
-	"deta/internal/sev"
 )
 
 // TestEndToEndAggregatorBreach plays the paper's worst-case §6 scenario
@@ -36,15 +35,16 @@ func TestEndToEndAggregatorBreach(t *testing.T) {
 	}
 
 	// Real trust bootstrap: two attested aggregators.
-	vendor, err := sev.NewVendor()
+	_, ap, stop, err := core.ServeAP()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ap := attest.NewProxy(vendor.RAS(), core.OVMF)
+	defer stop()
+	ctx := context.Background()
 	nodes := make([]*core.AggregatorNode, 2)
 	for j := range nodes {
 		id := []string{"agg-1", "agg-2"}[j]
-		cvm, err := core.BootAggregatorCVM(vendor, ap, id)
+		cvm, err := core.BootAggregatorCVM(ctx, ap, id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,12 +60,10 @@ func TestEndToEndAggregatorBreach(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	broker, err := attest.NewKeyBroker(32)
-	if err != nil {
+	if err := ap.RegisterParty(ctx, "victim"); err != nil {
 		t.Fatal(err)
 	}
-	broker.RegisterParty("victim")
-	permKey, err := broker.PermutationKey("victim")
+	permKey, err := ap.PermKey(ctx, "victim")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +71,7 @@ func TestEndToEndAggregatorBreach(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	roundID, err := broker.RoundID(1)
+	roundID, err := ap.RoundID(ctx, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -236,8 +236,9 @@ func (a *AggregatorNode) Upload(round int, partyID string, frag tensor.Vector, w
 
 // UploadOwned is Upload for callers relinquishing frag, decoded into a
 // buffer that exists only for this request. The node stores frag without
-// the defensive clone and, stored or not, hands it to tensor.PutVector
-// once done with it; the caller must not touch it afterwards.
+// the defensive clone and, stored or not, clears it and hands it back to
+// the tensor pool once done with it; the caller must not touch it
+// afterwards.
 //
 //perf:hotpath
 func (a *AggregatorNode) UploadOwned(round int, partyID string, frag tensor.Vector, weight float64) error {
@@ -268,9 +269,20 @@ func (a *AggregatorNode) upload(rec record, owned bool) error {
 	stored, err := a.uploadLocked(rec)
 	a.mu.Unlock()
 	if !stored {
-		tensor.PutVector(rec.frag)
+		release(rec.frag)
 	}
 	return err
+}
+
+// release clears a party's fragment the node lets go of, then returns it
+// to the pool, so that a breached aggregator cannot read a round it no
+// longer holds out of a later GetVector. Only the aggregator's paths
+// clear: the party side recycles its own data and puts it back as is.
+//
+//perf:hotpath
+func release(frag tensor.Vector) {
+	clear(frag)
+	tensor.PutVector(frag)
 }
 
 // uploadLocked admits rec and reports whether the round now holds

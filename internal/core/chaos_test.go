@@ -10,12 +10,10 @@ import (
 	"time"
 
 	"deta/internal/agg"
-	"deta/internal/attest"
 	"deta/internal/dataset"
 	"deta/internal/fl"
 	"deta/internal/journal"
 	"deta/internal/nn"
-	"deta/internal/sev"
 	"deta/internal/tensor"
 	"deta/internal/transport"
 )
@@ -34,10 +32,9 @@ const (
 // and recovers a fresh node (fresh CVM, re-attested under the same ID)
 // from the same journal directory — exactly what a crashed deployment does.
 type chaosAgg struct {
-	id     string
-	dir    string
-	proxy  *attest.Proxy
-	vendor *sev.Vendor
+	id  string
+	dir string
+	ap  *APClient
 
 	// configure, when non-nil, is re-applied to every recovered node —
 	// lifecycle/liveness settings and clocks are boot flags, not journal
@@ -131,7 +128,7 @@ func trainParty(ctx context.Context, step *RoundStep, party *fl.Party, global te
 func (c *chaosAgg) start() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	cvm, err := BootAggregatorCVM(c.vendor, c.proxy, c.id)
+	cvm, err := BootAggregatorCVM(context.Background(), c.ap, c.id)
 	if err != nil {
 		return err
 	}
@@ -200,19 +197,14 @@ func (c *chaosAgg) stop() {
 func runChaosFederation(t *testing.T, faulty bool) tensor.Vector {
 	t.Helper()
 
-	vendor, err := sev.NewVendor()
-	if err != nil {
-		t.Fatal(err)
-	}
-	proxy := attest.NewProxy(vendor.RAS(), OVMF)
+	ap := testAP(t)
 
 	// agg-1 is the initiator, so it boots last: its followers exist by then
 	// (the daemon's -peers dial backs off until they do).
 	procs := make([]*chaosAgg, chaosAggs)
 	for j := chaosAggs - 1; j >= 0; j-- {
 		procs[j] = &chaosAgg{
-			id: fmt.Sprintf("agg-%d", j+1), dir: t.TempDir(),
-			proxy: proxy, vendor: vendor,
+			id: fmt.Sprintf("agg-%d", j+1), dir: t.TempDir(), ap: ap,
 		}
 		if j == 0 {
 			procs[0].followers = procs[1:]
@@ -230,14 +222,6 @@ func runChaosFederation(t *testing.T, faulty bool) tensor.Vector {
 		for p := 0; p < chaosParties; p++ {
 			c.getNode().Register(fmt.Sprintf("P%d", p+1))
 		}
-	}
-
-	broker, err := attest.NewKeyBroker(32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for p := 0; p < chaosParties; p++ {
-		broker.RegisterParty(fmt.Sprintf("P%d", p+1))
 	}
 
 	spec := dataset.Spec{Name: "chaos", C: 1, H: 12, W: 12, Classes: 4}
@@ -272,16 +256,10 @@ func runChaosFederation(t *testing.T, faulty bool) tensor.Vector {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 		defer cancel()
 
-		if err := step.Join(ctx, id, proxy.TokenPubKey, attest.NewNonce, attest.VerifyChallenge); err != nil {
+		if err := step.Join(ctx, ap, id); err != nil {
 			return nil, err
 		}
-		permKey, err := broker.PermutationKey(id)
-		if err != nil {
-			return nil, err
-		}
-		if step.Shuffler, err = NewShuffler(permKey); err != nil {
-			return nil, err
-		}
+		var err error
 		if step.Mapper, err = NewMapper(build().NumParams(), EqualProportions(chaosAggs), []byte("chaos-mapper")); err != nil {
 			return nil, err
 		}
@@ -309,7 +287,7 @@ func runChaosFederation(t *testing.T, faulty bool) tensor.Vector {
 			between, after = inRound2(procs[0]), inRound2(procs[1])
 		}
 		return trainParty(ctx, step, fl.NewParty(id, build, shards[idx], cfg), net.Params(), chaosRounds,
-			broker.RoundID, between, after)
+			func(round int) ([]byte, error) { return ap.RoundID(ctx, round) }, between, after)
 	}
 
 	return runParties(t, chaosParties, runParty)

@@ -16,11 +16,9 @@ import (
 	"testing"
 	"time"
 
-	"deta/internal/attest"
 	"deta/internal/dataset"
 	"deta/internal/fl"
 	"deta/internal/nn"
-	"deta/internal/sev"
 	"deta/internal/tensor"
 )
 
@@ -30,11 +28,7 @@ func TestChaosChurnEvictRejoinBitIdentical(t *testing.T) {
 		churnAggs    = 3
 		churnRounds  = 4
 	)
-	vendor, err := sev.NewVendor()
-	if err != nil {
-		t.Fatal(err)
-	}
-	proxy := attest.NewProxy(vendor.RAS(), OVMF)
+	ap := testAP(t)
 
 	// Every aggregator gets its own fake clock, surviving restarts: the
 	// configure hook re-arms clock + lifecycle + liveness on recovery,
@@ -45,8 +39,7 @@ func TestChaosChurnEvictRejoinBitIdentical(t *testing.T) {
 		clk := NewFakeClock(time.Unix(1_000_000, 0))
 		clks[j] = clk
 		procs[j] = &chaosAgg{
-			id: fmt.Sprintf("agg-%d", j+1), dir: t.TempDir(),
-			proxy: proxy, vendor: vendor,
+			id: fmt.Sprintf("agg-%d", j+1), dir: t.TempDir(), ap: ap,
 			configure: func(n *AggregatorNode) {
 				n.SetClock(clk)
 				n.SetLifecycle(30*time.Second, time.Second)
@@ -64,10 +57,6 @@ func TestChaosChurnEvictRejoinBitIdentical(t *testing.T) {
 		}
 	}
 
-	broker, err := attest.NewKeyBroker(32)
-	if err != nil {
-		t.Fatal(err)
-	}
 	spec := dataset.Spec{Name: "churn", C: 1, H: 12, W: 12, Classes: 4}
 	train, _ := dataset.TrainTest(spec, churnParties*16, 8, []byte("churn-data"))
 	shards := dataset.SplitIID(train, churnParties, []byte("churn-split"))
@@ -94,7 +83,6 @@ func TestChaosChurnEvictRejoinBitIdentical(t *testing.T) {
 	ps := make([]*churnParty, churnParties)
 	for i := range ps {
 		id := fmt.Sprintf("P%d", i+1)
-		broker.RegisterParty(id)
 		clients := make([]*AggregatorClient, churnAggs)
 		for j, c := range procs {
 			clients[j] = c.client()
@@ -102,14 +90,7 @@ func TestChaosChurnEvictRejoinBitIdentical(t *testing.T) {
 		// No Deadline: one attempt per step, so the script fails where a
 		// step does instead of re-driving through it.
 		step := &RoundStep{Fleet: &Fleet{Clients: clients, Timeout: 5 * time.Second}, Mapper: mapper, Shuffle: true}
-		if err := step.Join(ctx, id, proxy.TokenPubKey, attest.NewNonce, attest.VerifyChallenge); err != nil {
-			t.Fatal(err)
-		}
-		permKey, err := broker.PermutationKey(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if step.Shuffler, err = NewShuffler(permKey); err != nil {
+		if err := step.Join(ctx, ap, id); err != nil {
 			t.Fatal(err)
 		}
 		netw := build()
@@ -121,7 +102,7 @@ func TestChaosChurnEvictRejoinBitIdentical(t *testing.T) {
 	}
 
 	local := func(p *churnParty, round int) (roundID []byte, update tensor.Vector) {
-		roundID, err := broker.RoundID(round)
+		roundID, err := ap.RoundID(ctx, round)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +129,7 @@ func TestChaosChurnEvictRejoinBitIdentical(t *testing.T) {
 	// download merges the round; a party that did not upload it (own nil)
 	// only catches up on the model.
 	download := func(p *churnParty, round int) {
-		roundID, err := broker.RoundID(round)
+		roundID, err := ap.RoundID(ctx, round)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,11 +14,12 @@ import (
 	"deta/internal/transport"
 )
 
-// This file is the control plane for multi-process deployments
-// (cmd/deta-ap, cmd/deta-aggregator, cmd/deta-party): an RPC service that
-// bundles the vendor's endorsement/RAS role, the attestation proxy, and
-// the key broker, plus the aggregator-side flow that attests a locally
-// hosted CVM against a remote AP.
+// This file is the control plane, and the one trust bootstrap every
+// deployment runs against it: an RPC service that bundles the vendor's
+// endorsement/RAS role, the attestation proxy and the key broker, served
+// over TLS by cmd/deta-ap and in process by ServeAP; BootAggregatorCVM,
+// which boots an aggregator through it (Phase I); and RoundStep.Join
+// (round.go), which enrols a party (Phase II, registration, key).
 //
 // In real SEV the launch blob is encrypted to the platform's transport
 // keys; here it travels inside the (TLS-protected) RPC response — a
@@ -48,6 +49,10 @@ const (
 //	ap.RegisterParty  party ID                          empty
 //	ap.PermKey        party ID                          permutation key
 //	ap.RoundID        round-control layout, round only  round ID
+
+// OVMF is the firmware image all genuine aggregator CVMs boot in this
+// reproduction; the AP expects its measurement.
+var OVMF = []byte("deta-aggregator-firmware-v1: attested aggregation service build")
 
 // APService is the deployable control plane: vendor + attestation proxy +
 // key broker.
@@ -138,8 +143,9 @@ func (s *APService) Serve(srv *transport.Server) {
 		return nil, nil
 	})
 	srv.Handle(MethodAPPermKey, func(body []byte) ([]byte, error) {
+		key, err := s.broker.PermutationKey(string(body))
 		//lint:ignore keytaint releasing the permutation key to a registered party is this method's purpose, over the AP's TLS channel
-		return s.broker.PermutationKey(string(body))
+		return key, withStatus(err)
 	})
 	srv.Handle(MethodAPRoundID, func(body []byte) ([]byte, error) {
 		_, round, _, err := decodeCtl(body, ctlFields{round: true})
@@ -148,6 +154,64 @@ func (s *APService) Serve(srv *transport.Server) {
 		}
 		return s.broker.RoundID(round)
 	})
+}
+
+// ServeAP serves a fresh control plane, with a 256-bit permutation key, on
+// an in-memory listener: the AP of every in-process deployment (Session,
+// the experiments, the tests), reached over the RPCs the daemons use. It
+// returns the service, a client connected to it, and stop, which closes
+// both.
+//
+//lint:ignore ctxflow its one dial hands a net.Pipe end to the listener's buffered queue and never blocks: there is nothing for a context to bound
+func ServeAP() (*APService, *APClient, func(), error) {
+	svc, err := NewAPService(OVMF, 32)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	srv := transport.NewServer()
+	svc.Serve(srv)
+	ln := transport.NewMemListener()
+	go srv.Serve(ln)
+	conn, err := ln.Dial()
+	if err != nil {
+		srv.Close()
+		return nil, nil, nil, err
+	}
+	ap := &APClient{C: transport.NewClient(conn)}
+	return svc, ap, func() {
+		_ = ap.C.Close() // always nil: it only fails the calls in flight
+		srv.Close()
+	}, nil
+}
+
+// BootAggregatorCVM runs Phase I for aggregator id against the AP, the one
+// way every deployment boots an aggregator: it generates the host's VCEK
+// and has the AP's vendor role endorse it (each aggregator may run on its
+// own host, §4.1), launches a CVM booting OVMF, and has the AP attest it
+// and inject its token. It returns the CVM, not a node, so a caller can
+// build the node fresh or recover it from a journal.
+func BootAggregatorCVM(ctx context.Context, ap *APClient, id string) (*sev.CVM, error) {
+	host := "host/" + id
+	key, pub, err := sev.GenerateVCEK()
+	if err != nil {
+		return nil, err
+	}
+	chain, err := ap.Endorse(ctx, host, pub)
+	if err != nil {
+		return nil, fmt.Errorf("core: endorsing %s: %w", host, err)
+	}
+	platform, err := sev.NewEndorsedPlatform(host, chain, key)
+	if err != nil {
+		return nil, err
+	}
+	cvm, err := platform.LaunchCVM(OVMF)
+	if err != nil {
+		return nil, err
+	}
+	if err := ap.AttestCVM(ctx, id, platform, cvm); err != nil {
+		return nil, fmt.Errorf("core: attesting %s: %w", id, err)
+	}
+	return cvm, nil
 }
 
 // APClient is the remote handle to the AP control plane.
@@ -195,9 +259,11 @@ func (a *APClient) RegisterParty(ctx context.Context, partyID string) error {
 	return err
 }
 
-// PermKey fetches the shared permutation key.
+// PermKey fetches the shared permutation key. A party the broker never
+// registered gets attest.ErrUnregisteredParty.
 func (a *APClient) PermKey(ctx context.Context, partyID string) ([]byte, error) {
-	return a.C.CallContext(ctx, MethodAPPermKey, []byte(partyID))
+	key, err := a.C.CallContext(ctx, MethodAPPermKey, []byte(partyID))
+	return key, fromStatus(err)
 }
 
 // RoundID fetches a round's training identifier.

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -12,63 +13,52 @@ import (
 	"deta/internal/transport"
 )
 
-// startAPService serves the control plane over an in-memory listener.
-func startAPService(t *testing.T) (*APService, *APClient) {
+// endorsedHost serves an in-process AP until the test ends and returns a
+// client on it plus a platform its vendor endorsed, for the tests that
+// launch a CVM BootAggregatorCVM would not: evil firmware, a self-chosen
+// nonce.
+func endorsedHost(t *testing.T) (*APClient, *sev.Platform) {
 	t.Helper()
-	svc, err := NewAPService(OVMF, 32)
+	svc, ap, stop, err := ServeAP()
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := transport.NewServer()
-	svc.Serve(srv)
-	ln := transport.NewMemListener()
-	go srv.Serve(ln)
-	t.Cleanup(srv.Close)
-	conn, err := ln.Dial()
+	t.Cleanup(stop)
+	platform, err := sev.NewPlatform("remote-host", svc.Vendor())
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := &APClient{C: transport.NewClient(conn)}
-	t.Cleanup(func() { client.C.Close() })
-	return svc, client
-}
-
-// remotePlatform builds a platform whose VCEK is endorsed over RPC, the
-// way cmd/deta-aggregator does.
-func remotePlatform(t *testing.T, ap *APClient, name string) *sev.Platform {
-	t.Helper()
-	key, pub, err := sev.GenerateVCEK()
-	if err != nil {
-		t.Fatal(err)
-	}
-	chain, err := ap.Endorse(context.Background(), name, pub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	platform, err := sev.NewEndorsedPlatform(name, chain, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return platform
+	return ap, platform
 }
 
 func TestRemoteEndorsementChainVerifies(t *testing.T) {
-	svc, ap := startAPService(t)
-	platform := remotePlatform(t, ap, "remote-host")
-	if err := platform.Chain().Verify(svc.Vendor().RAS().RootCert()); err != nil {
+	svc, ap, stop, err := ServeAP()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	_, pub, err := sev.GenerateVCEK()
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain, err := ap.Endorse(context.Background(), "remote-host", pub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := chain.Verify(svc.Vendor().RAS().RootCert()); err != nil {
 		t.Fatalf("endorsed chain rejected: %v", err)
 	}
 }
 
 func TestEndorseEmptyKey(t *testing.T) {
-	_, ap := startAPService(t)
+	ap := testAP(t)
 	if _, err := ap.Endorse(context.Background(), "x", nil); err == nil {
 		t.Fatal("empty key endorsed")
 	}
 }
 
 func TestEndorsedPlatformKeyMismatch(t *testing.T) {
-	_, ap := startAPService(t)
+	ap := testAP(t)
 	_, pub, err := sev.GenerateVCEK()
 	if err != nil {
 		t.Fatal(err)
@@ -84,15 +74,8 @@ func TestEndorsedPlatformKeyMismatch(t *testing.T) {
 }
 
 func TestRemoteAttestationFlow(t *testing.T) {
-	_, ap := startAPService(t)
-	platform := remotePlatform(t, ap, "remote-host")
-	cvm, err := platform.LaunchCVM(OVMF)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ap.AttestCVM(context.Background(), "agg-remote", platform, cvm); err != nil {
-		t.Fatal(err)
-	}
+	ap := testAP(t)
+	cvm := provisionCVM(t, ap, "agg-remote")
 	if cvm.State() != sev.StateRunning {
 		t.Fatalf("CVM state %v", cvm.State())
 	}
@@ -120,8 +103,7 @@ func TestRemoteAttestationFlow(t *testing.T) {
 }
 
 func TestRemoteAttestationRejectsEvilFirmware(t *testing.T) {
-	_, ap := startAPService(t)
-	platform := remotePlatform(t, ap, "remote-host")
+	ap, platform := endorsedHost(t)
 	evil := append([]byte(nil), OVMF...)
 	evil[0] ^= 1
 	cvm, _ := platform.LaunchCVM(evil)
@@ -138,8 +120,7 @@ func TestRemoteAttestationRejectsEvilFirmware(t *testing.T) {
 }
 
 func TestRemoteAttestationRequiresNonce(t *testing.T) {
-	_, ap := startAPService(t)
-	platform := remotePlatform(t, ap, "remote-host")
+	ap, platform := endorsedHost(t)
 	cvm, _ := platform.LaunchCVM(OVMF)
 	report, err := platform.AttestCVM(cvm, 0, []byte("self-chosen-nonce-not-from-ap"))
 	if err != nil {
@@ -152,9 +133,9 @@ func TestRemoteAttestationRequiresNonce(t *testing.T) {
 }
 
 func TestBrokerOverRPC(t *testing.T) {
-	_, ap := startAPService(t)
-	if _, err := ap.PermKey(context.Background(), "ghost"); err == nil {
-		t.Fatal("unregistered party served")
+	ap := testAP(t)
+	if _, err := ap.PermKey(context.Background(), "ghost"); !errors.Is(err, attest.ErrUnregisteredParty) {
+		t.Fatalf("unregistered party: %v, want ErrUnregisteredParty", err)
 	}
 	if err := ap.RegisterParty(context.Background(), "P1"); err != nil {
 		t.Fatal(err)

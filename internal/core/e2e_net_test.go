@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"deta/internal/agg"
-	"deta/internal/attest"
 	"deta/internal/dataset"
 	"deta/internal/fl"
 	"deta/internal/nn"
@@ -17,10 +16,10 @@ import (
 
 // TestNetworkedTrainingEndToEnd replicates the full cmd/ deployment inside
 // one test over in-memory transports: an AP control plane, three
-// aggregator servers on remotely endorsed platforms (the initiator driving
-// follower sync), and two party loops performing Phase II, transformed
-// uploads, and merges — then checks the resulting model matches an
-// in-process FFL baseline bit for bit.
+// aggregator servers booted through it (the initiator driving follower
+// sync), and two party loops enrolling through it, then running
+// transformed uploads and merges — then checks the resulting model
+// matches an in-process FFL baseline bit for bit.
 func TestNetworkedTrainingEndToEnd(t *testing.T) {
 	const (
 		parties = 2
@@ -29,36 +28,20 @@ func TestNetworkedTrainingEndToEnd(t *testing.T) {
 	)
 
 	// --- Control plane --------------------------------------------------
-	apSvc, err := NewAPService(OVMF, 32)
+	_, ap, stopAP, err := ServeAP()
 	if err != nil {
 		t.Fatal(err)
 	}
-	apSrv := transport.NewServer()
-	apSvc.Serve(apSrv)
-	apLn := transport.NewMemListener()
-	go apSrv.Serve(apLn)
-	defer apSrv.Close()
+	defer stopAP()
+	ctx := context.Background()
 
-	dialAP := func() *APClient {
-		conn, err := apLn.Dial()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return &APClient{C: transport.NewClient(conn)}
-	}
-
-	// --- Aggregator processes -------------------------------------------
+	// --- Aggregator processes: Phase I, as deta-aggregator boots ---------
 	aggLns := make([]*transport.MemListener, aggs)
 	nodes := make([]*AggregatorNode, aggs)
 	for j := 0; j < aggs; j++ {
-		ap := dialAP()
-		platform := remotePlatform(t, ap, fmt.Sprintf("host-%d", j))
-		cvm, err := platform.LaunchCVM(OVMF)
-		if err != nil {
-			t.Fatal(err)
-		}
 		id := fmt.Sprintf("agg-%d", j+1)
-		if err := ap.AttestCVM(context.Background(), id, platform, cvm); err != nil {
+		cvm, err := BootAggregatorCVM(ctx, ap, id)
+		if err != nil {
 			t.Fatal(err)
 		}
 		node, err := NewAggregatorNode(id, agg.IterativeAverage{}, cvm)
@@ -94,10 +77,6 @@ func TestNetworkedTrainingEndToEnd(t *testing.T) {
 
 	runParty := func(idx int) (tensor.Vector, error) {
 		id := fmt.Sprintf("P%d", idx+1)
-		ap := dialAP()
-		// Dial aggregators, then run the whole Phase II fan-out in
-		// parallel (token-key fetches share the multiplexed AP
-		// connection).
 		clients := make([]*AggregatorClient, aggs)
 		for j, ln := range aggLns {
 			conn, err := ln.Dial()
@@ -107,20 +86,11 @@ func TestNetworkedTrainingEndToEnd(t *testing.T) {
 			clients[j] = &AggregatorClient{ID: fmt.Sprintf("agg-%d", j+1), C: transport.NewClient(conn)}
 		}
 		step := &RoundStep{Fleet: &Fleet{Clients: clients, Timeout: 30 * time.Second}, Shuffle: true, Deadline: 30 * time.Second}
-		ctx := context.Background()
-		if err := step.Join(ctx, id, func(aggID string) ([]byte, error) { return ap.TokenPubKey(ctx, aggID) }, attest.NewNonce, attest.VerifyChallenge); err != nil {
+		// Enrolment, as deta-party joins.
+		if err := step.Join(ctx, ap, id); err != nil {
 			return nil, err
 		}
-		if err := ap.RegisterParty(ctx, id); err != nil {
-			return nil, err
-		}
-		permKey, err := ap.PermKey(ctx, id)
-		if err != nil {
-			return nil, err
-		}
-		if step.Shuffler, err = NewShuffler(permKey); err != nil {
-			return nil, err
-		}
+		var err error
 		if step.Mapper, err = NewMapper(build().NumParams(), EqualProportions(aggs), []byte("e2e-mapper")); err != nil {
 			return nil, err
 		}

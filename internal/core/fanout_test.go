@@ -4,22 +4,22 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"testing"
 	"time"
 
 	"deta/internal/agg"
 	"deta/internal/attest"
-	"deta/internal/sev"
 	"deta/internal/tensor"
 	"deta/internal/transport"
 )
 
 // newProvisionedNode builds one attested aggregator node the way
 // Session.Setup does.
-func newProvisionedNode(t *testing.T, proxy *attest.Proxy, vendor *sev.Vendor, id string) *AggregatorNode {
+func newProvisionedNode(t *testing.T, ap *APClient, id string) *AggregatorNode {
 	t.Helper()
-	node, err := NewAggregatorNode(id, agg.IterativeAverage{}, provisionCVM(t, proxy, vendor, id))
+	node, err := NewAggregatorNode(id, agg.IterativeAverage{}, provisionCVM(t, ap, id))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,16 +61,17 @@ func stalledClient(t *testing.T, id string) (*AggregatorClient, chan struct{}) {
 	return dialClient(t, ln, id), release
 }
 
-// deadClient returns a client whose connection is already severed — the
+// deadClient returns a client whose connection is already closed — the
 // "aggregator process killed" fault. Every call fails fast with the sticky
-// connection error.
+// connection error. It closes its own end: a server closed before it has
+// accepted the conn would leave the peer open, and a call would wait out
+// its whole timeout.
 func deadClient(t *testing.T, id string) *AggregatorClient {
 	t.Helper()
-	srv := transport.NewServer()
-	ln := transport.NewMemListener()
-	go srv.Serve(ln)
-	c := dialClient(t, ln, id)
-	srv.Close() // severs the accepted conn; the client fails on first use
+	conn, peer := net.Pipe()
+	peer.Close()
+	c := &AggregatorClient{ID: id, C: transport.NewClient(conn)}
+	c.C.Close()
 	return c
 }
 
@@ -114,16 +115,12 @@ func testFrags(k int) []tensor.Vector {
 // completes the round — with the stalled aggregator's partition degraded
 // to the party's own fragment — well inside the round deadline.
 func TestFleetDegradesWhenAggregatorStalls(t *testing.T) {
-	vendor, err := sev.NewVendor()
-	if err != nil {
-		t.Fatal(err)
-	}
-	proxy := attest.NewProxy(vendor.RAS(), OVMF)
+	ap := testAP(t)
 
 	healthy := make([]*AggregatorNode, 2)
 	clients := make([]*AggregatorClient, 3)
 	for j := 0; j < 2; j++ {
-		healthy[j] = newProvisionedNode(t, proxy, vendor, fmt.Sprintf("agg-%d", j+1))
+		healthy[j] = newProvisionedNode(t, ap, fmt.Sprintf("agg-%d", j+1))
 		healthy[j].Register("P1")
 		clients[j] = serveNode(t, healthy[j])
 	}
@@ -180,17 +177,13 @@ func TestFleetDegradesWhenAggregatorStalls(t *testing.T) {
 // phase: the dead link fails fast (sticky connection error, no timeout
 // wait), and the download degrades to the fallback fragment under quorum.
 func TestFleetDegradesWhenAggregatorDies(t *testing.T) {
-	vendor, err := sev.NewVendor()
-	if err != nil {
-		t.Fatal(err)
-	}
-	proxy := attest.NewProxy(vendor.RAS(), OVMF)
+	ap := testAP(t)
 
 	nodes := make([]*AggregatorNode, 3)
 	clients := make([]*AggregatorClient, 3)
 	srvs := make([]*transport.Server, 3)
 	for j := range nodes {
-		nodes[j] = newProvisionedNode(t, proxy, vendor, fmt.Sprintf("agg-%d", j+1))
+		nodes[j] = newProvisionedNode(t, ap, fmt.Sprintf("agg-%d", j+1))
 		nodes[j].Register("P1")
 		srv := transport.NewServer()
 		ServeAggregator(nodes[j], srv)
@@ -234,12 +227,8 @@ func TestFleetDegradesWhenAggregatorDies(t *testing.T) {
 // TestFleetQuorumUnmet: with Quorum=3 (all required), one dead aggregator
 // must fail the fan-out with a quorum error rather than degrade.
 func TestFleetQuorumUnmet(t *testing.T) {
-	vendor, err := sev.NewVendor()
-	if err != nil {
-		t.Fatal(err)
-	}
-	proxy := attest.NewProxy(vendor.RAS(), OVMF)
-	node := newProvisionedNode(t, proxy, vendor, "agg-1")
+	ap := testAP(t)
+	node := newProvisionedNode(t, ap, "agg-1")
 	node.Register("P1")
 
 	clients := []*AggregatorClient{
@@ -248,7 +237,7 @@ func TestFleetQuorumUnmet(t *testing.T) {
 		deadClient(t, "agg-3"),
 	}
 	fleet := &Fleet{Clients: clients, Quorum: 3, Timeout: time.Second}
-	err = fleet.UploadAll(context.Background(), 1, "P1", testFrags(3), 1)
+	err := fleet.UploadAll(context.Background(), 1, "P1", testFrags(3), 1)
 	if err == nil {
 		t.Fatal("upload succeeded with 2 of 3 aggregators dead and quorum 3")
 	}
@@ -299,27 +288,24 @@ func TestVerifyAndRegisterFailsFast(t *testing.T) {
 // challenge with an unverifiable token aborts the whole bootstrap even
 // when the quorum would otherwise be met.
 func TestVerifyAndRegisterAllRejectsUnverifiableAggregator(t *testing.T) {
-	vendor, err := sev.NewVendor()
-	if err != nil {
-		t.Fatal(err)
-	}
-	proxy := attest.NewProxy(vendor.RAS(), OVMF)
+	ap := testAP(t)
 
 	clients := make([]*AggregatorClient, 3)
 	for j := 0; j < 3; j++ {
-		clients[j] = serveNode(t, newProvisionedNode(t, proxy, vendor, fmt.Sprintf("agg-%d", j+1)))
+		clients[j] = serveNode(t, newProvisionedNode(t, ap, fmt.Sprintf("agg-%d", j+1)))
 	}
 	fleet := &Fleet{Clients: clients, Quorum: 2, Timeout: time.Second}
 
 	// agg-3's token key is swapped for garbage: its signature verifies
 	// against nothing, as if the CVM were impersonated.
+	honest := func(id string) ([]byte, error) { return ap.TokenPubKey(context.Background(), id) }
 	tokenPubKey := func(id string) ([]byte, error) {
 		if id == "agg-3" {
 			return []byte("not-the-provisioned-key"), nil
 		}
-		return proxy.TokenPubKey(id)
+		return honest(id)
 	}
-	err = fleet.VerifyAndRegisterAll(context.Background(), "P1", tokenPubKey,
+	err := fleet.VerifyAndRegisterAll(context.Background(), "P1", tokenPubKey,
 		attest.NewNonce, attest.VerifyChallenge)
 	if err == nil {
 		t.Fatal("bootstrap accepted an unverifiable aggregator under quorum")
@@ -330,8 +316,22 @@ func TestVerifyAndRegisterAllRejectsUnverifiableAggregator(t *testing.T) {
 
 	// The same fleet with an honest key surface bootstraps fine.
 	if err := fleet.VerifyAndRegisterAll(context.Background(), "P1",
-		proxy.TokenPubKey, attest.NewNonce, attest.VerifyChallenge); err != nil {
+		honest, attest.NewNonce, attest.VerifyChallenge); err != nil {
 		t.Fatalf("honest bootstrap failed: %v", err)
+	}
+}
+
+// A call through deadClient fails at once, well inside its timeout.
+func TestDeadClientFailsFast(t *testing.T) {
+	c := deadClient(t, "agg-dead")
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	start := time.Now()
+	if _, err := c.Heartbeat(ctx, "P1"); err == nil {
+		t.Fatal("heartbeat through a dead client succeeded")
+	}
+	if elapsed := time.Since(start); elapsed >= 100*time.Millisecond {
+		t.Fatalf("heartbeat through a dead client took %v, want under 100ms", elapsed)
 	}
 }
 

@@ -5,9 +5,7 @@ import (
 	"testing"
 
 	"deta/internal/agg"
-	"deta/internal/attest"
 	"deta/internal/rng"
-	"deta/internal/sev"
 	"deta/internal/tensor"
 )
 
@@ -33,16 +31,12 @@ func TestFLAMEFiltersPoisonAcrossPartitions(t *testing.T) {
 	updates["P7-poison"] = poison
 
 	// Trust bootstrap with FLAME as every aggregator's algorithm.
-	vendor, err := sev.NewVendor()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ap := attest.NewProxy(vendor.RAS(), OVMF)
+	ap := testAP(t)
 	nodes := make([]*AggregatorNode, 3)
 	for j := range nodes {
 		id := fmt.Sprintf("agg-%d", j+1)
 		var err error
-		nodes[j], err = NewAggregatorNode(id, agg.FLAMELite{}, provisionCVM(t, ap, vendor, id))
+		nodes[j], err = NewAggregatorNode(id, agg.FLAMELite{}, provisionCVM(t, ap, id))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,8 +22,8 @@ var lifecycleEpoch = time.Unix(1_000_000, 0)
 // lifecycleNode builds an in-memory node on a fake clock.
 func lifecycleNode(t *testing.T, id string) (*AggregatorNode, *FakeClock) {
 	t.Helper()
-	proxy, vendor := testTrust(t)
-	cvm := provisionCVM(t, proxy, vendor, id)
+	ap := testAP(t)
+	cvm := provisionCVM(t, ap, id)
 	node, err := NewAggregatorNode(id, agg.IterativeAverage{}, cvm)
 	if err != nil {
 		t.Fatal(err)
@@ -37,8 +37,8 @@ func lifecycleNode(t *testing.T, id string) (*AggregatorNode, *FakeClock) {
 // pins it to a fake clock.
 func recoverLifecycleNode(t *testing.T, id, dir string, clk *FakeClock) (*AggregatorNode, *RecoveryInfo) {
 	t.Helper()
-	proxy, vendor := testTrust(t)
-	cvm := provisionCVM(t, proxy, vendor, id)
+	ap := testAP(t)
+	cvm := provisionCVM(t, ap, id)
 	node, info, err := RecoverAggregatorNode(id, agg.IterativeAverage{}, cvm, dir, journal.Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)

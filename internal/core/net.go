@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"deta/internal/attest"
 	"deta/internal/tensor"
 	"deta/internal/transport"
 )
@@ -218,7 +219,7 @@ func (r *DownloadReq) DecodeWire(data []byte) (err error) {
 	return err
 }
 
-// statusCodes is the one table between the aggregator's typed errors and
+// statusCodes is the one table between the services' typed errors and
 // the status code a failed RPC carries (transport.RemoteError.Code): the
 // server stamps the code of the sentinel a handler's error wraps, the
 // client re-wraps the sentinel for the code it receives, so errors.Is holds
@@ -232,6 +233,7 @@ var statusCodes = [...]error{
 	4: ErrDuplicateUpload,
 	5: ErrStragglerCut,
 	6: ErrRoundAbandoned,
+	7: attest.ErrUnregisteredParty,
 }
 
 // withStatus stamps a handler's error (nil included) with its status code,

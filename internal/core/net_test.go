@@ -17,16 +17,16 @@ import (
 )
 
 // startNetAggregator provisions an aggregator CVM, serves its protocol on
-// an in-memory listener, and returns a connected client plus the proxy.
-func startNetAggregator(t *testing.T) (*AggregatorClient, *attest.Proxy) {
+// an in-memory listener, and returns a connected client plus the AP.
+func startNetAggregator(t *testing.T) (*AggregatorClient, *APClient) {
 	t.Helper()
-	proxy, vendor := testTrust(t)
-	return serveNode(t, newProvisionedNode(t, proxy, vendor, "agg-net")), proxy
+	ap := testAP(t)
+	return serveNode(t, newProvisionedNode(t, ap, "agg-net")), ap
 }
 
 func TestNetPhaseIIAndRound(t *testing.T) {
 	client, ap := startNetAggregator(t)
-	pub, err := ap.TokenPubKey("agg-net")
+	pub, err := ap.TokenPubKey(context.Background(), "agg-net")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +66,9 @@ func TestNetPhaseIIAndRound(t *testing.T) {
 func TestNetPhaseIIRejectsWrongKey(t *testing.T) {
 	client, _ := startNetAggregator(t)
 	// A second, unrelated provisioning yields a different token key.
-	otherAP, vendor := testTrust(t)
-	if _, err := BootAggregatorCVM(vendor, otherAP, "agg-other"); err != nil {
-		t.Fatal(err)
-	}
-	wrongPub, _ := otherAP.TokenPubKey("agg-other")
+	otherAP := testAP(t)
+	provisionCVM(t, otherAP, "agg-other")
+	wrongPub, _ := otherAP.TokenPubKey(context.Background(), "agg-other")
 	err := VerifyAndRegister(context.Background(), client, wrongPub, "P1", attest.NewNonce, attest.VerifyChallenge)
 	if err == nil || !strings.Contains(err.Error(), "Phase II") {
 		t.Fatalf("wrong token accepted: %v", err)
@@ -238,8 +236,8 @@ func TestRoundControlBodies(t *testing.T) {
 // round 2 uploads, fuses and (retention 1) evicts round 1; every download
 // that succeeds must be the bit-exact fused vector.
 func TestDownloadWhileNextRoundFuses(t *testing.T) {
-	proxy, vendor := testTrust(t)
-	node := newProvisionedNode(t, proxy, vendor, "agg-dl")
+	ap := testAP(t)
+	node := newProvisionedNode(t, ap, "agg-dl")
 	node.SetRetention(1)
 	client := serveNode(t, node)
 	ctx := context.Background()

@@ -10,8 +10,8 @@ import (
 
 func quorumNode(t *testing.T) *AggregatorNode {
 	t.Helper()
-	proxy, vendor := testTrust(t)
-	return newProvisionedNode(t, proxy, vendor, "agg-q")
+	ap := testAP(t)
+	return newProvisionedNode(t, ap, "agg-q")
 }
 
 // Partial participation: with a quorum of 2 out of 3 registered parties,

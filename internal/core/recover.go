@@ -302,15 +302,16 @@ func (a *AggregatorNode) apply(rec record) {
 	// Retention evicts the rounds at or below the horizon after each fusion
 	// and whenever the bound changes. It is a pure function of (rounds,
 	// retention, lastAggregated), so replay reproduces the same bounded map
-	// without eviction records of its own. An evicted round's upload
-	// buffers go back to the pool, for the next round's decodes: the node
-	// owns them and nothing else holds them. Its aggregated bytes do not,
-	// since a download may still be writing them out without the lock.
+	// without eviction records of its own; replay's discards are these
+	// evictions too. An evicted round's upload buffers are cleared and go
+	// back to the pool, for the next round's decodes: the node owns them
+	// and nothing else holds them. Its aggregated bytes do not, since a
+	// download may still be writing them out without the lock.
 	if (rec.typ == recAggregate || rec.typ == recRetention) && a.retention > 0 {
 		for r, rs := range a.rounds {
 			if r <= a.lastAggregated-a.retention {
 				for _, u := range rs.uploads {
-					tensor.PutVector(u.frag)
+					release(u.frag)
 				}
 				delete(a.rounds, r)
 			}

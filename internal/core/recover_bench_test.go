@@ -4,9 +4,7 @@ import (
 	"testing"
 
 	"deta/internal/agg"
-	"deta/internal/attest"
 	"deta/internal/journal"
-	"deta/internal/sev"
 	"deta/internal/tensor"
 )
 
@@ -15,15 +13,9 @@ import (
 // or "sync" (full fsync-on-commit, the -state-dir default).
 func benchUploadNode(b *testing.B, mode string) *AggregatorNode {
 	b.Helper()
-	vendor, err := sev.NewVendor()
-	if err != nil {
-		b.Fatal(err)
-	}
-	cvm, err := BootAggregatorCVM(vendor, attest.NewProxy(vendor.RAS(), OVMF), "agg-bench")
-	if err != nil {
-		b.Fatal(err)
-	}
+	cvm := provisionCVM(b, testAP(b), "agg-bench")
 	var node *AggregatorNode
+	var err error
 	switch mode {
 	case "none":
 		node, err = NewAggregatorNode("agg-bench", agg.IterativeAverage{}, cvm)

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"deta/internal/agg"
-	"deta/internal/attest"
 	"deta/internal/journal"
 	"deta/internal/sev"
 	"deta/internal/tensor"
@@ -26,30 +25,32 @@ import (
 
 // provisionCVM boots one CVM through BootAggregatorCVM, returning it so a
 // "restarted process" can build a fresh node against the same journal.
-func provisionCVM(t *testing.T, proxy *attest.Proxy, vendor *sev.Vendor, id string) *sev.CVM {
+func provisionCVM(t testing.TB, ap *APClient, id string) *sev.CVM {
 	t.Helper()
-	cvm, err := BootAggregatorCVM(vendor, proxy, id)
+	cvm, err := BootAggregatorCVM(context.Background(), ap, id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return cvm
 }
 
-func testTrust(t *testing.T) (*attest.Proxy, *sev.Vendor) {
+// testAP serves an in-process AP (ServeAP) until the test ends.
+func testAP(t testing.TB) *APClient {
 	t.Helper()
-	vendor, err := sev.NewVendor()
+	_, ap, stop, err := ServeAP()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return attest.NewProxy(vendor.RAS(), OVMF), vendor
+	t.Cleanup(stop)
+	return ap
 }
 
 // Satellite regression: an identical re-upload (the retry after an
 // ambiguous RPC failure) succeeds silently; only a conflicting fragment —
 // or the same fragment with a different weight — is a duplicate error.
 func TestUploadIdempotentRetry(t *testing.T) {
-	proxy, vendor := testTrust(t)
-	cvm := provisionCVM(t, proxy, vendor, "agg-idem")
+	ap := testAP(t)
+	cvm := provisionCVM(t, ap, "agg-idem")
 	node, err := NewAggregatorNode("agg-idem", agg.IterativeAverage{}, cvm)
 	if err != nil {
 		t.Fatal(err)
@@ -77,8 +78,8 @@ func TestUploadIdempotentRetry(t *testing.T) {
 }
 
 func TestAggregateIdempotent(t *testing.T) {
-	proxy, vendor := testTrust(t)
-	cvm := provisionCVM(t, proxy, vendor, "agg-re")
+	ap := testAP(t)
+	cvm := provisionCVM(t, ap, "agg-re")
 	node, err := NewAggregatorNode("agg-re", agg.IterativeAverage{}, cvm)
 	if err != nil {
 		t.Fatal(err)
@@ -111,10 +112,10 @@ func TestAggregateIdempotent(t *testing.T) {
 // registrations, fragments, the fused vector — survives a crash/restart
 // via the journal, so parties can re-download after recovery.
 func TestRecoverAggregatorNode(t *testing.T) {
-	proxy, vendor := testTrust(t)
+	ap := testAP(t)
 	dir := t.TempDir()
 
-	cvm := provisionCVM(t, proxy, vendor, "agg-r")
+	cvm := provisionCVM(t, ap, "agg-r")
 	node, info, err := RecoverAggregatorNode("agg-r", agg.IterativeAverage{}, cvm, dir, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +148,7 @@ func TestRecoverAggregatorNode(t *testing.T) {
 	// attested CVM (trust state is re-established by Phase I, round state
 	// by the journal).
 	node.CloseJournal()
-	cvm2 := provisionCVM(t, proxy, vendor, "agg-r2")
+	cvm2 := provisionCVM(t, ap, "agg-r2")
 	node2, info, err := RecoverAggregatorNode("agg-r", agg.IterativeAverage{}, cvm2, dir, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -219,9 +220,9 @@ func compactedLogTypes(t *testing.T, dir string) []uint8 {
 // node whose journal was rewritten many times over recovers every round,
 // from a directory holding nothing but wal.log.
 func TestRecoverAfterCompaction(t *testing.T) {
-	proxy, vendor := testTrust(t)
+	ap := testAP(t)
 	dir := t.TempDir()
-	cvm := provisionCVM(t, proxy, vendor, "agg-c")
+	cvm := provisionCVM(t, ap, "agg-c")
 	node, _, err := RecoverAggregatorNode("agg-c", agg.IterativeAverage{}, cvm, dir, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +241,7 @@ func TestRecoverAfterCompaction(t *testing.T) {
 	node.CloseJournal()
 	compactedLogTypes(t, dir) // the log was rewritten along the way
 
-	cvm2 := provisionCVM(t, proxy, vendor, "agg-c2")
+	cvm2 := provisionCVM(t, ap, "agg-c2")
 	node2, info, err := RecoverAggregatorNode("agg-c", agg.IterativeAverage{}, cvm2, dir, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -263,9 +264,9 @@ func TestRecoverAfterCompaction(t *testing.T) {
 // A crash mid-append leaves a torn journal tail; the node must recover to
 // the last committed record, flag it, and keep serving.
 func TestRecoverTornJournalTail(t *testing.T) {
-	proxy, vendor := testTrust(t)
+	ap := testAP(t)
 	dir := t.TempDir()
-	cvm := provisionCVM(t, proxy, vendor, "agg-t")
+	cvm := provisionCVM(t, ap, "agg-t")
 	node, _, err := RecoverAggregatorNode("agg-t", agg.IterativeAverage{}, cvm, dir, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -287,7 +288,7 @@ func TestRecoverTornJournalTail(t *testing.T) {
 	}
 	f.Close()
 
-	cvm2 := provisionCVM(t, proxy, vendor, "agg-t2")
+	cvm2 := provisionCVM(t, ap, "agg-t2")
 	node2, info, err := RecoverAggregatorNode("agg-t", agg.IterativeAverage{}, cvm2, dir, journal.Options{})
 	if err != nil {
 		t.Fatalf("torn tail made recovery fail: %v", err)
@@ -309,9 +310,9 @@ func TestRecoverTornJournalTail(t *testing.T) {
 // error naming the record's offset; it does not truncate the log, since
 // the scan already found the record committed.
 func TestRecoverFailsOnDamagedReadBack(t *testing.T) {
-	proxy, vendor := testTrust(t)
+	ap := testAP(t)
 	dir := t.TempDir()
-	node, _, err := RecoverAggregatorNode("agg-rb", agg.IterativeAverage{}, provisionCVM(t, proxy, vendor, "agg-rb"), dir, journal.Options{NoSync: true})
+	node, _, err := RecoverAggregatorNode("agg-rb", agg.IterativeAverage{}, provisionCVM(t, ap, "agg-rb"), dir, journal.Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +343,7 @@ func TestRecoverFailsOnDamagedReadBack(t *testing.T) {
 		}
 	}
 	defer func() { testHookReplayed = nil }()
-	_, _, err = RecoverAggregatorNode("agg-rb", agg.IterativeAverage{}, provisionCVM(t, proxy, vendor, "agg-rb2"), dir, journal.Options{NoSync: true})
+	_, _, err = RecoverAggregatorNode("agg-rb", agg.IterativeAverage{}, provisionCVM(t, ap, "agg-rb2"), dir, journal.Options{NoSync: true})
 	if err == nil || !strings.Contains(err.Error(), "replaying journal: ") || !strings.Contains(err.Error(), "checksum mismatch") {
 		t.Fatalf("recovery over a damaged surviving upload: err = %v, want a replay checksum error", err)
 	}
@@ -368,9 +369,9 @@ func TestRecoveryAllocatesForLiveState(t *testing.T) {
 		rounds  = 36 // fused, then one more round's uploads, as a crash leaves them
 		slack   = 256 << 10
 	)
-	proxy, vendor := testTrust(t)
+	ap := testAP(t)
 	dir := t.TempDir()
-	node, _, err := RecoverAggregatorNode("agg-alloc", agg.IterativeAverage{}, provisionCVM(t, proxy, vendor, "agg-alloc"), dir, journal.Options{NoSync: true})
+	node, _, err := RecoverAggregatorNode("agg-alloc", agg.IterativeAverage{}, provisionCVM(t, ap, "agg-alloc"), dir, journal.Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +412,7 @@ func TestRecoveryAllocatesForLiveState(t *testing.T) {
 	}
 	rec = nil
 
-	cvm := provisionCVM(t, proxy, vendor, "agg-alloc2")
+	cvm := provisionCVM(t, ap, "agg-alloc2")
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	node2, _, err := RecoverAggregatorNode("agg-alloc", agg.IterativeAverage{}, cvm, dir, journal.Options{NoSync: true})
@@ -442,9 +443,9 @@ func TestRecoveryAllocatesForLiveState(t *testing.T) {
 // Satellite: with a retention bound, the rounds map does not grow without
 // bound over 100 rounds — and evicted rounds are still in the journal.
 func TestRetentionBoundsMemoryOver100Rounds(t *testing.T) {
-	proxy, vendor := testTrust(t)
+	ap := testAP(t)
 	dir := t.TempDir()
-	cvm := provisionCVM(t, proxy, vendor, "agg-m")
+	cvm := provisionCVM(t, ap, "agg-m")
 	node, _, err := RecoverAggregatorNode("agg-m", agg.IterativeAverage{}, cvm, dir, journal.Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
@@ -474,7 +475,7 @@ func TestRetentionBoundsMemoryOver100Rounds(t *testing.T) {
 	node.CloseJournal()
 
 	// Recovery replays to the same bounded state, not 100 rounds.
-	cvm2 := provisionCVM(t, proxy, vendor, "agg-m2")
+	cvm2 := provisionCVM(t, ap, "agg-m2")
 	node2, info, err := RecoverAggregatorNode("agg-m", agg.IterativeAverage{}, cvm2, dir, journal.Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
@@ -491,8 +492,8 @@ func TestRetentionBoundsMemoryOver100Rounds(t *testing.T) {
 // Satellite: DownloadAll's backoff poll honors context cancellation — a
 // cancelled party returns promptly instead of sleeping out its schedule.
 func TestDownloadAllCancellationPrompt(t *testing.T) {
-	proxy, vendor := testTrust(t)
-	node := newProvisionedNode(t, proxy, vendor, "agg-cancel")
+	ap := testAP(t)
+	node := newProvisionedNode(t, ap, "agg-cancel")
 	node.Register("P1")
 	// Never aggregated: DownloadAll will poll until cancelled.
 	client := serveNode(t, node)
@@ -518,8 +519,8 @@ func TestDownloadAllCancellationPrompt(t *testing.T) {
 
 // DownloadAll's backoff must still deliver promptly once the round fuses.
 func TestDownloadAllBackoffDelivers(t *testing.T) {
-	proxy, vendor := testTrust(t)
-	node := newProvisionedNode(t, proxy, vendor, "agg-bk")
+	ap := testAP(t)
+	node := newProvisionedNode(t, ap, "agg-bk")
 	node.Register("P1")
 	client := serveNode(t, node)
 	fleet := &Fleet{Clients: []*AggregatorClient{client}}
@@ -542,8 +543,8 @@ func TestDownloadAllBackoffDelivers(t *testing.T) {
 // A client with Redial configured survives its aggregator being killed and
 // restarted on a fresh listener: the next call transparently reconnects.
 func TestAggregatorClientRedial(t *testing.T) {
-	proxy, vendor := testTrust(t)
-	node := newProvisionedNode(t, proxy, vendor, "agg-rd")
+	ap := testAP(t)
+	node := newProvisionedNode(t, ap, "agg-rd")
 	node.Register("P1")
 
 	serve := func() (*transport.Server, *transport.MemListener) {
@@ -609,8 +610,8 @@ func TestAggregatorClientRedial(t *testing.T) {
 // rounds with several uploads, an evicted party — must write the same
 // bytes every time.
 func TestSnapshotPartiesSorted(t *testing.T) {
-	proxy, vendor := testTrust(t)
-	cvm := provisionCVM(t, proxy, vendor, "agg-snap")
+	ap := testAP(t)
+	cvm := provisionCVM(t, ap, "agg-snap")
 	dir := t.TempDir()
 	node, _, err := RecoverAggregatorNode("agg-snap", agg.IterativeAverage{}, cvm, dir, journal.Options{NoSync: true})
 	if err != nil {
@@ -673,11 +674,11 @@ func TestSnapshotPartiesSorted(t *testing.T) {
 // take effect in memory, and a download of a fused round still succeeds,
 // because a download never touches the journal.
 func TestUploadJournalFailureLeavesNoPhantomRound(t *testing.T) {
-	proxy, vendor := testTrust(t)
+	ap := testAP(t)
 	// deadJournalNode: P1–P3 fused round 1, P1 and P2 filled round 2, P1
 	// opened round 3, P3 was evicted, and then the journal died.
 	deadJournalNode := func(t *testing.T, id string) (*AggregatorNode, *FakeClock) {
-		node, _, err := RecoverAggregatorNode(id, agg.IterativeAverage{}, provisionCVM(t, proxy, vendor, id), t.TempDir(), journal.Options{NoSync: true})
+		node, _, err := RecoverAggregatorNode(id, agg.IterativeAverage{}, provisionCVM(t, ap, id), t.TempDir(), journal.Options{NoSync: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -797,7 +798,7 @@ func TestUploadJournalFailureLeavesNoPhantomRound(t *testing.T) {
 // download: none has a replay path. The event types now carry the round-control layout, so the gob
 // walEvent they once held is a decode error.
 func TestRecoverRejectsRetiredFragmentRecords(t *testing.T) {
-	proxy, vendor := testTrust(t)
+	ap := testAP(t)
 	// What those records held: a gob struct with the fields the event
 	// payload had, plus, for 2 and 3, the fragment.
 	fragment := gobEncode(t, struct {
@@ -842,7 +843,7 @@ func TestRecoverRejectsRetiredFragmentRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 		id := fmt.Sprintf("agg-retired-%d", tc.typ)
-		_, _, err = RecoverAggregatorNode(id, agg.IterativeAverage{}, provisionCVM(t, proxy, vendor, id), dir, journal.Options{NoSync: true})
+		_, _, err = RecoverAggregatorNode(id, agg.IterativeAverage{}, provisionCVM(t, ap, id), dir, journal.Options{NoSync: true})
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("recovery over a gob type-%d record: err = %v, want one containing %q", tc.typ, err, tc.want)
 		}

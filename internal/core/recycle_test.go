@@ -27,6 +27,46 @@ func recyclePattern(r, p, n int) tensor.Vector {
 	return v
 }
 
+// A breached aggregator cannot read a round it let go of out of the tensor
+// pool: retention 1 evicts round 1 once round 2 fuses, and none of the
+// next 16 buffers the pool hands out holds a value of round 1's fragments.
+func TestEvictedFragmentsLeaveNoResidue(t *testing.T) {
+	const dim = 2048
+	node := newProvisionedNode(t, testAP(t), "agg-residue")
+	node.SetRetention(1)
+	ids := []string{"P0", "P1"}
+	for _, id := range ids {
+		node.Register(id)
+	}
+	evicted := map[float64]bool{}
+	for r := 1; r <= 2; r++ {
+		for p, id := range ids {
+			frag := recyclePattern(r, p, dim)
+			if r == 1 {
+				for _, x := range frag {
+					evicted[x] = true
+				}
+			}
+			if err := node.Upload(r, id, frag, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := node.Aggregate(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if held := node.RoundsHeld(); held != 1 {
+		t.Fatalf("node holds %d rounds, want 1 after round 1's eviction", held)
+	}
+	for i := 0; i < 16; i++ {
+		for j, x := range tensor.GetVector(dim) {
+			if evicted[x] {
+				t.Fatalf("buffer %d from the pool holds round 1's value %v at %d", i, x, j)
+			}
+		}
+	}
+}
+
 // Uploads recycled at eviction never hand out a buffer a held round still
 // references. 4 parties upload to 2 aggregators over in-memory listeners,
 // retention 2, through the real RoundStep, so the parties' gathers, the
@@ -36,7 +76,7 @@ func recyclePattern(r, p, n int) tensor.Vector {
 // weighted average, bit for bit.
 func TestRecycledFragmentsNeverAliasHeldRounds(t *testing.T) {
 	const parties, aggregators, retain, rounds, dim = 4, 2, 2, 30, 1500
-	proxy, vendor := testTrust(t)
+	ap := testAP(t)
 	nodes := make([]*AggregatorNode, aggregators)
 	clients := make([]*AggregatorClient, aggregators)
 	ids := make([]string, parties)
@@ -44,7 +84,7 @@ func TestRecycledFragmentsNeverAliasHeldRounds(t *testing.T) {
 		ids[p] = fmt.Sprintf("P%d", p)
 	}
 	for j := range nodes {
-		nodes[j] = newProvisionedNode(t, proxy, vendor, fmt.Sprintf("agg-recycle-%d", j))
+		nodes[j] = newProvisionedNode(t, ap, fmt.Sprintf("agg-recycle-%d", j))
 		nodes[j].SetRetention(retain)
 		for _, id := range ids {
 			nodes[j].Register(id)
@@ -129,8 +169,8 @@ func TestIdenticalRetryRecyclesItsFragment(t *testing.T) {
 	if raceBuild {
 		t.Skip("the race detector's sync.Pool drops puts at random")
 	}
-	proxy, vendor := testTrust(t)
-	node := newProvisionedNode(t, proxy, vendor, "agg-retry")
+	ap := testAP(t)
+	node := newProvisionedNode(t, ap, "agg-retry")
 	node.Register("P1")
 	client := serveNode(t, node)
 	ctx := context.Background()
@@ -166,8 +206,8 @@ func TestSteadyStateUploadsRecycleFragments(t *testing.T) {
 		t.Skip("the race detector's sync.Pool drops puts at random")
 	}
 	const parties, retain, warm, measured = 4, 2, 4, 20
-	proxy, vendor := testTrust(t)
-	node := newProvisionedNode(t, proxy, vendor, "agg-steady")
+	ap := testAP(t)
+	node := newProvisionedNode(t, ap, "agg-steady")
 	node.SetRetention(retain)
 	ids := make([]string, parties)
 	for p := range ids {

@@ -116,8 +116,8 @@ func recoverCopy(t *testing.T, cvm *sev.CVM, src, dst string) durableState {
 // committed, not compaction's rewrite of them: that arm pins apply's
 // live/replay equality on its own.
 func TestCompactionReplaysExactly(t *testing.T) {
-	proxy, vendor := testTrust(t)
-	cvm := provisionCVM(t, proxy, vendor, "agg-replay")
+	ap := testAP(t)
+	cvm := provisionCVM(t, ap, "agg-replay")
 	// Compaction runs only at a fused round, and a schedule fuses a round
 	// every 30 steps or so: 160 steps make every compacting seed compact.
 	seeds, steps := 60, 160

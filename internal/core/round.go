@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"deta/internal/attest"
 	"deta/internal/tensor"
 	"deta/internal/transport"
 )
@@ -17,7 +18,7 @@ import (
 // followers (paper §4.1). deta-party, deta-aggregator, Session and the
 // e2e/chaos tests all drive rounds through these two.
 
-// RoundStep runs one party's protocol steps against the fleet: Phase II
+// RoundStep runs one party's protocol steps against the fleet: enrolment
 // (Join), then per round Trans → K uploads (Upload) and K downloads →
 // Trans⁻¹ (Finish). The round is split in two because its drivers act in
 // between: Session fuses there, the chaos script kills aggregators there.
@@ -72,12 +73,27 @@ func (s *RoundStep) redrive(ctx context.Context, what string, op func(context.Co
 	}
 }
 
-// Join runs Phase II against every aggregator (Fleet.VerifyAndRegisterAll).
-func (s *RoundStep) Join(ctx context.Context, partyID string, tokenPubKey func(aggID string) ([]byte, error),
-	newNonce func() ([]byte, error), verify func(pub, nonce, sig []byte) error) error {
-	return s.redrive(ctx, "phase II", func(ctx context.Context) error {
-		return s.Fleet.VerifyAndRegisterAll(ctx, partyID, tokenPubKey, newNonce, verify)
+// Join enrols partyID, the one way every deployment does: Phase II against
+// every aggregator (Fleet.VerifyAndRegisterAll) under the token keys the
+// AP provisioned, then registration with the AP's key broker and the
+// permutation key, which keys s.Shuffler.
+func (s *RoundStep) Join(ctx context.Context, ap *APClient, partyID string) error {
+	err := s.redrive(ctx, "phase II", func(ctx context.Context) error {
+		tokenPubKey := func(aggID string) ([]byte, error) { return ap.TokenPubKey(ctx, aggID) }
+		return s.Fleet.VerifyAndRegisterAll(ctx, partyID, tokenPubKey, attest.NewNonce, attest.VerifyChallenge)
 	})
+	if err != nil {
+		return err
+	}
+	if err := ap.RegisterParty(ctx, partyID); err != nil {
+		return fmt.Errorf("core: registering with the key broker: %w", err)
+	}
+	permKey, err := ap.PermKey(ctx, partyID)
+	if err != nil {
+		return fmt.Errorf("core: fetching the permutation key: %w", err)
+	}
+	s.Shuffler, err = NewShuffler(permKey)
+	return err
 }
 
 // Upload transforms the party's update and uploads fragment j to aggregator

@@ -71,9 +71,9 @@ func (l *logLines) has(sub string) bool {
 // follower — beside the local loop idling on round 2.
 func TestInitiatorStopsOnCancel(t *testing.T) {
 	clk := newTickClock()
-	proxy, vendor := testTrust(t)
-	local := newProvisionedNode(t, proxy, vendor, "agg-1")
-	waiting := newProvisionedNode(t, proxy, vendor, "agg-2")
+	ap := testAP(t)
+	local := newProvisionedNode(t, ap, "agg-1")
+	waiting := newProvisionedNode(t, ap, "agg-2")
 	local.Register("P1")
 	waiting.Register("P1")
 	mustUpload(t, local, 1, "P1", 1)
@@ -107,9 +107,9 @@ func TestInitiatorStopsOnCancel(t *testing.T) {
 // their deadline on a follower nobody would ever tell to fuse.)
 func TestInitiatorRedrivesRoundFusedBeforeCrash(t *testing.T) {
 	clk := newTickClock()
-	proxy, vendor := testTrust(t)
-	local := newProvisionedNode(t, proxy, vendor, "agg-1")
-	behind := newProvisionedNode(t, proxy, vendor, "agg-2")
+	ap := testAP(t)
+	local := newProvisionedNode(t, ap, "agg-1")
+	behind := newProvisionedNode(t, ap, "agg-2")
 	for _, n := range []*AggregatorNode{local, behind} {
 		n.Register("P1")
 		mustUpload(t, n, 1, "P1", 1)
@@ -129,10 +129,10 @@ func TestInitiatorRedrivesRoundFusedBeforeCrash(t *testing.T) {
 // fake time.
 func TestInitiatorSkipsAbandonedRound(t *testing.T) {
 	clk := newTickClock()
-	proxy, vendor := testTrust(t)
+	ap := testAP(t)
 	nodes := []*AggregatorNode{
-		newProvisionedNode(t, proxy, vendor, "agg-1"),
-		newProvisionedNode(t, proxy, vendor, "agg-2"),
+		newProvisionedNode(t, ap, "agg-1"),
+		newProvisionedNode(t, ap, "agg-2"),
 	}
 	for _, n := range nodes {
 		n.SetClock(clk)
@@ -170,9 +170,9 @@ func TestInitiatorSkipsAbandonedRound(t *testing.T) {
 // ctx), so the healthy follower must fuse without a single failure.
 func TestInitiatorZeroPeerTimeoutFusesFollower(t *testing.T) {
 	clk := newTickClock()
-	proxy, vendor := testTrust(t)
-	local := newProvisionedNode(t, proxy, vendor, "agg-1")
-	follower := newProvisionedNode(t, proxy, vendor, "agg-2")
+	ap := testAP(t)
+	local := newProvisionedNode(t, ap, "agg-1")
+	follower := newProvisionedNode(t, ap, "agg-2")
 	for _, n := range []*AggregatorNode{local, follower} {
 		n.Register("P1")
 		mustUpload(t, n, 1, "P1", 1)
@@ -193,8 +193,8 @@ func TestInitiatorZeroPeerTimeoutFusesFollower(t *testing.T) {
 // 50 lines a second for as long as the fault lasts.
 func TestInitiatorLogsFailureStreaksSparsely(t *testing.T) {
 	clk := newTickClock()
-	proxy, vendor := testTrust(t)
-	node := newProvisionedNode(t, proxy, vendor, "agg-1")
+	ap := testAP(t)
+	node := newProvisionedNode(t, ap, "agg-1")
 	node.Algorithm = agg.Krum{F: 1} // cannot fuse a single update: every attempt fails
 	node.Register("P1")
 	mustUpload(t, node, 1, "P1", 1)

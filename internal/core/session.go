@@ -8,38 +8,12 @@ import (
 	"time"
 
 	"deta/internal/agg"
-	"deta/internal/attest"
 	"deta/internal/dataset"
 	"deta/internal/fl"
 	"deta/internal/nn"
-	"deta/internal/sev"
 	"deta/internal/tensor"
 	"deta/internal/transport"
 )
-
-// OVMF is the firmware image all genuine aggregator CVMs boot in this
-// reproduction; the AP expects its measurement.
-var OVMF = []byte("deta-aggregator-firmware-v1: attested aggregation service build")
-
-// BootAggregatorCVM runs Phase I for one in-process aggregator: it
-// manufactures a fresh platform endorsed by vendor (each aggregator may run
-// on its own host, §4.1), launches a CVM booting OVMF on it, and has proxy
-// attest and provision it as id. It returns the CVM, not a node, so a
-// caller can build the node fresh or recover it from a journal.
-func BootAggregatorCVM(vendor *sev.Vendor, proxy *attest.Proxy, id string) (*sev.CVM, error) {
-	platform, err := sev.NewPlatform("host/"+id, vendor)
-	if err != nil {
-		return nil, err
-	}
-	cvm, err := platform.LaunchCVM(OVMF)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := proxy.Provision(id, platform, cvm); err != nil {
-		return nil, fmt.Errorf("core: provisioning %s: %w", id, err)
-	}
-	return cvm, nil
-}
 
 // Options configures a DeTA deployment.
 type Options struct {
@@ -81,12 +55,13 @@ func (o *Options) defaults() {
 	}
 }
 
-// Session is a whole DeTA deployment in one process: SEV-protected
-// aggregator nodes, the attestation proxy, the key broker, and the parties.
-// It is a driver, not a second implementation: every node is served by
-// ServeAggregator on an in-memory listener and the parties reach them
-// through one Fleet and RoundStep, the path deta-party runs. It mirrors
-// fl.Session so experiments can compare the two directly.
+// Session is a whole DeTA deployment in one process: an AP service,
+// SEV-protected aggregator nodes, and the parties. It is a driver, not a
+// second implementation: the AP is served by ServeAP and every node by
+// ServeAggregator on in-memory listeners, aggregators boot through
+// BootAggregatorCVM, and the parties enrol and run rounds through one
+// Fleet and RoundStep, the path deta-party runs. It mirrors fl.Session so
+// experiments can compare the two directly.
 type Session struct {
 	Cfg      fl.Config
 	Opts     Options
@@ -102,8 +77,6 @@ type Session struct {
 	Nodes    []*AggregatorNode
 	Mapper   *Mapper
 	Shuffler *Shuffler
-	Broker   *attest.KeyBroker
-	Proxy    *attest.Proxy
 
 	// Clock is the session's time source (nil = SystemClock). It is
 	// injected into every aggregator node and used for the session's own
@@ -125,12 +98,14 @@ type Session struct {
 	FinalParams tensor.Vector
 
 	// The deployed path, built by Setup and torn down by Close.
-	servers []*transport.Server
-	fleet   *Fleet
-	step    *RoundStep
+	ap    *APClient
+	stop  []func() // the AP's and every aggregator server's
+	fleet *Fleet
+	step  *RoundStep
 }
 
-// Setup performs the full trust bootstrap of Figure 1 steps 1-4:
+// Setup performs the full trust bootstrap of Figure 1 steps 1-4 against an
+// in-process AP:
 //
 //  1. launch one SEV CVM per aggregator, attest each via the AP and put it
 //     behind its own RPC server,
@@ -139,8 +114,8 @@ type Session struct {
 //     register,
 //  4. distribute the permutation key and build the shared model mapper.
 //
-// ctx bounds Phase II's RPCs. A Session that was set up but not Run must
-// be Closed.
+// ctx bounds every RPC. A Session that was set up but not Run must be
+// Closed.
 func (s *Session) Setup(ctx context.Context) (err error) {
 	start := orSystem(s.Clock).Now()
 	s.Opts.defaults()
@@ -158,19 +133,18 @@ func (s *Session) Setup(ctx context.Context) (err error) {
 			s.Close()
 		}
 	}()
-	// Vendor infrastructure and the party-controlled AP.
-	vendor, err := sev.NewVendor()
+	_, ap, stopAP, err := ServeAP()
 	if err != nil {
 		return err
 	}
-	s.Proxy = attest.NewProxy(vendor.RAS(), OVMF)
+	s.ap, s.stop = ap, append(s.stop, stopAP)
 
-	// Phase I: launch, provision and serve every aggregator.
+	// Phase I: boot and serve every aggregator.
 	s.Nodes = make([]*AggregatorNode, s.Opts.NumAggregators)
 	clients := make([]*AggregatorClient, s.Opts.NumAggregators)
 	for j := 0; j < s.Opts.NumAggregators; j++ {
 		id := fmt.Sprintf("agg-%d", j+1)
-		cvm, err := BootAggregatorCVM(vendor, s.Proxy, id)
+		cvm, err := BootAggregatorCVM(ctx, ap, id)
 		if err != nil {
 			return err
 		}
@@ -193,36 +167,12 @@ func (s *Session) Setup(ctx context.Context) (err error) {
 		ServeAggregator(node, srv)
 		ln := transport.NewMemListener()
 		go srv.Serve(ln)
-		s.servers = append(s.servers, srv)
+		s.stop = append(s.stop, srv.Close)
 		// No connection yet: the first call dials, like a redial after a
 		// restart.
 		clients[j] = &AggregatorClient{ID: id, Redial: func(context.Context) (net.Conn, error) { return ln.Dial() }}
 	}
 	s.fleet = &Fleet{Clients: clients, Quorum: s.Opts.AggQuorum, Clock: s.Clock}
-
-	// Phase II: every party verifies every aggregator, then registers.
-	for _, p := range s.Parties {
-		if err := s.fleet.VerifyAndRegisterAll(ctx, p.ID, s.Proxy.TokenPubKey, attest.NewNonce, attest.VerifyChallenge); err != nil {
-			return fmt.Errorf("core: party %s: %w", p.ID, err)
-		}
-	}
-
-	// Key broker: permutation key for all parties.
-	s.Broker, err = attest.NewKeyBroker(32) // a 256-bit permutation key
-	if err != nil {
-		return err
-	}
-	for _, p := range s.Parties {
-		s.Broker.RegisterParty(p.ID)
-	}
-	permKey, err := s.Broker.PermutationKey(s.Parties[0].ID)
-	if err != nil {
-		return err
-	}
-	s.Shuffler, err = NewShuffler(permKey)
-	if err != nil {
-		return err
-	}
 
 	// Shared model mapper, agreed by all parties before training.
 	model := s.Build()
@@ -230,18 +180,26 @@ func (s *Session) Setup(ctx context.Context) (err error) {
 	if err != nil {
 		return err
 	}
-	s.step = &RoundStep{Fleet: s.fleet, Mapper: s.Mapper, Shuffler: s.Shuffler, Shuffle: s.Opts.Shuffle}
+	s.step = &RoundStep{Fleet: s.fleet, Mapper: s.Mapper, Shuffle: s.Opts.Shuffle}
+
+	// Phase II, registration and the permutation key, party by party.
+	for _, p := range s.Parties {
+		if err := s.step.Join(ctx, ap, p.ID); err != nil {
+			return fmt.Errorf("core: party %s: %w", p.ID, err)
+		}
+	}
+	s.Shuffler = s.step.Shuffler
 	s.SetupLatency = orSystem(s.Clock).Now().Sub(start)
 	return nil
 }
 
-// Close stops the aggregator servers, and with them every connection and
-// goroutine Setup started. Run calls it; idempotent.
+// Close stops the AP and the aggregator servers, and with them every
+// connection and goroutine Setup started. Run calls it; idempotent.
 func (s *Session) Close() {
-	for _, srv := range s.servers {
-		srv.Close()
+	for _, stop := range s.stop {
+		stop()
 	}
-	s.servers = nil
+	s.stop = nil
 }
 
 // Run executes training with the DeTA life cycle and returns the history.
@@ -262,7 +220,7 @@ func (s *Session) Run(ctx context.Context) (*fl.History, error) {
 	var cum time.Duration
 	for round := 1; round <= s.Cfg.Rounds; round++ {
 		start := orSystem(s.Clock).Now()
-		roundID, err := s.Broker.RoundID(round)
+		roundID, err := s.ap.RoundID(ctx, round)
 		if err != nil {
 			return nil, err
 		}

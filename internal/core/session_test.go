@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"deta/internal/agg"
+	"deta/internal/attest"
 	"deta/internal/dataset"
 	"deta/internal/fl"
 	"deta/internal/nn"
@@ -67,7 +68,7 @@ func TestSetupBootstrapsTrust(t *testing.T) {
 			t.Fatalf("node %s has %d parties", n.ID, n.NumParties())
 		}
 	}
-	if s.Mapper == nil || s.Shuffler == nil || s.Broker == nil {
+	if s.Mapper == nil || s.Shuffler == nil {
 		t.Fatal("setup left nil components")
 	}
 	if s.SetupLatency <= 0 {
@@ -202,8 +203,8 @@ func TestDeTAFedSGD(t *testing.T) {
 }
 
 func TestAggregatorNodeProtocolErrors(t *testing.T) {
-	proxy, vendor := testTrust(t)
-	node := newProvisionedNode(t, proxy, vendor, "agg-x")
+	ap := testAP(t)
+	node := newProvisionedNode(t, ap, "agg-x")
 
 	// Unregistered upload/download.
 	if err := node.Upload(1, "ghost", tensor.Vector{1}, 1); !errors.Is(err, ErrNotRegistered) {
@@ -279,7 +280,7 @@ func TestBreachedAggregatorSeesShuffledFragment(t *testing.T) {
 	for i := range update {
 		update[i] = st.NormFloat64()
 	}
-	roundID, _ := s.Broker.RoundID(1)
+	roundID, _ := s.ap.RoundID(context.Background(), 1)
 	plainFrags, _ := s.Mapper.Partition(update)
 	wireFrags, _ := Transform(s.Mapper, s.Shuffler, update, roundID, true)
 	diff := 0
@@ -340,5 +341,29 @@ func TestSessionRetainsOneRound(t *testing.T) {
 		if held := node.RoundsHeld(); held != 1 {
 			t.Fatalf("aggregator %s holds %d rounds, want 1", node.ID, held)
 		}
+	}
+}
+
+// Setup enrols the parties with the session's AP, the service the daemons
+// run: it releases the permutation key to every party, the key the
+// session shuffles with, and refuses an ID the session did not enrol.
+func TestSetupEnrolsPartiesWithTheAP(t *testing.T) {
+	s := newTinySession(t, 2, true)
+	ctx := context.Background()
+	if err := s.Setup(ctx); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, p := range s.Parties {
+		key, err := s.ap.PermKey(ctx, p.ID)
+		if err != nil {
+			t.Fatalf("party %s: %v", p.ID, err)
+		}
+		if rng.Fingerprint(key) != s.Shuffler.Fingerprint() {
+			t.Fatalf("party %s was issued another key than the session shuffles with", p.ID)
+		}
+	}
+	if _, err := s.ap.PermKey(ctx, "ghost"); !errors.Is(err, attest.ErrUnregisteredParty) {
+		t.Fatalf("unenrolled ID: %v, want ErrUnregisteredParty", err)
 	}
 }

@@ -65,6 +65,10 @@ func NewShuffler(permKey []byte) (*Shuffler, error) {
 	return &Shuffler{permKey: append([]byte(nil), permKey...)}, nil
 }
 
+// Fingerprint identifies the permutation key without revealing it, so
+// parties can compare the keys they were issued across their logs.
+func (s *Shuffler) Fingerprint() string { return rng.Fingerprint(s.permKey) }
+
 // lookup returns the cached permutation and the cache slot of roundID, or
 // nil and -1 where there is none. s.mu must be held.
 func (s *Shuffler) lookup(roundID []byte, partition, n int) ([]uint32, int) {

@@ -7,8 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"deta/internal/attest"
-	"deta/internal/sev"
 	"deta/internal/transport"
 )
 
@@ -87,18 +85,14 @@ func TestStatusCodesRoundTrip(t *testing.T) {
 // error's verdict — "round abandoned" into skip-the-round, "not
 // aggregated" into polling until the deadline.
 func TestErrorTextCannotSteerFleet(t *testing.T) {
-	vendor, err := sev.NewVendor()
-	if err != nil {
-		t.Fatal(err)
-	}
-	node := newProvisionedNode(t, attest.NewProxy(vendor.RAS(), OVMF), vendor, "agg-steer")
+	node := newProvisionedNode(t, testAP(t), "agg-steer")
 	// The poll clock never advances: a DownloadAll that decides to poll
 	// can only end at the context deadline.
 	fleet := &Fleet{Clients: []*AggregatorClient{serveNode(t, node)}, Clock: NewFakeClock(time.Unix(1_000_000, 0))}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 
-	err = fleet.UploadAll(ctx, 1, "round abandoned", testFrags(1), 1)
+	err := fleet.UploadAll(ctx, 1, "round abandoned", testFrags(1), 1)
 	if !errors.Is(err, ErrNotRegistered) || errors.Is(err, ErrRoundAbandoned) {
 		t.Errorf("upload as %q: err = %v, want ErrNotRegistered and not ErrRoundAbandoned", "round abandoned", err)
 	}

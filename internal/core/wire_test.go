@@ -34,8 +34,8 @@ func fragBits(m map[string]tensor.Vector) map[string][]uint64 {
 // recAggregate payload, and a node recovered from that log must leak and
 // serve exactly what the crashed one did.
 func TestUploadBodyIsWALRecord(t *testing.T) {
-	proxy, vendor := testTrust(t)
-	cvm := provisionCVM(t, proxy, vendor, "agg-wire")
+	ap := testAP(t)
+	cvm := provisionCVM(t, ap, "agg-wire")
 	dir := t.TempDir()
 	node, _, err := RecoverAggregatorNode("agg-wire", agg.IterativeAverage{}, cvm, dir, journal.Options{NoSync: true})
 	if err != nil {
@@ -176,9 +176,9 @@ func TestDownloadRejectsOtherRound(t *testing.T) {
 // downloads, in process and over deta.Download, write nothing to the
 // journal.
 func TestRoundJournalsOneRecordPerUploadPlusFusion(t *testing.T) {
-	proxy, vendor := testTrust(t)
+	ap := testAP(t)
 	dir := t.TempDir()
-	node, _, err := RecoverAggregatorNode("agg-records", agg.IterativeAverage{}, provisionCVM(t, proxy, vendor, "agg-records"), dir, journal.Options{NoSync: true})
+	node, _, err := RecoverAggregatorNode("agg-records", agg.IterativeAverage{}, provisionCVM(t, ap, "agg-records"), dir, journal.Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,8 +229,8 @@ func TestRoundJournalsOneRecordPerUploadPlusFusion(t *testing.T) {
 // the first fused round after another compactEvery records have
 // accumulated, not at every fused round.
 func TestFailedCompactionWaitsForThreshold(t *testing.T) {
-	proxy, vendor := testTrust(t)
-	cvm := provisionCVM(t, proxy, vendor, "agg-compact")
+	ap := testAP(t)
+	cvm := provisionCVM(t, ap, "agg-compact")
 	dir := t.TempDir()
 	node, _, err := RecoverAggregatorNode("agg-compact", agg.IterativeAverage{}, cvm, dir, journal.Options{NoSync: true})
 	if err != nil {

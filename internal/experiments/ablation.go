@@ -117,47 +117,33 @@ func AblationAggregatorCount(sc Scale) (*Table, error) {
 }
 
 // AblationAuthCost measures the two-phase authentication protocol's costs:
-// Phase I provisioning per aggregator and Phase II challenge-response per
-// (party, aggregator) pair.
+// Phase I per aggregator, the deployed boot (endorsement, launch,
+// attestation and token injection over an in-process AP), and Phase II
+// challenge-response per (party, aggregator) pair.
 func AblationAuthCost(sc Scale) (*Table, error) {
-	vendor, err := sev.NewVendor()
+	_, ap, stop, err := core.ServeAP()
 	if err != nil {
 		return nil, err
 	}
-	platform, err := sev.NewPlatform("ablation-host", vendor)
-	if err != nil {
-		return nil, err
-	}
-	ap := attest.NewProxy(vendor.RAS(), core.OVMF)
+	defer stop()
+	ctx := context.Background()
 
 	const reps = 20
 	start := time.Now()
-	var lastID string
+	var cvm *sev.CVM
 	for i := 0; i < reps; i++ {
-		cvm, err := platform.LaunchCVM(core.OVMF)
-		if err != nil {
-			return nil, err
-		}
-		lastID = fmt.Sprintf("agg-%d", i)
-		if _, err := ap.Provision(lastID, platform, cvm); err != nil {
+		if cvm, err = core.BootAggregatorCVM(ctx, ap, "agg-ph1"); err != nil {
 			return nil, err
 		}
 	}
 	phase1 := time.Since(start) / reps
 
-	// Phase II timing against the last provisioned aggregator.
-	cvm, err := platform.LaunchCVM(core.OVMF)
+	// Phase II timing against the last booted aggregator.
+	node, err := core.NewAggregatorNode("agg-ph1", agg.IterativeAverage{}, cvm)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := ap.Provision("agg-ph2", platform, cvm); err != nil {
-		return nil, err
-	}
-	node, err := core.NewAggregatorNode("agg-ph2", agg.IterativeAverage{}, cvm)
-	if err != nil {
-		return nil, err
-	}
-	pub, err := ap.TokenPubKey("agg-ph2")
+	pub, err := ap.TokenPubKey(ctx, "agg-ph1")
 	if err != nil {
 		return nil, err
 	}
@@ -181,7 +167,7 @@ func AblationAuthCost(sc Scale) (*Table, error) {
 		Title:  "Ablation: two-phase authentication cost",
 		Header: []string{"Stage", "Cost"},
 		Rows: [][]string{
-			{"Phase I (attest+provision, per aggregator)", phase1.String()},
+			{"Phase I (endorse+launch+attest+provision, per aggregator)", phase1.String()},
 			{"Phase II (challenge-response, per party x aggregator)", phase2.String()},
 		},
 		Notes: []string{"one-time costs at training bootstrap; amortized over all rounds"},

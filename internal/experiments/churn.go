@@ -1,15 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
 
 	"deta/internal/agg"
-	"deta/internal/attest"
 	"deta/internal/core"
 	"deta/internal/rng"
-	"deta/internal/sev"
 	"deta/internal/tensor"
 )
 
@@ -60,11 +59,12 @@ func ChurnSweep(sc Scale) (*Table, error) {
 // All timing is fake-clock-driven, so the sweep is deterministic and runs
 // in microseconds per round regardless of the configured deadline.
 func churnCell(parties int, dropout float64, rounds int) (full, degraded, abandoned int, err error) {
-	vendor, err := sev.NewVendor()
+	_, ap, stop, err := core.ServeAP()
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	cvm, err := core.BootAggregatorCVM(vendor, attest.NewProxy(vendor.RAS(), core.OVMF), "agg-churn")
+	defer stop()
+	cvm, err := core.BootAggregatorCVM(context.Background(), ap, "agg-churn")
 	if err != nil {
 		return 0, 0, 0, err
 	}

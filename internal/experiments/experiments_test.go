@@ -148,8 +148,10 @@ func TestFig5aEquivalenceAndOverhead(t *testing.T) {
 	sc := testScale()
 	// One run's latency ratio is two sub-second timings of a shared
 	// machine divided by each other (0.60 was seen once in 40 runs under
-	// load), so the band is asserted on the median of five runs; the loss
-	// equality is exact and is asserted on every run. Under the race
+	// load), so the band is asserted on the median of five runs, which
+	// alternate the side timed first so that load from parallel test
+	// binaries falls on both sides alike; the loss equality is exact and
+	// is asserted on every run. Under the race
 	// detector the ratio measures the detector, not DeTA: one run checks
 	// the equality and the band is not asserted.
 	runs := 5
@@ -158,7 +160,7 @@ func TestFig5aEquivalenceAndOverhead(t *testing.T) {
 	}
 	ratios := make([]float64, 0, runs)
 	for run := 0; run < runs; run++ {
-		lossAcc, latency, err := Fig5a(sc)
+		lossAcc, latency, err := fig5a(sc, run%2 == 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +193,9 @@ func TestFig5aEquivalenceAndOverhead(t *testing.T) {
 		return
 	}
 	sort.Float64s(ratios)
-	if median := ratios[runs/2]; median < 0.8 || median > 4.0 {
+	median := ratios[runs/2]
+	t.Logf("median DETA/FFL latency ratio %.3f (runs: %.3f)", median, ratios)
+	if median < 0.8 || median > 4.0 {
 		t.Errorf("median DETA/FFL latency ratio %v outside plausible band [0.8,4] (runs: %v)", median, ratios)
 	}
 }

@@ -19,10 +19,12 @@ type pairResult struct {
 
 // runPair trains the same workload under both systems with identical
 // initial models, data splits, and hyperparameters — the comparison every
-// figure makes.
+// figure makes. FFL runs first unless detaFirst: a caller that repeats a
+// pair alternates the order, so that load from other processes falls on
+// both sides alike.
 func runPair(cfg fl.Config, build func() *nn.Network, train, test *dataset.Dataset,
 	parties int, newAlg func() agg.Algorithm, aggregators int, splitSeed []byte,
-	split func(*dataset.Dataset, int, []byte) []*dataset.Dataset) (*pairResult, error) {
+	split func(*dataset.Dataset, int, []byte) []*dataset.Dataset, detaFirst bool) (*pairResult, error) {
 
 	makeParties := func() []*fl.Party {
 		shards := split(train, parties, splitSeed)
@@ -33,26 +35,40 @@ func runPair(cfg fl.Config, build func() *nn.Network, train, test *dataset.Datas
 		return ps
 	}
 
-	ffl := &fl.Session{
-		Cfg: cfg, Algorithm: newAlg(), Build: build,
-		Parties: makeParties(), Test: test, InitSeed: []byte("figure-init"),
+	p := &pairResult{}
+	runFFL := func() (err error) {
+		ffl := &fl.Session{
+			Cfg: cfg, Algorithm: newAlg(), Build: build,
+			Parties: makeParties(), Test: test, InitSeed: []byte("figure-init"),
+		}
+		if p.FFL, err = ffl.Run(); err != nil {
+			return fmt.Errorf("experiments: FFL run: %w", err)
+		}
+		return nil
 	}
-	histFFL, err := ffl.Run()
-	if err != nil {
-		return nil, fmt.Errorf("experiments: FFL run: %w", err)
+	runDeTA := func() (err error) {
+		deta := &core.Session{
+			Cfg:   cfg,
+			Opts:  core.Options{NumAggregators: aggregators, Shuffle: true, MapperSeed: []byte("figure-mapper")},
+			Build: build, Parties: makeParties(), Test: test,
+			InitSeed: []byte("figure-init"), NewAlgorithm: newAlg,
+		}
+		if p.DeTA, err = deta.Run(context.Background()); err != nil {
+			return fmt.Errorf("experiments: DeTA run: %w", err)
+		}
+		return nil
 	}
-
-	deta := &core.Session{
-		Cfg:   cfg,
-		Opts:  core.Options{NumAggregators: aggregators, Shuffle: true, MapperSeed: []byte("figure-mapper")},
-		Build: build, Parties: makeParties(), Test: test,
-		InitSeed: []byte("figure-init"), NewAlgorithm: newAlg,
+	first, second := runFFL, runDeTA
+	if detaFirst {
+		first, second = runDeTA, runFFL
 	}
-	histDeTA, err := deta.Run(context.Background())
-	if err != nil {
-		return nil, fmt.Errorf("experiments: DeTA run: %w", err)
+	if err := first(); err != nil {
+		return nil, err
 	}
-	return &pairResult{DeTA: histDeTA, FFL: histFFL}, nil
+	if err := second(); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // figures builds the loss/accuracy figure and the latency figure from a
@@ -116,11 +132,14 @@ func mnistWorkload(sc Scale) (fl.Config, func() *nn.Network, *dataset.Dataset, *
 
 // Fig5a reproduces Figures 5a+5d: MNIST with Iterative Averaging, four
 // parties, DeTA (three aggregators) vs FFL.
-func Fig5a(sc Scale) (*Figure, *Figure, error) {
+func Fig5a(sc Scale) (*Figure, *Figure, error) { return fig5a(sc, false) }
+
+// fig5a is Fig5a with the order of the pair's runs chosen (runPair).
+func fig5a(sc Scale, detaFirst bool) (*Figure, *Figure, error) {
 	cfg, build, train, test := mnistWorkload(sc)
 	pair, err := runPair(cfg, build, train, test, 4,
 		func() agg.Algorithm { return agg.IterativeAverage{} }, sc.Aggregators,
-		[]byte("fig5-split"), dataset.SplitIID)
+		[]byte("fig5-split"), dataset.SplitIID, detaFirst)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -133,7 +152,7 @@ func Fig5b(sc Scale) (*Figure, *Figure, error) {
 	cfg, build, train, test := mnistWorkload(sc)
 	pair, err := runPair(cfg, build, train, test, 4,
 		func() agg.Algorithm { return agg.CoordinateMedian{} }, sc.Aggregators,
-		[]byte("fig5-split"), dataset.SplitIID)
+		[]byte("fig5-split"), dataset.SplitIID, false)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -155,7 +174,7 @@ func Fig5c(sc Scale) (*Figure, *Figure, error) {
 	}
 	pair, err := runPair(cfg, build, train, test, 4,
 		func() agg.Algorithm { return pf }, sc.Aggregators,
-		[]byte("fig5-split"), dataset.SplitIID)
+		[]byte("fig5-split"), dataset.SplitIID, false)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -181,7 +200,7 @@ func Fig6(sc Scale) (*Figure, *Figure, error) {
 		}
 		pair, err := runPair(cfg, build, train, test, parties,
 			func() agg.Algorithm { return agg.IterativeAverage{} }, sc.Aggregators,
-			[]byte("fig6-split"), dataset.SplitIID)
+			[]byte("fig6-split"), dataset.SplitIID, false)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -232,7 +251,7 @@ func Fig7(sc Scale) (*Figure, *Figure, error) {
 	}
 	pair, err := runPair(cfg, build, train, test, 8,
 		func() agg.Algorithm { return agg.IterativeAverage{} }, sc.Aggregators,
-		[]byte("fig7-split"), skewSplit)
+		[]byte("fig7-split"), skewSplit, false)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -6,10 +6,8 @@ import (
 	"time"
 
 	"deta/internal/agg"
-	"deta/internal/attest"
 	"deta/internal/core"
 	"deta/internal/rng"
-	"deta/internal/sev"
 	"deta/internal/tensor"
 	"deta/internal/transport"
 )
@@ -47,11 +45,11 @@ func AblationGeoLatency(sc Scale) (*Table, error) {
 // in-memory links and executes one aggregation round, returning its wall
 // time.
 func runGeoRound(parties, params int, delay time.Duration) (time.Duration, error) {
-	vendor, err := sev.NewVendor()
+	_, ap, stop, err := core.ServeAP()
 	if err != nil {
 		return 0, err
 	}
-	ap := attest.NewProxy(vendor.RAS(), core.OVMF)
+	defer stop()
 
 	type aggHandle struct {
 		node   *core.AggregatorNode
@@ -61,7 +59,7 @@ func runGeoRound(parties, params int, delay time.Duration) (time.Duration, error
 	handles := make([]*aggHandle, 3)
 	for j := range handles {
 		id := fmt.Sprintf("agg-%d", j+1)
-		cvm, err := core.BootAggregatorCVM(vendor, ap, id)
+		cvm, err := core.BootAggregatorCVM(context.Background(), ap, id)
 		if err != nil {
 			return 0, err
 		}

@@ -19,9 +19,8 @@ package lint
 // journal Append/Compact payloads, and the wire: transport.Encode, the body
 // argument of (*transport.Client).CallContext, the value a handler literal
 // registered with (*transport.Server).Handle returns, and any module wire
-// struct named *Req/*Resp except PermKeyReq/PermKeyResp. The AP's own
-// PermKey and launch-blob responses are raw handler returns, acknowledged
-// in code with //lint:ignore.
+// struct named *Req/*Resp. The AP's own PermKey and launch-blob responses
+// are raw handler returns, acknowledged in code with //lint:ignore.
 //
 // Sanitizers: rng.Fingerprint, SHA-2 digests, HMAC construction, and the
 // builtins (len of a key is not the key). Assigning a sanitized value
@@ -87,11 +86,6 @@ var keyTaintPropagators = map[string]bool{
 	"encoding/hex.EncodeToString": true, "encoding/hex.Dump": true,
 	"encoding/base64.Encoding.EncodeToString": true,
 	"strings.Clone": true,
-}
-
-// wire messages allowed to carry the key: the AP PermKey exchange.
-var keyTaintExemptWire = map[string]bool{
-	"PermKeyReq": true, "PermKeyResp": true,
 }
 
 func (a *KeyTaint) Prepare(ix *moduleIndex) {
@@ -698,9 +692,6 @@ func wireStructName(t types.Type) string {
 	}
 	name := obj.Name()
 	if !strings.HasSuffix(name, "Req") && !strings.HasSuffix(name, "Resp") {
-		return ""
-	}
-	if keyTaintExemptWire[name] {
 		return ""
 	}
 	if _, isStruct := named.Underlying().(*types.Struct); !isStruct {

@@ -23,7 +23,8 @@ type UploadReq struct {
 	Payload []byte
 }
 
-// PermKeyResp is the one sanctioned key-carrying message.
+// PermKeyResp is named like a key exchange, but no wire struct is exempt
+// by its name.
 type PermKeyResp struct {
 	Key []byte
 }
@@ -136,10 +137,10 @@ func badWireFieldStore(master []byte) UploadReq {
 	return req
 }
 
-// goodPermKeyResp is the sanctioned exchange: the AP's PermKey response
-// exists to carry the key.
-func goodPermKeyResp(master []byte) PermKeyResp {
-	return PermKeyResp{Key: rng.DeriveSeed(master)}
+// badPermKeyResp puts key bytes in a wire struct whose name once exempted
+// it: the AP's key response is a raw handler return, acknowledged in code.
+func badPermKeyResp(master []byte) PermKeyResp {
+	return PermKeyResp{Key: rng.DeriveSeed(master)} // want keytaint
 }
 
 // goodCleanWire: no key material anywhere near the message.

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"deta/internal/agg"
-	"deta/internal/attest"
 	"deta/internal/core"
 	"deta/internal/journal"
 	"deta/internal/lint"
@@ -228,14 +227,16 @@ func perfUploadNode(b *testing.B) *core.AggregatorNode {
 	return node
 }
 
-// perfCVM launches a CVM provisioned for the aggregator "perf-suite".
+// perfCVM boots a CVM for the aggregator "perf-suite" against an
+// in-process AP, which it stops once booted.
 func perfCVM(b *testing.B) *sev.CVM {
 	b.Helper()
-	vendor, err := sev.NewVendor()
+	_, ap, stop, err := core.ServeAP()
 	if err != nil {
 		b.Fatal(err)
 	}
-	cvm, err := core.BootAggregatorCVM(vendor, attest.NewProxy(vendor.RAS(), core.OVMF), "perf-suite")
+	defer stop()
+	cvm, err := core.BootAggregatorCVM(context.Background(), ap, "perf-suite")
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -3,9 +3,9 @@ package tensor
 // pool.go: sync.Pool-backed reusable Vector buffers for the data plane.
 // Every fragment-sized buffer on the upload path cycles through here:
 // the party's fused transform gathers into one, the wire codec decodes
-// into one on the aggregator, and the aggregator returns each upload's
-// buffer once it stops holding it (a rejected or retried upload at once,
-// a stored one when retention evicts its round).
+// into one on the aggregator, and the aggregator clears and returns each
+// upload's buffer once it stops holding it (a rejected or retried upload
+// at once, a stored one when retention evicts its round).
 
 import "sync"
 
